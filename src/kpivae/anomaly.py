@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concepts import ConceptModel, assign_concept
-from .data import KPI_NAMES, SequenceWindow, fmt_float
-from .errors import ParseError, ValidationError
-from .vae import VaeParams, batch_components, build_prior, encode_windows
+from .data import KPI_NAMES, SequenceWindow, artifact_rows, fmt_float
+from .errors import ConfigError, ParseError, ValidationError
+from .vae import VaeParams, batch_components, batches, encode_windows, prior_table, window_clusters
 
 LATENTSTATS_TAG = "kpivae-latentstats-v1"
 
@@ -84,15 +84,13 @@ def fit_latent_stats(
     """
     if not windows:
         raise ValidationError("cannot fit latent stats on zero windows")
-    missing = sorted({w.element_id for w in windows if w.element_id not in assignment})
-    if missing:
-        raise ValidationError("elements without a cluster assignment: " + ", ".join(missing))
+    clusters = window_clusters(windows, assignment)
     c = params.latent.concept_dims
     if encoded is None:
         encoded = encode_windows(params, windows)
     by_cluster: dict[int, list[np.ndarray]] = {}
-    for w, (mu, _) in zip(windows, encoded):
-        by_cluster.setdefault(assignment[w.element_id], []).append(mu[:, :c])
+    for cl, (mu, _) in zip(clusters.tolist(), encoded):
+        by_cluster.setdefault(cl, []).append(mu[:, :c])
     all_rows = np.concatenate([r for rows in by_cluster.values() for r in rows])
     stats = LatentStats(
         concept_dims=c,
@@ -124,11 +122,13 @@ def zscores(stats: LatentStats, cluster: int | None, mu) -> np.ndarray:
     return (m - mean) / std
 
 
-def _flag_order(z: np.ndarray, threshold: float, symmetric: bool) -> list[int]:
+def _flags(z: np.ndarray, threshold: float, symmetric: bool):
+    """Per row of z: the flagged mask and the flagged KPI names, strongest first."""
     score = np.abs(z) if symmetric else z
-    flagged = [i for i in range(z.size) if score[i] > threshold]
-    flagged.sort(key=lambda i: (-score[i], i))
-    return flagged
+    flagged = score > threshold
+    strongest = np.argsort(-score, axis=-1, kind="stable")
+    names = [tuple(KPI_NAMES[i] for i in o if f[i]) for o, f in zip(strongest, flagged)]
+    return flagged, names
 
 
 def attribute(report, threshold: float = Z_THRESHOLD, symmetric: bool = False) -> list[str]:
@@ -140,7 +140,7 @@ def attribute(report, threshold: float = Z_THRESHOLD, symmetric: bool = False) -
     """
     z = report.zscores if isinstance(report, AnomalyReport) else report
     z = np.asarray(z, dtype=np.float64)
-    return [KPI_NAMES[i] for i in _flag_order(z, threshold, symmetric)]
+    return list(_flags(z[None], threshold, symmetric)[1][0])
 
 
 def _observed_profile(windows: list[SequenceWindow]) -> np.ndarray:
@@ -179,100 +179,93 @@ def detect(
     top_k: int | None = None,
     z_threshold: float = Z_THRESHOLD,
     symmetric: bool = False,
-    batch_size: int = 256,
 ) -> list[AnomalyReport]:
     """Score every timestep and return reports sorted by descending loss.
 
     Overlapping windows are deduplicated per (element_id, date), keeping the
-    highest-loss occurrence. With `loss_floor` only timesteps whose loss is
-    strictly above the floor survive; `top_k` then truncates the ranking.
-    Neither filter set means every scored timestep is returned.
+    highest-loss occurrence (the first scored one on ties). With `loss_floor`
+    only timesteps whose loss is strictly above the floor survive; `top_k`
+    then truncates the ranking. Neither filter set means every scored
+    timestep is returned.
     """
+    if eval_samples < 1:
+        raise ConfigError("eval_samples must be >= 1")
     if not windows:
         return []
     windows = sorted(windows, key=lambda w: (w.element_id, w.start_date))
-    clusters = resolve_clusters(windows, model)
+    clusters = window_clusters(windows, resolve_clusters(windows, model))
+    table = prior_table(model, params.latent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    best: dict[tuple[str, int], tuple] = {}
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(windows):
-        groups.setdefault(w.length, []).append(i)
-    for length in sorted(groups):
-        idx = groups[length]
-        for start in range(0, len(idx), batch_size):
-            chunk = idx[start : start + batch_size]
-            x = np.stack([windows[i].values for i in chunk])
-            priors = np.stack(
-                [
-                    build_prior(model, params.latent, clusters[windows[i].element_id]).mean
-                    for i in chunk
-                ]
-            )
-            eps = rng.standard_normal(
-                (eval_samples, len(chunk), length, params.latent.total)
-            )
-            mu, _, kl_ts, ll_ts = batch_components(
-                params, x, priors, params.latent.prior_std, eps
-            )
-            loss_ts = kl_ts - ll_ts
-            for j, i in enumerate(chunk):
-                w = windows[i]
-                for t, d in enumerate(w.dates()):
-                    key = (w.element_id, int(d))
-                    cand = (
-                        float(loss_ts[j, t]),
-                        float(kl_ts[j, t]),
-                        float(ll_ts[j, t]),
-                        mu[j, t].copy(),
-                        tuple(float(v) for v in w.raw[t]),
-                    )
-                    if key not in best or cand[0] > best[key][0]:
-                        best[key] = cand
+    # window, step, kl, loglik and concept-dim mu of every scored timestep
+    parts = []
+    for idx, x in batches(windows):
+        eps = rng.standard_normal((eval_samples,) + x.shape[:2] + (params.latent.total,))
+        mu, _, kl_ts, ll_ts = batch_components(
+            params, x, table[clusters[idx]], params.latent.prior_std, eps
+        )
+        n, length = kl_ts.shape
+        win_step = (np.repeat(idx, length), np.tile(np.arange(length), n))
+        # copied, so that the chunk's full mu is not kept alive
+        mu_c = mu[..., : stats.concept_dims].reshape(n * length, -1).copy()
+        parts.append(win_step + (kl_ts.ravel(), ll_ts.ravel(), mu_c))
+    win, step, kl, ll, mu_c = (np.concatenate(a) for a in zip(*parts))
+    loss = kl - ll
+    # windows are sorted, so cell ids order like (element_id, date)
+    eids = [w.element_id for w in windows]
+    element = np.cumsum([0] + [a != b for a, b in zip(eids, eids[1:])])[win]
+    date = np.array([w.start_date for w in windows])[win] + step
+    cell = element * (date.max() - date.min() + 1) + date - date.min()
 
-    reports: list[AnomalyReport] = []
-    for (eid, date), (loss, kl, ll, mu_t, raw) in best.items():
-        cl = clusters[eid]
-        z = zscores(stats, cl, mu_t)
-        score = np.abs(z) if symmetric else z
+    # per cell the highest loss; lexsort is stable, so the earliest scored
+    # timestep wins a tie
+    order = np.lexsort((-loss, cell))
+    keep = order[np.unique(cell[order], return_index=True)[1]]
+    keep = keep[np.lexsort((cell[keep], -loss[keep]))]
+    if loss_floor is not None:
+        keep = keep[loss[keep] > loss_floor]
+    if top_k is not None:
+        keep = keep[:top_k]
+
+    cell_cluster = clusters[win[keep]]
+    z = np.empty((keep.size, stats.concept_dims))
+    for cl in np.unique(cell_cluster).tolist():
+        rows = cell_cluster == cl
+        z[rows] = zscores(stats, cl, mu_c[keep[rows]])
+    flagged, attribution = _flags(z, z_threshold, symmetric)
+    reports = []
+    for r, (i, cl) in enumerate(zip(keep.tolist(), cell_cluster.tolist())):
+        w = windows[win[i]]
         reports.append(
             AnomalyReport(
-                element_id=eid,
-                date=date,
+                element_id=w.element_id,
+                date=int(date[i]),
                 cluster=cl,
-                kpis=raw,
-                loss=loss,
-                kl=kl,
-                loglik=ll,
-                zscores=tuple(float(v) for v in z),
-                flagged=tuple(bool(s > z_threshold) for s in score),
-                attribution=tuple(
-                    KPI_NAMES[i] for i in _flag_order(z, z_threshold, symmetric)
-                ),
+                kpis=tuple(w.raw[step[i]].tolist()),
+                loss=float(loss[i]),
+                kl=float(kl[i]),
+                loglik=float(ll[i]),
+                zscores=tuple(z[r].tolist()),
+                flagged=tuple(flagged[r].tolist()),
+                attribution=attribution[r],
                 stats_fallback=cl not in stats.cluster_mean,
+                rank=r + 1,
             )
         )
-    reports.sort(key=lambda r: (-r.loss, r.element_id, r.date))
-    if loss_floor is not None:
-        reports = [r for r in reports if r.loss > loss_floor]
-    if top_k is not None:
-        reports = reports[:top_k]
-    for rank, r in enumerate(reports, start=1):
-        r.rank = rank
     return reports
 
 
-def report_rows(reports: list[AnomalyReport]) -> list[list]:
-    rows = [list(REPORT_HEADER)]
+def report_rows(reports: list[AnomalyReport]):
+    """Yield the report CSV rows, header first."""
+    yield list(REPORT_HEADER)
     for r in reports:
-        rows.append(
+        yield (
             [r.rank, r.element_id, r.date, r.cluster]
             + [fmt_float(v) for v in r.kpis]
             + [fmt_float(r.loss), fmt_float(r.loglik), fmt_float(r.kl)]
             + [fmt_float(v) for v in r.zscores]
             + ["|".join(r.attribution), int(r.stats_fallback)]
         )
-    return rows
 
 
 def save_report(reports: list[AnomalyReport], path) -> None:
@@ -294,36 +287,34 @@ def save_latent_stats(stats: LatentStats, path) -> None:
 
 
 def load_latent_stats(path) -> LatentStats:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != LATENTSTATS_TAG:
-        raise ParseError(f"bad latent stats tag, expected {LATENTSTATS_TAG!r}", 1)
     concept_dims = None
     stats = None
-    for line_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if parts[0] == "concept_dims":
-            concept_dims = int(parts[1])
-        elif parts[0] == "global":
-            if concept_dims is None or len(parts) != 1 + 2 * concept_dims:
-                raise ParseError("bad global stats row", line_no)
-            vals = [float(v) for v in parts[1:]]
-            stats = LatentStats(
-                concept_dims=concept_dims,
-                global_mean=np.array(vals[:concept_dims]),
-                global_std=np.array(vals[concept_dims:]),
-                cluster_mean={},
-                cluster_std={},
-            )
-        elif parts[0] == "cluster":
-            if stats is None or len(parts) != 2 + 2 * concept_dims:
-                raise ParseError("bad cluster stats row", line_no)
-            j = int(parts[1])
-            vals = [float(v) for v in parts[2:]]
-            stats.cluster_mean[j] = np.array(vals[:concept_dims])
-            stats.cluster_std[j] = np.array(vals[concept_dims:])
-        else:
-            raise ParseError(f"unknown row {parts[0]!r}", line_no)
+    for line_no, parts in artifact_rows(path, LATENTSTATS_TAG):
+        try:
+            if parts[0] == "concept_dims":
+                concept_dims = int(parts[1])
+            elif parts[0] == "global":
+                if concept_dims is None or len(parts) != 1 + 2 * concept_dims:
+                    raise ParseError("bad global stats row", line_no)
+                vals = [float(v) for v in parts[1:]]
+                stats = LatentStats(
+                    concept_dims=concept_dims,
+                    global_mean=np.array(vals[:concept_dims]),
+                    global_std=np.array(vals[concept_dims:]),
+                    cluster_mean={},
+                    cluster_std={},
+                )
+            elif parts[0] == "cluster":
+                if stats is None or len(parts) != 2 + 2 * concept_dims:
+                    raise ParseError("bad cluster stats row", line_no)
+                j = int(parts[1])
+                vals = [float(v) for v in parts[2:]]
+                stats.cluster_mean[j] = np.array(vals[:concept_dims])
+                stats.cluster_std[j] = np.array(vals[concept_dims:])
+            else:
+                raise ParseError(f"unknown row {parts[0]!r}", line_no)
+        except (ValueError, IndexError):
+            raise ParseError(f"malformed row {' '.join(parts)!r}", line_no)
     if stats is None:
         raise ParseError("missing global stats row")
     return stats

@@ -57,7 +57,6 @@ TRAIN_KEYS = {
     "batch_size": (64, int),
     "max_epochs": (200, int),
     "patience": (10, int),
-    "eval_samples": (10, int),
     "seed": (0, int),
     "val_fraction": (0.05, float),
 }
@@ -89,7 +88,12 @@ EXPORT_KEYS = {
     "dims": ("concept", str),
     "svg": (None, str),
 }
-ALL_KEYS = set().union(SYNTH_KEYS, CONCEPTS_KEYS, TRAIN_KEYS, SCORE_KEYS, EXPORT_KEYS)
+# every key has the same type in every command that takes it
+KEY_TYPES = {
+    key: cast
+    for table in (SYNTH_KEYS, CONCEPTS_KEYS, TRAIN_KEYS, SCORE_KEYS, EXPORT_KEYS)
+    for key, (_, cast) in table.items()
+}
 
 
 def _parse_bool(s: str) -> bool:
@@ -99,6 +103,15 @@ def _parse_bool(s: str) -> bool:
     if v in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"bad boolean value {s!r}")
+
+
+def _cast(raw: str, cast):
+    if cast is bool:
+        return _parse_bool(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"bad {cast.__name__} value {raw!r}")
 
 
 def load_config(path) -> dict[str, str]:
@@ -113,8 +126,12 @@ def load_config(path) -> dict[str, str]:
                 raise ConfigError(f"config line {line_no}: expected key = value, got {s!r}")
             k, v = s.split("=", 1)
             k = k.strip().replace("-", "_")
-            if k not in ALL_KEYS:
+            if k not in KEY_TYPES:
                 raise ConfigError(f"config line {line_no}: unknown key {k!r}")
+            try:
+                _cast(v.strip(), KEY_TYPES[k])
+            except ConfigError as e:
+                raise ConfigError(f"config line {line_no}: {k}: {e}")
             cfg[k] = v.strip()
     return cfg
 
@@ -131,8 +148,7 @@ class Opts:
         default, cast = self.table[key]
         v = self.args.get(key)
         if v is None and key in self.config:
-            raw = self.config[key]
-            v = _parse_bool(raw) if cast is bool else cast(raw)
+            v = _cast(self.config[key], cast)
         if v is None:
             if default is REQUIRED:
                 raise ConfigError(f"missing required option --{key.replace('_', '-')}")
@@ -206,14 +222,15 @@ def _load_windows(o: Opts) -> list[data.SequenceWindow]:
     stats = data.load_norm_stats(o.get("stats"))
     window = o.get("window")
     stride = o.get("stride") or window
-    return data.window_sequences(records, window, stride=stride, stats=stats)
+    windows = data.window_sequences(records, window, stride=stride, stats=stats)
+    if not windows:
+        raise ValidationError(f"no windows of length {window}; every run is shorter")
+    return windows
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     o = Opts(args, TRAIN_KEYS)
     windows = _load_windows(o)
-    if not windows:
-        raise ValidationError("no training windows; check --window against run lengths")
     model = concepts.load_concept_model(o.get("model"))
     train_ids, val_ids = split_elements(
         (w.element_id for w in windows), o.get("val_fraction")
@@ -231,7 +248,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         batch_size=o.get("batch_size"),
         max_epochs=o.get("max_epochs"),
         patience=o.get("patience"),
-        eval_samples=o.get("eval_samples"),
         seed=o.get("seed"),
     )
     params, history = vae.train(train_w, val_w, model, tcfg, arch=arch, latent=latent)

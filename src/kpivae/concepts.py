@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import KpiRecord, N_KPIS, NormStats, normalize
+from .data import KpiRecord, N_KPIS, NormStats, artifact_rows, normalize
 from .errors import ParseError, ValidationError
 
 CONCEPTS_TAG = "kpivae-concepts-v1"
@@ -198,34 +198,34 @@ def save_concept_model(model: ConceptModel, path) -> None:
 
 
 def load_concept_model(path) -> ConceptModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != CONCEPTS_TAG:
-        raise ParseError(f"bad concept model tag, expected {CONCEPTS_TAG!r}", 1)
     k = None
     inertia = 0.0
     centroids = {}
     priors = {}
     assignment: dict[str, int] = {}
-    for line_no, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if parts[0] == "k":
-            k = int(parts[1])
-        elif parts[0] == "inertia":
-            inertia = float(parts[1])
-        elif parts[0] == "centroid":
-            j = int(parts[1])
-            vals = [float(v) for v in parts[2:]]
-            if len(vals) != 2 * N_KPIS:
-                raise ParseError(f"centroid row needs {2 * N_KPIS} values", line_no)
-            centroids[j] = vals[:N_KPIS]
-            priors[j] = vals[N_KPIS:]
-        elif parts[0] == "assign":
-            assignment[parts[1]] = int(parts[2])
-        else:
-            raise ParseError(f"unknown row {parts[0]!r}", line_no)
-    if k is None or len(centroids) != k:
+    for line_no, parts in artifact_rows(path, CONCEPTS_TAG):
+        try:
+            if parts[0] == "k":
+                k = int(parts[1])
+            elif parts[0] == "inertia":
+                inertia = float(parts[1])
+            elif parts[0] == "centroid":
+                j = int(parts[1])
+                vals = [float(v) for v in parts[2:]]
+                if len(vals) != 2 * N_KPIS:
+                    raise ParseError(f"centroid row needs {2 * N_KPIS} values", line_no)
+                centroids[j] = vals[:N_KPIS]
+                priors[j] = vals[N_KPIS:]
+            elif parts[0] == "assign":
+                assignment[parts[1]] = int(parts[2])
+            else:
+                raise ParseError(f"unknown row {parts[0]!r}", line_no)
+        except (ValueError, IndexError):
+            raise ParseError(f"malformed row {' '.join(parts)!r}", line_no)
+    if k is None or sorted(centroids) != list(range(k)):
         raise ParseError("missing k or centroid rows")
+    if any(not 0 <= j < k for j in assignment.values()):
+        raise ParseError(f"cluster assignment outside 0..{k - 1}")
     cent = np.array([centroids[j] for j in range(k)])
     pm = np.array([priors[j] for j in range(k)])
     return ConceptModel(k=k, centroids=cent, prior_means=pm, assignment=assignment, inertia=inertia)

@@ -233,24 +233,41 @@ def save_norm_stats(stats: NormStats, path) -> None:
             )
 
 
+def artifact_rows(path, tag: str):
+    """Yield (line number, fields) of every non-blank line after the tag line.
+
+    Raises ParseError when the file is not text or does not start with `tag`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not a text artifact")
+    if not lines or lines[0] != tag:
+        raise ParseError(f"bad tag in {path}, expected {tag!r}", 1)
+    for line_no, ln in enumerate(lines[1:], start=2):
+        parts = ln.split()
+        if parts:
+            yield line_no, parts
+
+
 def load_norm_stats(path) -> NormStats:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != NORMSTATS_TAG:
-        raise ParseError(f"bad normstats tag, expected {NORMSTATS_TAG!r}", 1)
     mins = np.zeros(N_KPIS)
     maxs = np.zeros(N_KPIS)
     degenerate = np.zeros(N_KPIS, dtype=bool)
-    body = [ln for ln in lines[1:] if ln]
-    if len(body) != N_KPIS:
-        raise ParseError(f"expected {N_KPIS} stat rows, got {len(body)}")
-    for line_no, ln in enumerate(body, start=2):
-        parts = ln.split()
-        if len(parts) != 4 or parts[0] not in KPI_NAMES:
-            raise ParseError(f"bad normstats row {ln!r}", line_no)
+    seen = set()
+    for line_no, parts in artifact_rows(path, NORMSTATS_TAG):
+        if len(parts) != 4 or parts[0] not in KPI_NAMES or parts[0] in seen:
+            raise ParseError(f"bad normstats row {' '.join(parts)!r}", line_no)
+        seen.add(parts[0])
         i = KPI_NAMES.index(parts[0])
-        mins[i], maxs[i] = float(parts[1]), float(parts[2])
-        degenerate[i] = bool(int(parts[3]))
+        try:
+            mins[i], maxs[i] = float(parts[1]), float(parts[2])
+            degenerate[i] = bool(int(parts[3]))
+        except ValueError:
+            raise ParseError(f"non-numeric token in {' '.join(parts)!r}", line_no)
+    if len(seen) != N_KPIS:
+        raise ParseError(f"expected {N_KPIS} stat rows, got {len(seen)}")
     return NormStats(mins, maxs, degenerate)
 
 

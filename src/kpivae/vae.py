@@ -14,6 +14,7 @@ finite differences.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 
@@ -41,6 +42,10 @@ from .nn import (
 )
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# windows per forward pass; scoring draws its noise per chunk, so this is part
+# of the scored output, not a tuning knob
+BATCH_WINDOWS = 256
 
 CHECKPOINT_MAGIC = b"KPIVAE\x00\x01"
 CHECKPOINT_FORMAT = "kpivae-ckpt-v1"
@@ -83,14 +88,11 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 200
     patience: int = 10
-    eval_samples: int = 10
     seed: int = 0
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
-        if self.eval_samples < 1:
-            raise ConfigError("eval_samples must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, max_epochs and patience must be >= 1")
 
@@ -112,32 +114,57 @@ class VaeParams:
 
 @dataclass
 class PriorSpec:
-    """Per-record latent prior: concept dims at the cluster's scaled centroid,
-    free dims standard normal."""
+    """Latent prior: concept dims at the cluster's scaled centroid, free dims
+    standard normal. `mean` is one (total,) row or a (k, total) table."""
 
-    mean: np.ndarray  # (total,)
+    mean: np.ndarray
     std: float
     concept_dims: int
 
     def validate(self) -> None:
         if self.std <= 0:
             raise ConfigError("prior std must be positive")
-        head = self.mean[: self.concept_dims]
-        tail = self.mean[self.concept_dims :]
+        head = self.mean[..., : self.concept_dims]
+        tail = self.mean[..., self.concept_dims :]
         if head.size and (head.min() < -1.0 - 1e-12 or head.max() > 1.0 + 1e-12):
             raise ValidationError("concept-dim prior means must lie in [-1, 1]")
         if tail.size and np.any(tail != 0.0):
             raise ValidationError("free-dim prior means must be exactly 0")
 
 
-def build_prior(model: ConceptModel, latent: LatentConfig, cluster: int) -> PriorSpec:
+def prior_table(model: ConceptModel, latent: LatentConfig) -> np.ndarray:
+    """(k, total) prior means, one validated row per cluster."""
     if model.prior_means is None:
         raise ValidationError("concept model has no prior_means; run scale_centroids")
-    mean = np.zeros(latent.total)
-    mean[: latent.concept_dims] = model.prior_means[cluster]
-    spec = PriorSpec(mean=mean, std=latent.prior_std, concept_dims=latent.concept_dims)
-    spec.validate()
-    return spec
+    table = np.zeros((len(model.prior_means), latent.total))
+    table[:, : latent.concept_dims] = model.prior_means
+    PriorSpec(mean=table, std=latent.prior_std, concept_dims=latent.concept_dims).validate()
+    return table
+
+
+def build_prior(model: ConceptModel, latent: LatentConfig, cluster: int) -> PriorSpec:
+    return PriorSpec(prior_table(model, latent)[cluster], latent.prior_std, latent.concept_dims)
+
+
+def window_clusters(windows: list[SequenceWindow], assignment: dict[str, int]) -> np.ndarray:
+    """Cluster id of each window's element; every element must be assigned."""
+    missing = sorted({w.element_id for w in windows if w.element_id not in assignment})
+    if missing:
+        raise ValidationError("elements without a cluster assignment: " + ", ".join(missing))
+    return np.array([assignment[w.element_id] for w in windows], dtype=int)
+
+
+def batches(windows: list[SequenceWindow]):
+    """Yield (indices, stacked values) of equal-length windows: by ascending
+    length, then input order, BATCH_WINDOWS at a time."""
+    groups: dict[int, list[int]] = {}
+    for i, w in enumerate(windows):
+        groups.setdefault(w.length, []).append(i)
+    for length in sorted(groups):
+        idx = groups[length]
+        for start in range(0, len(idx), BATCH_WINDOWS):
+            chunk = np.array(idx[start : start + BATCH_WINDOWS])
+            yield chunk, np.stack([windows[i].values for i in chunk])
 
 
 def init_params(
@@ -255,24 +282,14 @@ def decode(params: VaeParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encode_windows(
-    params: VaeParams, windows: list[SequenceWindow], batch_size: int = 256
+    params: VaeParams, windows: list[SequenceWindow]
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-window (mu, logvar), batching equal-length windows together.
-
-    Output is aligned with the input order.
-    """
+    """Per-window (mu, logvar), aligned with the input order."""
     out: list = [None] * len(windows)
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(windows):
-        groups.setdefault(w.length, []).append(i)
-    for length in sorted(groups):
-        idx = groups[length]
-        for start in range(0, len(idx), batch_size):
-            chunk = idx[start : start + batch_size]
-            x = np.stack([windows[i].values for i in chunk])
-            mu, lv, _ = _encoder_forward(params, x)
-            for j, i in enumerate(chunk):
-                out[i] = (mu[j], lv[j])
+    for idx, x in batches(windows):
+        mu, lv, _ = _encoder_forward(params, x)
+        for j, i in enumerate(idx):
+            out[i] = (mu[j], lv[j])
     return out
 
 
@@ -453,19 +470,6 @@ def _stack_windows(windows: list[SequenceWindow]) -> np.ndarray:
     return np.stack([w.values for w in windows])
 
 
-def _window_priors(
-    windows: list[SequenceWindow], model: ConceptModel, latent: LatentConfig
-) -> np.ndarray:
-    missing = sorted({w.element_id for w in windows if w.element_id not in model.assignment})
-    if missing:
-        raise ValidationError(
-            "elements without a cluster assignment: " + ", ".join(missing)
-        )
-    return np.stack(
-        [build_prior(model, latent, model.assignment[w.element_id]).mean for w in windows]
-    )
-
-
 def train(
     train_windows: list[SequenceWindow],
     val_windows: list[SequenceWindow],
@@ -496,10 +500,11 @@ def train(
     rng_noise = np.random.default_rng(noise_ss)
     rng_val = np.random.default_rng(val_ss)
 
+    table = prior_table(concept_model, latent)
     x_train = _stack_windows(train_windows)
-    p_train = _window_priors(train_windows, concept_model, latent)
+    p_train = table[window_clusters(train_windows, concept_model.assignment)]
     x_val = _stack_windows(val_windows)
-    p_val = _window_priors(val_windows, concept_model, latent)
+    p_val = table[window_clusters(val_windows, concept_model.assignment)]
     val_eps = rng_val.standard_normal((1,) + x_val.shape[:2] + (latent.total,))
 
     opt = Adam(params.tensors, lr=config.learning_rate)
@@ -567,6 +572,13 @@ def save_checkpoint(params: VaeParams, path) -> None:
             fh.write(np.ascontiguousarray(params.tensors[k]).tobytes())
 
 
+def _read_exact(fh, n: int, what: str) -> bytes:
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ParseError(f"truncated checkpoint: {what} needs {n} bytes, found {len(buf)}")
+    return buf
+
+
 def load_checkpoint(path) -> VaeParams:
     try:
         fh = open(path, "rb")
@@ -576,15 +588,25 @@ def load_checkpoint(path) -> VaeParams:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ParseError(f"not a kpivae checkpoint: {path}")
-        (blob_len,) = struct.unpack(">Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ParseError(f"unsupported checkpoint format {header.get('format')!r}")
-        arch = ArchConfig(**header["arch"])
-        latent = LatentConfig(**header["latent"])
+        (blob_len,) = struct.unpack(">Q", _read_exact(fh, 8, "header length"))
+        blob = _read_exact(fh, blob_len, "header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            if header.get("format") != CHECKPOINT_FORMAT:
+                raise ParseError(f"unsupported checkpoint format {header.get('format')!r}")
+            arch = ArchConfig(**header["arch"])
+            latent = LatentConfig(**header["latent"])
+            arrays = [
+                (name, np.dtype(dtype), tuple(int(n) for n in shape))
+                for name, dtype, shape in header["arrays"]
+            ]
+            seed = header["seed"]
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise ParseError(f"bad checkpoint header: {e}")
         tensors = {}
-        for name, dtype, shape in header["arrays"]:
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * np.dtype(dtype).itemsize)
+        for name, dtype, shape in arrays:
+            buf = _read_exact(fh, math.prod(shape) * dtype.itemsize, f"tensor {name}")
             tensors[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-    return VaeParams(arch=arch, latent=latent, tensors=tensors, seed=header["seed"])
+        if fh.read(1):
+            raise ParseError("trailing bytes after the last checkpoint tensor")
+    return VaeParams(arch=arch, latent=latent, tensors=tensors, seed=seed)

@@ -4,7 +4,7 @@ import pytest
 from kpivae import anomaly, concepts, data, vae
 from kpivae.anomaly import LatentStats
 from kpivae.data import KPI_NAMES, SequenceWindow
-from kpivae.errors import ParseError, ValidationError
+from kpivae.errors import ConfigError, ParseError, ValidationError
 
 
 def mk_window(eid, start, rows):
@@ -207,6 +207,11 @@ class TestDetect:
         params, windows, model, lstats = scored_setup()
         assert anomaly.detect(params, [], model, lstats) == []
 
+    def test_zero_eval_samples_rejected(self):
+        params, windows, model, lstats = scored_setup()
+        with pytest.raises(ConfigError, match="eval_samples"):
+            anomaly.detect(params, windows, model, lstats, eval_samples=0)
+
     def test_matches_direct_recomputation(self):
         """Oracle: replay the documented scoring procedure by hand."""
         params, windows, model, lstats = scored_setup(stride=5)
@@ -358,7 +363,7 @@ class TestReportSerialization:
     def test_rows_schema(self):
         params, windows, model, lstats = scored_setup()
         reports = anomaly.detect(params, windows, model, lstats, eval_samples=2, top_k=4)
-        rows = anomaly.report_rows(reports)
+        rows = list(anomaly.report_rows(reports))
         assert rows[0] == anomaly.REPORT_HEADER
         assert len(rows) == 5
         for row, r in zip(rows[1:], reports):

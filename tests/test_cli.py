@@ -52,7 +52,7 @@ def pipeline(tmp_path_factory):
         "--out-history", str(p["history"]), "--out-latent-stats", str(p["lstats"]),
         "--window", "10", "--hidden", "6", "--batch-size", "8",
         "--max-epochs", "2", "--patience", "2", "--val-fraction", "0.2",
-        "--eval-samples", "2", "--seed", "1",
+        "--seed", "1",
     ]) == 0
     assert run([
         "score", "--data", str(p["data"]), "--checkpoint", str(p["ckpt"]),
@@ -243,6 +243,78 @@ class TestExportLatent:
             "--window", "10", "--dims", "everything",
         ])
         assert code == 2
+
+
+def score_with(pipeline, tmp_path, window="10", **swap):
+    """Run `score` on the shared artifacts, with some inputs swapped out."""
+    inputs = {
+        "data": pipeline["data"], "checkpoint": pipeline["ckpt"], "model": pipeline["model"],
+        "stats": pipeline["stats"], "latent-stats": pipeline["lstats"],
+    }
+    inputs.update({k.replace("_", "-"): v for k, v in swap.items()})
+    argv = ["score", "--out", str(tmp_path / "report.csv"), "--window", window]
+    for flag, path in inputs.items():
+        argv += ["--" + flag, str(path)]
+    return run(argv)
+
+
+def corrupt_token(src, dst, prefix, index, token):
+    """Copy a text artifact, replacing one field of the first row starting
+    with `prefix` (dropping it when `token` is None); returns its line number."""
+    lines = src.read_text().splitlines()
+    n = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    parts = lines[n].split()
+    if token is None:
+        del parts[index]
+    else:
+        parts[index] = token
+    lines[n] = " ".join(parts)
+    dst.write_text("\n".join(lines) + "\n")
+    return n + 1
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "artifact, flag, prefix, index, token",
+        [
+            ("lstats", "latent_stats", "concept_dims", 1, "x"),
+            ("lstats", "latent_stats", "global", 3, "1.0e"),
+            ("model", "model", "centroid 1", 4, "abc"),
+            ("model", "model", "assign", 2, None),
+            ("stats", "stats", "total_drops", 2, "abc"),
+            ("stats", "stats", "mme_drops", 3, "yes"),
+        ],
+    )
+    def test_bad_text_artifact(
+        self, pipeline, tmp_path, capsys, artifact, flag, prefix, index, token
+    ):
+        bad = tmp_path / "bad.txt"
+        line_no = corrupt_token(pipeline[artifact], bad, prefix, index, token)
+        assert score_with(pipeline, tmp_path, **{flag: bad}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line {line_no}" in err
+
+    @pytest.mark.parametrize("size", [500, -16])
+    def test_truncated_checkpoint(self, pipeline, tmp_path, capsys, size):
+        blob = pipeline["ckpt"].read_bytes()
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(blob[:size])
+        assert score_with(pipeline, tmp_path, checkpoint=cut) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_bad_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'x.csv'}\nelements = abc\n")
+        assert run(["synth", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "line 2" in err
+
+    def test_window_longer_than_every_run(self, pipeline, tmp_path, capsys):
+        assert score_with(pipeline, tmp_path, window="31") == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "report.csv").exists()
 
 
 class TestConfigFile:

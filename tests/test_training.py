@@ -92,7 +92,7 @@ class TestTrainLoop:
         # rebuild the fixed validation noise from the documented stream layout
         val_ss = np.random.SeedSequence(cfg.seed).spawn(4)[3]
         x_val = vae._stack_windows(val_w)
-        p_val = vae._window_priors(val_w, model, latent)
+        p_val = vae.prior_table(model, latent)[vae.window_clusters(val_w, model.assignment)]
         val_eps = np.random.default_rng(val_ss).standard_normal(
             (1,) + x_val.shape[:2] + (latent.total,)
         )

@@ -1,8 +1,11 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from kpivae import concepts, vae
+from kpivae import concepts, data, vae
 from kpivae.errors import ConfigError, NonFiniteError, ParseError, ValidationError
 from kpivae.vae import ArchConfig, LatentConfig, PriorSpec, TrainConfig
 
@@ -229,6 +232,28 @@ class TestPriorSpec:
         with pytest.raises(ValidationError):
             vae.build_prior(model, LatentConfig(), 0)
 
+    def test_prior_table_rows_match_build_prior(self):
+        latent = LatentConfig()
+        prior_means = np.linspace(-1, 1, 15).reshape(3, 5)
+        model = concepts.ConceptModel(
+            k=3, centroids=(prior_means + 1) / 2, prior_means=prior_means,
+            assignment={}, inertia=0.0,
+        )
+        table = vae.prior_table(model, latent)
+        assert table.shape == (3, latent.total)
+        for j in range(3):
+            assert np.array_equal(table[j], vae.build_prior(model, latent, j).mean)
+
+    def test_prior_table_validates_every_row(self):
+        prior_means = np.zeros((2, 5))
+        prior_means[1, 3] = 1.5
+        model = concepts.ConceptModel(
+            k=2, centroids=np.full((2, 5), 0.5), prior_means=prior_means,
+            assignment={}, inertia=0.0,
+        )
+        with pytest.raises(ValidationError):
+            vae.prior_table(model, LatentConfig())
+
     def test_structural_validation(self):
         bad = PriorSpec(mean=np.array([2.0, 0.0, 0.0]), std=1.0, concept_dims=1)
         with pytest.raises(ValidationError):
@@ -244,6 +269,42 @@ class TestPriorSpec:
             LatentConfig(prior_std=0.0).validate(5)
         with pytest.raises(ConfigError):
             vae.init_params(ArchConfig(), LatentConfig(concept_dims=3))
+
+
+def length_window(eid, length):
+    return data.SequenceWindow(
+        element_id=eid, start_date=1, values=np.full((length, 5), 0.5),
+        raw=np.full((length, 5), 0.5),
+    )
+
+
+class TestBatching:
+    def test_chunks_by_length_then_input_order(self, monkeypatch):
+        monkeypatch.setattr(vae, "BATCH_WINDOWS", 2)
+        lengths = [3, 2, 3, 2, 3, 2, 3]
+        windows = [length_window(f"e{i}", n) for i, n in enumerate(lengths)]
+        got = [(idx.tolist(), x.shape) for idx, x in vae.batches(windows)]
+        assert got == [
+            ([1, 3], (2, 2, 5)),
+            ([5], (1, 2, 5)),
+            ([0, 2], (2, 3, 5)),
+            ([4, 6], (2, 3, 5)),
+        ]
+
+    def test_encode_windows_keeps_input_order(self):
+        params = small_params(hidden=4)
+        windows = [length_window("a", 3), length_window("b", 2), length_window("c", 3)]
+        encoded = vae.encode_windows(params, windows)
+        for w, (mu, lv) in zip(windows, encoded):
+            one_mu, one_lv = vae.encode(params, w)
+            assert mu.shape == (w.length, 30)
+            assert np.allclose(mu, one_mu) and np.allclose(lv, one_lv)
+
+    def test_window_clusters_names_every_missing_element(self):
+        windows = [length_window(e, 2) for e in ("b", "a", "c", "a")]
+        assert vae.window_clusters(windows, {"a": 1, "b": 0, "c": 2}).tolist() == [0, 1, 2, 1]
+        with pytest.raises(ValidationError, match="a, c"):
+            vae.window_clusters(windows, {"b": 0})
 
 
 class TestInitParams:
@@ -292,6 +353,34 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             vae.load_checkpoint(p)
 
+    def test_every_truncation_rejected(self, tmp_path):
+        params = vae.init_params(ArchConfig(hidden=2, layers=1), LatentConfig(free_dims=1))
+        full = tmp_path / "full.bin"
+        vae.save_checkpoint(params, full)
+        blob = full.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(ParseError):
+                vae.load_checkpoint(cut)
+        cut.write_bytes(blob + b"\x00")
+        with pytest.raises(ParseError, match="trailing"):
+            vae.load_checkpoint(cut)
+
+    def test_corrupt_header_rejected(self, tmp_path):
+        params = vae.init_params(ArchConfig(hidden=2, layers=1), LatentConfig(free_dims=1))
+        p = tmp_path / "ckpt.bin"
+        vae.save_checkpoint(params, p)
+        blob = p.read_bytes()
+        start = len(vae.CHECKPOINT_MAGIC) + 8
+        (n,) = struct.unpack(">Q", blob[start - 8 : start])
+        header = json.loads(blob[start : start + n])
+        header["arch"]["depth"] = 1
+        new = json.dumps(header).encode()
+        p.write_bytes(blob[: start - 8] + struct.pack(">Q", len(new)) + new + blob[start + n :])
+        with pytest.raises(ParseError, match="bad checkpoint header"):
+            vae.load_checkpoint(p)
+
     def test_missing_file_named(self, tmp_path):
         from kpivae.errors import MissingArtifactError
 
@@ -303,8 +392,6 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             TrainConfig(learning_rate=0.0).validate()
-        with pytest.raises(ConfigError):
-            TrainConfig(eval_samples=0).validate()
         with pytest.raises(ConfigError):
             TrainConfig(patience=0).validate()
         TrainConfig().validate()
