@@ -4,74 +4,7 @@ Pipeline: normalize daily KPI records, cluster element profiles into
 behavioral concepts, train a concept-conditioned VAE whose first latent
 dimensions carry per-KPI priors at the cluster centroid, then rank timesteps
 by evaluation loss and attribute anomalies to KPIs via latent Z-scores.
-"""
-from .anomaly import (
-    AnomalyReport,
-    LatentStats,
-    attribute,
-    detect,
-    fit_latent_stats,
-    load_latent_stats,
-    save_latent_stats,
-    zscores,
-)
-from .concepts import (
-    ConceptModel,
-    ElementProfile,
-    assign_concept,
-    cluster_quality,
-    element_profiles,
-    kmeans_fit,
-    load_concept_model,
-    save_concept_model,
-    scale_centroids,
-)
-from .data import (
-    KPI_NAMES,
-    AnomalyLabel,
-    KpiRecord,
-    NormStats,
-    SequenceWindow,
-    SynthConfig,
-    default_profiles,
-    fit_normalization,
-    load_labels,
-    load_norm_stats,
-    load_records,
-    normalize,
-    save_labels,
-    save_norm_stats,
-    save_records,
-    synth_generate,
-    window_sequences,
-)
-from .errors import (
-    ConfigError,
-    KpivaeError,
-    MissingArtifactError,
-    NonFiniteError,
-    ParseError,
-    TrainingDivergedError,
-    ValidationError,
-)
-from .vae import (
-    ArchConfig,
-    LatentConfig,
-    PriorSpec,
-    TrainConfig,
-    VaeParams,
-    build_prior,
-    decode,
-    encode,
-    eval_loss,
-    init_params,
-    kl_loss,
-    load_checkpoint,
-    recon_loglik,
-    sample_latent,
-    save_checkpoint,
-    train,
-    train_step,
-)
 
+The API lives in the submodules: data, concepts, nn, vae, anomaly and cli.
+"""
 __version__ = "0.1.0"

@@ -190,6 +190,15 @@ def detect(
     """
     if eval_samples < 1:
         raise ConfigError("eval_samples must be >= 1")
+    if top_k is not None and top_k < 1:
+        raise ConfigError("top_k must be >= 1")
+    if stats.concept_dims != params.latent.concept_dims:
+        raise ConfigError(
+            f"latent stats have {stats.concept_dims} concept dims, "
+            f"the checkpoint {params.latent.concept_dims}"
+        )
+    if any(not 0 <= j < model.k for j in stats.cluster_mean):
+        raise ConfigError(f"latent stats name a cluster outside 0..{model.k - 1}")
     if not windows:
         return []
     windows = sorted(windows, key=lambda w: (w.element_id, w.start_date))

@@ -117,43 +117,55 @@ def _cast(raw: str, cast):
 def load_config(path) -> dict[str, str]:
     """Flat key = value lines; '#' starts a comment; keys use snake_case."""
     cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, ln in enumerate(fh, start=1):
-            s = ln.split("#", 1)[0].strip()
-            if not s:
-                continue
-            if "=" not in s:
-                raise ConfigError(f"config line {line_no}: expected key = value, got {s!r}")
-            k, v = s.split("=", 1)
-            k = k.strip().replace("-", "_")
-            if k not in KEY_TYPES:
-                raise ConfigError(f"config line {line_no}: unknown key {k!r}")
-            try:
-                _cast(v.strip(), KEY_TYPES[k])
-            except ConfigError as e:
-                raise ConfigError(f"config line {line_no}: {k}: {e}")
-            cfg[k] = v.strip()
+    for line_no, ln in enumerate(data.text_lines(path), start=1):
+        s = ln.split("#", 1)[0].strip()
+        if not s:
+            continue
+        if "=" not in s:
+            raise ConfigError(f"config line {line_no}: expected key = value, got {s!r}")
+        k, v = s.split("=", 1)
+        k = k.strip().replace("-", "_")
+        if k not in KEY_TYPES:
+            raise ConfigError(f"config line {line_no}: unknown key {k!r}")
+        try:
+            _cast(v.strip(), KEY_TYPES[k])
+        except ConfigError as e:
+            raise ConfigError(f"config line {line_no}: {k}: {e}")
+        cfg[k] = v.strip()
     return cfg
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 class Opts:
-    """Effective option values: CLI flag, else config entry, else default."""
+    """Effective option values: CLI flag, else config entry, else default.
+
+    Flags and config entries are both strings cast by `_cast`, all at once,
+    so a bad value fails before any work starts.
+    """
 
     def __init__(self, args: argparse.Namespace, table: dict):
-        self.args = vars(args)
         self.table = table
-        self.config = load_config(args.config) if args.config else {}
+        config = load_config(args.config) if args.config else {}
+        flags = {k: v for k, v in vars(args).items() if v is not None}
+        self.values = {}
+        for key, (_, cast) in table.items():
+            raw = flags.get(key, config.get(key))
+            if raw is not None:
+                try:
+                    self.values[key] = _cast(raw, cast)
+                except ConfigError as e:
+                    raise ConfigError(f"{_flag(key)}: {e}")
 
     def get(self, key: str):
-        default, cast = self.table[key]
-        v = self.args.get(key)
-        if v is None and key in self.config:
-            v = _cast(self.config[key], cast)
-        if v is None:
-            if default is REQUIRED:
-                raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-            v = default
-        return v
+        if key in self.values:
+            return self.values[key]
+        default = self.table[key][0]
+        if default is REQUIRED:
+            raise ConfigError(f"missing required option {_flag(key)}")
+        return default
 
 
 def split_elements(element_ids, val_fraction: float) -> tuple[set[str], set[str]]:
@@ -387,54 +399,44 @@ def cmd_export_latent(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add(parser: argparse.ArgumentParser, table: dict) -> None:
-    parser.add_argument("--config", help="flat key = value defaults file")
-    for key, (default, cast) in table.items():
-        flag = "--" + key.replace("_", "-")
-        if cast is bool:
-            parser.add_argument(flag, action="store_const", const=True, default=None)
-        else:
-            shown = "required" if default is REQUIRED else f"default: {default}"
-            parser.add_argument(flag, type=cast, default=None, help=f"({shown})")
+class _Parser(argparse.ArgumentParser):
+    """Reports argparse's own failures through the CLI's single `error:` line."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kpivae",
         description="Concept-conditioned VAE pipeline for interpretable KPI anomaly detection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic KPI dataset with labels")
-    _add(p, SYNTH_KEYS)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("concepts", help="fit normalization stats and the cluster model")
-    _add(p, CONCEPTS_KEYS)
-    p.set_defaults(func=cmd_concepts)
-
-    p = sub.add_parser("train", help="train the model and write a checkpoint")
-    _add(p, TRAIN_KEYS)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("score", help="rank timesteps by loss and attribute KPIs")
-    _add(p, SCORE_KEYS)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("export-latent", help="dump per-timestep latent means to CSV")
-    _add(p, EXPORT_KEYS)
-    p.set_defaults(func=cmd_export_latent)
+    commands = (
+        ("synth", "generate a synthetic KPI dataset with labels", SYNTH_KEYS, cmd_synth),
+        ("concepts", "fit normalization stats and the cluster model", CONCEPTS_KEYS, cmd_concepts),
+        ("train", "train the model and write a checkpoint", TRAIN_KEYS, cmd_train),
+        ("score", "rank timesteps by loss and attribute KPIs", SCORE_KEYS, cmd_score),
+        ("export-latent", "dump per-timestep latent means to CSV", EXPORT_KEYS, cmd_export_latent),
+    )
+    for name, help_text, table, func in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key = value defaults file")
+        for key, (default, cast) in table.items():
+            if cast is bool:
+                p.add_argument(_flag(key), action="store_const", const="true")
+            else:
+                shown = "required" if default is REQUIRED else f"default: {default}"
+                p.add_argument(_flag(key), help=f"({shown})")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except KpivaeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (KpivaeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

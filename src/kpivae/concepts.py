@@ -14,6 +14,9 @@ from .errors import ParseError, ValidationError
 
 CONCEPTS_TAG = "kpivae-concepts-v1"
 
+LLOYD_MAX_ITER = 100
+LLOYD_TOL = 1e-9
+
 
 @dataclass
 class ElementProfile:
@@ -78,13 +81,9 @@ def kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def lloyd(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Lloyd iteration until assignment fixpoint, small shift, or max_iter.
+def lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, list]:
+    """Lloyd iteration until an assignment fixpoint, a centroid shift below
+    LLOYD_TOL, or LLOYD_MAX_ITER rounds.
 
     Empty clusters are re-seeded to the point farthest from its assigned
     centroid. Returns (centroids, labels, inertia, inertia history).
@@ -93,7 +92,7 @@ def lloyd(
     centroids = centroids.copy()
     labels = _assign(points, centroids)
     history = [_inertia(points, centroids, labels)]
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         new_centroids = centroids.copy()
         for j in range(k):
             members = points[labels == j]
@@ -114,18 +113,12 @@ def lloyd(
         history.append(_inertia(points, centroids, new_labels))
         converged = (new_labels == labels).all() and not empties
         labels = new_labels
-        if converged or shift < tol:
+        if converged or shift < LLOYD_TOL:
             break
     return centroids, labels, history[-1], history
 
 
-def kmeans_fit(
-    profiles: list[ElementProfile],
-    k: int,
-    seed: int = 0,
-    max_iter: int = 100,
-    tol: float = 1e-9,
-) -> ConceptModel:
+def kmeans_fit(profiles: list[ElementProfile], k: int, seed: int = 0) -> ConceptModel:
     """Fit k-means on element profiles (k-means++ seeding, Lloyd iteration)."""
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -134,7 +127,7 @@ def kmeans_fit(
     points = np.array([p.profile for p in profiles], dtype=np.float64)
     rng = np.random.default_rng(seed)
     centroids = kmeans_pp_seed(points, k, rng)
-    centroids, labels, inertia, _ = lloyd(points, centroids, max_iter=max_iter, tol=tol)
+    centroids, labels, inertia, _ = lloyd(points, centroids)
     assignment = {p.element_id: int(labels[i]) for i, p in enumerate(profiles)}
     return ConceptModel(k=k, centroids=centroids, prior_means=None, assignment=assignment, inertia=inertia)
 

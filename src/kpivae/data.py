@@ -130,6 +130,38 @@ def _parse_date(token: str, line_no: int) -> int:
         raise ParseError(f"bad date {token!r} (want ISO day or integer ordinal)", line_no)
 
 
+def text_lines(path, newline=None):
+    """Yield the lines of a UTF-8 text file one at a time.
+
+    Raises ParseError naming the file when its bytes are not UTF-8.
+    """
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise ParseError(f"{path} is not UTF-8 text")
+
+
+def csv_rows(path, header: list[str]):
+    """Yield (line number, fields) of every non-blank CSV row after `header`.
+
+    Raises ParseError with the line number for a missing or different header
+    and for a row with the wrong number of fields.
+    """
+    reader = csv.reader(text_lines(path, newline=""))
+    first = next(reader, None)
+    if first is None:
+        raise ParseError("empty file, expected header row", 1)
+    if first != header:
+        raise ParseError(f"bad header {first!r}, expected {header!r}", 1)
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", line_no)
+        yield line_no, row
+
+
 def load_records(path) -> list[KpiRecord]:
     """Parse the canonical CSV schema into records, preserving row order.
 
@@ -138,35 +170,23 @@ def load_records(path) -> list[KpiRecord]:
     """
     records: list[KpiRecord] = []
     seen: set[tuple[str, int]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for line_no, row in csv_rows(path, CSV_HEADER):
+        element_id = row[0]
+        date = _parse_date(row[1], line_no)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, expected header row", 1)
-        if header != CSV_HEADER:
-            raise ParseError(f"bad header {header!r}, expected {CSV_HEADER!r}", 1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ParseError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", line_no)
-            element_id = row[0]
-            date = _parse_date(row[1], line_no)
-            try:
-                kpis = tuple(float(v) for v in row[2:7])
-            except ValueError:
-                raise ParseError(f"non-numeric KPI in {row[2:7]!r}", line_no)
-            for name, v in zip(KPI_NAMES, kpis):
-                if not np.isfinite(v):
-                    raise ValidationError(f"line {line_no}: {name} is not finite")
-                if v < 0:
-                    raise ValidationError(f"line {line_no}: {name} is negative ({v})")
-            key = (element_id, date)
-            if key in seen:
-                raise ValidationError(f"line {line_no}: duplicate (element_id, date) {key}")
-            seen.add(key)
-            records.append(KpiRecord(element_id, date, kpis))
+            kpis = tuple(float(v) for v in row[2:7])
+        except ValueError:
+            raise ParseError(f"non-numeric KPI in {row[2:7]!r}", line_no)
+        for name, v in zip(KPI_NAMES, kpis):
+            if not np.isfinite(v):
+                raise ValidationError(f"line {line_no}: {name} is not finite")
+            if v < 0:
+                raise ValidationError(f"line {line_no}: {name} is negative ({v})")
+        key = (element_id, date)
+        if key in seen:
+            raise ValidationError(f"line {line_no}: duplicate (element_id, date) {key}")
+        seen.add(key)
+        records.append(KpiRecord(element_id, date, kpis))
     return records
 
 
@@ -180,17 +200,12 @@ def save_records(records: list[KpiRecord], path) -> None:
 
 def load_labels(path) -> list[AnomalyLabel]:
     labels: list[AnomalyLabel] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != LABEL_HEADER:
-            raise ParseError(f"bad label header {header!r}", 1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line_no)
-            labels.append(AnomalyLabel(row[0], _parse_date(row[1], line_no), int(row[2])))
+    for line_no, row in csv_rows(path, LABEL_HEADER):
+        try:
+            kpi_index = int(row[2])
+        except ValueError:
+            raise ParseError(f"non-integer kpi_index {row[2]!r}", line_no)
+        labels.append(AnomalyLabel(row[0], _parse_date(row[1], line_no), kpi_index))
     return labels
 
 
@@ -238,14 +253,10 @@ def artifact_rows(path, tag: str):
 
     Raises ParseError when the file is not text or does not start with `tag`.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError:
-        raise ParseError(f"{path} is not a text artifact")
-    if not lines or lines[0] != tag:
+    lines = enumerate(text_lines(path), start=1)
+    if next(lines, (1, ""))[1].rstrip("\n") != tag:
         raise ParseError(f"bad tag in {path}, expected {tag!r}", 1)
-    for line_no, ln in enumerate(lines[1:], start=2):
+    for line_no, ln in lines:
         parts = ln.split()
         if parts:
             yield line_no, parts

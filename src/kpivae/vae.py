@@ -80,6 +80,10 @@ class ArchConfig:
     logvar_lo: float = -8.0
     logvar_hi: float = 8.0
 
+    def validate(self) -> None:
+        if self.hidden < 1 or self.layers < 1:
+            raise ConfigError("hidden and layers must be >= 1")
+
 
 @dataclass
 class TrainConfig:
@@ -174,29 +178,18 @@ def init_params(
     rng: np.random.Generator | None = None,
 ) -> VaeParams:
     """Fresh parameters: orthogonal kernels (QR of Gaussians), zero biases."""
+    arch.validate()
     latent.validate(arch.input_dim)
     if rng is None:
         rng = np.random.default_rng(seed)
-    total = latent.total
     tensors: dict[str, np.ndarray] = {}
-    dim = arch.input_dim
-    for i in range(arch.layers):
-        layer = lstm_init(dim, arch.hidden, rng)
-        for k, v in layer.items():
-            tensors[f"enc{i}.{k}"] = v
-        dim = arch.hidden
-    head = linear_init(arch.hidden, 2 * total, rng)
-    tensors["enc_head.W"] = head["W"]
-    tensors["enc_head.b"] = head["b"]
-    dim = total
-    for i in range(arch.layers):
-        layer = lstm_init(dim, arch.hidden, rng)
-        for k, v in layer.items():
-            tensors[f"dec{i}.{k}"] = v
-        dim = arch.hidden
-    head = linear_init(arch.hidden, 2 * arch.input_dim, rng)
-    tensors["dec_head.W"] = head["W"]
-    tensors["dec_head.b"] = head["b"]
+    nets = (("enc", arch.input_dim, latent.total), ("dec", latent.total, arch.input_dim))
+    for net, dim, out in nets:
+        for i in range(arch.layers):
+            for k, v in lstm_init(dim if i == 0 else arch.hidden, arch.hidden, rng).items():
+                tensors[f"{net}{i}.{k}"] = v
+        for k, v in linear_init(arch.hidden, 2 * out, rng).items():
+            tensors[f"{net}_head.{k}"] = v
     return VaeParams(arch=arch, latent=latent, tensors=tensors, seed=seed)
 
 
@@ -219,53 +212,58 @@ def _head(params: VaeParams, key: str) -> dict[str, np.ndarray]:
     return {"W": t[f"{key}.W"], "b": t[f"{key}.b"]}
 
 
-def _first_bad_timestep(*arrays: np.ndarray) -> int:
-    bad = np.zeros(arrays[0].shape[1], dtype=bool)
-    for a in arrays:
-        bad |= ~np.isfinite(a).all(axis=(0, 2))
-    return int(np.argmax(bad))
+def _check_finite(what: str, mean: np.ndarray, logvar: np.ndarray) -> None:
+    if np.isfinite(mean).all() and np.isfinite(logvar).all():
+        return
+    bad = ~(np.isfinite(mean).all(axis=(0, 2)) & np.isfinite(logvar).all(axis=(0, 2)))
+    raise NonFiniteError(f"{what} produced non-finite values at timestep {int(np.argmax(bad))}")
 
 
-def _encoder_forward(params: VaeParams, x: np.ndarray, want_cache: bool = False):
+def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool):
+    """One network ("enc" or "dec"): LSTM layers, then a linear head split into
+    a mean half and a clipped logvar half. The cache, when wanted, carries the
+    layer caches, the head cache and the mask of logvars the clip left alone."""
     arch = params.arch
     caches = []
     h = x
     for i in range(arch.layers):
-        h, cache = lstm_forward(h, _layer(params, f"enc{i}"))
+        h, cache = lstm_forward(h, _layer(params, f"{net}{i}"))
         caches.append(cache)
-    raw, head_cache = linear_forward(h, _head(params, "enc_head"))
-    total = params.latent.total
-    mu = raw[..., :total]
-    lv_raw = raw[..., total:]
+    raw, head_cache = linear_forward(h, _head(params, f"{net}_head"))
+    half = raw.shape[-1] // 2
+    mean, lv_raw = raw[..., :half], raw[..., half:]
     lv = np.clip(lv_raw, arch.logvar_lo, arch.logvar_hi)
-    if not (np.isfinite(mu).all() and np.isfinite(lv).all()):
-        t = _first_bad_timestep(mu, lv)
-        raise NonFiniteError(f"encoder produced non-finite values at timestep {t}")
-    if want_cache:
-        mask = (lv_raw > arch.logvar_lo) & (lv_raw < arch.logvar_hi)
-        return mu, lv, (caches, head_cache, mask)
-    return mu, lv, None
+    if not want_cache:
+        return mean, lv, None
+    return mean, lv, (caches, head_cache, (lv_raw > arch.logvar_lo) & (lv_raw < arch.logvar_hi))
+
+
+def _encoder_forward(params: VaeParams, x: np.ndarray, want_cache: bool = False):
+    mu, lv, cache = _stack(params, "enc", x, want_cache)
+    _check_finite("encoder", mu, lv)
+    return mu, lv, cache
 
 
 def _decoder_forward(params: VaeParams, z: np.ndarray, want_cache: bool = False):
-    arch = params.arch
-    caches = []
-    h = z
-    for i in range(arch.layers):
-        h, cache = lstm_forward(h, _layer(params, f"dec{i}"))
-        caches.append(cache)
-    raw, head_cache = linear_forward(h, _head(params, "dec_head"))
-    d = arch.input_dim
-    mu_x = sigmoid(raw[..., :d])
-    lx_raw = raw[..., d:]
-    lx = np.clip(lx_raw, arch.logvar_lo, arch.logvar_hi)
-    if not (np.isfinite(mu_x).all() and np.isfinite(lx).all()):
-        t = _first_bad_timestep(mu_x, lx)
-        raise NonFiniteError(f"decoder produced non-finite values at timestep {t}")
-    if want_cache:
-        mask = (lx_raw > arch.logvar_lo) & (lx_raw < arch.logvar_hi)
-        return mu_x, lx, (caches, head_cache, mask)
-    return mu_x, lx, None
+    pre, lx, cache = _stack(params, "dec", z, want_cache)
+    mu_x = sigmoid(pre)
+    _check_finite("decoder", mu_x, lx)
+    return mu_x, lx, cache
+
+
+def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads) -> np.ndarray:
+    """Backward through one network from the gradients of its mean and clipped
+    logvar; stores the tensor gradients in `grads`, returns the input gradient."""
+    layer_caches, head_cache, mask = caches
+    draw = np.concatenate([dmean, dlogvar * mask], axis=-1)
+    dh, head_grads = linear_backward(draw, head_cache, _head(params, f"{net}_head"))
+    for k, v in head_grads.items():
+        grads[f"{net}_head.{k}"] = v
+    for i in range(params.arch.layers - 1, -1, -1):
+        dh, layer_grads = lstm_backward(dh, layer_caches[i], _layer(params, f"{net}{i}"))
+        for k, v in layer_grads.items():
+            grads[f"{net}{i}.{k}"] = v
+    return dh
 
 
 def encode(params: VaeParams, window) -> tuple[np.ndarray, np.ndarray]:
@@ -394,15 +392,14 @@ def objective_and_grads(
     One reparameterized sample per window (eps is (B, T, total)). Returns
     (objective, components dict, gradient dict keyed like params.tensors).
     """
-    arch = params.arch
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
     var_p = prior_std**2
 
-    mu, lv, (enc_caches, enc_head_cache, enc_mask) = _encoder_forward(params, x, want_cache=True)
+    mu, lv, enc_cache = _encoder_forward(params, x, want_cache=True)
     std = np.exp(lv / 2.0)
     z = mu + std * eps
-    mu_x, lx, (dec_caches, dec_head_cache, dec_mask) = _decoder_forward(params, z, want_cache=True)
+    mu_x, lx, dec_cache = _decoder_forward(params, z, want_cache=True)
 
     resid = x - mu_x
     inv_var_x = np.exp(-lx)
@@ -412,31 +409,16 @@ def objective_and_grads(
 
     grads: dict[str, np.ndarray] = {}
 
-    # reconstruction term: d(-w * loglik) through the decoder head
+    # reconstruction term: d(-w * loglik) through the decoder
     coef = -recon_weight * scale
     dmu_x = coef * (resid * inv_var_x)
     dlx = coef * (-0.5 + 0.5 * resid**2 * inv_var_x)
-    draw = np.concatenate([dmu_x * mu_x * (1.0 - mu_x), dlx * dec_mask], axis=-1)
-    dh, head_grads = linear_backward(draw, dec_head_cache, _head(params, "dec_head"))
-    grads["dec_head.W"] = head_grads["W"]
-    grads["dec_head.b"] = head_grads["b"]
-    for i in range(arch.layers - 1, -1, -1):
-        dh, layer_grads = lstm_backward(dh, dec_caches[i], _layer(params, f"dec{i}"))
-        for k, v in layer_grads.items():
-            grads[f"dec{i}.{k}"] = v
-    dz = dh
+    dz = _stack_backward(params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads)
 
     # KL term plus the pathwise gradient through z = mu + std * eps
     dmu = scale * (mu - prior_means[:, None, :]) / var_p + dz
     dlv = scale * (0.5 * np.exp(lv) / var_p - 0.5) + dz * eps * 0.5 * std
-    draw = np.concatenate([dmu, dlv * enc_mask], axis=-1)
-    dh, head_grads = linear_backward(draw, enc_head_cache, _head(params, "enc_head"))
-    grads["enc_head.W"] = head_grads["W"]
-    grads["enc_head.b"] = head_grads["b"]
-    for i in range(arch.layers - 1, -1, -1):
-        dh, layer_grads = lstm_backward(dh, enc_caches[i], _layer(params, f"enc{i}"))
-        for k, v in layer_grads.items():
-            grads[f"enc{i}.{k}"] = v
+    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads)
 
     components = {"objective": objective, "kl": kl, "loglik": loglik}
     return objective, components, grads

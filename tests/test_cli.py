@@ -1,5 +1,9 @@
 import argparse
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +319,89 @@ class TestMalformedInputs:
         assert score_with(pipeline, tmp_path, window="31") == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["data", "stats", "model", "latent_stats", "config"])
+    def test_not_utf8(self, pipeline, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe\xff\n")
+        if flag == "config":
+            code = run(["synth", "--config", str(bad)])
+        else:
+            code = score_with(pipeline, tmp_path, **{flag: bad})
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("top_k", ["-3", "0"])
+    def test_top_k_below_one(self, pipeline, tmp_path, capsys, top_k):
+        assert score_with(pipeline, tmp_path, top_k=top_k) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--layers"])
+    def test_empty_architecture(self, pipeline, tmp_path, capsys, flag):
+        code = run([
+            "train", "--data", str(pipeline["data"]), "--model", str(pipeline["model"]),
+            "--stats", str(pipeline["stats"]), "--out-checkpoint", str(tmp_path / "m.bin"),
+            "--window", "10", "--max-epochs", "1", flag, "0",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_latent_stats_concept_dims_mismatch(self, pipeline, tmp_path, capsys):
+        c = 3
+        lstats = anomaly.LatentStats(c, np.zeros(c), np.ones(c), {}, {})
+        anomaly.save_latent_stats(lstats, tmp_path / "lat.txt")
+        assert score_with(pipeline, tmp_path, latent_stats=tmp_path / "lat.txt") == 2
+        assert "concept dims" in capsys.readouterr().err
+
+    def test_latent_stats_unknown_cluster(self, pipeline, tmp_path, capsys):
+        lstats = anomaly.load_latent_stats(pipeline["lstats"])
+        lstats.cluster_mean[7] = lstats.global_mean
+        lstats.cluster_std[7] = lstats.global_std
+        anomaly.save_latent_stats(lstats, tmp_path / "lat.txt")
+        assert score_with(pipeline, tmp_path, latent_stats=tmp_path / "lat.txt") == 2
+        assert "outside 0..1" in capsys.readouterr().err
+
+
+class TestArgparseErrors:
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["synth", "--elements", "abc"], "--elements"),
+            (["synth", "--out", "x.csv", "--bogus", "1"], "--bogus"),
+            ([], "command"),
+            (["synth", "--days"], "--days"),
+        ],
+    )
+    def test_single_error_line(self, capsys, argv, names):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert names in lines[0]
+
+
+def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"report{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        subprocess.run(
+            [
+                sys.executable, "-m", "kpivae.cli", "score",
+                "--data", str(pipeline["data"]), "--checkpoint", str(pipeline["ckpt"]),
+                "--model", str(pipeline["model"]), "--stats", str(pipeline["stats"]),
+                "--latent-stats", str(pipeline["lstats"]), "--out", str(out),
+                "--window", "10", "--eval-samples", "2", "--seed", "0",
+            ],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 class TestConfigFile:

@@ -263,6 +263,16 @@ class TestSynth:
         data.save_labels(labels, p)
         assert data.load_labels(p) == labels
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [("", "line 1"), ("element_id,date,kpi_index\nel0000,3,x\n", "line 2")],
+    )
+    def test_bad_labels_file(self, tmp_path, text, where):
+        p = tmp_path / "labels.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=where):
+            data.load_labels(p)
+
     def test_cluster_round_robin(self):
         cfg = data.SynthConfig(element_count=7, days=5, cluster_profiles=data.default_profiles(3))
         records, _ = data.synth_generate(cfg)

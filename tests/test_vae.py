@@ -270,6 +270,11 @@ class TestPriorSpec:
         with pytest.raises(ConfigError):
             vae.init_params(ArchConfig(), LatentConfig(concept_dims=3))
 
+    @pytest.mark.parametrize("arch", [ArchConfig(hidden=0), ArchConfig(layers=0)])
+    def test_arch_config_validation(self, arch):
+        with pytest.raises(ConfigError, match="hidden and layers"):
+            vae.init_params(arch, LatentConfig())
+
 
 def length_window(eid, length):
     return data.SequenceWindow(
