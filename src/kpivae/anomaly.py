@@ -14,9 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concepts import ConceptModel, assign_concept
-from .data import KPI_NAMES, SequenceWindow, artifact_rows, fmt_float
+from .data import KPI_NAMES, SequenceWindow, artifact_rows, fmt_float, stack_windows, window_cells
 from .errors import ConfigError, ParseError, ValidationError
-from .vae import VaeParams, batch_components, batches, encode_windows, prior_table, window_clusters
+from .vae import (
+    BATCH_WINDOWS,
+    VaeParams,
+    batch_components,
+    encode_windows,
+    prior_table,
+    window_clusters,
+)
 
 LATENTSTATS_TAG = "kpivae-latentstats-v1"
 
@@ -75,11 +82,11 @@ def fit_latent_stats(
     windows: list[SequenceWindow],
     assignment: dict[str, int],
     min_timesteps: int = MIN_CLUSTER_TIMESTEPS,
-    encoded: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    encoded: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LatentStats:
     """Standardization stats for concept dims, fitted on healthy windows.
 
-    `encoded` may carry precomputed (mu, logvar) pairs aligned with `windows`
+    `encoded` may carry the precomputed `encode_windows` output for `windows`
     to avoid re-encoding.
     """
     if not windows:
@@ -88,10 +95,11 @@ def fit_latent_stats(
     c = params.latent.concept_dims
     if encoded is None:
         encoded = encode_windows(params, windows)
-    by_cluster: dict[int, list[np.ndarray]] = {}
-    for cl, (mu, _) in zip(clusters.tolist(), encoded):
-        by_cluster.setdefault(cl, []).append(mu[:, :c])
-    all_rows = np.concatenate([r for rows in by_cluster.values() for r in rows])
+    mu = encoded[0][..., :c]
+    # each cluster's timesteps, windows in input order; clusters in order of
+    # first appearance, which fixes the row order of the global stats
+    by_cluster = {cl: mu[clusters == cl].reshape(-1, c) for cl in dict.fromkeys(clusters.tolist())}
+    all_rows = np.concatenate(list(by_cluster.values()))
     stats = LatentStats(
         concept_dims=c,
         global_mean=all_rows.mean(axis=0),
@@ -99,8 +107,7 @@ def fit_latent_stats(
         cluster_mean={},
         cluster_std={},
     )
-    for j, rows in by_cluster.items():
-        m = np.concatenate(rows)
+    for j, m in by_cluster.items():
         if m.shape[0] >= min_timesteps:
             stats.cluster_mean[j] = m.mean(axis=0)
             stats.cluster_std[j] = _floored_std(m)
@@ -143,28 +150,22 @@ def attribute(report, threshold: float = Z_THRESHOLD, symmetric: bool = False) -
     return list(_flags(z[None], threshold, symmetric)[1][0])
 
 
-def _observed_profile(windows: list[SequenceWindow]) -> np.ndarray:
-    # mean normalized KPI vector over the element's unique dates
-    rows: dict[int, np.ndarray] = {}
-    for w in windows:
-        for t, d in enumerate(w.dates()):
-            rows[int(d)] = w.values[t]
-    return np.mean(list(rows.values()), axis=0)
-
-
 def resolve_clusters(
     windows: list[SequenceWindow], model: ConceptModel
 ) -> dict[str, int]:
-    """Cluster per element; elements unseen at fit time take the nearest centroid."""
-    by_element: dict[str, list[SequenceWindow]] = {}
-    for w in windows:
-        by_element.setdefault(w.element_id, []).append(w)
+    """Cluster per element; elements unseen at fit time take the centroid
+    nearest to their mean normalized KPI vector over unique dates."""
+    cells = window_cells(windows)
+    values = stack_windows(windows).reshape(len(cells.date), -1)
+    # in cell-id order each element's cells are contiguous, dates ascending
+    bounds = np.searchsorted(cells.element[cells.first], np.arange(len(cells.elements) + 1))
     out: dict[str, int] = {}
-    for eid, ws in by_element.items():
+    for e, eid in enumerate(cells.elements):
         if eid in model.assignment:
             out[eid] = model.assignment[eid]
         else:
-            out[eid] = assign_concept(_observed_profile(ws), model)
+            profile = values[cells.first[bounds[e] : bounds[e + 1]]].mean(axis=0)
+            out[eid] = assign_concept(profile, model)
     return out
 
 
@@ -206,25 +207,22 @@ def detect(
     table = prior_table(model, params.latent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    # window, step, kl, loglik and concept-dim mu of every scored timestep
-    parts = []
-    for idx, x in batches(windows):
-        eps = rng.standard_normal((eval_samples,) + x.shape[:2] + (params.latent.total,))
-        mu, _, kl_ts, ll_ts = batch_components(
-            params, x, table[clusters[idx]], params.latent.prior_std, eps
+    # kl, loglik and concept-dim mu of every scored timestep
+    x = stack_windows(windows)
+    n, length = x.shape[:2]
+    kl, ll = np.empty((n, length)), np.empty((n, length))
+    mu_c = np.empty((n, length, stats.concept_dims))
+    for s in range(0, n, BATCH_WINDOWS):
+        b = slice(s, s + BATCH_WINDOWS)
+        eps = rng.standard_normal((eval_samples,) + x[b].shape[:2] + (params.latent.total,))
+        mu, _, kl[b], ll[b] = batch_components(
+            params, x[b], table[clusters[b]], params.latent.prior_std, eps
         )
-        n, length = kl_ts.shape
-        win_step = (np.repeat(idx, length), np.tile(np.arange(length), n))
-        # copied, so that the chunk's full mu is not kept alive
-        mu_c = mu[..., : stats.concept_dims].reshape(n * length, -1).copy()
-        parts.append(win_step + (kl_ts.ravel(), ll_ts.ravel(), mu_c))
-    win, step, kl, ll, mu_c = (np.concatenate(a) for a in zip(*parts))
+        mu_c[b] = mu[..., : stats.concept_dims]
+    kl, ll, mu_c = kl.ravel(), ll.ravel(), mu_c.reshape(n * length, -1)
     loss = kl - ll
-    # windows are sorted, so cell ids order like (element_id, date)
-    eids = [w.element_id for w in windows]
-    element = np.cumsum([0] + [a != b for a, b in zip(eids, eids[1:])])[win]
-    date = np.array([w.start_date for w in windows])[win] + step
-    cell = element * (date.max() - date.min() + 1) + date - date.min()
+    cells = window_cells(windows)
+    cell = cells.cell
 
     # per cell the highest loss; lexsort is stable, so the earliest scored
     # timestep wins a tie
@@ -236,7 +234,8 @@ def detect(
     if top_k is not None:
         keep = keep[:top_k]
 
-    cell_cluster = clusters[win[keep]]
+    win, step = np.divmod(keep, length)
+    cell_cluster = clusters[win]
     z = np.empty((keep.size, stats.concept_dims))
     for cl in np.unique(cell_cluster).tolist():
         rows = cell_cluster == cl
@@ -244,13 +243,13 @@ def detect(
     flagged, attribution = _flags(z, z_threshold, symmetric)
     reports = []
     for r, (i, cl) in enumerate(zip(keep.tolist(), cell_cluster.tolist())):
-        w = windows[win[i]]
+        w = windows[win[r]]
         reports.append(
             AnomalyReport(
                 element_id=w.element_id,
-                date=int(date[i]),
+                date=int(cells.date[i]),
                 cluster=cl,
-                kpis=tuple(w.raw[step[i]].tolist()),
+                kpis=tuple(w.raw[step[r]].tolist()),
                 loss=float(loss[i]),
                 kl=float(kl[i]),
                 loglik=float(ll[i]),
@@ -295,6 +294,14 @@ def save_latent_stats(stats: LatentStats, path) -> None:
             fh.write(f"cluster {j} {mean} {std}\n")
 
 
+def _mean_std(tokens: list[str], line_no: int) -> tuple[np.ndarray, np.ndarray]:
+    vals = np.array([float(v) for v in tokens])
+    mean, std = np.split(vals, 2)
+    if not np.isfinite(vals).all() or (std <= 0).any():
+        raise ParseError("latent stats need finite means and positive finite stds", line_no)
+    return mean, std
+
+
 def load_latent_stats(path) -> LatentStats:
     concept_dims = None
     stats = None
@@ -305,21 +312,13 @@ def load_latent_stats(path) -> LatentStats:
             elif parts[0] == "global":
                 if concept_dims is None or len(parts) != 1 + 2 * concept_dims:
                     raise ParseError("bad global stats row", line_no)
-                vals = [float(v) for v in parts[1:]]
-                stats = LatentStats(
-                    concept_dims=concept_dims,
-                    global_mean=np.array(vals[:concept_dims]),
-                    global_std=np.array(vals[concept_dims:]),
-                    cluster_mean={},
-                    cluster_std={},
-                )
+                mean, std = _mean_std(parts[1:], line_no)
+                stats = LatentStats(concept_dims, mean, std, cluster_mean={}, cluster_std={})
             elif parts[0] == "cluster":
                 if stats is None or len(parts) != 2 + 2 * concept_dims:
                     raise ParseError("bad cluster stats row", line_no)
                 j = int(parts[1])
-                vals = [float(v) for v in parts[2:]]
-                stats.cluster_mean[j] = np.array(vals[:concept_dims])
-                stats.cluster_std[j] = np.array(vals[concept_dims:])
+                stats.cluster_mean[j], stats.cluster_std[j] = _mean_std(parts[2:], line_no)
             else:
                 raise ParseError(f"unknown row {parts[0]!r}", line_no)
         except (ValueError, IndexError):

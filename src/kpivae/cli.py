@@ -233,8 +233,10 @@ def _load_windows(o: Opts) -> list[data.SequenceWindow]:
     records = data.load_records(o.get("data"))
     stats = data.load_norm_stats(o.get("stats"))
     window = o.get("window")
-    stride = o.get("stride") or window
-    windows = data.window_sequences(records, window, stride=stride, stats=stats)
+    stride = o.get("stride")
+    windows = data.window_sequences(
+        records, window, stride=window if stride is None else stride, stats=stats
+    )
     if not windows:
         raise ValidationError(f"no windows of length {window}; every run is shorter")
     return windows
@@ -360,34 +362,23 @@ def cmd_export_latent(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown cluster id {cluster_filter} (model has k={model.k})")
 
     clusters = anomaly.resolve_clusters(windows, model)
-    encoded = vae.encode_windows(params, windows)
-    seen: set[tuple[str, int]] = set()
+    cells = data.window_cells(windows)
+    values = data.stack_windows(windows).reshape(len(cells.date), -1)
+    mu, lv = (a.reshape(len(cells.date), -1) for a in vae.encode_windows(params, windows))
     rows: list[list] = []
     points: list[tuple[int, float, float]] = []
-    for w, (mu, lv) in zip(windows, encoded):
-        cl = clusters[w.element_id]
+    # each (element, date) cell once, at its first timestep in input order
+    for i in sorted(cells.first.tolist()):
+        eid = cells.elements[cells.element[i]]
+        cl = clusters[eid]
         if cluster_filter is not None and cl != cluster_filter:
             continue
-        for t, d in enumerate(w.dates()):
-            key = (w.element_id, int(d))
-            if key in seen:
-                continue
-            seen.add(key)
-            for dim in range(n_dims):
-                kpi_value = fmt_float(w.values[t, dim]) if dim < data.N_KPIS else ""
-                rows.append(
-                    [
-                        w.element_id,
-                        int(d),
-                        cl,
-                        dim,
-                        fmt_float(mu[t, dim]),
-                        fmt_float(lv[t, dim]),
-                        kpi_value,
-                    ]
-                )
-                if dim < data.N_KPIS:
-                    points.append((dim, float(w.values[t, dim]), float(mu[t, dim])))
+        d = int(cells.date[i])
+        for dim in range(n_dims):
+            kpi_value = fmt_float(values[i, dim]) if dim < data.N_KPIS else ""
+            rows.append([eid, d, cl, dim, fmt_float(mu[i, dim]), fmt_float(lv[i, dim]), kpi_value])
+            if dim < data.N_KPIS:
+                points.append((dim, float(values[i, dim]), float(mu[i, dim])))
     with open(o.get("out"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LATENT_HEADER)

@@ -217,6 +217,8 @@ def load_concept_model(path) -> ConceptModel:
             raise ParseError(f"malformed row {' '.join(parts)!r}", line_no)
     if k is None or sorted(centroids) != list(range(k)):
         raise ParseError("missing k or centroid rows")
+    if k < 1:
+        raise ParseError(f"k must be >= 1, got {k}")
     if any(not 0 <= j < k for j in assignment.values()):
         raise ParseError(f"cluster assignment outside 0..{k - 1}")
     cent = np.array([centroids[j] for j in range(k)])

@@ -74,6 +74,47 @@ class SequenceWindow:
 
 
 @dataclass(frozen=True)
+class WindowCells:
+    """The (element, date) cell of every timestep of a window set.
+
+    Timesteps are flattened window-major, in input order, like the rows of
+    `stack_windows(windows).reshape(-1, N_KPIS)`. Cell ids order like
+    (element_id, date).
+    """
+
+    elements: list[str]  # sorted element ids, indexed by `element`
+    element: np.ndarray  # (N*T,) element rank
+    date: np.ndarray  # (N*T,) calendar day ordinal
+    cell: np.ndarray  # (N*T,) cell id
+    first: np.ndarray  # first timestep of each cell, in cell-id order
+
+
+def _window_length(windows: list[SequenceWindow]) -> int:
+    lengths = {w.length for w in windows}
+    if len(lengths) != 1:
+        raise ValidationError(f"windows have mixed lengths {sorted(lengths)}")
+    return lengths.pop()
+
+
+def stack_windows(windows: list[SequenceWindow]) -> np.ndarray:
+    """(N, T, 5) normalized values of a window set, which has one length."""
+    _window_length(windows)
+    return np.stack([w.values for w in windows])
+
+
+def window_cells(windows: list[SequenceWindow]) -> WindowCells:
+    """Index every timestep of a window set by its (element, date) cell."""
+    length = _window_length(windows)
+    elements, rank = np.unique([w.element_id for w in windows], return_inverse=True)
+    start = np.array([w.start_date for w in windows])
+    date = (start[:, None] + np.arange(length)).ravel()
+    element = np.repeat(rank, length)
+    cell = element * (date.max() - date.min() + 1) + date - date.min()
+    first = np.unique(cell, return_index=True)[1]
+    return WindowCells(elements.tolist(), element, date, cell, first)
+
+
+@dataclass(frozen=True)
 class AnomalyLabel:
     """Ground truth for one injected cell: which KPI was perturbed."""
 
@@ -325,13 +366,6 @@ def window_sequences(
     return windows
 
 
-def expected_window_count(run_length: int, length: int, stride: int) -> int:
-    """Closed form for the windows produced by one consecutive run."""
-    if run_length < length:
-        return 0
-    return (run_length - length) // stride + 1
-
-
 def _permutation(k: int, salt: int) -> list[int]:
     # deterministic pseudo-shuffle so clusters are not ordered the same way
     # in every KPI (Knuth multiplicative hash; odd multiplier => bijection)
@@ -471,8 +505,3 @@ def synth_generate(config: SynthConfig) -> tuple[list[KpiRecord], list[AnomalyLa
             )
             labels.append(AnomalyLabel(rec.element_id, rec.date, kpi_index))
     return records, labels
-
-
-def synth_cluster_of(element_id: str, n_clusters: int) -> int:
-    """Ground-truth cluster of a synthetic element (round-robin rule)."""
-    return int(element_id.removeprefix("el")) % n_clusters

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .concepts import ConceptModel
-from .data import SequenceWindow
+from .data import N_KPIS, SequenceWindow, stack_windows
 from .errors import (
     ConfigError,
     MissingArtifactError,
@@ -146,10 +146,6 @@ def prior_table(model: ConceptModel, latent: LatentConfig) -> np.ndarray:
     return table
 
 
-def build_prior(model: ConceptModel, latent: LatentConfig, cluster: int) -> PriorSpec:
-    return PriorSpec(prior_table(model, latent)[cluster], latent.prior_std, latent.concept_dims)
-
-
 def window_clusters(windows: list[SequenceWindow], assignment: dict[str, int]) -> np.ndarray:
     """Cluster id of each window's element; every element must be assigned."""
     missing = sorted({w.element_id for w in windows if w.element_id not in assignment})
@@ -158,17 +154,23 @@ def window_clusters(windows: list[SequenceWindow], assignment: dict[str, int]) -
     return np.array([assignment[w.element_id] for w in windows], dtype=int)
 
 
-def batches(windows: list[SequenceWindow]):
-    """Yield (indices, stacked values) of equal-length windows: by ascending
-    length, then input order, BATCH_WINDOWS at a time."""
-    groups: dict[int, list[int]] = {}
-    for i, w in enumerate(windows):
-        groups.setdefault(w.length, []).append(i)
-    for length in sorted(groups):
-        idx = groups[length]
-        for start in range(0, len(idx), BATCH_WINDOWS):
-            chunk = np.array(idx[start : start + BATCH_WINDOWS])
-            yield chunk, np.stack([windows[i].values for i in chunk])
+def _nets(arch: ArchConfig, latent: LatentConfig):
+    # (name, input width, output mean width) of the encoder and the decoder
+    return (("enc", arch.input_dim, latent.total), ("dec", latent.total, arch.input_dim))
+
+
+def _tensor_shapes(arch: ArchConfig, latent: LatentConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every tensor init_params makes, without drawing any."""
+    H = arch.hidden
+    shapes = {}
+    for net, dim, out in _nets(arch, latent):
+        for i in range(arch.layers):
+            shapes[f"{net}{i}.Wx"] = (dim if i == 0 else H, 4 * H)
+            shapes[f"{net}{i}.Wh"] = (H, 4 * H)
+            shapes[f"{net}{i}.b"] = (4 * H,)
+        shapes[f"{net}_head.W"] = (H, 2 * out)
+        shapes[f"{net}_head.b"] = (2 * out,)
+    return shapes
 
 
 def init_params(
@@ -183,23 +185,13 @@ def init_params(
     if rng is None:
         rng = np.random.default_rng(seed)
     tensors: dict[str, np.ndarray] = {}
-    nets = (("enc", arch.input_dim, latent.total), ("dec", latent.total, arch.input_dim))
-    for net, dim, out in nets:
+    for net, dim, out in _nets(arch, latent):
         for i in range(arch.layers):
             for k, v in lstm_init(dim if i == 0 else arch.hidden, arch.hidden, rng).items():
                 tensors[f"{net}{i}.{k}"] = v
         for k, v in linear_init(arch.hidden, 2 * out, rng).items():
             tensors[f"{net}_head.{k}"] = v
     return VaeParams(arch=arch, latent=latent, tensors=tensors, seed=seed)
-
-
-def recurrent_weight_blocks(params: VaeParams):
-    """Yield (name, block) for every square recurrent gate kernel."""
-    H = params.arch.hidden
-    for k, v in params.tensors.items():
-        if k.endswith(".Wh"):
-            for g, gate in enumerate("ifgo"):
-                yield f"{k}[{gate}]", v[:, g * H : (g + 1) * H]
 
 
 def _layer(params: VaeParams, key: str) -> dict[str, np.ndarray]:
@@ -266,35 +258,18 @@ def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads) 
     return dh
 
 
-def encode(params: VaeParams, window) -> tuple[np.ndarray, np.ndarray]:
-    """Per-timestep (mu, logvar) of shape (T, total) for one window."""
-    values = window.values if isinstance(window, SequenceWindow) else np.asarray(window)
-    mu, lv, _ = _encoder_forward(params, values[None])
-    return mu[0], lv[0]
-
-
-def decode(params: VaeParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-timestep reconstruction (mu_x in (0,1), logvar_x) for one z sequence."""
-    mu_x, lx, _ = _decoder_forward(params, np.asarray(z)[None])
-    return mu_x[0], lx[0]
-
-
 def encode_windows(
     params: VaeParams, windows: list[SequenceWindow]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-window (mu, logvar), aligned with the input order."""
-    out: list = [None] * len(windows)
-    for idx, x in batches(windows):
-        mu, lv, _ = _encoder_forward(params, x)
-        for j, i in enumerate(idx):
-            out[i] = (mu[j], lv[j])
-    return out
-
-
-def sample_latent(mu: np.ndarray, logvar: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Reparameterized draw z = mu + exp(logvar/2) * eps."""
-    eps = rng.standard_normal(np.shape(mu))
-    return np.asarray(mu) + np.exp(np.asarray(logvar) / 2.0) * eps
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, logvar), each (N, T, total), encoded BATCH_WINDOWS windows at a
+    time in input order."""
+    x = stack_windows(windows)
+    # outputs are joined after the last chunk, not preallocated, so they do
+    # not add to the peak memory of the forward passes
+    parts = [
+        _encoder_forward(params, x[s : s + BATCH_WINDOWS]) for s in range(0, len(x), BATCH_WINDOWS)
+    ]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def _kl_ts(mu, logvar, prior_means, prior_std):
@@ -314,23 +289,6 @@ def _loglik_ts(x, mu_x, logvar_x):
     # diagonal Gaussian log density per (batch, timestep), summed over KPIs
     per_dim = -0.5 * (LOG_2PI + logvar_x + (x - mu_x) ** 2 * np.exp(-logvar_x))
     return per_dim.sum(axis=-1)
-
-
-def kl_loss(mu: np.ndarray, logvar: np.ndarray, prior: PriorSpec) -> float:
-    """Closed-form KL against the conceptual prior, averaged over timesteps."""
-    if prior.std <= 0:
-        raise ConfigError("prior std must be positive")
-    mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
-    logvar = np.atleast_2d(np.asarray(logvar, dtype=np.float64))
-    return float(_kl_ts(mu, logvar, prior.mean, prior.std).mean())
-
-
-def recon_loglik(x: np.ndarray, mu_x: np.ndarray, logvar_x: np.ndarray) -> float:
-    """Gaussian reconstruction log-likelihood averaged over timesteps."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    mu_x = np.atleast_2d(np.asarray(mu_x, dtype=np.float64))
-    logvar_x = np.atleast_2d(np.asarray(logvar_x, dtype=np.float64))
-    return float(_loglik_ts(x, mu_x, logvar_x).mean())
 
 
 def batch_components(
@@ -354,29 +312,6 @@ def batch_components(
         mu_x, lx, _ = _decoder_forward(params, z)
         ll += _loglik_ts(x, mu_x, lx)
     return mu, lv, kl_ts, ll / eps.shape[0]
-
-
-def eval_loss(
-    params: VaeParams,
-    window,
-    prior: PriorSpec,
-    eval_samples: int = 10,
-    rng: np.random.Generator | None = None,
-) -> dict[str, float]:
-    """Unweighted evaluation loss for one window: loss = kl - loglik.
-
-    The log-likelihood is the mean over `eval_samples` independent latent
-    draws; the KL term is closed-form, so loss decomposes exactly.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    values = window.values if isinstance(window, SequenceWindow) else np.asarray(window)
-    x = values[None]
-    eps = rng.standard_normal((eval_samples, 1) + (x.shape[1], params.latent.total))
-    _, _, kl_ts, ll_ts = batch_components(params, x, prior.mean[None], prior.std, eps)
-    kl = float(kl_ts.mean())
-    loglik = float(ll_ts.mean())
-    return {"loss": kl - loglik, "kl": kl, "loglik": loglik}
 
 
 def objective_and_grads(
@@ -445,13 +380,6 @@ def train_step(
     return components
 
 
-def _stack_windows(windows: list[SequenceWindow]) -> np.ndarray:
-    lengths = {w.length for w in windows}
-    if len(lengths) != 1:
-        raise ValidationError(f"windows have mixed lengths {sorted(lengths)}")
-    return np.stack([w.values for w in windows])
-
-
 def train(
     train_windows: list[SequenceWindow],
     val_windows: list[SequenceWindow],
@@ -483,9 +411,9 @@ def train(
     rng_val = np.random.default_rng(val_ss)
 
     table = prior_table(concept_model, latent)
-    x_train = _stack_windows(train_windows)
+    x_train = stack_windows(train_windows)
     p_train = table[window_clusters(train_windows, concept_model.assignment)]
-    x_val = _stack_windows(val_windows)
+    x_val = stack_windows(val_windows)
     p_val = table[window_clusters(val_windows, concept_model.assignment)]
     val_eps = rng_val.standard_normal((1,) + x_val.shape[:2] + (latent.total,))
 
@@ -583,8 +511,15 @@ def load_checkpoint(path) -> VaeParams:
                 for name, dtype, shape in header["arrays"]
             ]
             seed = header["seed"]
-        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            if arch.input_dim != N_KPIS:
+                raise ParseError(f"checkpoint input_dim {arch.input_dim} is not {N_KPIS}")
+            arch.validate()
+            latent.validate(arch.input_dim)
+            shapes = _tensor_shapes(arch, latent)
+        except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
             raise ParseError(f"bad checkpoint header: {e}")
+        if arrays != [(k, np.dtype(np.float64), shapes[k]) for k in sorted(shapes)]:
+            raise ParseError("checkpoint tensors do not match the architecture in its header")
         tensors = {}
         for name, dtype, shape in arrays:
             buf = _read_exact(fh, math.prod(shape) * dtype.itemsize, f"tensor {name}")

@@ -1,0 +1,93 @@
+"""One-window and one-formula handles on the package, for tests.
+
+The package works on whole window sets: `encode_windows`, `batch_components`
+and `prior_table`. These helpers give a test a single window, a single prior
+or a single loss term of that same code, so it can be checked against a value
+worked out by hand.
+"""
+import numpy as np
+
+from kpivae import vae
+from kpivae.data import SequenceWindow
+from kpivae.errors import ConfigError
+
+
+def as_window(window) -> SequenceWindow:
+    if isinstance(window, SequenceWindow):
+        return window
+    values = np.asarray(window, dtype=np.float64)
+    return SequenceWindow("window", 1, values=values, raw=values)
+
+
+def encode(params, window) -> tuple[np.ndarray, np.ndarray]:
+    """Per-timestep (mu, logvar) of shape (T, total) for one window."""
+    mu, lv = vae.encode_windows(params, [as_window(window)])
+    return mu[0], lv[0]
+
+
+def decode(params, z) -> tuple[np.ndarray, np.ndarray]:
+    """Per-timestep reconstruction (mu_x in (0,1), logvar_x) for one z sequence."""
+    mu_x, lx, _ = vae._decoder_forward(params, np.asarray(z)[None])
+    return mu_x[0], lx[0]
+
+
+def sample_latent(mu, logvar, rng: np.random.Generator) -> np.ndarray:
+    """Reparameterized draw z = mu + exp(logvar/2) * eps, as in batch_components."""
+    eps = rng.standard_normal(np.shape(mu))
+    return np.asarray(mu) + np.exp(np.asarray(logvar) / 2.0) * eps
+
+
+def kl_loss(mu, logvar, prior: vae.PriorSpec) -> float:
+    """Closed-form KL against one prior, averaged over timesteps."""
+    if prior.std <= 0:
+        raise ConfigError("prior std must be positive")
+    mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
+    logvar = np.atleast_2d(np.asarray(logvar, dtype=np.float64))
+    return float(vae._kl_ts(mu, logvar, prior.mean, prior.std).mean())
+
+
+def recon_loglik(x, mu_x, logvar_x) -> float:
+    """Gaussian reconstruction log-likelihood averaged over timesteps."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    mu_x = np.atleast_2d(np.asarray(mu_x, dtype=np.float64))
+    logvar_x = np.atleast_2d(np.asarray(logvar_x, dtype=np.float64))
+    return float(vae._loglik_ts(x, mu_x, logvar_x).mean())
+
+
+def eval_loss(params, window, prior: vae.PriorSpec, eval_samples=10, rng=None) -> dict[str, float]:
+    """Unweighted loss kl - loglik of one window through batch_components."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    x = as_window(window).values[None]
+    eps = rng.standard_normal((eval_samples, 1) + (x.shape[1], params.latent.total))
+    _, _, kl_ts, ll_ts = vae.batch_components(params, x, prior.mean[None], prior.std, eps)
+    kl = float(kl_ts.mean())
+    loglik = float(ll_ts.mean())
+    return {"loss": kl - loglik, "kl": kl, "loglik": loglik}
+
+
+def build_prior(model, latent, cluster: int) -> vae.PriorSpec:
+    """The prior of one cluster: one row of the prior table."""
+    mean = vae.prior_table(model, latent)[cluster]
+    return vae.PriorSpec(mean, latent.prior_std, latent.concept_dims)
+
+
+def recurrent_weight_blocks(params):
+    """Yield (name, block) for every square recurrent gate kernel."""
+    H = params.arch.hidden
+    for k, v in params.tensors.items():
+        if k.endswith(".Wh"):
+            for g, gate in enumerate("ifgo"):
+                yield f"{k}[{gate}]", v[:, g * H : (g + 1) * H]
+
+
+def expected_window_count(run_length: int, length: int, stride: int) -> int:
+    """Closed form for the windows produced by one consecutive run."""
+    if run_length < length:
+        return 0
+    return (run_length - length) // stride + 1
+
+
+def synth_cluster_of(element_id: str, n_clusters: int) -> int:
+    """Ground-truth cluster of a synthetic element (round-robin rule)."""
+    return int(element_id.removeprefix("el")) % n_clusters

@@ -1,6 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from kpivae import anomaly, concepts, data, vae
 from kpivae.anomaly import LatentStats
 from kpivae.data import KPI_NAMES, SequenceWindow
@@ -13,8 +18,9 @@ def mk_window(eid, start, rows):
 
 
 def mk_encoded(mus):
-    """Fake encoder output: per-window (mu, logvar) with zero logvar."""
-    return [(np.asarray(m, dtype=np.float64), np.zeros_like(m)) for m in mus]
+    """Fake encoder output: stacked (mu, logvar) with zero logvar."""
+    mu = np.stack([np.asarray(m, dtype=np.float64) for m in mus])
+    return mu, np.zeros_like(mu)
 
 
 def seam_params():
@@ -43,11 +49,9 @@ class TestFitLatentStats:
 
     def test_small_cluster_gets_no_entry(self):
         params = seam_params()
-        ws = [
-            mk_window("el0000", 1, np.zeros((40, 5))),
-            mk_window("el0001", 1, np.zeros((10, 5))),
-        ]
-        enc = mk_encoded([np.full((40, 30), 0.2), np.full((10, 30), 0.9)])
+        ws = [mk_window("el0000", 1 + 10 * i, np.zeros((10, 5))) for i in range(4)]
+        ws.append(mk_window("el0001", 1, np.zeros((10, 5))))
+        enc = mk_encoded([np.full((10, 30), 0.2)] * 4 + [np.full((10, 30), 0.9)])
         stats = anomaly.fit_latent_stats(
             params, ws, {"el0000": 0, "el0001": 1}, encoded=enc
         )
@@ -182,6 +186,20 @@ class TestResolveClusters:
         w = [mk_window("new", 1, np.full((4, 5), 0.85))]
         assert anomaly.resolve_clusters(w, model) == {"new": 1}
 
+    def test_profile_counts_each_date_once(self):
+        model = concepts.ConceptModel(
+            k=2,
+            centroids=np.array([[0.45] * 5, [0.6] * 5]),
+            prior_means=None,
+            assignment={},
+            inertia=0.0,
+        )
+        days = np.repeat([[0.9], [0.9], [0.1], [0.1], [0.9], [0.9]], 5, axis=1)
+        # days 3 and 4 are in both windows: over unique dates the mean is
+        # 0.63, nearest 0.6; counted twice it would be 0.5, nearest 0.45
+        w = [mk_window("new", 1, days[:4]), mk_window("new", 3, days[2:])]
+        assert anomaly.resolve_clusters(w, model) == {"new": 1}
+
 
 def scored_setup(stride=5):
     cfg = data.SynthConfig(
@@ -200,6 +218,26 @@ def scored_setup(stride=5):
     params = vae.init_params(vae.ArchConfig(hidden=4), vae.LatentConfig(), seed=1)
     lstats = anomaly.fit_latent_stats(params, windows, model.assignment)
     return params, windows, model, lstats
+
+
+@functools.cache
+def shuffle_setup():
+    params, windows, model, lstats = scored_setup(stride=3)
+    # three elements unseen at fit time, so they are routed by their profile
+    model.assignment = {e: c for e, c in model.assignment.items() if e < "el0003"}
+    reports = anomaly.detect(params, windows, model, lstats, eval_samples=2, seed=4)
+    return params, windows, model, lstats, reports
+
+
+class TestOrderInvariance:
+    @settings(max_examples=10, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_shuffled_windows_give_the_same_output(self, random):
+        params, windows, model, lstats, reports = shuffle_setup()
+        shuffled = random.sample(windows, len(windows))
+        clusters = anomaly.resolve_clusters(windows, model)
+        assert anomaly.resolve_clusters(shuffled, model) == clusters
+        assert anomaly.detect(params, shuffled, model, lstats, eval_samples=2, seed=4) == reports
 
 
 class TestDetect:
@@ -224,7 +262,7 @@ class TestDetect:
         x = np.stack([w.values for w in ordered])
         priors = np.stack(
             [
-                vae.build_prior(model, params.latent, clusters[w.element_id]).mean
+                oracles.build_prior(model, params.latent, clusters[w.element_id]).mean
                 for w in ordered
             ]
         )

@@ -1,6 +1,8 @@
 import argparse
 import csv
+import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -200,6 +202,32 @@ class TestExportLatent:
         keys = {(r[0], r[1], r[3]) for r in rows[1:]}
         assert len(keys) == len(rows) - 1
 
+    def test_overlapping_windows_keep_first_occurrence(self, pipeline, tmp_path):
+        out = tmp_path / "lat.csv"
+        assert run([
+            "export-latent", "--data", str(pipeline["data"]),
+            "--checkpoint", str(pipeline["ckpt"]), "--model", str(pipeline["model"]),
+            "--stats", str(pipeline["stats"]), "--out", str(out),
+            "--window", "4", "--stride", "1",
+        ]) == 0
+        windows = data.window_sequences(
+            data.load_records(pipeline["data"]), 4, stride=1,
+            stats=data.load_norm_stats(pipeline["stats"]),
+        )
+        mu, lv = vae.encode_windows(vae.load_checkpoint(pipeline["ckpt"]), windows)
+        first, last = {}, {}
+        for w, m, v in zip(windows, mu, lv):
+            for t, d in enumerate(w.dates()):
+                first.setdefault((w.element_id, int(d)), (m[t], v[t]))
+                last[(w.element_id, int(d))] = (m[t], v[t])
+        # overlapping windows see a cell after different context
+        assert any(not np.array_equal(first[c][0], last[c][0]) for c in first)
+        rows = read_csv(out)[1:]
+        assert [(r[0], int(r[1])) for r in rows[::5]] == list(first)
+        for eid, d, _, dim, m, v, _ in rows:
+            fm, fv = first[(eid, int(d))]
+            assert (m, v) == (data.fmt_float(fm[int(dim)]), data.fmt_float(fv[int(dim)]))
+
     def test_all_dims(self, pipeline, tmp_path):
         out = tmp_path / "lat.csv"
         run([
@@ -260,6 +288,17 @@ def score_with(pipeline, tmp_path, window="10", **swap):
     for flag, path in inputs.items():
         argv += ["--" + flag, str(path)]
     return run(argv)
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a checkpoint, passing its JSON header through `edit` first."""
+    blob = src.read_bytes()
+    start = len(vae.CHECKPOINT_MAGIC) + 8
+    (n,) = struct.unpack(">Q", blob[start - 8 : start])
+    header = json.loads(blob[start : start + n])
+    edit(header)
+    new = json.dumps(header).encode()
+    dst.write_bytes(blob[: start - 8] + struct.pack(">Q", len(new)) + new + blob[start + n :])
 
 
 def corrupt_token(src, dst, prefix, index, token):
@@ -361,6 +400,75 @@ class TestMalformedInputs:
         anomaly.save_latent_stats(lstats, tmp_path / "lat.txt")
         assert score_with(pipeline, tmp_path, latent_stats=tmp_path / "lat.txt") == 2
         assert "outside 0..1" in capsys.readouterr().err
+
+    def test_stride_zero(self, pipeline, tmp_path, capsys):
+        assert score_with(pipeline, tmp_path, stride="0") == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "report.csv").exists()
+
+    # a stats row holds its 5 means, then its 5 stds
+    @pytest.mark.parametrize(
+        "prefix, index, token",
+        [
+            ("global", 6, "0.0"),
+            ("global", 7, "-1.0"),
+            ("cluster", 7, "0.0"),
+            ("cluster", 11, "-1.0"),
+            ("global", 2, "nan"),
+            ("cluster", 3, "inf"),
+        ],
+    )
+    def test_latent_stats_bad_value(self, pipeline, tmp_path, capsys, prefix, index, token):
+        bad = tmp_path / "lat.txt"
+        line_no = corrupt_token(pipeline["lstats"], bad, prefix, index, token)
+        assert score_with(pipeline, tmp_path, latent_stats=bad) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"line {line_no}" in err
+
+    def test_checkpoint_tensor_renamed(self, pipeline, tmp_path, capsys):
+        def rename(header):
+            entry = next(a for a in header["arrays"] if a[0] == "dec0.Wh")
+            entry[0] = "dec0.Wq"
+
+        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", rename)
+        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_checkpoint_tensor_reshaped(self, pipeline, tmp_path, capsys):
+        def transpose(header):
+            entry = next(a for a in header["arrays"] if a[0] == "enc0.Wx")
+            entry[2] = entry[2][::-1]
+
+        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", transpose)
+        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_checkpoint_input_dim(self, pipeline, tmp_path, capsys):
+        params = vae.init_params(
+            vae.ArchConfig(input_dim=3, hidden=6), vae.LatentConfig(concept_dims=3)
+        )
+        vae.save_checkpoint(params, tmp_path / "bad.bin")
+        code = run([
+            "export-latent", "--data", str(pipeline["data"]),
+            "--checkpoint", str(tmp_path / "bad.bin"), "--model", str(pipeline["model"]),
+            "--stats", str(pipeline["stats"]), "--out", str(tmp_path / "x.csv"),
+            "--window", "10",
+        ])
+        assert code == 2
+        assert "input_dim" in capsys.readouterr().err
+
+    def test_concept_model_without_clusters(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "model.txt"
+        bad.write_text(f"{concepts.CONCEPTS_TAG}\nk 0\ninertia 0.0\n")
+        code = run([
+            "export-latent", "--data", str(pipeline["data"]),
+            "--checkpoint", str(pipeline["ckpt"]), "--model", str(bad),
+            "--stats", str(pipeline["stats"]), "--out", str(tmp_path / "x.csv"),
+            "--window", "10",
+        ])
+        assert code == 2
+        assert "k must be >= 1" in capsys.readouterr().err
 
 
 class TestArgparseErrors:

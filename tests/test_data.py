@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from kpivae import data
 from kpivae.errors import ConfigError, ParseError, ValidationError
 
@@ -140,6 +141,28 @@ def make_run(element_id, start, n):
     ]
 
 
+def zero_window(eid, start, length=3):
+    v = np.zeros((length, 5))
+    return data.SequenceWindow(eid, start, values=v, raw=v)
+
+
+class TestWindowCells:
+    def test_cells_of_overlapping_windows(self):
+        ws = [zero_window("B", 2), zero_window("A", 5), zero_window("B", 1)]
+        cells = data.window_cells(ws)
+        assert cells.elements == ["A", "B"]
+        assert cells.element.tolist() == [1, 1, 1, 0, 0, 0, 1, 1, 1]
+        assert cells.date.tolist() == [2, 3, 4, 5, 6, 7, 1, 2, 3]
+        first, ids = {}, {}
+        for i, key in enumerate(zip(cells.element.tolist(), cells.date.tolist())):
+            first.setdefault(key, i)
+            assert ids.setdefault(key, cells.cell[i]) == cells.cell[i]
+        assert len(set(ids.values())) == len(ids)
+        # first timestep of each cell, cells ordered like (element, date)
+        assert cells.first.tolist() == [first[k] for k in sorted(first)]
+        assert cells.cell[cells.first].tolist() == sorted(ids.values())
+
+
 class TestWindowing:
     def test_exact_length_run_gives_one_window(self):
         ws = data.window_sequences(make_run("A", 1, 100), 100)
@@ -194,7 +217,7 @@ class TestWindowing:
             recs += make_run("A", start, n)
             start += n + 2  # gap of at least one missing day between runs
         ws = data.window_sequences(recs, length, stride=stride)
-        expected = sum(data.expected_window_count(n, length, stride) for n in runs)
+        expected = sum(oracles.expected_window_count(n, length, stride) for n in runs)
         assert len(ws) == expected
 
 
@@ -278,7 +301,7 @@ class TestSynth:
         records, _ = data.synth_generate(cfg)
         ids = sorted({r.element_id for r in records})
         assert len(ids) == 7
-        assert data.synth_cluster_of("el0004", 3) == 1
+        assert oracles.synth_cluster_of("el0004", 3) == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -91,7 +91,7 @@ class TestTrainLoop:
 
         # rebuild the fixed validation noise from the documented stream layout
         val_ss = np.random.SeedSequence(cfg.seed).spawn(4)[3]
-        x_val = vae._stack_windows(val_w)
+        x_val = data.stack_windows(val_w)
         p_val = vae.prior_table(model, latent)[vae.window_clusters(val_w, model.assignment)]
         val_eps = np.random.default_rng(val_ss).standard_normal(
             (1,) + x_val.shape[:2] + (latent.total,)
@@ -132,9 +132,9 @@ class TestLearnedStructure:
     def test_concept_dims_separate_clusters(self, tiny_pipeline):
         tp = tiny_pipeline
         latent = LatentConfig()
-        encoded = vae.encode_windows(tp.params, tp.windows)
+        mu, _ = vae.encode_windows(tp.params, tp.windows)
         by_cluster = {0: [], 1: []}
-        for w, (m, _) in zip(tp.windows, encoded):
+        for w, m in zip(tp.windows, mu):
             c = tp.model.assignment[w.element_id]
             by_cluster[c].append(m[:, : latent.concept_dims].mean(axis=0))
         centers = {c: np.mean(v, axis=0) for c, v in by_cluster.items()}

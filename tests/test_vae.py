@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+import oracles
 from kpivae import concepts, data, vae
 from kpivae.errors import ConfigError, NonFiniteError, ParseError, ValidationError
 from kpivae.vae import ArchConfig, LatentConfig, PriorSpec, TrainConfig
@@ -24,26 +25,26 @@ class TestKlLoss:
         prior = std_prior()
         mu = np.zeros((4, 30))
         lv = np.zeros((4, 30))
-        assert vae.kl_loss(mu, lv, prior) == pytest.approx(0.0, abs=1e-15)
+        assert oracles.kl_loss(mu, lv, prior) == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_mean_shift_gives_half(self):
         prior = PriorSpec(mean=np.zeros(1), std=1.0, concept_dims=1)
         mu = np.ones((3, 1))
         lv = np.zeros((3, 1))
-        assert vae.kl_loss(mu, lv, prior) == pytest.approx(0.5)
+        assert oracles.kl_loss(mu, lv, prior) == pytest.approx(0.5)
 
     def test_sums_dims_averages_timesteps(self):
         prior = PriorSpec(mean=np.zeros(2), std=1.0, concept_dims=2)
         mu = np.ones((5, 2))
         lv = np.zeros((5, 2))
-        assert vae.kl_loss(mu, lv, prior) == pytest.approx(1.0)
+        assert oracles.kl_loss(mu, lv, prior) == pytest.approx(1.0)
 
     def test_non_negative_on_random_inputs(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = rng.integers(1, 6)
             prior = PriorSpec(mean=rng.normal(size=d), std=float(rng.uniform(0.5, 2)), concept_dims=d)
-            kl = vae.kl_loss(rng.normal(size=(3, d)), rng.uniform(-2, 2, (3, d)), prior)
+            kl = oracles.kl_loss(rng.normal(size=(3, d)), rng.uniform(-2, 2, (3, d)), prior)
             assert kl >= -1e-12
 
     def test_matches_monte_carlo(self):
@@ -56,7 +57,7 @@ class TestKlLoss:
             mu = m + rng.choice([-1.0, 1.0], 5) * rng.uniform(0.5, 1.5, 5)
             lv = rng.uniform(-1, 1, 5)
             prior = PriorSpec(mean=m, std=1.0, concept_dims=5)
-            closed = vae.kl_loss(mu[None], lv[None], prior)
+            closed = oracles.kl_loss(mu[None], lv[None], prior)
             sd = np.exp(lv / 2)
             z = mu + sd * rng.standard_normal((n, 5))
             mc = np.mean(
@@ -67,13 +68,13 @@ class TestKlLoss:
     def test_nonpositive_prior_std_errors(self):
         prior = PriorSpec(mean=np.zeros(2), std=0.0, concept_dims=2)
         with pytest.raises(ConfigError):
-            vae.kl_loss(np.zeros((1, 2)), np.zeros((1, 2)), prior)
+            oracles.kl_loss(np.zeros((1, 2)), np.zeros((1, 2)), prior)
 
 
 class TestReconLoglik:
     def test_perfect_reconstruction_analytic(self):
         x = np.full((7, 5), 0.3)
-        val = vae.recon_loglik(x, x.copy(), np.zeros_like(x))
+        val = oracles.recon_loglik(x, x.copy(), np.zeros_like(x))
         assert val == pytest.approx(-2.5 * np.log(2 * np.pi))
 
     def test_matches_scipy_density(self):
@@ -82,13 +83,13 @@ class TestReconLoglik:
         mu = rng.uniform(size=(4, 5))
         lv = rng.uniform(-2, 2, (4, 5))
         expected = sps.norm.logpdf(x, mu, np.exp(lv / 2)).sum(axis=1).mean()
-        assert vae.recon_loglik(x, mu, lv) == pytest.approx(expected, rel=1e-12)
+        assert oracles.recon_loglik(x, mu, lv) == pytest.approx(expected, rel=1e-12)
 
     def test_larger_residual_lowers_loglik(self):
         x = np.zeros((2, 5))
         lv = np.zeros((2, 5))
-        near = vae.recon_loglik(x, np.full((2, 5), 0.1), lv)
-        far = vae.recon_loglik(x, np.full((2, 5), 0.5), lv)
+        near = oracles.recon_loglik(x, np.full((2, 5), 0.1), lv)
+        far = oracles.recon_loglik(x, np.full((2, 5), 0.5), lv)
         assert far < near
 
 
@@ -96,31 +97,31 @@ class TestEncodeDecode:
     def test_shapes(self):
         params = small_params()
         x = np.random.default_rng(0).uniform(size=(12, 5))
-        mu, lv = vae.encode(params, x)
+        mu, lv = oracles.encode(params, x)
         assert mu.shape == (12, 30) and lv.shape == (12, 30)
-        mu_x, lv_x = vae.decode(params, np.random.default_rng(1).normal(size=(12, 30)))
+        mu_x, lv_x = oracles.decode(params, np.random.default_rng(1).normal(size=(12, 30)))
         assert mu_x.shape == (12, 5) and lv_x.shape == (12, 5)
 
     def test_deterministic(self):
         params = small_params()
         x = np.random.default_rng(0).uniform(size=(6, 5))
-        a = vae.encode(params, x)
-        b = vae.encode(params, x)
+        a = oracles.encode(params, x)
+        b = oracles.encode(params, x)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_logvar_clamped_both_sides(self):
         params = small_params()
         total = params.latent.total
         params.tensors["enc_head.b"][total:] = 100.0
-        _, lv = vae.encode(params, np.full((4, 5), 0.5))
+        _, lv = oracles.encode(params, np.full((4, 5), 0.5))
         assert (lv == 8.0).all()
         params.tensors["enc_head.b"][total:] = -100.0
-        _, lv = vae.encode(params, np.full((4, 5), 0.5))
+        _, lv = oracles.encode(params, np.full((4, 5), 0.5))
         assert (lv == -8.0).all()
 
     def test_decoder_mean_strictly_inside_unit_interval(self):
         params = small_params()
-        mu_x, lv_x = vae.decode(params, np.random.default_rng(2).normal(size=(9, 30)))
+        mu_x, lv_x = oracles.decode(params, np.random.default_rng(2).normal(size=(9, 30)))
         assert (mu_x > 0.0).all() and (mu_x < 1.0).all()
         assert (lv_x >= -8.0).all() and (lv_x <= 8.0).all()
 
@@ -129,7 +130,7 @@ class TestEncodeDecode:
         x = np.full((5, 5), 0.5)
         x[2, 0] = np.nan
         with pytest.raises(NonFiniteError, match="timestep 2"):
-            vae.encode(params, x)
+            oracles.encode(params, x)
 
     def test_encode_accepts_windows(self):
         from kpivae.data import SequenceWindow
@@ -137,8 +138,8 @@ class TestEncodeDecode:
         params = small_params()
         v = np.random.default_rng(3).uniform(size=(4, 5))
         w = SequenceWindow("A", 1, values=v, raw=v.copy())
-        mu_w, _ = vae.encode(params, w)
-        mu_a, _ = vae.encode(params, v)
+        mu_w, _ = oracles.encode(params, w)
+        mu_a, _ = oracles.encode(params, v)
         assert np.array_equal(mu_w, mu_a)
 
 
@@ -146,20 +147,20 @@ class TestSampleLatent:
     def test_reproducible_given_seed(self):
         mu = np.zeros((3, 4))
         lv = np.zeros((3, 4))
-        a = vae.sample_latent(mu, lv, np.random.default_rng(5))
-        b = vae.sample_latent(mu, lv, np.random.default_rng(5))
+        a = oracles.sample_latent(mu, lv, np.random.default_rng(5))
+        b = oracles.sample_latent(mu, lv, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_tiny_variance_hugs_mean(self):
         rng = np.random.default_rng(6)
         mu = np.full((1000, 1), 0.7)
-        z = vae.sample_latent(mu, np.full((1000, 1), -8.0), rng)
+        z = oracles.sample_latent(mu, np.full((1000, 1), -8.0), rng)
         assert np.abs(z - 0.7).max() < 0.1
 
     def test_empirical_mean_matches(self):
         rng = np.random.default_rng(7)
         n = 100_000
-        z = vae.sample_latent(np.full(n, 2.0), np.zeros(n), rng)
+        z = oracles.sample_latent(np.full(n, 2.0), np.zeros(n), rng)
         assert abs(z.mean() - 2.0) < 4.0 / np.sqrt(n)
 
 
@@ -167,7 +168,7 @@ class TestEvalLoss:
     def test_loss_decomposes_exactly(self):
         params = small_params()
         x = np.random.default_rng(1).uniform(size=(10, 5))
-        out = vae.eval_loss(params, x, std_prior(), rng=np.random.default_rng(0))
+        out = oracles.eval_loss(params, x, std_prior(), rng=np.random.default_rng(0))
         assert out["loss"] == pytest.approx(out["kl"] - out["loglik"], abs=1e-12)
 
     def test_reported_row_arithmetic(self):
@@ -179,9 +180,9 @@ class TestEvalLoss:
         params = small_params()
         x = np.random.default_rng(2).uniform(size=(8, 5))
         prior = std_prior()
-        out = vae.eval_loss(params, x, prior, rng=np.random.default_rng(0))
-        mu, lv = vae.encode(params, x)
-        assert out["kl"] == pytest.approx(vae.kl_loss(mu, lv, prior), rel=1e-12)
+        out = oracles.eval_loss(params, x, prior, rng=np.random.default_rng(0))
+        mu, lv = oracles.encode(params, x)
+        assert out["kl"] == pytest.approx(oracles.kl_loss(mu, lv, prior), rel=1e-12)
 
     def test_one_vs_ten_samples_agree_when_encoder_collapses(self):
         params = small_params(seed=4)
@@ -191,8 +192,8 @@ class TestEvalLoss:
         params.tensors["enc_head.b"][total:] = -50.0
         params.tensors["dec0.Wx"] *= 1e-3
         x = np.random.default_rng(3).uniform(size=(10, 5))
-        one = vae.eval_loss(params, x, std_prior(), eval_samples=1, rng=np.random.default_rng(11))
-        ten = vae.eval_loss(params, x, std_prior(), eval_samples=10, rng=np.random.default_rng(12))
+        one = oracles.eval_loss(params, x, std_prior(), eval_samples=1, rng=np.random.default_rng(11))
+        ten = oracles.eval_loss(params, x, std_prior(), eval_samples=10, rng=np.random.default_rng(12))
         assert abs(one["loss"] - ten["loss"]) < 1e-3
 
     def test_more_samples_reduce_spread(self):
@@ -202,7 +203,7 @@ class TestEvalLoss:
 
         def spread(s):
             vals = [
-                vae.eval_loss(params, x, prior, eval_samples=s, rng=np.random.default_rng(seed))[
+                oracles.eval_loss(params, x, prior, eval_samples=s, rng=np.random.default_rng(seed))[
                     "loglik"
                 ]
                 for seed in range(12)
@@ -220,7 +221,7 @@ class TestPriorSpec:
             k=2, centroids=(prior_means + 1) / 2, prior_means=prior_means,
             assignment={}, inertia=0.0,
         )
-        spec = vae.build_prior(model, latent, 1)
+        spec = oracles.build_prior(model, latent, 1)
         assert np.array_equal(spec.mean[:5], prior_means[1])
         assert (spec.mean[5:] == 0.0).all()
         assert spec.std == latent.prior_std
@@ -230,7 +231,7 @@ class TestPriorSpec:
             k=1, centroids=np.full((1, 5), 0.5), prior_means=None, assignment={}, inertia=0.0
         )
         with pytest.raises(ValidationError):
-            vae.build_prior(model, LatentConfig(), 0)
+            oracles.build_prior(model, LatentConfig(), 0)
 
     def test_prior_table_rows_match_build_prior(self):
         latent = LatentConfig()
@@ -242,7 +243,7 @@ class TestPriorSpec:
         table = vae.prior_table(model, latent)
         assert table.shape == (3, latent.total)
         for j in range(3):
-            assert np.array_equal(table[j], vae.build_prior(model, latent, j).mean)
+            assert np.array_equal(table[j], oracles.build_prior(model, latent, j).mean)
 
     def test_prior_table_validates_every_row(self):
         prior_means = np.zeros((2, 5))
@@ -283,27 +284,43 @@ def length_window(eid, length):
     )
 
 
+def valued_window(eid, value, length=3):
+    values = np.full((length, 5), value)
+    return data.SequenceWindow(element_id=eid, start_date=1, values=values, raw=values)
+
+
 class TestBatching:
-    def test_chunks_by_length_then_input_order(self, monkeypatch):
+    def test_chunks_in_input_order(self, monkeypatch):
         monkeypatch.setattr(vae, "BATCH_WINDOWS", 2)
-        lengths = [3, 2, 3, 2, 3, 2, 3]
-        windows = [length_window(f"e{i}", n) for i, n in enumerate(lengths)]
-        got = [(idx.tolist(), x.shape) for idx, x in vae.batches(windows)]
-        assert got == [
-            ([1, 3], (2, 2, 5)),
-            ([5], (1, 2, 5)),
-            ([0, 2], (2, 3, 5)),
-            ([4, 6], (2, 3, 5)),
-        ]
+        chunks = []
+        forward = vae._encoder_forward
+
+        def spy(params, x, want_cache=False):
+            chunks.append(x[:, 0, 0].tolist())
+            return forward(params, x, want_cache)
+
+        monkeypatch.setattr(vae, "_encoder_forward", spy)
+        windows = [valued_window(f"e{i}", v) for i, v in enumerate([0.5, 0.1, 0.4, 0.2, 0.3])]
+        mu, lv = vae.encode_windows(small_params(hidden=4), windows)
+        assert chunks == [[0.5, 0.1], [0.4, 0.2], [0.3]]
+        assert mu.shape == lv.shape == (5, 3, 30)
+
+    def test_mixed_lengths_rejected(self):
+        windows = [length_window("a", 3), length_window("b", 2)]
+        for f in (data.stack_windows, data.window_cells):
+            with pytest.raises(ValidationError, match=r"mixed lengths \[2, 3\]"):
+                f(windows)
+        with pytest.raises(ValidationError, match="mixed lengths"):
+            vae.encode_windows(small_params(hidden=4), windows)
 
     def test_encode_windows_keeps_input_order(self):
         params = small_params(hidden=4)
-        windows = [length_window("a", 3), length_window("b", 2), length_window("c", 3)]
-        encoded = vae.encode_windows(params, windows)
-        for w, (mu, lv) in zip(windows, encoded):
-            one_mu, one_lv = vae.encode(params, w)
-            assert mu.shape == (w.length, 30)
-            assert np.allclose(mu, one_mu) and np.allclose(lv, one_lv)
+        windows = [valued_window("a", 0.2), valued_window("b", 0.9), valued_window("c", 0.5)]
+        mu, lv = vae.encode_windows(params, windows)
+        for w, m, v in zip(windows, mu, lv):
+            one_mu, one_lv = oracles.encode(params, w)
+            assert m.shape == (w.length, 30)
+            assert np.allclose(m, one_mu) and np.allclose(v, one_lv)
 
     def test_window_clusters_names_every_missing_element(self):
         windows = [length_window(e, 2) for e in ("b", "a", "c", "a")]
@@ -315,7 +332,7 @@ class TestBatching:
 class TestInitParams:
     def test_recurrent_blocks_orthogonal_biases_zero(self):
         params = small_params(seed=9)
-        blocks = list(vae.recurrent_weight_blocks(params))
+        blocks = list(oracles.recurrent_weight_blocks(params))
         assert len(blocks) == 24  # 6 layers x 4 gates
         for name, w in blocks:
             assert np.max(np.abs(w.T @ w - np.eye(w.shape[1]))) < 1e-5, name
@@ -333,6 +350,17 @@ class TestInitParams:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize(
+        "arch, latent",
+        [
+            (ArchConfig(hidden=3, layers=2), LatentConfig(free_dims=2)),
+            (ArchConfig(), LatentConfig()),
+        ],
+    )
+    def test_checked_layout_is_the_initialized_one(self, arch, latent):
+        params = vae.init_params(arch, latent)
+        assert vae._tensor_shapes(arch, latent) == {k: v.shape for k, v in params.tensors.items()}
+
     def test_round_trip_exact(self, tmp_path):
         params = small_params(seed=7)
         p = tmp_path / "ckpt.bin"
