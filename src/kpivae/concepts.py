@@ -207,6 +207,8 @@ def load_concept_model(path) -> ConceptModel:
                 vals = [float(v) for v in parts[2:]]
                 if len(vals) != 2 * N_KPIS:
                     raise ParseError(f"centroid row needs {2 * N_KPIS} values", line_no)
+                if not np.isfinite(vals).all():
+                    raise ParseError("centroid row has a value that is not finite", line_no)
                 centroids[j] = vals[:N_KPIS]
                 priors[j] = vals[N_KPIS:]
             elif parts[0] == "assign":

@@ -69,9 +69,6 @@ class SequenceWindow:
     def length(self) -> int:
         return self.values.shape[0]
 
-    def dates(self) -> np.ndarray:
-        return self.start_date + np.arange(self.length)
-
 
 @dataclass(frozen=True)
 class WindowCells:

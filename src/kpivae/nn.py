@@ -1,8 +1,23 @@
 """Minimal float64 neural-net kernels: LSTM and linear layers with hand-written
 backward passes, orthogonal initialization, and Adam.
 
-Array layout is batch-first (B, T, D). Everything is deterministic given the
-RNG, which is what lets the pipeline reproduce checkpoints byte-for-byte.
+Layer inputs and outputs are batch-first (B, T, D). Inside an LSTM layer the
+work is time-major, so that each timestep is one contiguous (B, .) block:
+the input projections of all T steps are one GEMM into a (T, B, 4H) gate
+buffer, and the time loop adds only the recurrent GEMM and the elementwise
+cell update. The buffer is activated in place, step by step, and is what the
+layer caches as its gates. The cache also holds the time-major input and the
+time-major h, c and tanh(c), so backward recomputes none of them; backward
+writes each step's gate gradient into one (T, B, 4H) buffer and forms the
+weight and input gradients from it after the loop, one GEMM each. The hidden
+states a layer returns are a (B, T, H) view of its time-major h, which the
+next layer reads without a copy.
+
+A sigmoid is 0.5 + 0.5 * tanh(x / 2), branch-free; the LSTM activates all
+four gates with one tanh per step this way.
+
+Everything is deterministic given the RNG, which is what lets the pipeline
+reproduce checkpoints byte-for-byte.
 """
 from __future__ import annotations
 
@@ -10,12 +25,7 @@ import numpy as np
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def orthogonal(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -51,68 +61,76 @@ def linear_init(input_dim: int, out_dim: int, rng: np.random.Generator) -> dict[
 
 
 def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
-    """Run one LSTM layer over (B, T, D); returns hidden states and a cache."""
-    B, T, _ = x.shape
+    """Run one LSTM layer over (B, T, D); returns hidden states (B, T, H) and a cache."""
+    B, T, D = x.shape
     H = p["Wh"].shape[0]
-    h = np.zeros((B, T, H))
-    c = np.zeros((B, T, H))
-    gates = np.zeros((B, T, 4 * H))  # activated i, f, g, o
-    h_prev = np.zeros((B, H))
-    c_prev = np.zeros((B, H))
+    # gate order i, f, g, o: sigmoid(a) = 0.5 + 0.5 * tanh(a / 2) on i, f and
+    # o, tanh(a) on g, so every gate column is shift + scale * tanh(scale * a);
+    # halving a column is exact, so the scaled weights give scale * a exactly
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
+    shift = np.repeat([0.5, 0.5, 0.0, 0.5], H)
+    Wh = p["Wh"] * scale
+    xs = np.ascontiguousarray(x.transpose(1, 0, 2))  # no copy for another layer's h
+    gates = (xs.reshape(T * B, D) @ (p["Wx"] * scale)).reshape(T, B, 4 * H)
+    gates += p["b"] * scale
+    h = np.empty((T, B, H))
+    c = np.empty((T, B, H))
+    tanh_c = np.empty((T, B, H))
+    rec = np.empty((B, 4 * H))
+    fc = np.empty((B, H))
     for t in range(T):
-        a = x[:, t] @ p["Wx"] + h_prev @ p["Wh"] + p["b"]
-        i = sigmoid(a[:, :H])
-        f = sigmoid(a[:, H : 2 * H])
-        g = np.tanh(a[:, 2 * H : 3 * H])
-        o = sigmoid(a[:, 3 * H :])
-        c_t = f * c_prev + i * g
-        h_t = o * np.tanh(c_t)
-        gates[:, t, :H] = i
-        gates[:, t, H : 2 * H] = f
-        gates[:, t, 2 * H : 3 * H] = g
-        gates[:, t, 3 * H :] = o
-        c[:, t] = c_t
-        h[:, t] = h_t
-        h_prev, c_prev = h_t, c_t
-    return h, (x, h, c, gates)
+        a = gates[t]
+        if t:  # h_{-1} is zero
+            np.matmul(h[t - 1], Wh, out=rec)
+            a += rec
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        np.multiply(a[:, :H], a[:, 2 * H : 3 * H], out=c[t])
+        if t:
+            np.multiply(a[:, H : 2 * H], c[t - 1], out=fc)
+            c[t] += fc
+        np.tanh(c[t], out=tanh_c[t])
+        np.multiply(a[:, 3 * H :], tanh_c[t], out=h[t])
+    return h.transpose(1, 0, 2), (xs, h, c, tanh_c, gates)
 
 
 def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
     """Backprop through time for one layer.
 
     dh_out is the gradient wrt every hidden state (B, T, H). Returns the
-    gradient wrt the layer input plus parameter gradients.
+    gradient wrt the layer input (B, T, D) plus parameter gradients.
     """
-    x, h, c, gates = cache
-    B, T, H = h.shape
-    dx = np.zeros_like(x)
-    dWx = np.zeros_like(p["Wx"])
-    dWh = np.zeros_like(p["Wh"])
-    db = np.zeros_like(p["b"])
+    xs, h, c, tanh_c, gates = cache
+    T, B, H = h.shape
+    WhT = p["Wh"].T
+    # each gate's derivative wrt its pre-activation, multiplied in the loop by
+    # the gradient reaching the gate
+    da = gates * (1.0 - gates)
+    da[:, :, 2 * H : 3 * H] = 1.0 - gates[:, :, 2 * H : 3 * H] ** 2
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
-    zeros = np.zeros((B, H))
-    da = np.empty((B, 4 * H))
     for t in range(T - 1, -1, -1):
-        i = gates[:, t, :H]
-        f = gates[:, t, H : 2 * H]
-        g = gates[:, t, 2 * H : 3 * H]
-        o = gates[:, t, 3 * H :]
-        c_prev = c[:, t - 1] if t > 0 else zeros
-        h_prev = h[:, t - 1] if t > 0 else zeros
+        a = gates[t]
+        d = da[t]
         dh_t = dh_out[:, t] + dh_next
-        tanh_c = np.tanh(c[:, t])
-        dc = dc_next + dh_t * o * (1.0 - tanh_c**2)
-        da[:, :H] = (dc * g) * i * (1.0 - i)
-        da[:, H : 2 * H] = (dc * c_prev) * f * (1.0 - f)
-        da[:, 2 * H : 3 * H] = (dc * i) * (1.0 - g**2)
-        da[:, 3 * H :] = (dh_t * tanh_c) * o * (1.0 - o)
-        dc_next = dc * f
-        dWx += x[:, t].T @ da
-        dWh += h_prev.T @ da
-        db += da.sum(axis=0)
-        dx[:, t] = da @ p["Wx"].T
-        dh_next = da @ p["Wh"].T
+        dc = dh_t * a[:, 3 * H :] * (1.0 - tanh_c[t] ** 2)
+        dc += dc_next
+        d[:, :H] *= dc * a[:, 2 * H : 3 * H]
+        if t:
+            d[:, H : 2 * H] *= dc * c[t - 1]
+        else:  # c_{-1} is zero
+            d[:, H : 2 * H] = 0.0
+        d[:, 2 * H : 3 * H] *= dc * a[:, :H]
+        d[:, 3 * H :] *= dh_t * tanh_c[t]
+        dc_next = dc * a[:, H : 2 * H]
+        if t:  # h_{-1} is zero
+            dh_next = d @ WhT
+    flat = da.reshape(T * B, 4 * H)
+    dWx = xs.reshape(T * B, -1).T @ flat
+    dWh = h[:-1].reshape((T - 1) * B, H).T @ flat[B:]
+    db = flat.sum(axis=0)
+    dx = (flat @ p["Wx"].T).reshape(T, B, -1).transpose(1, 0, 2)
     return dx, {"Wx": dWx, "Wh": dWh, "b": db}
 
 

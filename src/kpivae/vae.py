@@ -128,6 +128,8 @@ class PriorSpec:
     def validate(self) -> None:
         if self.std <= 0:
             raise ConfigError("prior std must be positive")
+        if not np.isfinite(self.mean).all():
+            raise ValidationError("prior means must be finite")
         head = self.mean[..., : self.concept_dims]
         tail = self.mean[..., self.concept_dims :]
         if head.size and (head.min() < -1.0 - 1e-12 or head.max() > 1.0 + 1e-12):
@@ -220,7 +222,8 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool):
     h = x
     for i in range(arch.layers):
         h, cache = lstm_forward(h, _layer(params, f"{net}{i}"))
-        caches.append(cache)
+        if want_cache:
+            caches.append(cache)
     raw, head_cache = linear_forward(h, _head(params, f"{net}_head"))
     half = raw.shape[-1] // 2
     mean, lv_raw = raw[..., :half], raw[..., half:]

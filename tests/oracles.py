@@ -4,6 +4,10 @@ The package works on whole window sets: `encode_windows`, `batch_components`
 and `prior_table`. These helpers give a test a single window, a single prior
 or a single loss term of that same code, so it can be checked against a value
 worked out by hand.
+
+`lstm_forward`, `lstm_backward` and `sigmoid` are the reference kernels: one
+timestep at a time, the gate sigmoids masked into two branches, and the weight
+gradients summed step by step. `kpivae.nn` must agree with them.
 """
 import numpy as np
 
@@ -91,3 +95,78 @@ def expected_window_count(run_length: int, length: int, stride: int) -> int:
 def synth_cluster_of(element_id: str, n_clusters: int) -> int:
     """Ground-truth cluster of a synthetic element (round-robin rule)."""
     return int(element_id.removeprefix("el")) % n_clusters
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
+    """Run one LSTM layer over (B, T, D); returns hidden states and a cache."""
+    B, T, _ = x.shape
+    H = p["Wh"].shape[0]
+    h = np.zeros((B, T, H))
+    c = np.zeros((B, T, H))
+    gates = np.zeros((B, T, 4 * H))  # activated i, f, g, o
+    h_prev = np.zeros((B, H))
+    c_prev = np.zeros((B, H))
+    for t in range(T):
+        a = x[:, t] @ p["Wx"] + h_prev @ p["Wh"] + p["b"]
+        i = sigmoid(a[:, :H])
+        f = sigmoid(a[:, H : 2 * H])
+        g = np.tanh(a[:, 2 * H : 3 * H])
+        o = sigmoid(a[:, 3 * H :])
+        c_t = f * c_prev + i * g
+        h_t = o * np.tanh(c_t)
+        gates[:, t, :H] = i
+        gates[:, t, H : 2 * H] = f
+        gates[:, t, 2 * H : 3 * H] = g
+        gates[:, t, 3 * H :] = o
+        c[:, t] = c_t
+        h[:, t] = h_t
+        h_prev, c_prev = h_t, c_t
+    return h, (x, h, c, gates)
+
+
+def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
+    """Backprop through time for one layer.
+
+    dh_out is the gradient wrt every hidden state (B, T, H). Returns the
+    gradient wrt the layer input plus parameter gradients.
+    """
+    x, h, c, gates = cache
+    B, T, H = h.shape
+    dx = np.zeros_like(x)
+    dWx = np.zeros_like(p["Wx"])
+    dWh = np.zeros_like(p["Wh"])
+    db = np.zeros_like(p["b"])
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    zeros = np.zeros((B, H))
+    da = np.empty((B, 4 * H))
+    for t in range(T - 1, -1, -1):
+        i = gates[:, t, :H]
+        f = gates[:, t, H : 2 * H]
+        g = gates[:, t, 2 * H : 3 * H]
+        o = gates[:, t, 3 * H :]
+        c_prev = c[:, t - 1] if t > 0 else zeros
+        h_prev = h[:, t - 1] if t > 0 else zeros
+        dh_t = dh_out[:, t] + dh_next
+        tanh_c = np.tanh(c[:, t])
+        dc = dc_next + dh_t * o * (1.0 - tanh_c**2)
+        da[:, :H] = (dc * g) * i * (1.0 - i)
+        da[:, H : 2 * H] = (dc * c_prev) * f * (1.0 - f)
+        da[:, 2 * H : 3 * H] = (dc * i) * (1.0 - g**2)
+        da[:, 3 * H :] = (dh_t * tanh_c) * o * (1.0 - o)
+        dc_next = dc * f
+        dWx += x[:, t].T @ da
+        dWh += h_prev.T @ da
+        db += da.sum(axis=0)
+        dx[:, t] = da @ p["Wx"].T
+        dh_next = da @ p["Wh"].T
+    return dx, {"Wx": dWx, "Wh": dWh, "b": db}

@@ -272,7 +272,7 @@ class TestDetect:
         )
         best = {}
         for j, w in enumerate(ordered):
-            for t, d in enumerate(w.dates()):
+            for t, d in enumerate(w.start_date + np.arange(w.length)):
                 key = (w.element_id, int(d))
                 loss = float(kl_ts[j, t] - ll_ts[j, t])
                 if key not in best or loss > best[key]:

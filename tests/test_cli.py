@@ -217,7 +217,7 @@ class TestExportLatent:
         mu, lv = vae.encode_windows(vae.load_checkpoint(pipeline["ckpt"]), windows)
         first, last = {}, {}
         for w, m, v in zip(windows, mu, lv):
-            for t, d in enumerate(w.dates()):
+            for t, d in enumerate(w.start_date + np.arange(w.length)):
                 first.setdefault((w.element_id, int(d)), (m[t], v[t]))
                 last[(w.element_id, int(d))] = (m[t], v[t])
         # overlapping windows see a cell after different context
@@ -323,6 +323,9 @@ class TestMalformedInputs:
             ("lstats", "latent_stats", "concept_dims", 1, "x"),
             ("lstats", "latent_stats", "global", 3, "1.0e"),
             ("model", "model", "centroid 1", 4, "abc"),
+            # a centroid row holds its 5 centroid values, then its 5 prior means
+            ("model", "model", "centroid 1", 3, "inf"),
+            ("model", "model", "centroid 1", 8, "nan"),
             ("model", "model", "assign", 2, None),
             ("stats", "stats", "total_drops", 2, "abc"),
             ("stats", "stats", "mme_drops", 3, "yes"),
@@ -492,24 +495,42 @@ class TestArgparseErrors:
 
 
 def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
+    """`score` and `train` write the same bytes at 1 and 2 BLAS threads.
+
+    Training forms dWx and dWh as single GEMMs whose inner dimension is B*T.
+    Hidden 32 puts those GEMMs above OpenBLAS's size threshold for threading,
+    which hidden 6 or 8 on this data would not reach.
+    """
     src = Path(cli.__file__).resolve().parents[1]
-    reports = []
+    inputs = [
+        "--data", str(pipeline["data"]), "--model", str(pipeline["model"]),
+        "--stats", str(pipeline["stats"]), "--window", "10", "--seed", "0",
+    ]
+    outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"report{threads}.csv"
+        out = tmp_path / threads
+        out.mkdir()
         env = dict(os.environ, PYTHONPATH=str(src))
         env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        subprocess.run(
+        for argv in (
             [
-                sys.executable, "-m", "kpivae.cli", "score",
-                "--data", str(pipeline["data"]), "--checkpoint", str(pipeline["ckpt"]),
-                "--model", str(pipeline["model"]), "--stats", str(pipeline["stats"]),
-                "--latent-stats", str(pipeline["lstats"]), "--out", str(out),
-                "--window", "10", "--eval-samples", "2", "--seed", "0",
+                "score", "--checkpoint", str(pipeline["ckpt"]),
+                "--latent-stats", str(pipeline["lstats"]), "--out", str(out / "report.csv"),
+                "--eval-samples", "2",
             ],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        reports.append(out.read_bytes())
-    assert reports[0] == reports[1]
+            [
+                "train", "--out-checkpoint", str(out / "model.bin"),
+                "--out-history", str(out / "history.csv"), "--hidden", "32",
+                "--max-epochs", "2", "--patience", "2", "--val-fraction", "0.2",
+            ],
+        ):
+            subprocess.run(
+                [sys.executable, "-m", "kpivae.cli", *argv, *inputs],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["history.csv", "model.bin", "report.csv"]
+    assert outputs[0] == outputs[1]
 
 
 class TestConfigFile:

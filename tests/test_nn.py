@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from kpivae import nn
 
 
@@ -76,6 +77,8 @@ class TestForward:
         assert np.allclose(out[1:4], 1.0 / (1.0 + np.exp(-x[1:4])))
         assert out[0] == pytest.approx(0.0, abs=1e-300)
         assert out[4] == pytest.approx(1.0)
+        grid = np.linspace(-40.0, 40.0, 8001)
+        assert np.max(np.abs(nn.sigmoid(grid) - oracles.sigmoid(grid))) < 1e-15
 
 
 class TestBackward:
@@ -96,20 +99,23 @@ class TestBackward:
         assert relerr(dx, numgrad(loss, x)) < 1e-7
 
     def test_lstm_gradients_match_fd(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(2, 3, 4))
-        p = nn.lstm_init(4, 5, rng)
-        proj = rng.normal(size=(2, 3, 5))
+        # T = 1 and 2 reach the skipped t = 0 recurrent GEMMs; at T = 1 the
+        # dWh sum is empty
+        for T in (1, 2, 3):
+            rng = np.random.default_rng(5)
+            x = rng.normal(size=(2, T, 4))
+            p = nn.lstm_init(4, 5, rng)
+            proj = rng.normal(size=(2, T, 5))
 
-        def loss():
-            h, _ = nn.lstm_forward(x, p)
-            return float((h * proj).sum())
+            def loss():
+                h, _ = nn.lstm_forward(x, p)
+                return float((h * proj).sum())
 
-        h, cache = nn.lstm_forward(x, p)
-        dx, grads = nn.lstm_backward(proj, cache, p)
-        for k in ("Wx", "Wh", "b"):
-            assert relerr(grads[k], numgrad(loss, p[k])) < 1e-6
-        assert relerr(dx, numgrad(loss, x)) < 1e-6
+            h, cache = nn.lstm_forward(x, p)
+            dx, grads = nn.lstm_backward(proj, cache, p)
+            for k in ("Wx", "Wh", "b"):
+                assert relerr(grads[k], numgrad(loss, p[k])) < 1e-6, (T, k)
+            assert relerr(dx, numgrad(loss, x)) < 1e-6, T
 
     def test_stacked_lstm_input_gradient(self):
         rng = np.random.default_rng(6)
@@ -128,6 +134,43 @@ class TestBackward:
         dh1, _ = nn.lstm_backward(proj, c2, p2)
         dx, _ = nn.lstm_backward(dh1, c1, p1)
         assert relerr(dx, numgrad(loss, x)) < 1e-6
+
+
+def scaled_err(new, ref):
+    """Largest deviation relative to the largest reference magnitude; an
+    all-zero reference must be matched exactly."""
+    top = np.max(np.abs(ref))
+    if top == 0.0:
+        return 0.0 if np.all(new == 0.0) else np.inf
+    return np.max(np.abs(new - ref)) / top
+
+
+class TestAgainstReference:
+    """The time-major kernels against the per-timestep ones in `oracles`."""
+
+    @pytest.mark.parametrize("D", [5, 30, 64])
+    @pytest.mark.parametrize("B", [1, 3, 64])
+    @pytest.mark.parametrize("T", [1, 2, 25])
+    def test_lstm_matches_reference(self, T, B, D):
+        rng = np.random.default_rng([T, B, D])
+        H = 64
+        p = nn.lstm_init(D, H, rng)
+        p["b"] = rng.normal(scale=0.5, size=4 * H)
+        x = rng.normal(size=(B, T, D))
+        dh_out = rng.normal(size=(B, T, H))
+
+        h, cache = nn.lstm_forward(x, p)
+        h_ref, cache_ref = oracles.lstm_forward(x, p)
+        assert h.shape == (B, T, H)
+        assert scaled_err(h, h_ref) < 1e-12
+
+        dx, grads = nn.lstm_backward(dh_out, cache, p)
+        dx_ref, grads_ref = oracles.lstm_backward(dh_out, cache_ref, p)
+        assert dx.shape == (B, T, D)
+        assert scaled_err(dx, dx_ref) < 1e-10
+        for k in ("Wx", "Wh", "b"):
+            assert grads[k].shape == p[k].shape
+            assert scaled_err(grads[k], grads_ref[k]) < 1e-10, k
 
 
 class TestAdam:

@@ -263,6 +263,13 @@ class TestPriorSpec:
         with pytest.raises(ValidationError):
             bad_free.validate()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, value):
+        # nan slips past a [-1, 1] range check: nan < -1 and nan > 1 are False
+        bad = PriorSpec(mean=np.array([0.5, value, 0.0]), std=1.0, concept_dims=2)
+        with pytest.raises(ValidationError, match="finite"):
+            bad.validate()
+
     def test_latent_config_validation(self):
         with pytest.raises(ConfigError):
             LatentConfig(concept_dims=4).validate(5)
