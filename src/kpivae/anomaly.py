@@ -8,13 +8,12 @@ names the KPI that moved.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .concepts import ConceptModel, assign_concept
-from .data import KPI_NAMES, SequenceWindow, artifact_rows, fmt_float, stack_windows, window_cells
+from .data import KPI_NAMES, N_KPIS, Windows, artifact_rows, fmt_float, group_means, write_csv
 from .errors import ConfigError, ParseError, ValidationError
 from .vae import (
     BATCH_WINDOWS,
@@ -79,7 +78,7 @@ def _floored_std(rows: np.ndarray) -> np.ndarray:
 
 def fit_latent_stats(
     params: VaeParams,
-    windows: list[SequenceWindow],
+    windows: Windows,
     assignment: dict[str, int],
     min_timesteps: int = MIN_CLUSTER_TIMESTEPS,
     encoded: tuple[np.ndarray, np.ndarray] | None = None,
@@ -89,7 +88,7 @@ def fit_latent_stats(
     `encoded` may carry the precomputed `encode_windows` output for `windows`
     to avoid re-encoding.
     """
-    if not windows:
+    if not len(windows):
         raise ValidationError("cannot fit latent stats on zero windows")
     clusters = window_clusters(windows, assignment)
     c = params.latent.concept_dims
@@ -138,40 +137,25 @@ def _flags(z: np.ndarray, threshold: float, symmetric: bool):
     return flagged, names
 
 
-def attribute(report, threshold: float = Z_THRESHOLD, symmetric: bool = False) -> list[str]:
-    """Names of the KPIs responsible for an anomaly, strongest first.
-
-    A KPI is responsible when its Z-score strictly exceeds the threshold;
-    one-sided by default, |z| when symmetric. Accepts an AnomalyReport or a
-    raw Z-score vector.
-    """
-    z = report.zscores if isinstance(report, AnomalyReport) else report
-    z = np.asarray(z, dtype=np.float64)
-    return list(_flags(z[None], threshold, symmetric)[1][0])
-
-
-def resolve_clusters(
-    windows: list[SequenceWindow], model: ConceptModel
-) -> dict[str, int]:
+def resolve_clusters(windows: Windows, model: ConceptModel) -> dict[str, int]:
     """Cluster per element; elements unseen at fit time take the centroid
     nearest to their mean normalized KPI vector over unique dates."""
-    cells = window_cells(windows)
-    values = stack_windows(windows).reshape(len(cells.date), -1)
-    # in cell-id order each element's cells are contiguous, dates ascending
-    bounds = np.searchsorted(cells.element[cells.first], np.arange(len(cells.elements) + 1))
-    out: dict[str, int] = {}
-    for e, eid in enumerate(cells.elements):
-        if eid in model.assignment:
-            out[eid] = model.assignment[eid]
-        else:
-            profile = values[cells.first[bounds[e] : bounds[e + 1]]].mean(axis=0)
-            out[eid] = assign_concept(profile, model)
+    # the first timestep of each cell; in cell order an element's dates ascend
+    first = np.unique(windows.cell, return_index=True)[1]
+    element = windows.element[first // windows.cell.shape[1]]
+    present, cell_element = np.unique(element, return_inverse=True)
+    ids = [windows.elements[e] for e in present.tolist()]
+    new = [i for i, eid in enumerate(ids) if eid not in model.assignment]
+    values = windows.values.reshape(-1, N_KPIS)[first]
+    nearest = assign_concept(group_means(cell_element, values, len(ids))[new], model)
+    out = {eid: model.assignment.get(eid) for eid in ids}
+    out.update(zip([ids[i] for i in new], nearest.tolist()))
     return out
 
 
 def detect(
     params: VaeParams,
-    windows: list[SequenceWindow],
+    windows: Windows,
     model: ConceptModel,
     stats: LatentStats,
     eval_samples: int = 10,
@@ -200,15 +184,15 @@ def detect(
         )
     if any(not 0 <= j < model.k for j in stats.cluster_mean):
         raise ConfigError(f"latent stats name a cluster outside 0..{model.k - 1}")
-    if not windows:
+    if not len(windows):
         return []
-    windows = sorted(windows, key=lambda w: (w.element_id, w.start_date))
+    windows = windows[np.lexsort((windows.start, windows.element))]
     clusters = window_clusters(windows, resolve_clusters(windows, model))
     table = prior_table(model, params.latent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     # kl, loglik and concept-dim mu of every scored timestep
-    x = stack_windows(windows)
+    x = windows.values
     n, length = x.shape[:2]
     kl, ll = np.empty((n, length)), np.empty((n, length))
     mu_c = np.empty((n, length, stats.concept_dims))
@@ -221,8 +205,7 @@ def detect(
         mu_c[b] = mu[..., : stats.concept_dims]
     kl, ll, mu_c = kl.ravel(), ll.ravel(), mu_c.reshape(n * length, -1)
     loss = kl - ll
-    cells = window_cells(windows)
-    cell = cells.cell
+    cell = windows.cell.ravel()
 
     # per cell the highest loss; lexsort is stable, so the earliest scored
     # timestep wins a tie
@@ -241,26 +224,26 @@ def detect(
         rows = cell_cluster == cl
         z[rows] = zscores(stats, cl, mu_c[keep[rows]])
     flagged, attribution = _flags(z, z_threshold, symmetric)
-    reports = []
-    for r, (i, cl) in enumerate(zip(keep.tolist(), cell_cluster.tolist())):
-        w = windows[win[r]]
-        reports.append(
-            AnomalyReport(
-                element_id=w.element_id,
-                date=int(cells.date[i]),
-                cluster=cl,
-                kpis=tuple(w.raw[step[r]].tolist()),
-                loss=float(loss[i]),
-                kl=float(kl[i]),
-                loglik=float(ll[i]),
-                zscores=tuple(z[r].tolist()),
-                flagged=tuple(flagged[r].tolist()),
-                attribution=attribution[r],
-                stats_fallback=cl not in stats.cluster_mean,
-                rank=r + 1,
-            )
+    element_ids = [windows.elements[e] for e in windows.element[win].tolist()]
+    dates = (windows.start[win] + step).tolist()
+    kpis = windows.raw[win, step].tolist()
+    return [
+        AnomalyReport(
+            element_id=element_ids[r],
+            date=dates[r],
+            cluster=cl,
+            kpis=tuple(kpis[r]),
+            loss=float(loss[i]),
+            kl=float(kl[i]),
+            loglik=float(ll[i]),
+            zscores=tuple(z[r].tolist()),
+            flagged=tuple(flagged[r].tolist()),
+            attribution=attribution[r],
+            stats_fallback=cl not in stats.cluster_mean,
+            rank=r + 1,
         )
-    return reports
+        for r, (i, cl) in enumerate(zip(keep.tolist(), cell_cluster.tolist()))
+    ]
 
 
 def report_rows(reports: list[AnomalyReport]):
@@ -277,8 +260,7 @@ def report_rows(reports: list[AnomalyReport]):
 
 
 def save_report(reports: list[AnomalyReport], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(report_rows(reports))
+    write_csv(path, report_rows(reports))
 
 
 def save_latent_stats(stats: LatentStats, path) -> None:

@@ -7,10 +7,12 @@ machine-parsable line to stderr and exit with status 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import anomaly, concepts, data, vae
 from .data import fmt_float
@@ -109,9 +111,12 @@ def _cast(raw: str, cast):
     if cast is bool:
         return _parse_bool(raw)
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise ConfigError(f"bad {cast.__name__} value {raw!r}")
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"float value {raw!r} is not finite")
+    return value
 
 
 def load_config(path) -> dict[str, str]:
@@ -223,13 +228,12 @@ def cmd_concepts(args: argparse.Namespace) -> int:
     quality_path = o.get("out_quality")
     if quality_path:
         report = concepts.cluster_quality(model, profiles)
-        with open(quality_path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(concepts.quality_csv_rows(report))
-    print(f"fitted k={model.k} on {len(profiles)} elements, inertia {fmt_float(model.inertia)}")
+        data.write_csv(quality_path, concepts.quality_csv_rows(report))
+    print(f"fitted k={model.k} on {len(profiles[0])} elements, inertia {fmt_float(model.inertia)}")
     return 0
 
 
-def _load_windows(o: Opts) -> list[data.SequenceWindow]:
+def _load_windows(o: Opts) -> data.Windows:
     records = data.load_records(o.get("data"))
     stats = data.load_norm_stats(o.get("stats"))
     window = o.get("window")
@@ -246,11 +250,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     o = Opts(args, TRAIN_KEYS)
     windows = _load_windows(o)
     model = concepts.load_concept_model(o.get("model"))
-    train_ids, val_ids = split_elements(
-        (w.element_id for w in windows), o.get("val_fraction")
-    )
-    train_w = [w for w in windows if w.element_id in train_ids]
-    val_w = [w for w in windows if w.element_id in val_ids]
+    train_ids, _ = split_elements(windows.elements, o.get("val_fraction"))
+    is_train = np.array([e in train_ids for e in windows.elements])[windows.element]
+    train_w, val_w = windows[is_train], windows[~is_train]
 
     arch = vae.ArchConfig(input_dim=data.N_KPIS, hidden=o.get("hidden"), layers=o.get("layers"))
     latent = vae.LatentConfig(
@@ -269,13 +271,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     history_path = o.get("out_history")
     if history_path:
-        with open(history_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(HISTORY_HEADER)
-            for row in history:
-                writer.writerow(
-                    [row["epoch"]] + [fmt_float(row[k]) for k in HISTORY_HEADER[1:]]
-                )
+        rows = [[h["epoch"]] + [fmt_float(h[k]) for k in HISTORY_HEADER[1:]] for h in history]
+        data.write_csv(history_path, [HISTORY_HEADER] + rows)
     stats_path = o.get("out_latent_stats")
     if stats_path:
         lstats = anomaly.fit_latent_stats(params, train_w, model.assignment)
@@ -295,32 +292,23 @@ def cmd_score(args: argparse.Namespace) -> int:
     params = vae.load_checkpoint(o.get("checkpoint"))
     model = concepts.load_concept_model(o.get("model"))
     lstats = anomaly.load_latent_stats(o.get("latent_stats"))
-    reports = anomaly.detect(
-        params,
-        windows,
-        model,
-        lstats,
-        eval_samples=o.get("eval_samples"),
-        seed=o.get("seed"),
-        loss_floor=o.get("loss_floor"),
-        top_k=o.get("top_k"),
-        z_threshold=o.get("z_threshold"),
-        symmetric=o.get("symmetric"),
-    )
+    # every scoring option is named like the detect argument it sets
+    options = ("eval_samples", "seed", "loss_floor", "top_k", "z_threshold", "symmetric")
+    reports = anomaly.detect(params, windows, model, lstats, **{k: o.get(k) for k in options})
     anomaly.save_report(reports, o.get("out"))
     print(f"reported {len(reports)} timesteps to {o.get('out')}")
     return 0
 
 
-def _svg_scatter(points: list[tuple[int, float, float]], concept_dims: int, path) -> None:
-    """Tiny dependency-free scatter: one panel per concept dim, mu vs KPI value."""
+def _svg_scatter(values: np.ndarray, mu: np.ndarray, path) -> None:
+    """Tiny dependency-free scatter: one panel per concept dim, mu vs KPI value.
+
+    `values` and `mu` are (M, concept_dims), one row per point.
+    """
     panel, pad = 150, 24
+    concept_dims = values.shape[1]
     width = concept_dims * (panel + pad) + pad
     height = panel + 2 * pad
-    by_dim: dict[int, list[tuple[float, float]]] = {d: [] for d in range(concept_dims)}
-    for dim, kpi_value, mu in points:
-        if dim < concept_dims:
-            by_dim[dim].append((kpi_value, mu))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'font-family="monospace" font-size="10">'
@@ -335,15 +323,14 @@ def _svg_scatter(points: list[tuple[int, float, float]], concept_dims: int, path
         parts.append(
             f'<text x="{x0}" y="{y0 - 6}">{data.KPI_NAMES[dim]}</text>'
         )
-        pts = by_dim[dim]
-        if pts:
-            mus = [m for _, m in pts]
-            lo, hi = min(mus), max(mus)
+        if len(values):
+            m = mu[:, dim]
+            lo, hi = m.min(), m.max()
             span = (hi - lo) or 1.0
-            for v, m in pts:
-                px = x0 + v * panel
-                py = y0 + panel - (m - lo) / span * panel
-                parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5"/>')
+            px = x0 + values[:, dim] * panel
+            py = y0 + panel - (m - lo) / span * panel
+            for x, y in zip(px.tolist(), py.tolist()):
+                parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5"/>')
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
@@ -361,31 +348,34 @@ def cmd_export_latent(args: argparse.Namespace) -> int:
     if cluster_filter is not None and not 0 <= cluster_filter < model.k:
         raise ConfigError(f"unknown cluster id {cluster_filter} (model has k={model.k})")
 
-    clusters = anomaly.resolve_clusters(windows, model)
-    cells = data.window_cells(windows)
-    values = data.stack_windows(windows).reshape(len(cells.date), -1)
-    mu, lv = (a.reshape(len(cells.date), -1) for a in vae.encode_windows(params, windows))
-    rows: list[list] = []
-    points: list[tuple[int, float, float]] = []
+    clusters = vae.window_clusters(windows, anomaly.resolve_clusters(windows, model))
     # each (element, date) cell once, at its first timestep in input order
-    for i in sorted(cells.first.tolist()):
-        eid = cells.elements[cells.element[i]]
-        cl = clusters[eid]
-        if cluster_filter is not None and cl != cluster_filter:
-            continue
-        d = int(cells.date[i])
-        for dim in range(n_dims):
-            kpi_value = fmt_float(values[i, dim]) if dim < data.N_KPIS else ""
-            rows.append([eid, d, cl, dim, fmt_float(mu[i, dim]), fmt_float(lv[i, dim]), kpi_value])
-            if dim < data.N_KPIS:
-                points.append((dim, float(values[i, dim]), float(mu[i, dim])))
-    with open(o.get("out"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LATENT_HEADER)
-        writer.writerows(rows)
+    first = np.sort(np.unique(windows.cell, return_index=True)[1])
+    length = windows.cell.shape[1]
+    if cluster_filter is not None:
+        first = first[clusters[first // length] == cluster_filter]
+    win, step = np.divmod(first, length)
+    mu, lv = vae.encode_windows(params, windows)
+    values, mu, lv = windows.values[win, step], mu[win, step], lv[win, step]
+    cells = zip(
+        [windows.elements[e] for e in windows.element[win].tolist()],
+        (windows.start[win] + step).tolist(),
+        clusters[win].tolist(),
+        values.tolist(),
+        mu.tolist(),
+        lv.tolist(),
+    )
+    rows = [
+        [eid, d, cl, dim, fmt_float(m[dim]), fmt_float(v[dim]),
+         fmt_float(x[dim]) if dim < data.N_KPIS else ""]
+        for eid, d, cl, x, m, v in cells
+        for dim in range(n_dims)
+    ]
+    data.write_csv(o.get("out"), [LATENT_HEADER] + rows)
     svg_path = o.get("svg")
     if svg_path:
-        _svg_scatter(points, params.latent.concept_dims, svg_path)
+        c = params.latent.concept_dims
+        _svg_scatter(values[:, :c], mu[:, :c], svg_path)
     print(f"exported {len(rows)} latent rows to {o.get('out')}")
     return 0
 

@@ -9,19 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import KpiRecord, N_KPIS, NormStats, artifact_rows, normalize
+from .data import N_KPIS, NormStats, Records, artifact_rows, group_means, normalize
 from .errors import ParseError, ValidationError
 
 CONCEPTS_TAG = "kpivae-concepts-v1"
 
 LLOYD_MAX_ITER = 100
 LLOYD_TOL = 1e-9
-
-
-@dataclass
-class ElementProfile:
-    element_id: str
-    profile: np.ndarray  # (5,) per-KPI mean in normalized [0, 1] space
 
 
 @dataclass
@@ -33,23 +27,12 @@ class ConceptModel:
     inertia: float
 
 
-def element_profiles(train: list[KpiRecord], stats: NormStats) -> list[ElementProfile]:
-    """Arithmetic mean of each normalized KPI per element, sorted by id."""
-    if not train:
+def element_profiles(train: Records, stats: NormStats) -> tuple[list[str], np.ndarray]:
+    """Sorted element ids and the (M, 5) mean of each element's normalized KPIs."""
+    if not len(train):
         raise ValidationError("cannot build profiles from an empty dataset")
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
-    for r in train:
-        v = normalize(np.asarray(r.kpis), stats)
-        if r.element_id in sums:
-            sums[r.element_id] += v
-            counts[r.element_id] += 1
-        else:
-            sums[r.element_id] = v
-            counts[r.element_id] = 1
-    return [
-        ElementProfile(eid, sums[eid] / counts[eid]) for eid in sorted(sums)
-    ]
+    ids, element = np.unique(np.asarray(train.element_ids, dtype=object), return_inverse=True)
+    return ids.tolist(), group_means(element, normalize(train.kpis, stats), len(ids))
 
 
 def _inertia(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
@@ -101,12 +84,7 @@ def lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nda
         empties = [j for j in range(k) if not (labels == j).any()]
         if empties:
             d2 = ((points - new_centroids[labels]) ** 2).sum(axis=1)
-            taken: set[int] = set()
-            for j in empties:
-                order = np.argsort(-d2, kind="stable")
-                far = next(int(i) for i in order if int(i) not in taken)
-                taken.add(far)
-                new_centroids[j] = points[far]
+            new_centroids[empties] = points[np.argsort(-d2, kind="stable")[: len(empties)]]
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         new_labels = _assign(points, centroids)
@@ -118,17 +96,18 @@ def lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nda
     return centroids, labels, history[-1], history
 
 
-def kmeans_fit(profiles: list[ElementProfile], k: int, seed: int = 0) -> ConceptModel:
-    """Fit k-means on element profiles (k-means++ seeding, Lloyd iteration)."""
+def kmeans_fit(profiles: tuple[list[str], np.ndarray], k: int, seed: int = 0) -> ConceptModel:
+    """Fit k-means on (element ids, profiles) (k-means++ seeding, Lloyd iteration)."""
+    ids, points = profiles
     if k < 1:
         raise ValidationError("k must be >= 1")
-    if k > len(profiles):
-        raise ValidationError(f"k={k} exceeds the number of profiles ({len(profiles)})")
-    points = np.array([p.profile for p in profiles], dtype=np.float64)
+    if k > len(ids):
+        raise ValidationError(f"k={k} exceeds the number of profiles ({len(ids)})")
+    points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed)
     centroids = kmeans_pp_seed(points, k, rng)
     centroids, labels, inertia, _ = lloyd(points, centroids)
-    assignment = {p.element_id: int(labels[i]) for i, p in enumerate(profiles)}
+    assignment = dict(zip(ids, labels.tolist()))
     return ConceptModel(k=k, centroids=centroids, prior_means=None, assignment=assignment, inertia=inertia)
 
 
@@ -143,10 +122,10 @@ def scale_centroids(model: ConceptModel) -> ConceptModel:
     return model
 
 
-def assign_concept(profile: np.ndarray, model: ConceptModel) -> int:
-    """Index of the nearest centroid; ties break toward the lowest index."""
-    d2 = ((model.centroids - np.asarray(profile)) ** 2).sum(axis=1)
-    return int(d2.argmin())
+def assign_concept(profiles: np.ndarray, model: ConceptModel) -> np.ndarray:
+    """Index of the nearest centroid of each (M, 5) profile row; ties break
+    toward the lowest index."""
+    return _assign(np.asarray(profiles, dtype=np.float64), model.centroids)
 
 
 @dataclass
@@ -156,9 +135,9 @@ class QualityReport:
     variances: dict[int, float]  # mean squared distance to centroid
 
 
-def cluster_quality(model: ConceptModel, profiles: list[ElementProfile]) -> QualityReport:
+def cluster_quality(model: ConceptModel, profiles: tuple[list[str], np.ndarray]) -> QualityReport:
     """Per-cluster size and variance plus total inertia, for elbow-style k picks."""
-    points = np.array([p.profile for p in profiles], dtype=np.float64)
+    points = np.asarray(profiles[1], dtype=np.float64)
     labels = _assign(points, model.centroids)
     sizes = {}
     variances = {}

@@ -1,7 +1,7 @@
 """KPI dataset handling: CSV ingest, min-max normalization, windowing, synthesis.
 
-A dataset is a list of :class:`KpiRecord`, one row per network element and day.
-The five KPIs are, in column order: call drop rate (percent), total drops,
+A dataset is one :class:`Records`, one row per network element and day. The
+five KPIs are, in column order: call drop rate (percent), total drops,
 eNodeB drops, MME drops, total call attempts.
 """
 from __future__ import annotations
@@ -9,10 +9,11 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, KpivaeError, ParseError, ValidationError
 
 KPI_NAMES = (
     "call_drop_rate",
@@ -34,13 +35,16 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass(frozen=True)
-class KpiRecord:
-    """One element's daily KPI vector in original units."""
+@dataclass(eq=False)
+class Records:
+    """Daily KPI vectors in original units, one row per element and day."""
 
-    element_id: str
-    date: int  # calendar day ordinal
-    kpis: tuple[float, float, float, float, float]
+    element_ids: np.ndarray  # (N,) str
+    dates: np.ndarray  # (N,) calendar day ordinal
+    kpis: np.ndarray  # (N, 5)
+
+    def __len__(self) -> int:
+        return len(self.dates)
 
 
 @dataclass
@@ -52,63 +56,50 @@ class NormStats:
     degenerate: np.ndarray  # bool per KPI
 
 
-@dataclass
-class SequenceWindow:
-    """A run of `length` consecutive days for one element.
-
-    `values` holds normalized KPIs in [0, 1]; `raw` the original units,
-    kept so reports can show unscaled numbers.
-    """
+@dataclass(frozen=True, eq=False)
+class Window:
+    """One window of a `Windows` set, as iteration and integer indexing give it."""
 
     element_id: str
     start_date: int
-    values: np.ndarray  # (T, 5) in [0, 1]
-    raw: np.ndarray  # (T, 5) original units
+    values: np.ndarray  # (T, 5)
+    raw: np.ndarray  # (T, 5)
 
     @property
     def length(self) -> int:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class WindowCells:
-    """The (element, date) cell of every timestep of a window set.
+@dataclass(eq=False)
+class Windows:
+    """Runs of T consecutive days, one row per window.
 
-    Timesteps are flattened window-major, in input order, like the rows of
-    `stack_windows(windows).reshape(-1, N_KPIS)`. Cell ids order like
-    (element_id, date).
+    `values` holds normalized KPIs in [0, 1]; `raw` the original units, kept
+    so reports can show unscaled numbers. `cell` numbers the (element, date)
+    cell of every timestep; cell ids order like (element_id, date). Indexing
+    by a mask, slice or index array gives a `Windows` that keeps `elements`;
+    an integer gives one `Window`.
     """
 
     elements: list[str]  # sorted element ids, indexed by `element`
-    element: np.ndarray  # (N*T,) element rank
-    date: np.ndarray  # (N*T,) calendar day ordinal
-    cell: np.ndarray  # (N*T,) cell id
-    first: np.ndarray  # first timestep of each cell, in cell-id order
+    element: np.ndarray  # (N,)
+    start: np.ndarray  # (N,) calendar day ordinal of the first timestep
+    values: np.ndarray  # (N, T, 5) in [0, 1]
+    raw: np.ndarray  # (N, T, 5) original units
+    cell: np.ndarray  # (N, T)
 
+    def __len__(self) -> int:
+        return len(self.element)
 
-def _window_length(windows: list[SequenceWindow]) -> int:
-    lengths = {w.length for w in windows}
-    if len(lengths) != 1:
-        raise ValidationError(f"windows have mixed lengths {sorted(lengths)}")
-    return lengths.pop()
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            element_id = self.elements[self.element[index]]
+            return Window(element_id, int(self.start[index]), self.values[index], self.raw[index])
+        fields = (self.element, self.start, self.values, self.raw, self.cell)
+        return Windows(self.elements, *(a[index] for a in fields))
 
-
-def stack_windows(windows: list[SequenceWindow]) -> np.ndarray:
-    """(N, T, 5) normalized values of a window set, which has one length."""
-    _window_length(windows)
-    return np.stack([w.values for w in windows])
-
-
-def window_cells(windows: list[SequenceWindow]) -> WindowCells:
-    """Index every timestep of a window set by its (element, date) cell."""
-    length = _window_length(windows)
-    elements, rank = np.unique([w.element_id for w in windows], return_inverse=True)
-    start = np.array([w.start_date for w in windows])
-    date = (start[:, None] + np.arange(length)).ravel()
-    element = np.repeat(rank, length)
-    cell = element * (date.max() - date.min() + 1) + date - date.min()
-    first = np.unique(cell, return_index=True)[1]
-    return WindowCells(elements.tolist(), element, date, cell, first)
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -156,7 +147,7 @@ class SynthConfig:
                 raise ConfigError("profiles need one mean/scale per KPI")
 
 
-def _parse_date(token: str, line_no: int) -> int:
+def _parse_date(token: str, line_no: int | None = None) -> int:
     token = token.strip()
     try:
         return int(token)
@@ -200,17 +191,32 @@ def csv_rows(path, header: list[str]):
         yield line_no, row
 
 
-def load_records(path) -> list[KpiRecord]:
+def load_records(path) -> Records:
     """Parse the canonical CSV schema into records, preserving row order.
 
     Raises ParseError with the line number for malformed rows, ValidationError
     for negative KPIs or duplicate (element_id, date) pairs.
     """
-    records: list[KpiRecord] = []
+    rows = (row for _, row in csv_rows(path, CSV_HEADER))
+    ids, dates, *kpis = list(zip(*rows)) or [()] * len(CSV_HEADER)
+    try:
+        # one column after another, so the KPI strings are freed before the key set
+        kpis = np.fromiter(map(float, chain.from_iterable(kpis)), np.float64).reshape(N_KPIS, -1).T
+        dates = list(map(_parse_date, dates))
+        unique = len(set(zip(ids, dates))) == len(dates)
+        if unique and np.isfinite(kpis).all() and (kpis >= 0).all():
+            return Records(np.array(ids, dtype=object), np.array(dates, dtype=np.int64), kpis)
+    except (KpivaeError, ValueError, OverflowError):
+        pass
+    # the first bad row decides the error, so read row by row to name it
+    _raise_first_bad_row(csv_rows(path, CSV_HEADER))
+
+
+def _raise_first_bad_row(lines) -> None:
+    """Raise the error of the first bad row, reading row by row."""
     seen: set[tuple[str, int]] = set()
-    for line_no, row in csv_rows(path, CSV_HEADER):
-        element_id = row[0]
-        date = _parse_date(row[1], line_no)
+    for line_no, row in lines:
+        key = (row[0], _parse_date(row[1], line_no))
         try:
             kpis = tuple(float(v) for v in row[2:7])
         except ValueError:
@@ -220,20 +226,21 @@ def load_records(path) -> list[KpiRecord]:
                 raise ValidationError(f"line {line_no}: {name} is not finite")
             if v < 0:
                 raise ValidationError(f"line {line_no}: {name} is negative ({v})")
-        key = (element_id, date)
         if key in seen:
             raise ValidationError(f"line {line_no}: duplicate (element_id, date) {key}")
         seen.add(key)
-        records.append(KpiRecord(element_id, date, kpis))
-    return records
+    raise ParseError("a date does not fit in 64 bits")
 
 
-def save_records(records: list[KpiRecord], path) -> None:
+def write_csv(path, rows) -> None:
+    """Write an iterable of rows, header first, as CSV with LF line ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in records:
-            writer.writerow([r.element_id, r.date] + [fmt_float(v) for v in r.kpis])
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def save_records(records: Records, path) -> None:
+    rows = zip(records.element_ids.tolist(), records.dates.tolist(), records.kpis.tolist())
+    write_csv(path, chain([CSV_HEADER], ([e, d] + [fmt_float(v) for v in k] for e, d, k in rows)))
 
 
 def load_labels(path) -> list[AnomalyLabel]:
@@ -248,23 +255,19 @@ def load_labels(path) -> list[AnomalyLabel]:
 
 
 def save_labels(labels: list[AnomalyLabel], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(LABEL_HEADER)
-        for lab in labels:
-            writer.writerow([lab.element_id, lab.date, lab.kpi_index])
+    rows = ([lab.element_id, lab.date, lab.kpi_index] for lab in labels)
+    write_csv(path, chain([LABEL_HEADER], rows))
 
 
-def fit_normalization(train: list[KpiRecord]) -> NormStats:
+def fit_normalization(train: Records) -> NormStats:
     """Per-KPI min/max over the training records.
 
     Constant columns are flagged degenerate; normalize() maps them to 0.
     """
-    if not train:
+    if not len(train):
         raise ValidationError("cannot fit normalization on an empty dataset")
-    values = np.array([r.kpis for r in train], dtype=np.float64)
-    mins = values.min(axis=0)
-    maxs = values.max(axis=0)
+    mins = train.kpis.min(axis=0)
+    maxs = train.kpis.max(axis=0)
     return NormStats(mins=mins, maxs=maxs, degenerate=(mins == maxs))
 
 
@@ -274,6 +277,15 @@ def normalize(kpis, stats: NormStats) -> np.ndarray:
     span = np.where(stats.degenerate, 1.0, stats.maxs - stats.mins)
     out = np.clip((v - stats.mins) / span, 0.0, 1.0)
     return np.where(stats.degenerate, 0.0, out)
+
+
+def group_means(group: np.ndarray, rows: np.ndarray, n_groups: int) -> np.ndarray:
+    """(n_groups, D) mean of the rows of each group, each summed in row order,
+    so that it equals `rows[group == g].mean(axis=0)` bit for bit."""
+    # -0.0 is the additive identity, so each sum starts at its group's first row
+    sums = np.full((n_groups, rows.shape[1]), -0.0)
+    np.add.at(sums, group, rows)
+    return sums / np.bincount(group, minlength=n_groups)[:, None]
 
 
 def save_norm_stats(stats: NormStats, path) -> None:
@@ -321,46 +333,42 @@ def load_norm_stats(path) -> NormStats:
 
 
 def window_sequences(
-    records: list[KpiRecord],
+    records: Records,
     length: int,
     stride: int = 1,
     stats: NormStats | None = None,
-) -> list[SequenceWindow]:
+) -> Windows:
     """Slice each element's consecutive-date runs into fixed-length windows.
 
     Runs shorter than `length` yield nothing; no padding is ever applied.
-    Windows are returned sorted by (element_id, start_date).
+    Windows are sorted by (element_id, start_date), and `elements` lists the
+    elements that have windows.
     """
     if length < 1 or stride < 1:
         raise ConfigError("length and stride must be >= 1")
-    by_element: dict[str, list[KpiRecord]] = {}
-    for r in records:
-        by_element.setdefault(r.element_id, []).append(r)
-    windows: list[SequenceWindow] = []
-    for element_id in sorted(by_element):
-        rows = sorted(by_element[element_id], key=lambda r: r.date)
-        run: list[KpiRecord] = []
-        runs: list[list[KpiRecord]] = []
-        for r in rows:
-            if run and r.date != run[-1].date + 1:
-                runs.append(run)
-                run = []
-            run.append(r)
-        if run:
-            runs.append(run)
-        for run in runs:
-            raw = np.array([r.kpis for r in run], dtype=np.float64)
-            norm = normalize(raw, stats) if stats is not None else raw
-            for start in range(0, len(run) - length + 1, stride):
-                windows.append(
-                    SequenceWindow(
-                        element_id=element_id,
-                        start_date=run[start].date,
-                        values=norm[start : start + length].copy(),
-                        raw=raw[start : start + length].copy(),
-                    )
-                )
-    return windows
+    ids, element = np.unique(np.asarray(records.element_ids, dtype=object), return_inverse=True)
+    order = np.lexsort((records.dates, element))
+    element, date, raw = element[order], records.dates[order], records.kpis[order]
+    values = normalize(raw, stats) if stats is not None else raw
+    # day step from the previous row of the same element, -1 where one starts
+    step = np.full(len(date), -1)
+    same = element[1:] == element[:-1]
+    step[1:][same] = np.diff(date)[same]
+    run_start = np.flatnonzero(step != 1)
+    run = np.cumsum(step != 1) - 1
+    run_end = np.append(run_start[1:], len(date))[run]
+    row = np.arange(len(date))
+    starts = np.flatnonzero(((row - run_start[run]) % stride == 0) & (row + length <= run_end))
+    rows = starts[:, None] + np.arange(length)
+    present, window_element = np.unique(element[starts], return_inverse=True)
+    return Windows(
+        elements=ids[present].tolist(),
+        element=window_element,
+        start=date[starts],
+        values=values[rows],
+        raw=raw[rows],
+        cell=(np.cumsum(step != 0) - 1)[rows],
+    )
 
 
 def _permutation(k: int, salt: int) -> list[int]:
@@ -426,33 +434,22 @@ def _inject(kpis: tuple, kpi_index: int, magnitude: float) -> tuple:
     cdr, td, enb, mme, att = kpis
     if kpi_index == 4:
         att = att * magnitude
-        cdr = 100.0 * td / max(att, 1.0)
-    elif kpi_index == 2:
-        enb = enb * magnitude
+    elif kpi_index in (2, 3):
+        enb, mme = (enb * magnitude, mme) if kpi_index == 2 else (enb, mme * magnitude)
         td = enb + mme
-        cdr = 100.0 * td / max(att, 1.0)
-    elif kpi_index == 3:
-        mme = mme * magnitude
-        td = enb + mme
-        cdr = 100.0 * td / max(att, 1.0)
-    elif kpi_index == 1:
+    elif kpi_index in (0, 1):
         new_td = td * magnitude
         enb = enb * magnitude
         mme = new_td - enb  # keeps the sum identity exact
         td = new_td
-        cdr = 100.0 * td / max(att, 1.0)
-    elif kpi_index == 0:
-        new_td = td * magnitude
-        enb = enb * magnitude
-        mme = new_td - enb
-        td = new_td
-        cdr = cdr * magnitude  # assigned directly: label contract is bit-exact
     else:
         raise ConfigError(f"kpi_index out of range: {kpi_index}")
+    # the drop rate is assigned directly when labeled: the contract is bit-exact
+    cdr = cdr * magnitude if kpi_index == 0 else 100.0 * td / max(att, 1.0)
     return (cdr, td, enb, mme, att)
 
 
-def synth_generate(config: SynthConfig) -> tuple[list[KpiRecord], list[AnomalyLabel]]:
+def synth_generate(config: SynthConfig) -> tuple[Records, list[AnomalyLabel]]:
     """Draw a synthetic KPI dataset plus ground-truth anomaly labels.
 
     Each element follows one cluster profile (round-robin assignment). Drops
@@ -468,23 +465,20 @@ def synth_generate(config: SynthConfig) -> tuple[list[KpiRecord], list[AnomalyLa
     rng = np.random.default_rng(draw_ss)
 
     k = len(config.cluster_profiles)
-    records: list[KpiRecord] = []
+    columns = []  # per element the five KPI columns, each one value per day
     for e in range(config.element_count):
         profile = config.cluster_profiles[e % k]
-        element_id = f"el{e:04d}"
         enb = np.maximum(0.0, np.round(rng.normal(profile.means[2], profile.scales[2], config.days)))
         mme = np.maximum(0.0, np.round(rng.normal(profile.means[3], profile.scales[3], config.days)))
         att = np.maximum(1.0, np.round(rng.normal(profile.means[4], profile.scales[4], config.days)))
         td = enb + mme
-        cdr = 100.0 * td / np.maximum(att, 1.0)
-        for d in range(config.days):
-            records.append(
-                KpiRecord(
-                    element_id,
-                    d + 1,
-                    (cdr[d], td[d], enb[d], mme[d], att[d]),
-                )
-            )
+        columns.append((100.0 * td / np.maximum(att, 1.0), td, enb, mme, att))
+    ids = [f"el{e:04d}" for e in range(config.element_count)]
+    records = Records(
+        element_ids=np.repeat(np.array(ids, dtype=object), config.days),
+        dates=np.tile(np.arange(1, config.days + 1), config.element_count),
+        kpis=np.array(columns).transpose(0, 2, 1).reshape(-1, N_KPIS),
+    )
 
     labels: list[AnomalyLabel] = []
     n_cells = config.element_count * config.days
@@ -492,13 +486,10 @@ def synth_generate(config: SynthConfig) -> tuple[list[KpiRecord], list[AnomalyLa
     if n_anom > 0:
         rng_inject = np.random.default_rng(inject_ss)
         cells = np.sort(rng_inject.choice(n_cells, size=n_anom, replace=False))
-        for cell in cells:
-            idx = int(cell)
-            rec = records[idx]
-            positive = [i for i in range(N_KPIS) if rec.kpis[i] > 0]
+        for idx in cells.tolist():
+            positive = np.flatnonzero(records.kpis[idx] > 0)
             kpi_index = int(positive[rng_inject.integers(len(positive))])
-            records[idx] = KpiRecord(
-                rec.element_id, rec.date, _inject(rec.kpis, kpi_index, config.anomaly_magnitude)
-            )
-            labels.append(AnomalyLabel(rec.element_id, rec.date, kpi_index))
+            kpis = tuple(records.kpis[idx])
+            records.kpis[idx] = _inject(kpis, kpi_index, config.anomaly_magnitude)
+            labels.append(AnomalyLabel(ids[idx // config.days], idx % config.days + 1, kpi_index))
     return records, labels

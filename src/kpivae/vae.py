@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .concepts import ConceptModel
-from .data import N_KPIS, SequenceWindow, stack_windows
+from .data import N_KPIS, Windows
 from .errors import (
     ConfigError,
     MissingArtifactError,
@@ -68,7 +68,7 @@ class LatentConfig:
             )
         if self.free_dims < 0:
             raise ConfigError("free_dims must be >= 0")
-        if self.prior_std <= 0:
+        if not self.prior_std > 0:
             raise ConfigError("prior_std must be positive")
 
 
@@ -95,7 +95,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, max_epochs and patience must be >= 1")
@@ -108,34 +108,22 @@ class VaeParams:
     tensors: dict[str, np.ndarray]
     seed: int
 
-    @property
-    def n_params(self) -> int:
-        return sum(int(v.size) for v in self.tensors.values())
-
     def copy_tensors(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.tensors.items()}
 
 
-@dataclass
-class PriorSpec:
-    """Latent prior: concept dims at the cluster's scaled centroid, free dims
-    standard normal. `mean` is one (total,) row or a (k, total) table."""
-
-    mean: np.ndarray
-    std: float
-    concept_dims: int
-
-    def validate(self) -> None:
-        if self.std <= 0:
-            raise ConfigError("prior std must be positive")
-        if not np.isfinite(self.mean).all():
-            raise ValidationError("prior means must be finite")
-        head = self.mean[..., : self.concept_dims]
-        tail = self.mean[..., self.concept_dims :]
-        if head.size and (head.min() < -1.0 - 1e-12 or head.max() > 1.0 + 1e-12):
-            raise ValidationError("concept-dim prior means must lie in [-1, 1]")
-        if tail.size and np.any(tail != 0.0):
-            raise ValidationError("free-dim prior means must be exactly 0")
+def validate_prior(mean: np.ndarray, std: float, concept_dims: int) -> None:
+    """Check a latent prior: concept dims at a scaled centroid in [-1, 1],
+    free dims standard normal. `mean` is one (total,) row or a (k, total) table."""
+    if not std > 0:
+        raise ConfigError("prior std must be positive")
+    if not np.isfinite(mean).all():
+        raise ValidationError("prior means must be finite")
+    head, tail = mean[..., :concept_dims], mean[..., concept_dims:]
+    if head.size and (head.min() < -1.0 - 1e-12 or head.max() > 1.0 + 1e-12):
+        raise ValidationError("concept-dim prior means must lie in [-1, 1]")
+    if tail.size and np.any(tail != 0.0):
+        raise ValidationError("free-dim prior means must be exactly 0")
 
 
 def prior_table(model: ConceptModel, latent: LatentConfig) -> np.ndarray:
@@ -144,16 +132,17 @@ def prior_table(model: ConceptModel, latent: LatentConfig) -> np.ndarray:
         raise ValidationError("concept model has no prior_means; run scale_centroids")
     table = np.zeros((len(model.prior_means), latent.total))
     table[:, : latent.concept_dims] = model.prior_means
-    PriorSpec(mean=table, std=latent.prior_std, concept_dims=latent.concept_dims).validate()
+    validate_prior(table, latent.prior_std, latent.concept_dims)
     return table
 
 
-def window_clusters(windows: list[SequenceWindow], assignment: dict[str, int]) -> np.ndarray:
+def window_clusters(windows: Windows, assignment: dict[str, int]) -> np.ndarray:
     """Cluster id of each window's element; every element must be assigned."""
-    missing = sorted({w.element_id for w in windows if w.element_id not in assignment})
+    present = [windows.elements[e] for e in np.unique(windows.element).tolist()]
+    missing = [e for e in present if e not in assignment]
     if missing:
         raise ValidationError("elements without a cluster assignment: " + ", ".join(missing))
-    return np.array([assignment[w.element_id] for w in windows], dtype=int)
+    return np.array([assignment.get(e, -1) for e in windows.elements], dtype=int)[windows.element]
 
 
 def _nets(arch: ArchConfig, latent: LatentConfig):
@@ -197,13 +186,9 @@ def init_params(
 
 
 def _layer(params: VaeParams, key: str) -> dict[str, np.ndarray]:
-    t = params.tensors
-    return {"Wx": t[f"{key}.Wx"], "Wh": t[f"{key}.Wh"], "b": t[f"{key}.b"]}
-
-
-def _head(params: VaeParams, key: str) -> dict[str, np.ndarray]:
-    t = params.tensors
-    return {"W": t[f"{key}.W"], "b": t[f"{key}.b"]}
+    """The tensors of one LSTM layer or head, named without the `key.` prefix."""
+    prefix = key + "."
+    return {k[len(prefix) :]: v for k, v in params.tensors.items() if k.startswith(prefix)}
 
 
 def _check_finite(what: str, mean: np.ndarray, logvar: np.ndarray) -> None:
@@ -224,7 +209,7 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool):
         h, cache = lstm_forward(h, _layer(params, f"{net}{i}"))
         if want_cache:
             caches.append(cache)
-    raw, head_cache = linear_forward(h, _head(params, f"{net}_head"))
+    raw, head_cache = linear_forward(h, _layer(params, f"{net}_head"))
     half = raw.shape[-1] // 2
     mean, lv_raw = raw[..., :half], raw[..., half:]
     lv = np.clip(lv_raw, arch.logvar_lo, arch.logvar_hi)
@@ -251,7 +236,7 @@ def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads) 
     logvar; stores the tensor gradients in `grads`, returns the input gradient."""
     layer_caches, head_cache, mask = caches
     draw = np.concatenate([dmean, dlogvar * mask], axis=-1)
-    dh, head_grads = linear_backward(draw, head_cache, _head(params, f"{net}_head"))
+    dh, head_grads = linear_backward(draw, head_cache, _layer(params, f"{net}_head"))
     for k, v in head_grads.items():
         grads[f"{net}_head.{k}"] = v
     for i in range(params.arch.layers - 1, -1, -1):
@@ -261,12 +246,10 @@ def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads) 
     return dh
 
 
-def encode_windows(
-    params: VaeParams, windows: list[SequenceWindow]
-) -> tuple[np.ndarray, np.ndarray]:
+def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
     """(mu, logvar), each (N, T, total), encoded BATCH_WINDOWS windows at a
     time in input order."""
-    x = stack_windows(windows)
+    x = windows.values
     # outputs are joined after the last chunk, not preallocated, so they do
     # not add to the peak memory of the forward passes
     parts = [
@@ -384,8 +367,8 @@ def train_step(
 
 
 def train(
-    train_windows: list[SequenceWindow],
-    val_windows: list[SequenceWindow],
+    train_windows: Windows,
+    val_windows: Windows,
     concept_model: ConceptModel,
     config: TrainConfig,
     arch: ArchConfig | None = None,
@@ -399,9 +382,9 @@ def train(
     epochs so successive epochs are compared on common random numbers.
     """
     config.validate()
-    if not train_windows:
+    if not len(train_windows):
         raise ValidationError("training set is empty")
-    if not val_windows:
+    if not len(val_windows):
         raise ValidationError("validation set is empty; cannot early-stop")
     arch = arch or ArchConfig()
     latent = latent or LatentConfig()
@@ -414,9 +397,9 @@ def train(
     rng_val = np.random.default_rng(val_ss)
 
     table = prior_table(concept_model, latent)
-    x_train = stack_windows(train_windows)
+    x_train = train_windows.values
     p_train = table[window_clusters(train_windows, concept_model.assignment)]
-    x_val = stack_windows(val_windows)
+    x_val = val_windows.values
     p_val = table[window_clusters(val_windows, concept_model.assignment)]
     val_eps = rng_val.standard_normal((1,) + x_val.shape[:2] + (latent.total,))
 

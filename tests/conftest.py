@@ -1,5 +1,6 @@
 import types
 
+import numpy as np
 import pytest
 
 from kpivae import cli, concepts, data, vae
@@ -25,8 +26,8 @@ def tiny_pipeline():
     model = concepts.scale_centroids(concepts.kmeans_fit(eprofiles, 2, seed=0))
     windows = data.window_sequences(records, 20, stride=20, stats=stats)
     train_ids, val_ids = cli.split_elements([w.element_id for w in windows], 0.2)
-    train_w = [w for w in windows if w.element_id in train_ids]
-    val_w = [w for w in windows if w.element_id in val_ids]
+    is_train = np.array([w.element_id in train_ids for w in windows])
+    train_w, val_w = windows[is_train], windows[~is_train]
     arch = vae.ArchConfig(hidden=12)
     latent = vae.LatentConfig()
     tcfg = vae.TrainConfig(batch_size=8, max_epochs=120, patience=120, seed=3)

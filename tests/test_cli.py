@@ -316,7 +316,24 @@ def corrupt_token(src, dst, prefix, index, token):
     return n + 1
 
 
+FLOAT_FLAGS = [
+    (name, key)
+    for name, table in (("synth", cli.SYNTH_KEYS), ("train", cli.TRAIN_KEYS), ("score", cli.SCORE_KEYS))
+    for key, (_, cast) in table.items()
+    if cast is float
+]
+
+
 class TestMalformedInputs:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, key", FLOAT_FLAGS)
+    def test_non_finite_float_flag(self, capsys, command, key, value):
+        assert run([command, f"{cli._flag(key)}={value}"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "not finite" in lines[0]
+
     @pytest.mark.parametrize(
         "artifact, flag, prefix, index, token",
         [
@@ -461,6 +478,17 @@ class TestMalformedInputs:
         assert code == 2
         assert "input_dim" in capsys.readouterr().err
 
+    def test_checkpoint_nan_prior_std(self, pipeline, tmp_path, capsys):
+        def nan_prior(header):
+            header["latent"]["prior_std"] = float("nan")
+
+        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", nan_prior)
+        assert b'"prior_std": NaN' in (tmp_path / "bad.bin").read_bytes()
+        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "prior_std" in err
+        assert not (tmp_path / "report.csv").exists()
+
     def test_concept_model_without_clusters(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "model.txt"
         bad.write_text(f"{concepts.CONCEPTS_TAG}\nk 0\ninertia 0.0\n")
@@ -495,41 +523,55 @@ class TestArgparseErrors:
 
 
 def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
-    """`score` and `train` write the same bytes at 1 and 2 BLAS threads.
+    """`concepts`, `score`, `train` and `export-latent` write the same bytes at
+    1 and 2 BLAS threads and under two hash seeds.
 
     Training forms dWx and dWh as single GEMMs whose inner dimension is B*T.
     Hidden 32 puts those GEMMs above OpenBLAS's size threshold for threading,
-    which hidden 6 or 8 on this data would not reach.
+    which hidden 6 or 8 on this data would not reach. The hash seed would show
+    any output that follows the iteration order of a set or a str-keyed dict.
     """
     src = Path(cli.__file__).resolve().parents[1]
-    inputs = [
-        "--data", str(pipeline["data"]), "--model", str(pipeline["model"]),
-        "--stats", str(pipeline["stats"]), "--window", "10", "--seed", "0",
+    data_arg = ["--data", str(pipeline["data"])]
+    inputs = data_arg + [
+        "--model", str(pipeline["model"]), "--stats", str(pipeline["stats"]), "--window", "10",
     ]
     outputs = []
-    for threads in ("1", "2"):
+    for threads, hash_seed in (("1", "0"), ("2", "1")):
         out = tmp_path / threads
         out.mkdir()
-        env = dict(os.environ, PYTHONPATH=str(src))
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
         env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         for argv in (
             [
-                "score", "--checkpoint", str(pipeline["ckpt"]),
-                "--latent-stats", str(pipeline["lstats"]), "--out", str(out / "report.csv"),
-                "--eval-samples", "2",
+                "concepts", *data_arg, "--k", "2", "--seed", "0",
+                "--out-model", str(out / "model.txt"), "--out-stats", str(out / "stats.txt"),
+                "--out-quality", str(out / "quality.csv"),
             ],
             [
-                "train", "--out-checkpoint", str(out / "model.bin"),
+                "score", *inputs, "--checkpoint", str(pipeline["ckpt"]),
+                "--latent-stats", str(pipeline["lstats"]), "--out", str(out / "report.csv"),
+                "--eval-samples", "2", "--seed", "0",
+            ],
+            [
+                "train", *inputs, "--out-checkpoint", str(out / "model.bin"),
                 "--out-history", str(out / "history.csv"), "--hidden", "32",
-                "--max-epochs", "2", "--patience", "2", "--val-fraction", "0.2",
+                "--max-epochs", "2", "--patience", "2", "--val-fraction", "0.2", "--seed", "0",
+            ],
+            [
+                "export-latent", *inputs, "--checkpoint", str(pipeline["ckpt"]),
+                "--stride", "5", "--out", str(out / "latent.csv"), "--svg", str(out / "latent.svg"),
             ],
         ):
             subprocess.run(
-                [sys.executable, "-m", "kpivae.cli", *argv, *inputs],
+                [sys.executable, "-m", "kpivae.cli", *argv],
                 env=env, check=True, capture_output=True, timeout=300,
             )
         outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-    assert sorted(outputs[0]) == ["history.csv", "model.bin", "report.csv"]
+    assert sorted(outputs[0]) == [
+        "history.csv", "latent.csv", "latent.svg", "model.bin", "model.txt", "quality.csv",
+        "report.csv", "stats.txt",
+    ]
     assert outputs[0] == outputs[1]
 
 

@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import oracles
 from kpivae import concepts, data
 from kpivae.errors import ValidationError
 
 
 def profiles_from(points):
-    return [
-        concepts.ElementProfile(element_id=f"e{i:02d}", profile=np.asarray(p, dtype=np.float64))
-        for i, p in enumerate(points)
-    ]
+    return [f"e{i:02d}" for i in range(len(points))], np.asarray(points, dtype=np.float64)
 
 
 def exhaustive_best_inertia(points, k):
@@ -34,25 +32,25 @@ def exhaustive_best_inertia(points, k):
 
 class TestElementProfiles:
     def test_mean_of_normalized_days(self):
-        recs = [
-            data.KpiRecord("A", 1, (0.0, 0.0, 0.0, 0.0, 0.0)),
-            data.KpiRecord("A", 2, (10.0, 4.0, 2.0, 2.0, 100.0)),
-            data.KpiRecord("B", 1, (10.0, 4.0, 2.0, 2.0, 100.0)),
-        ]
+        recs = oracles.records([
+            oracles.KpiRecord("A", 1, (0.0, 0.0, 0.0, 0.0, 0.0)),
+            oracles.KpiRecord("A", 2, (10.0, 4.0, 2.0, 2.0, 100.0)),
+            oracles.KpiRecord("B", 1, (10.0, 4.0, 2.0, 2.0, 100.0)),
+        ])
         stats = data.fit_normalization(recs)
-        profs = concepts.element_profiles(recs, stats)
-        assert [p.element_id for p in profs] == ["A", "B"]
-        assert np.allclose(profs[0].profile, 0.5)
-        assert np.allclose(profs[1].profile, 1.0)
+        ids, profs = concepts.element_profiles(recs, stats)
+        assert ids == ["A", "B"]
+        assert np.allclose(profs[0], 0.5)
+        assert np.allclose(profs[1], 1.0)
 
     def test_single_day_profile_is_that_day(self):
-        recs = [
-            data.KpiRecord("A", 1, (1.0, 2.0, 1.0, 1.0, 10.0)),
-            data.KpiRecord("B", 1, (3.0, 6.0, 3.0, 3.0, 30.0)),
-        ]
+        recs = oracles.records([
+            oracles.KpiRecord("A", 1, (1.0, 2.0, 1.0, 1.0, 10.0)),
+            oracles.KpiRecord("B", 1, (3.0, 6.0, 3.0, 3.0, 30.0)),
+        ])
         stats = data.fit_normalization(recs)
-        profs = concepts.element_profiles(recs, stats)
-        assert np.array_equal(profs[0].profile, data.normalize(recs[0].kpis, stats))
+        _, profs = concepts.element_profiles(recs, stats)
+        assert np.array_equal(profs[0], data.normalize(recs.kpis[0], stats))
 
 
 class TestKmeans:
@@ -86,8 +84,8 @@ class TestKmeans:
             [[0.1] * 5, [0.12] * 5, [0.5] * 5, [0.52] * 5, [0.9] * 5, [0.88] * 5]
         )
         def groups(order):
-            profs = profiles_from(pts)
-            shuffled = [profs[i] for i in order]
+            ids, points = profiles_from(pts)
+            shuffled = ([ids[i] for i in order], points[list(order)])
             model = concepts.kmeans_fit(shuffled, 3, seed=4)
             byc = {}
             for eid, c in model.assignment.items():
@@ -132,9 +130,9 @@ class TestKmeans:
         pts = rng.uniform(size=(15, 5))
         profs = profiles_from(pts)
         model = concepts.kmeans_fit(profs, 4, seed=1)
-        for p in profs:
-            d2 = ((model.centroids - p.profile) ** 2).sum(axis=1)
-            assert model.assignment[p.element_id] == int(d2.argmin())
+        for element_id, profile in zip(*profs):
+            d2 = ((model.centroids - profile) ** 2).sum(axis=1)
+            assert model.assignment[element_id] == int(d2.argmin())
 
 
 class TestScalingAndAssign:
@@ -180,14 +178,13 @@ class TestScalingAndAssign:
             assignment={},
             inertia=0.0,
         )
-        assert concepts.assign_concept(np.full(5, 0.5), model) == 0
+        assert concepts.assign_concept(np.full((1, 5), 0.5), model).tolist() == [0]
 
     def test_exact_centroid_assigns_to_it(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(size=(9, 5))
         model = concepts.kmeans_fit(profiles_from(pts), 3, seed=2)
-        for j in range(3):
-            assert concepts.assign_concept(model.centroids[j], model) == j
+        assert concepts.assign_concept(model.centroids, model).tolist() == [0, 1, 2]
 
 
 class TestQualityAndPersistence:
@@ -212,7 +209,7 @@ class TestQualityAndPersistence:
         profs = profiles_from(pts)
         model = concepts.kmeans_fit(profs, 2, seed=3)
         a = concepts.cluster_quality(model, profs)
-        b = concepts.cluster_quality(model, list(reversed(profs)))
+        b = concepts.cluster_quality(model, (profs[0][::-1], profs[1][::-1]))
         assert a.sizes == b.sizes
         assert a.inertia == pytest.approx(b.inertia)
 

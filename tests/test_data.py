@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from kpivae import data
+from kpivae import concepts, data
 from kpivae.errors import ConfigError, ParseError, ValidationError
+
+KpiRecord = oracles.KpiRecord
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -22,19 +24,19 @@ class TestLoadRecords:
         p = write(tmp_path, HEADER + "A,1,28.82,100,1,99,446\n")
         recs = data.load_records(p)
         assert len(recs) == 1
-        assert recs[0].element_id == "A"
-        assert recs[0].date == 1
-        assert recs[0].kpis == (28.82, 100.0, 1.0, 99.0, 446.0)
+        assert recs.element_ids[0] == "A"
+        assert recs.dates[0] == 1
+        assert tuple(recs.kpis[0]) == (28.82, 100.0, 1.0, 99.0, 446.0)
 
     def test_empty_body_gives_empty_dataset(self, tmp_path):
         p = write(tmp_path, HEADER)
-        assert data.load_records(p) == []
+        assert len(data.load_records(p)) == 0
 
     def test_iso_dates_become_ordinals(self, tmp_path):
         p = write(tmp_path, HEADER + "A,2020-01-05,1,2,1,1,10\n")
         import datetime
 
-        assert data.load_records(p)[0].date == datetime.date(2020, 1, 5).toordinal()
+        assert data.load_records(p).dates[0] == datetime.date(2020, 1, 5).toordinal()
 
     def test_bad_header_names_line_one(self, tmp_path):
         p = write(tmp_path, "element,day\nA,1,1,2,1,1,10\n")
@@ -66,34 +68,34 @@ class TestLoadRecords:
         records, _ = data.synth_generate(cfg)
         p = tmp_path / "rt.csv"
         data.save_records(records, p)
-        assert data.load_records(p) == records
+        assert oracles.records_equal(data.load_records(p), records)
 
 
 class TestNormalization:
     def test_min_max_per_column(self):
         recs = [
-            data.KpiRecord("A", 1, (0.0, 2.0, 1.0, 1.0, 10.0)),
-            data.KpiRecord("A", 2, (5.0, 4.0, 2.0, 2.0, 30.0)),
-            data.KpiRecord("A", 3, (10.0, 2.0, 3.0, 3.0, 20.0)),
+            KpiRecord("A", 1, (0.0, 2.0, 1.0, 1.0, 10.0)),
+            KpiRecord("A", 2, (5.0, 4.0, 2.0, 2.0, 30.0)),
+            KpiRecord("A", 3, (10.0, 2.0, 3.0, 3.0, 20.0)),
         ]
-        stats = data.fit_normalization(recs)
+        stats = data.fit_normalization(oracles.records(recs))
         assert stats.mins[0] == 0.0 and stats.maxs[0] == 10.0
         assert stats.mins[4] == 10.0 and stats.maxs[4] == 30.0
         assert not stats.degenerate.any()
 
     def test_degenerate_column_flagged_and_maps_to_zero(self):
         recs = [
-            data.KpiRecord("A", 1, (3.0, 2.0, 1.0, 1.0, 10.0)),
-            data.KpiRecord("A", 2, (3.0, 4.0, 2.0, 2.0, 30.0)),
+            KpiRecord("A", 1, (3.0, 2.0, 1.0, 1.0, 10.0)),
+            KpiRecord("A", 2, (3.0, 4.0, 2.0, 2.0, 30.0)),
         ]
-        stats = data.fit_normalization(recs)
+        stats = data.fit_normalization(oracles.records(recs))
         assert stats.degenerate[0]
         out = data.normalize((3.0, 2.0, 1.0, 1.0, 10.0), stats)
         assert out[0] == 0.0
 
     def test_empty_fit_errors(self):
         with pytest.raises(ValidationError):
-            data.fit_normalization([])
+            data.fit_normalization(oracles.records([]))
 
     def test_boundary_and_midpoint(self):
         stats = data.NormStats(
@@ -122,10 +124,10 @@ class TestNormalization:
 
     def test_stats_round_trip(self, tmp_path):
         recs = [
-            data.KpiRecord("A", 1, (0.1, 2.0, 1.0, 1.0, 10.0)),
-            data.KpiRecord("A", 2, (5.3, 2.0, 2.0, 2.0, 30.0)),
+            KpiRecord("A", 1, (0.1, 2.0, 1.0, 1.0, 10.0)),
+            KpiRecord("A", 2, (5.3, 2.0, 2.0, 2.0, 30.0)),
         ]
-        stats = data.fit_normalization(recs)
+        stats = data.fit_normalization(oracles.records(recs))
         p = tmp_path / "stats.txt"
         data.save_norm_stats(stats, p)
         loaded = data.load_norm_stats(p)
@@ -136,55 +138,53 @@ class TestNormalization:
 
 def make_run(element_id, start, n):
     return [
-        data.KpiRecord(element_id, start + i, (1.0, 2.0, 1.0, 1.0, float(10 + i)))
+        KpiRecord(element_id, start + i, (1.0, 2.0, 1.0, 1.0, float(10 + i)))
         for i in range(n)
     ]
 
 
-def zero_window(eid, start, length=3):
-    v = np.zeros((length, 5))
-    return data.SequenceWindow(eid, start, values=v, raw=v)
+def windows(recs, length, **kw):
+    return data.window_sequences(oracles.records(recs), length, **kw)
 
 
 class TestWindowCells:
     def test_cells_of_overlapping_windows(self):
-        ws = [zero_window("B", 2), zero_window("A", 5), zero_window("B", 1)]
-        cells = data.window_cells(ws)
-        assert cells.elements == ["A", "B"]
-        assert cells.element.tolist() == [1, 1, 1, 0, 0, 0, 1, 1, 1]
-        assert cells.date.tolist() == [2, 3, 4, 5, 6, 7, 1, 2, 3]
-        first, ids = {}, {}
-        for i, key in enumerate(zip(cells.element.tolist(), cells.date.tolist())):
-            first.setdefault(key, i)
-            assert ids.setdefault(key, cells.cell[i]) == cells.cell[i]
+        ws = windows(make_run("B", 1, 4) + make_run("A", 5, 3), 3)[[1, 0, 2]]
+        assert ws.elements == ["A", "B"]
+        assert ws.element.repeat(3).tolist() == [1, 1, 1, 0, 0, 0, 1, 1, 1]
+        dates = (ws.start[:, None] + np.arange(3)).ravel().tolist()
+        assert dates == [1, 2, 3, 5, 6, 7, 2, 3, 4]
+        ids = {}
+        keys = zip(ws.element.repeat(3).tolist(), dates)
+        for key, c in zip(keys, ws.cell.ravel().tolist()):
+            assert ids.setdefault(key, c) == c
         assert len(set(ids.values())) == len(ids)
-        # first timestep of each cell, cells ordered like (element, date)
-        assert cells.first.tolist() == [first[k] for k in sorted(first)]
-        assert cells.cell[cells.first].tolist() == sorted(ids.values())
+        # cell ids order like (element, date)
+        assert [ids[k] for k in sorted(ids)] == sorted(ids.values())
 
 
 class TestWindowing:
     def test_exact_length_run_gives_one_window(self):
-        ws = data.window_sequences(make_run("A", 1, 100), 100)
+        ws = windows(make_run("A", 1, 100), 100)
         assert len(ws) == 1
         assert ws[0].start_date == 1 and ws[0].length == 100
 
     def test_150_days_length_100_stride_50_gives_two(self):
-        ws = data.window_sequences(make_run("A", 1, 150), 100, stride=50)
+        ws = windows(make_run("A", 1, 150), 100, stride=50)
         assert [w.start_date for w in ws] == [1, 51]
 
     def test_short_run_gives_nothing(self):
-        assert data.window_sequences(make_run("A", 1, 99), 100) == []
+        assert len(windows(make_run("A", 1, 99), 100)) == 0
 
     def test_date_gap_splits_runs(self):
         recs = make_run("A", 1, 10) + make_run("A", 20, 10)
-        ws = data.window_sequences(recs, 10)
+        ws = windows(recs, 10)
         assert [w.start_date for w in ws] == [1, 20]
 
     def test_windows_sorted_and_values_match(self):
         recs = make_run("B", 5, 6) + make_run("A", 1, 6)
-        stats = data.fit_normalization(recs)
-        ws = data.window_sequences(recs, 3, stride=3, stats=stats)
+        stats = data.fit_normalization(oracles.records(recs))
+        ws = windows(recs, 3, stride=3, stats=stats)
         assert [(w.element_id, w.start_date) for w in ws] == [
             ("A", 1),
             ("A", 4),
@@ -195,7 +195,7 @@ class TestWindowing:
         assert ws[1].raw[0, 4] == 13.0
 
     def test_stride_default_one(self):
-        ws = data.window_sequences(make_run("A", 1, 5), 3)
+        ws = windows(make_run("A", 1, 5), 3)
         assert [w.start_date for w in ws] == [1, 2, 3]
 
     def test_bad_length_or_stride(self):
@@ -206,19 +206,47 @@ class TestWindowing:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        runs=st.lists(st.integers(1, 30), min_size=1, max_size=4),
-        length=st.integers(1, 12),
+        elements=st.lists(
+            st.lists(st.tuples(st.integers(1, 12), st.integers(2, 4)), min_size=1, max_size=3),
+            min_size=1,
+            max_size=4,
+        ),
+        length=st.integers(1, 5),
         stride=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        random=st.randoms(use_true_random=False),
     )
-    def test_count_matches_closed_form(self, runs, length, stride):
+    def test_count_matches_closed_form(self, elements, length, stride, seed, random):
+        # per element: runs of (days, gap to the next run), gaps >= 2 leave a
+        # missing day; ids sort against element order; rows are shuffled
+        rng = np.random.default_rng(seed)
         recs = []
-        start = 1
-        for n in runs:
-            recs += make_run("A", start, n)
-            start += n + 2  # gap of at least one missing day between runs
-        ws = data.window_sequences(recs, length, stride=stride)
-        expected = sum(oracles.expected_window_count(n, length, stride) for n in runs)
+        for e, runs in enumerate(elements):
+            start = int(rng.integers(-5, 5))
+            for n, gap in runs:
+                kpis = rng.uniform(0, 1e3, (n, 5)) * 10.0 ** rng.integers(-3, 3, (n, 1))
+                recs += [KpiRecord("dcba"[e], start + i, tuple(kpis[i].tolist())) for i in range(n)]
+                start += n + gap
+        random.shuffle(recs)
+        stats = data.fit_normalization(oracles.records(recs))
+        ws = windows(recs, length, stride=stride, stats=stats)
+        expected = sum(
+            oracles.expected_window_count(n, length, stride) for runs in elements for n, _ in runs
+        )
         assert len(ws) == expected
+
+        ref = oracles.window_sequences(recs, length, stride=stride, stats=stats)
+        assert [(w.element_id, w.start_date) for w in ws] == [
+            (w.element_id, w.start_date) for w in ref
+        ]
+        assert all(type(e) is str for e in ws.elements)
+        for got, field in ((ws.values, "values"), (ws.raw, "raw")):
+            want = np.array([getattr(w, field) for w in ref]).reshape(got.shape)
+            assert np.array_equal(got, want)
+        ids, profiles = concepts.element_profiles(oracles.records(recs), stats)
+        ref_profiles = oracles.element_profiles(recs, stats)
+        assert ids == [p.element_id for p in ref_profiles]
+        assert np.array_equal(profiles, np.array([p.profile for p in ref_profiles]))
 
 
 class TestSynth:
@@ -226,18 +254,18 @@ class TestSynth:
         cfg = data.SynthConfig(element_count=6, days=20, rng_seed=9)
         a = data.synth_generate(cfg)
         b = data.synth_generate(cfg)
-        assert a == b
+        assert oracles.records_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_different_seed_differs(self):
         a, _ = data.synth_generate(data.SynthConfig(element_count=6, days=20, rng_seed=1))
         b, _ = data.synth_generate(data.SynthConfig(element_count=6, days=20, rng_seed=2))
-        assert a != b
+        assert not oracles.records_equal(a, b)
 
     def test_sum_identity_holds_everywhere(self):
         records, _ = data.synth_generate(
             data.SynthConfig(element_count=10, days=40, anomaly_rate=0.05, rng_seed=3)
         )
-        for r in records:
+        for r in oracles.record_list(records):
             cdr, td, enb, mme, att = r.kpis
             assert td == enb + mme
 
@@ -246,7 +274,7 @@ class TestSynth:
             data.SynthConfig(element_count=10, days=40, anomaly_rate=0.02, rng_seed=3)
         )
         hit = {(l.element_id, l.date) for l in labels}
-        for r in records:
+        for r in oracles.record_list(records):
             if (r.element_id, r.date) in hit:
                 continue
             cdr, td, enb, mme, att = r.kpis
@@ -270,8 +298,8 @@ class TestSynth:
             data.SynthConfig(anomaly_rate=0.02, anomaly_magnitude=10.0, **cfg)
         )
         clean, _ = data.synth_generate(data.SynthConfig(anomaly_rate=0.0, **cfg))
-        by_key = {(r.element_id, r.date): r for r in clean}
-        dirty_by_key = {(r.element_id, r.date): r for r in dirty}
+        by_key = {(r.element_id, r.date): r for r in oracles.record_list(clean)}
+        dirty_by_key = {(r.element_id, r.date): r for r in oracles.record_list(dirty)}
         assert labels
         for lab in labels:
             before = by_key[(lab.element_id, lab.date)].kpis[lab.kpi_index]
@@ -299,7 +327,7 @@ class TestSynth:
     def test_cluster_round_robin(self):
         cfg = data.SynthConfig(element_count=7, days=5, cluster_profiles=data.default_profiles(3))
         records, _ = data.synth_generate(cfg)
-        ids = sorted({r.element_id for r in records})
+        ids = sorted(set(records.element_ids.tolist()))
         assert len(ids) == 7
         assert oracles.synth_cluster_of("el0004", 3) == 1
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from kpivae import concepts, data, vae
 from kpivae.errors import ValidationError
 from kpivae.vae import ArchConfig, LatentConfig, TrainConfig
@@ -21,9 +22,8 @@ def toy_setup(seed=7, elements=6, days=40):
     )
     windows = data.window_sequences(records, 10, stride=10, stats=stats)
     ids = sorted({w.element_id for w in windows})
-    train_w = [w for w in windows if w.element_id in ids[:-1]]
-    val_w = [w for w in windows if w.element_id == ids[-1]]
-    return train_w, val_w, model
+    is_val = np.array([w.element_id == ids[-1] for w in windows])
+    return windows[~is_val], windows[is_val], model
 
 
 def quick_cfg(**kw):
@@ -91,7 +91,7 @@ class TestTrainLoop:
 
         # rebuild the fixed validation noise from the documented stream layout
         val_ss = np.random.SeedSequence(cfg.seed).spawn(4)[3]
-        x_val = data.stack_windows(val_w)
+        x_val = val_w.values
         p_val = vae.prior_table(model, latent)[vae.window_clusters(val_w, model.assignment)]
         val_eps = np.random.default_rng(val_ss).standard_normal(
             (1,) + x_val.shape[:2] + (latent.total,)
@@ -105,18 +105,16 @@ class TestTrainLoop:
     def test_empty_sets_rejected(self):
         train_w, val_w, model = toy_setup()
         with pytest.raises(ValidationError, match="training set"):
-            vae.train([], val_w, model, quick_cfg())
+            vae.train(train_w[:0], val_w, model, quick_cfg())
         with pytest.raises(ValidationError, match="validation"):
-            vae.train(train_w, [], model, quick_cfg())
+            vae.train(train_w, val_w[:0], model, quick_cfg())
 
     def test_unassigned_element_rejected(self):
         train_w, val_w, model = toy_setup()
-        stray = data.SequenceWindow(
-            element_id="ghost", start_date=1, values=train_w[0].values,
-            raw=train_w[0].raw,
-        )
+        stray = ("ghost", 1, train_w[0].values)
+        specs = [(w.element_id, w.start_date, w.values) for w in train_w] + [stray]
         with pytest.raises(ValidationError, match="ghost"):
-            vae.train(train_w + [stray], val_w, model, quick_cfg())
+            vae.train(oracles.windows_of(specs), val_w, model, quick_cfg())
 
     def test_invalid_config_rejected(self):
         train_w, val_w, model = toy_setup()
