@@ -18,6 +18,7 @@ from .errors import ConfigError, ParseError, ValidationError
 from .vae import (
     BATCH_WINDOWS,
     VaeParams,
+    _forward_params,
     batch_components,
     encode_windows,
     prior_table,
@@ -81,20 +82,13 @@ def fit_latent_stats(
     windows: Windows,
     assignment: dict[str, int],
     min_timesteps: int = MIN_CLUSTER_TIMESTEPS,
-    encoded: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LatentStats:
-    """Standardization stats for concept dims, fitted on healthy windows.
-
-    `encoded` may carry the precomputed `encode_windows` output for `windows`
-    to avoid re-encoding.
-    """
+    """Standardization stats for concept dims, fitted on healthy windows."""
     if not len(windows):
         raise ValidationError("cannot fit latent stats on zero windows")
     clusters = window_clusters(windows, assignment)
     c = params.latent.concept_dims
-    if encoded is None:
-        encoded = encode_windows(params, windows)
-    mu = encoded[0][..., :c]
+    mu = encode_windows(params, windows)[0][..., :c]
     # each cluster's timesteps, windows in input order; clusters in order of
     # first appearance, which fixes the row order of the global stats
     by_cluster = {cl: mu[clusters == cl].reshape(-1, c) for cl in dict.fromkeys(clusters.tolist())}
@@ -190,6 +184,7 @@ def detect(
     clusters = window_clusters(windows, resolve_clusters(windows, model))
     table = prior_table(model, params.latent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    params = _forward_params(params)
 
     # kl, loglik and concept-dim mu of every scored timestep
     x = windows.values

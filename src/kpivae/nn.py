@@ -1,5 +1,11 @@
-"""Minimal float64 neural-net kernels: LSTM and linear layers with hand-written
+"""Minimal neural-net kernels: LSTM and linear layers with hand-written
 backward passes, orthogonal initialization, and Adam.
+
+The forward kernels compute in the dtype of their input: every buffer and
+constant of `lstm_forward` follows it, so float32 inputs and weights give a
+float32 pass with no float64 upcast. Training, forward and backward, runs in
+float64; the no-grad passes of encoding and scoring run in float32 (see
+`vae.FORWARD_DTYPE`), and `vae` sums their losses in float64.
 
 Layer inputs and outputs are batch-first (B, T, D). Inside an LSTM layer the
 work is time-major, so that each timestep is one contiguous (B, .) block:
@@ -67,17 +73,17 @@ def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
     # gate order i, f, g, o: sigmoid(a) = 0.5 + 0.5 * tanh(a / 2) on i, f and
     # o, tanh(a) on g, so every gate column is shift + scale * tanh(scale * a);
     # halving a column is exact, so the scaled weights give scale * a exactly
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
-    shift = np.repeat([0.5, 0.5, 0.0, 0.5], H)
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H).astype(x.dtype)
+    shift = np.repeat([0.5, 0.5, 0.0, 0.5], H).astype(x.dtype)
     Wh = p["Wh"] * scale
     xs = np.ascontiguousarray(x.transpose(1, 0, 2))  # no copy for another layer's h
     gates = (xs.reshape(T * B, D) @ (p["Wx"] * scale)).reshape(T, B, 4 * H)
     gates += p["b"] * scale
-    h = np.empty((T, B, H))
-    c = np.empty((T, B, H))
-    tanh_c = np.empty((T, B, H))
-    rec = np.empty((B, 4 * H))
-    fc = np.empty((B, H))
+    h = np.empty((T, B, H), dtype=x.dtype)
+    c = np.empty((T, B, H), dtype=x.dtype)
+    tanh_c = np.empty((T, B, H), dtype=x.dtype)
+    rec = np.empty((B, 4 * H), dtype=x.dtype)
+    fc = np.empty((B, H), dtype=x.dtype)
     for t in range(T):
         a = gates[t]
         if t:  # h_{-1} is zero

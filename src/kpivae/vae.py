@@ -7,9 +7,12 @@ from the cluster centroids, the remaining 25 use a standard normal prior.
 Training minimizes KL + recon_weight * (-log-likelihood); reported losses are
 always the unweighted kl - loglik.
 
-All math is float64 with hand-written reverse-mode gradients, which keeps the
+Training is float64 with hand-written reverse-mode gradients, which keeps the
 whole pipeline bit-reproducible and lets tests check gradients against central
-finite differences.
+finite differences. The no-grad passes of `encode_windows` and `detect` run the
+encoder and decoder in FORWARD_DTYPE (float32) from the float64 checkpoint;
+the per-timestep KL and log-likelihood sums, the sample mean and everything
+downstream of them stay float64.
 """
 from __future__ import annotations
 
@@ -46,6 +49,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # windows per forward pass; scoring draws its noise per chunk, so this is part
 # of the scored output, not a tuning knob
 BATCH_WINDOWS = 256
+
+# dtype of the encoder and decoder in encode_windows and detect; like
+# BATCH_WINDOWS it is part of the scored output
+FORWARD_DTYPE = np.float32
 
 CHECKPOINT_MAGIC = b"KPIVAE\x00\x01"
 CHECKPOINT_FORMAT = "kpivae-ckpt-v1"
@@ -110,6 +117,12 @@ class VaeParams:
 
     def copy_tensors(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.tensors.items()}
+
+
+def _forward_params(params: VaeParams) -> VaeParams:
+    """`params` with every tensor cast to FORWARD_DTYPE, for no-grad passes."""
+    tensors = {k: v.astype(FORWARD_DTYPE) for k, v in params.tensors.items()}
+    return VaeParams(params.arch, params.latent, tensors, params.seed)
 
 
 def validate_prior(mean: np.ndarray, std: float, concept_dims: int) -> None:
@@ -247,15 +260,17 @@ def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads) 
 
 
 def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, logvar), each (N, T, total), encoded BATCH_WINDOWS windows at a
-    time in input order."""
+    """float64 (mu, logvar), each (N, T, total), encoded in FORWARD_DTYPE
+    BATCH_WINDOWS windows at a time in input order."""
+    params = _forward_params(params)
     x = windows.values
     # outputs are joined after the last chunk, not preallocated, so they do
     # not add to the peak memory of the forward passes
     parts = [
-        _encoder_forward(params, x[s : s + BATCH_WINDOWS]) for s in range(0, len(x), BATCH_WINDOWS)
+        _encoder_forward(params, x[s : s + BATCH_WINDOWS].astype(FORWARD_DTYPE))
+        for s in range(0, len(x), BATCH_WINDOWS)
     ]
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    return tuple(np.concatenate([p[i] for p in parts], dtype=np.float64) for i in (0, 1))
 
 
 def _kl_ts(mu, logvar, prior_means, prior_std):
@@ -287,16 +302,18 @@ def batch_components(
     """Per-timestep KL and sample-averaged log-likelihood for a batch.
 
     x is (B, T, 5), prior_means (B, total), eps (S, B, T, total). Returns
-    (mu, logvar, kl_ts, loglik_ts) with the *_ts arrays shaped (B, T).
+    (mu, logvar, kl_ts, loglik_ts) with the *_ts arrays shaped (B, T). The
+    networks run in the dtype of `params`; the *_ts sums are float64.
     """
-    mu, lv, _ = _encoder_forward(params, x)
-    kl_ts = _kl_ts(mu, lv, prior_means[:, None, :], prior_std)
+    mu, lv, _ = _encoder_forward(params, x.astype(params.tensors["enc0.Wx"].dtype, copy=False))
+    kl_ts = _kl_ts(np.asarray(mu, np.float64), np.asarray(lv, np.float64),
+                   prior_means[:, None, :], prior_std)
     std = np.exp(lv / 2.0)
     ll = np.zeros(x.shape[:2])
     for s in range(eps.shape[0]):
-        z = mu + std * eps[s]
+        z = mu + std * eps[s].astype(mu.dtype, copy=False)
         mu_x, lx, _ = _decoder_forward(params, z)
-        ll += _loglik_ts(x, mu_x, lx)
+        ll += _loglik_ts(x, np.asarray(mu_x, np.float64), np.asarray(lx, np.float64))
     return mu, lv, kl_ts, ll / eps.shape[0]
 
 

@@ -136,12 +136,15 @@ def recon_loglik(x, mu_x, logvar_x) -> float:
 
 
 def eval_loss(params, window, prior: PriorSpec, eval_samples=10, rng=None) -> dict[str, float]:
-    """Unweighted loss kl - loglik of one window through batch_components."""
+    """Unweighted loss kl - loglik of one window through batch_components, with
+    the networks at the precision `detect` runs them in."""
     if rng is None:
         rng = np.random.default_rng(0)
     x = as_windows(window).values
     eps = rng.standard_normal((eval_samples, 1) + (x.shape[1], params.latent.total))
-    _, _, kl_ts, ll_ts = vae.batch_components(params, x, prior.mean[None], prior.std, eps)
+    _, _, kl_ts, ll_ts = vae.batch_components(
+        vae._forward_params(params), x, prior.mean[None], prior.std, eps
+    )
     kl = float(kl_ts.mean())
     loglik = float(ll_ts.mean())
     return {"loss": kl - loglik, "kl": kl, "loglik": loglik}

@@ -17,10 +17,10 @@ def mk_windows(*specs):
     return oracles.windows_of(specs)
 
 
-def mk_encoded(mus):
-    """Fake encoder output: stacked (mu, logvar) with zero logvar."""
+def fake_encoder(monkeypatch, mus):
+    """Make `anomaly.encode_windows` return stacked (mu, logvar) with zero logvar."""
     mu = np.stack([np.asarray(m, dtype=np.float64) for m in mus])
-    return mu, np.zeros_like(mu)
+    monkeypatch.setattr(anomaly, "encode_windows", lambda params, windows: (mu, np.zeros_like(mu)))
 
 
 def seam_params():
@@ -28,59 +28,59 @@ def seam_params():
 
 
 class TestFitLatentStats:
-    def test_constant_input_hits_std_floor(self):
+    def test_constant_input_hits_std_floor(self, monkeypatch):
         params = seam_params()
         w = mk_windows(("el0000", 1, np.zeros((40, 5))))
-        enc = mk_encoded([np.full((40, 30), 0.5)])
-        stats = anomaly.fit_latent_stats(params, w, {"el0000": 0}, encoded=enc)
+        fake_encoder(monkeypatch, [np.full((40, 30), 0.5)])
+        stats = anomaly.fit_latent_stats(params, w, {"el0000": 0})
         assert np.array_equal(stats.global_mean, np.full(5, 0.5))
         assert np.array_equal(stats.global_std, np.full(5, 1e-6))
         assert np.array_equal(stats.cluster_std[0], np.full(5, 1e-6))
 
-    def test_two_point_population_std(self):
+    def test_two_point_population_std(self, monkeypatch):
         params = seam_params()
         mu = np.zeros((40, 30))
         mu[::2, :5] = 1.0
         mu[1::2, :5] = -1.0
         w = mk_windows(("el0000", 1, np.zeros((40, 5))))
-        stats = anomaly.fit_latent_stats(params, w, {"el0000": 0}, encoded=mk_encoded([mu]))
+        fake_encoder(monkeypatch, [mu])
+        stats = anomaly.fit_latent_stats(params, w, {"el0000": 0})
         assert np.allclose(stats.global_mean, 0.0)
         assert np.array_equal(stats.global_std, np.ones(5))
 
-    def test_small_cluster_gets_no_entry(self):
+    def test_small_cluster_gets_no_entry(self, monkeypatch):
         params = seam_params()
         ws = mk_windows(
             *[("el0000", 1 + 10 * i, np.zeros((10, 5))) for i in range(4)],
             ("el0001", 1, np.zeros((10, 5))),
         )
-        enc = mk_encoded([np.full((10, 30), 0.2)] * 4 + [np.full((10, 30), 0.9)])
-        stats = anomaly.fit_latent_stats(
-            params, ws, {"el0000": 0, "el0001": 1}, encoded=enc
-        )
+        fake_encoder(monkeypatch, [np.full((10, 30), 0.2)] * 4 + [np.full((10, 30), 0.9)])
+        stats = anomaly.fit_latent_stats(params, ws, {"el0000": 0, "el0001": 1})
         assert 0 in stats.cluster_mean
         assert 1 not in stats.cluster_mean
         # the starved cluster still contributes to the global stats
         want = (40 * 0.2 + 10 * 0.9) / 50
         assert np.allclose(stats.global_mean, want)
 
-    def test_windows_of_one_cluster_concatenate(self):
+    def test_windows_of_one_cluster_concatenate(self, monkeypatch):
         params = seam_params()
         ws = mk_windows(
             ("el0000", 1, np.zeros((20, 5))),
             ("el0000", 21, np.zeros((20, 5))),
         )
-        enc = mk_encoded([np.full((20, 30), 0.0), np.full((20, 30), 1.0)])
-        stats = anomaly.fit_latent_stats(params, ws, {"el0000": 0}, encoded=enc)
+        fake_encoder(monkeypatch, [np.full((20, 30), 0.0), np.full((20, 30), 1.0)])
+        stats = anomaly.fit_latent_stats(params, ws, {"el0000": 0})
         assert np.allclose(stats.cluster_mean[0], 0.5)
         assert np.allclose(stats.cluster_std[0], 0.5)
 
-    def test_empty_and_unassigned_rejected(self):
+    def test_empty_and_unassigned_rejected(self, monkeypatch):
         params = seam_params()
         w = mk_windows(("elX", 1, np.zeros((5, 5))))
         with pytest.raises(ValidationError, match="zero windows"):
             anomaly.fit_latent_stats(params, w[:0], {})
+        fake_encoder(monkeypatch, [np.zeros((5, 30))])
         with pytest.raises(ValidationError, match="elX"):
-            anomaly.fit_latent_stats(params, w, {}, encoded=mk_encoded([np.zeros((5, 30))]))
+            anomaly.fit_latent_stats(params, w, {})
 
 
 class TestZScores:
@@ -273,7 +273,7 @@ class TestDetect:
         )
         eps = rng.standard_normal((s, len(ordered), 10, params.latent.total))
         _, _, kl_ts, ll_ts = vae.batch_components(
-            params, x, priors, params.latent.prior_std, eps
+            vae._forward_params(params), x, priors, params.latent.prior_std, eps
         )
         best = {}
         for j, w in enumerate(ordered):
@@ -347,6 +347,42 @@ class TestDetect:
         assert [(r.element_id, r.date, r.loss, r.zscores) for r in a] == [
             (r.element_id, r.date, r.loss, r.zscores) for r in b
         ]
+
+
+class TestForwardPrecision:
+    """The float32 no-grad passes against the same pipeline run in float64."""
+
+    def scored(self):
+        params, windows, model, lstats = scored_setup()
+        # a threshold low enough to flag cells, so the flag comparison has teeth
+        reports = anomaly.detect(params, windows, model, lstats, z_threshold=1.0, symmetric=True)
+        return {(r.element_id, r.date): r for r in reports}, [
+            (r.element_id, r.date) for r in reports
+        ]
+
+    def test_float32_scores_like_float64(self, monkeypatch):
+        low, low_order = self.scored()
+        monkeypatch.setattr(vae, "FORWARD_DTYPE", np.float64)
+        high, high_order = self.scored()
+        assert low.keys() == high.keys()
+        assert sum(sum(r.flagged) for r in high.values()) > 0
+        for key, r in high.items():
+            assert low[key].flagged == r.flagged
+            assert low[key].attribution == r.attribution
+            assert low[key].loss == pytest.approx(r.loss, rel=1e-5)
+        top = -(-len(high_order) // 50)  # the top 2%, rounded up
+        assert set(low_order[:top]) == set(high_order[:top])
+
+    def test_encoded_and_trained_tensors_are_float64(self):
+        params, windows, model, _ = scored_setup()
+        mu, lv = vae.encode_windows(params, windows)
+        assert mu.dtype == lv.dtype == np.float64
+        is_val = windows.element == windows.element.max()
+        trained, _ = vae.train(
+            windows[~is_val], windows[is_val], model,
+            vae.TrainConfig(batch_size=8, max_epochs=1, patience=1), arch=vae.ArchConfig(hidden=4),
+        )
+        assert all(v.dtype == np.float64 for v in trained.tensors.values())
 
 
 class TestDetectionRanking:

@@ -528,8 +528,11 @@ def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
 
     Training forms dWx and dWh as single GEMMs whose inner dimension is B*T.
     Hidden 32 puts those GEMMs above OpenBLAS's size threshold for threading,
-    which hidden 6 or 8 on this data would not reach. The hash seed would show
-    any output that follows the iteration order of a set or a str-keyed dict.
+    which hidden 6 or 8 on this data would not reach. `score` and
+    `export-latent` use the hidden-32 checkpoint and latent stats that `train`
+    writes, so their float32 GEMMs cross that threshold too. The hash seed
+    would show any output that follows the iteration order of a set or a
+    str-keyed dict.
     """
     src = Path(cli.__file__).resolve().parents[1]
     data_arg = ["--data", str(pipeline["data"])]
@@ -549,17 +552,18 @@ def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
                 "--out-quality", str(out / "quality.csv"),
             ],
             [
-                "score", *inputs, "--checkpoint", str(pipeline["ckpt"]),
-                "--latent-stats", str(pipeline["lstats"]), "--out", str(out / "report.csv"),
-                "--eval-samples", "2", "--seed", "0",
-            ],
-            [
                 "train", *inputs, "--out-checkpoint", str(out / "model.bin"),
                 "--out-history", str(out / "history.csv"), "--hidden", "32",
                 "--max-epochs", "2", "--patience", "2", "--val-fraction", "0.2", "--seed", "0",
+                "--out-latent-stats", str(out / "lstats.txt"),
             ],
             [
-                "export-latent", *inputs, "--checkpoint", str(pipeline["ckpt"]),
+                "score", *inputs, "--checkpoint", str(out / "model.bin"),
+                "--latent-stats", str(out / "lstats.txt"), "--out", str(out / "report.csv"),
+                "--eval-samples", "2", "--seed", "0",
+            ],
+            [
+                "export-latent", *inputs, "--checkpoint", str(out / "model.bin"),
                 "--stride", "5", "--out", str(out / "latent.csv"), "--svg", str(out / "latent.svg"),
             ],
         ):
@@ -569,8 +573,8 @@ def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
             )
         outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert sorted(outputs[0]) == [
-        "history.csv", "latent.csv", "latent.svg", "model.bin", "model.txt", "quality.csv",
-        "report.csv", "stats.txt",
+        "history.csv", "latent.csv", "latent.svg", "lstats.txt", "model.bin", "model.txt",
+        "quality.csv", "report.csv", "stats.txt",
     ]
     assert outputs[0] == outputs[1]
 
