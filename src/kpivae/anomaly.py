@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concepts import ConceptModel, assign_concept
-from .data import KPI_NAMES, N_KPIS, Windows, artifact_rows, fmt_float, group_means, write_csv
+from .data import (
+    KPI_NAMES, N_KPIS, Windows, artifact_rows, claim_row, fmt_float, group_means, write_csv
+)
 from .errors import ConfigError, ParseError, ValidationError
 from .vae import (
     BATCH_WINDOWS,
@@ -45,8 +47,8 @@ REPORT_HEADER = (
 class LatentStats:
     """Mean/std of per-timestep encoder means on healthy data, per concept dim.
 
-    Clusters observed with fewer than `min_timesteps` timesteps are not given
-    their own entry; lookups for them (and for unknown clusters) use the
+    Clusters observed with fewer than MIN_CLUSTER_TIMESTEPS timesteps are not
+    given their own entry; lookups for them (and for unknown clusters) use the
     global statistics. Stds are population stds floored at STD_FLOOR.
     """
 
@@ -57,20 +59,25 @@ class LatentStats:
     cluster_std: dict[int, np.ndarray]
 
 
-@dataclass
-class AnomalyReport:
-    element_id: str
-    date: int
-    cluster: int
-    kpis: tuple[float, ...]  # original units
-    loss: float
-    kl: float
-    loglik: float
-    zscores: tuple[float, ...]
-    flagged: tuple[bool, ...]  # per KPI, z strictly above the threshold
-    attribution: tuple[str, ...] = ()  # flagged KPI names, strongest first
-    stats_fallback: bool = False  # cluster unknown/under-observed, global stats used
-    rank: int = 0
+@dataclass(eq=False)
+class Report:
+    """Scored (element, date) cells, one row per cell in rank order: by
+    descending loss, so row r has rank r + 1."""
+
+    element_id: np.ndarray  # (n,) str
+    date: np.ndarray  # (n,) calendar day ordinal
+    cluster: np.ndarray  # (n,)
+    kpis: np.ndarray  # (n, 5) original units
+    loss: np.ndarray  # (n,) kl - loglik
+    kl: np.ndarray
+    loglik: np.ndarray
+    z: np.ndarray  # (n, 5) latent z-scores of the concept dims
+    flagged: np.ndarray  # (n, 5) bool, z (|z| if symmetric) strictly above the threshold
+    attribution: np.ndarray  # (n,) str, flagged KPI names strongest first, "|"-joined
+    stats_fallback: np.ndarray  # (n,) bool, cluster unknown/under-observed, global stats used
+
+    def __len__(self) -> int:
+        return len(self.loss)
 
 
 def _floored_std(rows: np.ndarray) -> np.ndarray:
@@ -78,10 +85,7 @@ def _floored_std(rows: np.ndarray) -> np.ndarray:
 
 
 def fit_latent_stats(
-    params: VaeParams,
-    windows: Windows,
-    assignment: dict[str, int],
-    min_timesteps: int = MIN_CLUSTER_TIMESTEPS,
+    params: VaeParams, windows: Windows, assignment: dict[str, int]
 ) -> LatentStats:
     """Standardization stats for concept dims, fitted on healthy windows."""
     if not len(windows):
@@ -101,7 +105,7 @@ def fit_latent_stats(
         cluster_std={},
     )
     for j, m in by_cluster.items():
-        if m.shape[0] >= min_timesteps:
+        if m.shape[0] >= MIN_CLUSTER_TIMESTEPS:
             stats.cluster_mean[j] = m.mean(axis=0)
             stats.cluster_std[j] = _floored_std(m)
     return stats
@@ -120,15 +124,6 @@ def zscores(stats: LatentStats, cluster: int | None, mu) -> np.ndarray:
     else:
         mean, std = stats.global_mean, stats.global_std
     return (m - mean) / std
-
-
-def _flags(z: np.ndarray, threshold: float, symmetric: bool):
-    """Per row of z: the flagged mask and the flagged KPI names, strongest first."""
-    score = np.abs(z) if symmetric else z
-    flagged = score > threshold
-    strongest = np.argsort(-score, axis=-1, kind="stable")
-    names = [tuple(KPI_NAMES[i] for i in o if f[i]) for o, f in zip(strongest, flagged)]
-    return flagged, names
 
 
 def resolve_clusters(windows: Windows, model: ConceptModel) -> dict[str, int]:
@@ -158,14 +153,15 @@ def detect(
     top_k: int | None = None,
     z_threshold: float = Z_THRESHOLD,
     symmetric: bool = False,
-) -> list[AnomalyReport]:
-    """Score every timestep and return reports sorted by descending loss.
+) -> Report:
+    """Score every timestep and report the cells by descending loss.
 
     Overlapping windows are deduplicated per (element_id, date), keeping the
     highest-loss occurrence (the first scored one on ties). With `loss_floor`
     only timesteps whose loss is strictly above the floor survive; `top_k`
     then truncates the ranking. Neither filter set means every scored
-    timestep is returned.
+    timestep is reported. A KPI is flagged when its z-score (|z| when
+    `symmetric`) is strictly above `z_threshold`.
     """
     if eval_samples < 1:
         raise ConfigError("eval_samples must be >= 1")
@@ -178,8 +174,6 @@ def detect(
         )
     if any(not 0 <= j < model.k for j in stats.cluster_mean):
         raise ConfigError(f"latent stats name a cluster outside 0..{model.k - 1}")
-    if not len(windows):
-        return []
     windows = windows[np.lexsort((windows.start, windows.element))]
     clusters = window_clusters(windows, resolve_clusters(windows, model))
     table = prior_table(model, params.latent)
@@ -198,7 +192,7 @@ def detect(
             params, x[b], table[clusters[b]], params.latent.prior_std, eps
         )
         mu_c[b] = mu[..., : stats.concept_dims]
-    kl, ll, mu_c = kl.ravel(), ll.ravel(), mu_c.reshape(n * length, -1)
+    kl, ll, mu_c = kl.ravel(), ll.ravel(), mu_c.reshape(n * length, stats.concept_dims)
     loss = kl - ll
     cell = windows.cell.ravel()
 
@@ -218,44 +212,42 @@ def detect(
     for cl in np.unique(cell_cluster).tolist():
         rows = cell_cluster == cl
         z[rows] = zscores(stats, cl, mu_c[keep[rows]])
-    flagged, attribution = _flags(z, z_threshold, symmetric)
-    element_ids = [windows.elements[e] for e in windows.element[win].tolist()]
-    dates = (windows.start[win] + step).tolist()
-    kpis = windows.raw[win, step].tolist()
-    return [
-        AnomalyReport(
-            element_id=element_ids[r],
-            date=dates[r],
-            cluster=cl,
-            kpis=tuple(kpis[r]),
-            loss=float(loss[i]),
-            kl=float(kl[i]),
-            loglik=float(ll[i]),
-            zscores=tuple(z[r].tolist()),
-            flagged=tuple(flagged[r].tolist()),
-            attribution=attribution[r],
-            stats_fallback=cl not in stats.cluster_mean,
-            rank=r + 1,
-        )
-        for r, (i, cl) in enumerate(zip(keep.tolist(), cell_cluster.tolist()))
-    ]
+    score = np.abs(z) if symmetric else z
+    flagged = score > z_threshold
+    # names only for the rows that carry a flag, strongest first
+    hit = np.flatnonzero(flagged.any(axis=1))
+    attribution = np.full(keep.size, "", dtype=object)
+    for r, order in zip(hit.tolist(), np.argsort(-score[hit], axis=1, kind="stable").tolist()):
+        attribution[r] = "|".join(KPI_NAMES[i] for i in order if flagged[r, i])
+    return Report(
+        element_id=np.array(windows.elements, dtype=object)[windows.element[win]],
+        date=windows.start[win] + step,
+        cluster=cell_cluster,
+        kpis=windows.raw[win, step],
+        loss=loss[keep],
+        kl=kl[keep],
+        loglik=ll[keep],
+        z=z,
+        flagged=flagged,
+        attribution=attribution,
+        stats_fallback=~np.isin(cell_cluster, list(stats.cluster_mean)),
+    )
 
 
-def report_rows(reports: list[AnomalyReport]):
+def report_rows(report: Report):
     """Yield the report CSV rows, header first."""
     yield list(REPORT_HEADER)
-    for r in reports:
-        yield (
-            [r.rank, r.element_id, r.date, r.cluster]
-            + [fmt_float(v) for v in r.kpis]
-            + [fmt_float(r.loss), fmt_float(r.loglik), fmt_float(r.kl)]
-            + [fmt_float(v) for v in r.zscores]
-            + ["|".join(r.attribution), int(r.stats_fallback)]
-        )
+    floats = np.column_stack([report.kpis, report.loss, report.loglik, report.kl, report.z])
+    columns = zip(
+        report.element_id.tolist(), report.date.tolist(), report.cluster.tolist(),
+        floats.tolist(), report.attribution.tolist(), report.stats_fallback.tolist(),
+    )
+    for rank, (eid, date, cl, values, names, fallback) in enumerate(columns, start=1):
+        yield [rank, eid, date, cl] + [fmt_float(v) for v in values] + [names, int(fallback)]
 
 
-def save_report(reports: list[AnomalyReport], path) -> None:
-    write_csv(path, report_rows(reports))
+def save_report(report: Report, path) -> None:
+    write_csv(path, report_rows(report))
 
 
 def save_latent_stats(stats: LatentStats, path) -> None:
@@ -282,11 +274,14 @@ def _mean_std(tokens: list[str], line_no: int) -> tuple[np.ndarray, np.ndarray]:
 def load_latent_stats(path) -> LatentStats:
     concept_dims = None
     stats = None
+    seen: set = set()
     for line_no, parts in artifact_rows(path, LATENTSTATS_TAG):
         try:
             if parts[0] == "concept_dims":
+                claim_row(seen, line_no, "concept_dims")
                 concept_dims = int(parts[1])
             elif parts[0] == "global":
+                claim_row(seen, line_no, "global")
                 if concept_dims is None or len(parts) != 1 + 2 * concept_dims:
                     raise ParseError("bad global stats row", line_no)
                 mean, std = _mean_std(parts[1:], line_no)
@@ -295,6 +290,7 @@ def load_latent_stats(path) -> LatentStats:
                 if stats is None or len(parts) != 2 + 2 * concept_dims:
                     raise ParseError("bad cluster stats row", line_no)
                 j = int(parts[1])
+                claim_row(seen, line_no, "cluster", j)
                 stats.cluster_mean[j], stats.cluster_std[j] = _mean_std(parts[2:], line_no)
             else:
                 raise ParseError(f"unknown row {parts[0]!r}", line_no)

@@ -294,9 +294,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     lstats = anomaly.load_latent_stats(o.get("latent_stats"))
     # every scoring option is named like the detect argument it sets
     options = ("eval_samples", "seed", "loss_floor", "top_k", "z_threshold", "symmetric")
-    reports = anomaly.detect(params, windows, model, lstats, **{k: o.get(k) for k in options})
-    anomaly.save_report(reports, o.get("out"))
-    print(f"reported {len(reports)} timesteps to {o.get('out')}")
+    report = anomaly.detect(params, windows, model, lstats, **{k: o.get(k) for k in options})
+    anomaly.save_report(report, o.get("out"))
+    print(f"reported {len(report)} timesteps to {o.get('out')}")
     return 0
 
 

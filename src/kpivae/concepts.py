@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import N_KPIS, NormStats, Records, artifact_rows, group_means, normalize
+from .data import N_KPIS, NormStats, Records, artifact_rows, claim_row, group_means, normalize
 from .errors import ParseError, ValidationError
 
 CONCEPTS_TAG = "kpivae-concepts-v1"
@@ -175,14 +175,18 @@ def load_concept_model(path) -> ConceptModel:
     centroids = {}
     priors = {}
     assignment: dict[str, int] = {}
+    seen: set = set()
     for line_no, parts in artifact_rows(path, CONCEPTS_TAG):
         try:
             if parts[0] == "k":
+                claim_row(seen, line_no, "k")
                 k = int(parts[1])
             elif parts[0] == "inertia":
+                claim_row(seen, line_no, "inertia")
                 inertia = float(parts[1])
             elif parts[0] == "centroid":
                 j = int(parts[1])
+                claim_row(seen, line_no, "centroid", j)
                 vals = [float(v) for v in parts[2:]]
                 if len(vals) != 2 * N_KPIS:
                     raise ParseError(f"centroid row needs {2 * N_KPIS} values", line_no)
@@ -191,6 +195,7 @@ def load_concept_model(path) -> ConceptModel:
                 centroids[j] = vals[:N_KPIS]
                 priors[j] = vals[N_KPIS:]
             elif parts[0] == "assign":
+                claim_row(seen, line_no, "assign", parts[1])
                 assignment[parts[1]] = int(parts[2])
             else:
                 raise ParseError(f"unknown row {parts[0]!r}", line_no)

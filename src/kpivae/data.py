@@ -243,17 +243,6 @@ def save_records(records: Records, path) -> None:
     write_csv(path, chain([CSV_HEADER], ([e, d] + [fmt_float(v) for v in k] for e, d, k in rows)))
 
 
-def load_labels(path) -> list[AnomalyLabel]:
-    labels: list[AnomalyLabel] = []
-    for line_no, row in csv_rows(path, LABEL_HEADER):
-        try:
-            kpi_index = int(row[2])
-        except ValueError:
-            raise ParseError(f"non-integer kpi_index {row[2]!r}", line_no)
-        labels.append(AnomalyLabel(row[0], _parse_date(row[1], line_no), kpi_index))
-    return labels
-
-
 def save_labels(labels: list[AnomalyLabel], path) -> None:
     rows = ([lab.element_id, lab.date, lab.kpi_index] for lab in labels)
     write_csv(path, chain([LABEL_HEADER], rows))
@@ -312,15 +301,22 @@ def artifact_rows(path, tag: str):
             yield line_no, parts
 
 
+def claim_row(seen: set, line_no: int, *key) -> None:
+    """Note the key of an artifact row; a key seen before is a ParseError."""
+    if key in seen:
+        raise ParseError(f"repeated {' '.join(map(str, key))!r} row", line_no)
+    seen.add(key)
+
+
 def load_norm_stats(path) -> NormStats:
     mins = np.zeros(N_KPIS)
     maxs = np.zeros(N_KPIS)
     degenerate = np.zeros(N_KPIS, dtype=bool)
     seen = set()
     for line_no, parts in artifact_rows(path, NORMSTATS_TAG):
-        if len(parts) != 4 or parts[0] not in KPI_NAMES or parts[0] in seen:
+        if len(parts) != 4 or parts[0] not in KPI_NAMES:
             raise ParseError(f"bad normstats row {' '.join(parts)!r}", line_no)
-        seen.add(parts[0])
+        claim_row(seen, line_no, parts[0])
         i = KPI_NAMES.index(parts[0])
         try:
             mins[i], maxs[i] = float(parts[1]), float(parts[2])

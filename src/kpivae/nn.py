@@ -29,6 +29,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Adam's moment decay rates and denominator epsilon (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.tanh(0.5 * x)
@@ -157,26 +162,22 @@ def linear_backward(dy: np.ndarray, cache, p: dict[str, np.ndarray]):
 class Adam:
     """Adam with the standard first/second moment estimates and bias correction."""
 
-    def __init__(self, tensors: dict[str, np.ndarray], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, tensors: dict[str, np.ndarray], lr: float = 1e-3):
         self.tensors = tensors
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for k, g in grads.items():
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            self.tensors[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            self.tensors[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)

@@ -11,13 +11,16 @@ gradients summed step by step. `kpivae.nn` must agree with them.
 
 `window_sequences` and `element_profiles` are the record-by-record references
 for the array versions of the same name, over a list of `KpiRecord`.
+`report_list` turns the columns of an `anomaly.Report` into one
+`AnomalyReport` per scored cell, and `attribute` is the per-vector formula
+that names the flagged KPIs of one cell.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from kpivae import anomaly, data, vae
-from kpivae.errors import ConfigError, ValidationError
+from kpivae.errors import ConfigError, ParseError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -88,16 +91,59 @@ def n_params(params) -> int:
     return sum(int(v.size) for v in params.tensors.values())
 
 
+@dataclass
+class AnomalyReport:
+    element_id: str
+    date: int
+    cluster: int
+    kpis: tuple[float, ...]  # original units
+    loss: float
+    kl: float
+    loglik: float
+    zscores: tuple[float, ...]
+    flagged: tuple[bool, ...]  # per KPI, z strictly above the threshold
+    attribution: tuple[str, ...] = ()  # flagged KPI names, strongest first
+    stats_fallback: bool = False  # cluster unknown/under-observed, global stats used
+    rank: int = 0
+
+
+def report_list(report: anomaly.Report) -> list[AnomalyReport]:
+    """One `AnomalyReport` per row of a `Report`, rank = position + 1."""
+    rows = zip(
+        report.element_id.tolist(), report.date.tolist(), report.cluster.tolist(),
+        report.kpis.tolist(), report.loss.tolist(), report.kl.tolist(), report.loglik.tolist(),
+        report.z.tolist(), report.flagged.tolist(), report.attribution.tolist(),
+        report.stats_fallback.tolist(),
+    )
+    return [
+        AnomalyReport(e, d, c, tuple(k), loss, kl, ll, tuple(z), tuple(f),
+                      tuple(a.split("|")) if a else (), fb, rank)
+        for rank, (e, d, c, k, loss, kl, ll, z, f, a, fb) in enumerate(rows, start=1)
+    ]
+
+
 def attribute(report, threshold: float = anomaly.Z_THRESHOLD, symmetric: bool = False) -> list[str]:
     """Names of the KPIs responsible for an anomaly, strongest first.
 
     A KPI is responsible when its Z-score strictly exceeds the threshold;
-    one-sided by default, |z| when symmetric. Accepts an AnomalyReport or a
-    raw Z-score vector.
+    one-sided by default, |z| when symmetric. KPIs with equal scores keep
+    their KPI order. Accepts an AnomalyReport or a raw Z-score vector.
     """
-    z = report.zscores if isinstance(report, anomaly.AnomalyReport) else report
-    z = np.asarray(z, dtype=np.float64)
-    return list(anomaly._flags(z[None], threshold, symmetric)[1][0])
+    z = report.zscores if isinstance(report, AnomalyReport) else report
+    score = [abs(float(v)) if symmetric else float(v) for v in z]
+    ranked = sorted(range(len(score)), key=lambda i: -score[i])
+    return [data.KPI_NAMES[i] for i in ranked if score[i] > threshold]
+
+
+def load_labels(path) -> list[data.AnomalyLabel]:
+    labels: list[data.AnomalyLabel] = []
+    for line_no, row in data.csv_rows(path, data.LABEL_HEADER):
+        try:
+            kpi_index = int(row[2])
+        except ValueError:
+            raise ParseError(f"non-integer kpi_index {row[2]!r}", line_no)
+        labels.append(data.AnomalyLabel(row[0], data._parse_date(row[1], line_no), kpi_index))
+    return labels
 
 
 def encode(params, window) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,8 @@ class TestLossArithmetic:
         windows = data.window_sequences(records, 5, stride=5, stats=stats)
         params = vae.init_params(ArchConfig(hidden=8), LatentConfig(), seed=1)
         lstats = anomaly.fit_latent_stats(params, windows, model.assignment)
-        reports = anomaly.detect(params, windows, model, lstats, eval_samples=3, seed=0)
+        report = anomaly.detect(params, windows, model, lstats, eval_samples=3, seed=0)
+        reports = oracles.report_list(report)
         worst = max(abs(r.loss - (r.kl - r.loglik)) for r in reports)
         # reference row: kl 0.45 with loglik -4.73 must price out at 5.18
         row = 0.45 - (-4.73)
@@ -211,8 +212,8 @@ def pipeline():
         model=model,
         stats=stats,
         lstats=lstats,
-        reports=reports,
-        clean_reports=clean_reports,
+        reports=oracles.report_list(reports),
+        clean_reports=oracles.report_list(clean_reports),
         clean_w=clean_w,
     )
 
@@ -280,7 +281,8 @@ class TestSyntheticDetection:
                     eid, date, data._inject(records[idx].kpis, kpi, mag)
                 )
                 windows = data.window_sequences(oracles.records(records), E2E_WINDOW, stride=E2E_WINDOW, stats=p.stats)
-                reports = anomaly.detect(p.params, windows, p.model, p.lstats, eval_samples=10, seed=0)
+                report = anomaly.detect(p.params, windows, p.model, p.lstats, eval_samples=10, seed=0)
+                reports = oracles.report_list(report)
                 ranks.append(next(r.rank for r in reports if r.element_id == eid and r.date == date))
             assert ranks[0] >= ranks[1] >= ranks[2], (eid, date, kpi, ranks)
 

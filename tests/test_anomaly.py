@@ -23,6 +23,11 @@ def fake_encoder(monkeypatch, mus):
     monkeypatch.setattr(anomaly, "encode_windows", lambda params, windows: (mu, np.zeros_like(mu)))
 
 
+def detect_list(*args, **kwargs) -> list[oracles.AnomalyReport]:
+    """`anomaly.detect`, one report object per scored cell."""
+    return oracles.report_list(anomaly.detect(*args, **kwargs))
+
+
 def seam_params():
     return vae.init_params(vae.ArchConfig(hidden=4), vae.LatentConfig(), seed=0)
 
@@ -156,7 +161,7 @@ class TestAttribution:
         assert oracles.attribute(z, symmetric=True) == ["call_drop_rate", "total_drops"]
 
     def test_accepts_report_object(self):
-        r = anomaly.AnomalyReport(
+        r = oracles.AnomalyReport(
             element_id="el0000", date=3, cluster=0, kpis=(0.0,) * 5,
             loss=1.0, kl=1.0, loglik=0.0,
             zscores=(0.0, 16.0, 0.0, 0.0, 0.0),
@@ -227,7 +232,7 @@ def shuffle_setup():
     params, windows, model, lstats = scored_setup(stride=3)
     # three elements unseen at fit time, so they are routed by their profile
     model.assignment = {e: c for e, c in model.assignment.items() if e < "el0003"}
-    reports = anomaly.detect(params, windows, model, lstats, eval_samples=2, seed=4)
+    reports = detect_list(params, windows, model, lstats, eval_samples=2, seed=4)
     return params, windows, model, lstats, reports
 
 
@@ -239,13 +244,13 @@ class TestOrderInvariance:
         shuffled = windows[np.array(random.sample(range(len(windows)), len(windows)))]
         clusters = anomaly.resolve_clusters(windows, model)
         assert anomaly.resolve_clusters(shuffled, model) == clusters
-        assert anomaly.detect(params, shuffled, model, lstats, eval_samples=2, seed=4) == reports
+        assert detect_list(params, shuffled, model, lstats, eval_samples=2, seed=4) == reports
 
 
 class TestDetect:
     def test_empty_input_gives_empty_report(self):
         params, windows, model, lstats = scored_setup()
-        assert anomaly.detect(params, windows[:0], model, lstats) == []
+        assert detect_list(params, windows[:0], model, lstats) == []
 
     def test_zero_eval_samples_rejected(self):
         params, windows, model, lstats = scored_setup()
@@ -256,7 +261,7 @@ class TestDetect:
         """Oracle: replay the documented scoring procedure by hand."""
         params, windows, model, lstats = scored_setup(stride=5)
         s, seed = 3, 9
-        reports = anomaly.detect(params, windows, model, lstats, eval_samples=s, seed=seed)
+        reports = detect_list(params, windows, model, lstats, eval_samples=s, seed=seed)
 
         order = sorted(
             range(len(windows)), key=lambda i: (windows[i].element_id, windows[i].start_date)
@@ -292,7 +297,7 @@ class TestDetect:
 
     def test_loss_decomposition_and_flags(self):
         params, windows, model, lstats = scored_setup()
-        for r in anomaly.detect(params, windows, model, lstats, eval_samples=2):
+        for r in detect_list(params, windows, model, lstats, eval_samples=2):
             assert r.loss == r.kl - r.loglik
             for i, f in enumerate(r.flagged):
                 assert f == (r.zscores[i] > 15.0)
@@ -301,8 +306,8 @@ class TestDetect:
 
     def test_top_k_truncates_the_same_ranking(self):
         params, windows, model, lstats = scored_setup()
-        full = anomaly.detect(params, windows, model, lstats, eval_samples=2)
-        top = anomaly.detect(params, windows, model, lstats, eval_samples=2, top_k=7)
+        full = detect_list(params, windows, model, lstats, eval_samples=2)
+        top = detect_list(params, windows, model, lstats, eval_samples=2, top_k=7)
         assert len(top) == 7
         assert [(r.element_id, r.date, r.loss) for r in top] == [
             (r.element_id, r.date, r.loss) for r in full[:7]
@@ -310,20 +315,17 @@ class TestDetect:
 
     def test_loss_floor_is_strict(self):
         params, windows, model, lstats = scored_setup()
-        full = anomaly.detect(params, windows, model, lstats, eval_samples=2)
+        full = detect_list(params, windows, model, lstats, eval_samples=2)
         floor = full[4].loss
-        kept = anomaly.detect(
-            params, windows, model, lstats, eval_samples=2, loss_floor=floor
-        )
+        kept = detect_list(params, windows, model, lstats, eval_samples=2, loss_floor=floor)
         assert all(r.loss > floor for r in kept)
         assert len(kept) == sum(1 for r in full if r.loss > floor)
         assert len(kept) < len(full)
 
-    def test_under_observed_cluster_reports_fallback(self):
+    def test_under_observed_cluster_reports_fallback(self, monkeypatch):
         params, windows, model, lstats = scored_setup()
-        starved = anomaly.fit_latent_stats(
-            params, windows, model.assignment, min_timesteps=10**6
-        )
+        monkeypatch.setattr(anomaly, "MIN_CLUSTER_TIMESTEPS", 10**6)
+        starved = anomaly.fit_latent_stats(params, windows, model.assignment)
         assert not starved.cluster_mean
         # explicit per-cluster entries equal to the global stats must yield
         # the same z-scores the fallback path produces
@@ -334,16 +336,16 @@ class TestDetect:
             cluster_mean={c: starved.global_mean for c in range(model.k)},
             cluster_std={c: starved.global_std for c in range(model.k)},
         )
-        via_fallback = anomaly.detect(params, windows, model, starved, eval_samples=2)
-        via_explicit = anomaly.detect(params, windows, model, explicit, eval_samples=2)
+        via_fallback = detect_list(params, windows, model, starved, eval_samples=2)
+        via_explicit = detect_list(params, windows, model, explicit, eval_samples=2)
         assert all(r.stats_fallback for r in via_fallback)
         assert not any(r.stats_fallback for r in via_explicit)
         assert [r.zscores for r in via_fallback] == [r.zscores for r in via_explicit]
 
     def test_same_seed_reproduces_exactly(self):
         params, windows, model, lstats = scored_setup()
-        a = anomaly.detect(params, windows, model, lstats, eval_samples=2, seed=4)
-        b = anomaly.detect(params, windows, model, lstats, eval_samples=2, seed=4)
+        a = detect_list(params, windows, model, lstats, eval_samples=2, seed=4)
+        b = detect_list(params, windows, model, lstats, eval_samples=2, seed=4)
         assert [(r.element_id, r.date, r.loss, r.zscores) for r in a] == [
             (r.element_id, r.date, r.loss, r.zscores) for r in b
         ]
@@ -355,7 +357,7 @@ class TestForwardPrecision:
     def scored(self):
         params, windows, model, lstats = scored_setup()
         # a threshold low enough to flag cells, so the flag comparison has teeth
-        reports = anomaly.detect(params, windows, model, lstats, z_threshold=1.0, symmetric=True)
+        reports = detect_list(params, windows, model, lstats, z_threshold=1.0, symmetric=True)
         return {(r.element_id, r.date): r for r in reports}, [
             (r.element_id, r.date) for r in reports
         ]
@@ -407,7 +409,7 @@ class TestDetectionRanking:
             )
             records, labels = data.synth_generate(cfg)
             windows = data.window_sequences(records, 20, stride=20, stats=tp.stats)
-            reports = anomaly.detect(tp.params, windows, tp.model, lstats, seed=0)
+            reports = detect_list(tp.params, windows, tp.model, lstats, seed=0)
             return {(r.element_id, r.date): r.rank for r in reports}, records, labels
 
         clean_pos, clean_recs, _ = score(0.0, 10.0)
@@ -441,18 +443,28 @@ class TestDetectionRanking:
 class TestReportSerialization:
     def test_rows_schema(self):
         params, windows, model, lstats = scored_setup()
-        reports = anomaly.detect(params, windows, model, lstats, eval_samples=2, top_k=4)
-        rows = list(anomaly.report_rows(reports))
+        # a threshold low enough to flag cells, so the attribution column is filled
+        report = anomaly.detect(
+            params, windows, model, lstats, eval_samples=2, z_threshold=1.0, symmetric=True
+        )
+        reports = oracles.report_list(report)
+        assert any(r.attribution for r in reports)
+        rows = list(anomaly.report_rows(report))
         assert rows[0] == anomaly.REPORT_HEADER
-        assert len(rows) == 5
+        assert len(rows) == len(reports) + 1
         for row, r in zip(rows[1:], reports):
             assert len(row) == len(anomaly.REPORT_HEADER)
             assert row[0] == r.rank
             assert row[1] == r.element_id
+            assert row[2] == r.date
+            assert row[3] == r.cluster
+            assert [float(v) for v in row[4:9]] == list(r.kpis)
             assert float(row[4 + 5]) == r.loss
             assert float(row[4 + 6]) == r.loglik
             assert float(row[4 + 7]) == r.kl
+            assert [float(v) for v in row[12:17]] == list(r.zscores)
             assert row[-2] == "|".join(r.attribution)
+            assert r.attribution == tuple(oracles.attribute(r, threshold=1.0, symmetric=True))
             assert row[-1] == int(r.stats_fallback)
 
     def test_save_report_writes_csv(self, tmp_path):

@@ -316,6 +316,15 @@ def corrupt_token(src, dst, prefix, index, token):
     return n + 1
 
 
+def repeat_row(src, dst, prefix):
+    """Copy a text artifact with its first row starting with `prefix` appended
+    again at the end; returns the line number of the copy."""
+    lines = src.read_text().splitlines()
+    lines.append(next(ln for ln in lines if ln.startswith(prefix)))
+    dst.write_text("\n".join(lines) + "\n")
+    return len(lines)
+
+
 FLOAT_FLAGS = [
     (name, key)
     for name, table in (("synth", cli.SYNTH_KEYS), ("train", cli.TRAIN_KEYS), ("score", cli.SCORE_KEYS))
@@ -357,6 +366,30 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert f"line {line_no}" in err
+
+    @pytest.mark.parametrize(
+        "artifact, flag, prefix",
+        [
+            ("lstats", "latent_stats", "concept_dims"),
+            # after the cluster rows, a second global row used to drop them all
+            ("lstats", "latent_stats", "global"),
+            ("lstats", "latent_stats", "cluster"),
+            ("model", "model", "k "),
+            ("model", "model", "inertia"),
+            # a second centroid 0 row used to replace the first
+            ("model", "model", "centroid 0"),
+            ("model", "model", "assign"),
+            ("stats", "stats", "total_drops"),
+        ],
+    )
+    def test_repeated_artifact_row(self, pipeline, tmp_path, capsys, artifact, flag, prefix):
+        bad = tmp_path / "bad.txt"
+        line_no = repeat_row(pipeline[artifact], bad, prefix)
+        assert score_with(pipeline, tmp_path, **{flag: bad}) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: line {line_no}: repeated")
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("size", [500, -16])
     def test_truncated_checkpoint(self, pipeline, tmp_path, capsys, size):

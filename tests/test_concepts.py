@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from kpivae import concepts, data
-from kpivae.errors import ValidationError
+from kpivae.errors import ParseError, ValidationError
 
 
 def profiles_from(points):
@@ -231,3 +231,10 @@ class TestQualityAndPersistence:
         assert np.array_equal(loaded.prior_means, model.prior_means)
         assert loaded.assignment == model.assignment
         assert loaded.inertia == model.inertia
+
+    def test_same_centroid_spelled_twice_rejected(self, tmp_path):
+        values = " ".join(["0.5"] * 10)
+        p = tmp_path / "model.txt"
+        p.write_text(f"{concepts.CONCEPTS_TAG}\nk 1\ncentroid 0 {values}\ncentroid 00 {values}\n")
+        with pytest.raises(ParseError, match="line 4: repeated 'centroid 0' row"):
+            concepts.load_concept_model(p)

@@ -312,7 +312,7 @@ class TestSynth:
         )
         p = tmp_path / "labels.csv"
         data.save_labels(labels, p)
-        assert data.load_labels(p) == labels
+        assert oracles.load_labels(p) == labels
 
     @pytest.mark.parametrize(
         "text, where",
@@ -322,7 +322,7 @@ class TestSynth:
         p = tmp_path / "labels.csv"
         p.write_text(text)
         with pytest.raises(ParseError, match=where):
-            data.load_labels(p)
+            oracles.load_labels(p)
 
     def test_cluster_round_robin(self):
         cfg = data.SynthConfig(element_count=7, days=5, cluster_profiles=data.default_profiles(3))
