@@ -14,7 +14,7 @@ import numpy as np
 
 from .concepts import ConceptModel, assign_concept
 from .data import (
-    KPI_NAMES, N_KPIS, Windows, artifact_rows, claim_row, fmt_float, group_means, write_csv
+    KPI_NAMES, N_KPIS, Windows, fmt_float, group_means, read_artifact, write_artifact, write_csv
 )
 from .errors import ConfigError, ParseError, ValidationError
 from .vae import (
@@ -251,51 +251,30 @@ def save_report(report: Report, path) -> None:
 
 
 def save_latent_stats(stats: LatentStats, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(LATENTSTATS_TAG + "\n")
-        fh.write(f"concept_dims {stats.concept_dims}\n")
-        mean = " ".join(fmt_float(v) for v in stats.global_mean)
-        std = " ".join(fmt_float(v) for v in stats.global_std)
-        fh.write(f"global {mean} {std}\n")
-        for j in sorted(stats.cluster_mean):
-            mean = " ".join(fmt_float(v) for v in stats.cluster_mean[j])
-            std = " ".join(fmt_float(v) for v in stats.cluster_std[j])
-            fh.write(f"cluster {j} {mean} {std}\n")
-
-
-def _mean_std(tokens: list[str], line_no: int) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.array([float(v) for v in tokens])
-    mean, std = np.split(vals, 2)
-    if not np.isfinite(vals).all() or (std <= 0).any():
-        raise ParseError("latent stats need finite means and positive finite stds", line_no)
-    return mean, std
+    rows = [["concept_dims", stats.concept_dims], ["global", *stats.global_mean, *stats.global_std]]
+    for j in sorted(stats.cluster_mean):
+        rows.append(["cluster", j, *stats.cluster_mean[j], *stats.cluster_std[j]])
+    write_artifact(path, LATENTSTATS_TAG, rows)
 
 
 def load_latent_stats(path) -> LatentStats:
-    concept_dims = None
-    stats = None
-    seen: set = set()
-    for line_no, parts in artifact_rows(path, LATENTSTATS_TAG):
-        try:
-            if parts[0] == "concept_dims":
-                claim_row(seen, line_no, "concept_dims")
-                concept_dims = int(parts[1])
-            elif parts[0] == "global":
-                claim_row(seen, line_no, "global")
-                if concept_dims is None or len(parts) != 1 + 2 * concept_dims:
-                    raise ParseError("bad global stats row", line_no)
-                mean, std = _mean_std(parts[1:], line_no)
-                stats = LatentStats(concept_dims, mean, std, cluster_mean={}, cluster_std={})
-            elif parts[0] == "cluster":
-                if stats is None or len(parts) != 2 + 2 * concept_dims:
-                    raise ParseError("bad cluster stats row", line_no)
-                j = int(parts[1])
-                claim_row(seen, line_no, "cluster", j)
-                stats.cluster_mean[j], stats.cluster_std[j] = _mean_std(parts[2:], line_no)
-            else:
-                raise ParseError(f"unknown row {parts[0]!r}", line_no)
-        except (ValueError, IndexError):
-            raise ParseError(f"malformed row {' '.join(parts)!r}", line_no)
-    if stats is None:
+    def width(rows):  # a stats row holds concept_dims means, then concept_dims stds
+        return 2 * rows["concept_dims"][None][1][0]
+
+    kinds = {
+        "concept_dims": (None, int, 1),
+        "global": (None, float, width),
+        "cluster": (int, float, width),
+    }
+    rows = read_artifact(path, LATENTSTATS_TAG, kinds)
+    if not rows["global"]:
         raise ParseError("missing global stats row")
-    return stats
+    by_key = {None: rows["global"][None], **rows["cluster"]}
+    split = {j: (line_no, *np.split(np.array(v), 2)) for j, (line_no, v) in by_key.items()}
+    for line_no, _, std in sorted(split.values(), key=lambda row: row[0]):
+        if (std <= 0).any():
+            raise ParseError("latent stats need positive stds", line_no)
+    _, mean, std = split.pop(None)
+    cluster_mean = {j: m for j, (_, m, _) in split.items()}
+    cluster_std = {j: s for j, (_, _, s) in split.items()}
+    return LatentStats(rows["concept_dims"][None][1][0], mean, std, cluster_mean, cluster_std)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import N_KPIS, NormStats, Records, artifact_rows, claim_row, group_means, normalize
+from .data import N_KPIS, NormStats, Records, group_means, normalize, read_artifact, write_artifact
 from .errors import ParseError, ValidationError
 
 CONCEPTS_TAG = "kpivae-concepts-v1"
@@ -108,7 +108,7 @@ def kmeans_fit(profiles: tuple[list[str], np.ndarray], k: int, seed: int = 0) ->
     centroids = kmeans_pp_seed(points, k, rng)
     centroids, labels, inertia, _ = lloyd(points, centroids)
     assignment = dict(zip(ids, labels.tolist()))
-    return ConceptModel(k=k, centroids=centroids, prior_means=None, assignment=assignment, inertia=inertia)
+    return ConceptModel(k, centroids, None, assignment, inertia)
 
 
 def scale_centroids(model: ConceptModel) -> ConceptModel:
@@ -157,59 +157,36 @@ def cluster_quality(model: ConceptModel, profiles: tuple[list[str], np.ndarray])
 def save_concept_model(model: ConceptModel, path) -> None:
     if model.prior_means is None:
         raise ValidationError("cannot persist a model without prior_means; run scale_centroids")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(CONCEPTS_TAG + "\n")
-        fh.write(f"k {model.k}\n")
-        fh.write(f"inertia {model.inertia!r}\n")
-        for j in range(model.k):
-            row = [repr(float(v)) for v in model.centroids[j]]
-            row += [repr(float(v)) for v in model.prior_means[j]]
-            fh.write(f"centroid {j} " + " ".join(row) + "\n")
-        for eid in sorted(model.assignment):
-            fh.write(f"assign {eid} {model.assignment[eid]}\n")
+    rows = [["k", model.k], ["inertia", model.inertia]]
+    rows += [["centroid", j, *model.centroids[j], *model.prior_means[j]] for j in range(model.k)]
+    rows += [["assign", eid, model.assignment[eid]] for eid in sorted(model.assignment)]
+    write_artifact(path, CONCEPTS_TAG, rows)
 
 
 def load_concept_model(path) -> ConceptModel:
-    k = None
-    inertia = 0.0
-    centroids = {}
-    priors = {}
-    assignment: dict[str, int] = {}
-    seen: set = set()
-    for line_no, parts in artifact_rows(path, CONCEPTS_TAG):
-        try:
-            if parts[0] == "k":
-                claim_row(seen, line_no, "k")
-                k = int(parts[1])
-            elif parts[0] == "inertia":
-                claim_row(seen, line_no, "inertia")
-                inertia = float(parts[1])
-            elif parts[0] == "centroid":
-                j = int(parts[1])
-                claim_row(seen, line_no, "centroid", j)
-                vals = [float(v) for v in parts[2:]]
-                if len(vals) != 2 * N_KPIS:
-                    raise ParseError(f"centroid row needs {2 * N_KPIS} values", line_no)
-                if not np.isfinite(vals).all():
-                    raise ParseError("centroid row has a value that is not finite", line_no)
-                centroids[j] = vals[:N_KPIS]
-                priors[j] = vals[N_KPIS:]
-            elif parts[0] == "assign":
-                claim_row(seen, line_no, "assign", parts[1])
-                assignment[parts[1]] = int(parts[2])
-            else:
-                raise ParseError(f"unknown row {parts[0]!r}", line_no)
-        except (ValueError, IndexError):
-            raise ParseError(f"malformed row {' '.join(parts)!r}", line_no)
-    if k is None or sorted(centroids) != list(range(k)):
-        raise ParseError("missing k or centroid rows")
+    kinds = {
+        "k": (None, int, 1),
+        "inertia": (None, float, 1),
+        # a centroid row holds its 5 centroid values, then its 5 prior means
+        "centroid": (int, float, 2 * N_KPIS),
+        "assign": (str, int, 1),
+    }
+    rows = read_artifact(path, CONCEPTS_TAG, kinds)
+    if not rows["k"] or not rows["inertia"]:
+        raise ParseError("missing k or inertia row")
+    (k_line, (k,)), (inertia,) = rows["k"][None], rows["inertia"][None][1]
     if k < 1:
-        raise ParseError(f"k must be >= 1, got {k}")
-    if any(not 0 <= j < k for j in assignment.values()):
-        raise ParseError(f"cluster assignment outside 0..{k - 1}")
-    cent = np.array([centroids[j] for j in range(k)])
-    pm = np.array([priors[j] for j in range(k)])
-    return ConceptModel(k=k, centroids=cent, prior_means=pm, assignment=assignment, inertia=inertia)
+        raise ParseError(f"k must be >= 1, got {k}", k_line)
+    # the count first, so that a huge k builds nothing
+    if len(rows["centroid"]) != k or sorted(rows["centroid"]) != list(range(k)):
+        raise ParseError(f"expected one centroid row for each of 0..{k - 1}", k_line)
+    for line_no, (j,) in rows["assign"].values():
+        if not 0 <= j < k:
+            raise ParseError(f"cluster assignment {j} outside 0..{k - 1}", line_no)
+    values = np.array([rows["centroid"][j][1] for j in range(k)])
+    assignment = {eid: j for eid, (_, (j,)) in rows["assign"].items()}
+    centroids, priors = values[:, :N_KPIS].copy(), values[:, N_KPIS:].copy()
+    return ConceptModel(k, centroids, priors, assignment, inertia)
 
 
 def quality_csv_rows(report: QualityReport) -> list[list]:

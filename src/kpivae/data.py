@@ -277,55 +277,72 @@ def group_means(group: np.ndarray, rows: np.ndarray, n_groups: int) -> np.ndarra
     return sums / np.bincount(group, minlength=n_groups)[:, None]
 
 
-def save_norm_stats(stats: NormStats, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(NORMSTATS_TAG + "\n")
-        for i, name in enumerate(KPI_NAMES):
-            fh.write(
-                f"{name} {fmt_float(stats.mins[i])} {fmt_float(stats.maxs[i])} "
-                f"{int(stats.degenerate[i])}\n"
-            )
+def write_artifact(path, tag: str, rows) -> None:
+    """Write a text artifact: the tag line, then one line of tokens per row.
 
-
-def artifact_rows(path, tag: str):
-    """Yield (line number, fields) of every non-blank line after the tag line.
-
-    Raises ParseError when the file is not text or does not start with `tag`.
+    Floats are written by fmt_float, every other token by str.
     """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(tag + "\n")
+        for row in rows:
+            tokens = (fmt_float(t) if isinstance(t, (float, np.floating)) else str(t) for t in row)
+            fh.write(" ".join(tokens) + "\n")
+
+
+def read_artifact(path, tag: str, kinds: dict) -> dict:
+    """Parse a text artifact into {kind: {key: (line number, values)}}.
+
+    A row is its kind, then a key if the kind has one, then its values.
+    `kinds` maps each kind to (key cast or None, value cast, value count); a
+    count may be a function of the rows read before. Raises ParseError naming
+    the line, in file order, for a bad tag or non-UTF-8 bytes, an unknown
+    kind, a token that does not cast, a wrong value count, a value that is
+    not finite and a key repeated (compared after casting).
+    """
+    rows = {kind: {} for kind in kinds}
     lines = enumerate(text_lines(path), start=1)
     if next(lines, (1, ""))[1].rstrip("\n") != tag:
         raise ParseError(f"bad tag in {path}, expected {tag!r}", 1)
     for line_no, ln in lines:
-        parts = ln.split()
-        if parts:
-            yield line_no, parts
+        tokens = ln.split()
+        if not tokens:
+            continue
+        kind = tokens.pop(0)
+        if kind not in kinds:
+            raise ParseError(f"unknown row {kind!r}", line_no)
+        key_cast, cast, count = kinds[kind]
+        try:
+            count = count(rows) if callable(count) else count
+            key = key_cast(tokens.pop(0)) if key_cast else None
+            values = [cast(t) for t in tokens]
+        except (ValueError, IndexError, KeyError):
+            raise ParseError(f"malformed row {ln.strip()!r}", line_no)
+        name = kind if key is None else f"{kind} {key}"
+        if len(values) != count:
+            raise ParseError(f"{name} row needs {count} values, got {len(values)}", line_no)
+        if cast is float and not np.isfinite(values).all():
+            raise ParseError(f"{name} row has a value that is not finite", line_no)
+        if key in rows[kind]:
+            raise ParseError(f"repeated {name!r} row", line_no)
+        rows[kind][key] = (line_no, values)
+    return rows
 
 
-def claim_row(seen: set, line_no: int, *key) -> None:
-    """Note the key of an artifact row; a key seen before is a ParseError."""
-    if key in seen:
-        raise ParseError(f"repeated {' '.join(map(str, key))!r} row", line_no)
-    seen.add(key)
+def save_norm_stats(stats: NormStats, path) -> None:
+    rows = zip(KPI_NAMES, stats.mins, stats.maxs, stats.degenerate.astype(int).tolist())
+    write_artifact(path, NORMSTATS_TAG, rows)
 
 
 def load_norm_stats(path) -> NormStats:
-    mins = np.zeros(N_KPIS)
-    maxs = np.zeros(N_KPIS)
-    degenerate = np.zeros(N_KPIS, dtype=bool)
-    seen = set()
-    for line_no, parts in artifact_rows(path, NORMSTATS_TAG):
-        if len(parts) != 4 or parts[0] not in KPI_NAMES:
-            raise ParseError(f"bad normstats row {' '.join(parts)!r}", line_no)
-        claim_row(seen, line_no, parts[0])
-        i = KPI_NAMES.index(parts[0])
-        try:
-            mins[i], maxs[i] = float(parts[1]), float(parts[2])
-            degenerate[i] = bool(int(parts[3]))
-        except ValueError:
-            raise ParseError(f"non-numeric token in {' '.join(parts)!r}", line_no)
-    if len(seen) != N_KPIS:
-        raise ParseError(f"expected {N_KPIS} stat rows, got {len(seen)}")
-    return NormStats(mins, maxs, degenerate)
+    rows = read_artifact(path, NORMSTATS_TAG, dict.fromkeys(KPI_NAMES, (None, float, 3)))
+    found = [rows[name][None] for name in KPI_NAMES if rows[name]]
+    if len(found) != N_KPIS:
+        raise ParseError(f"expected {N_KPIS} stat rows, got {len(found)}")
+    for line_no, (lo, hi, degenerate) in sorted(found):
+        if not lo <= hi or degenerate != (lo == hi):
+            raise ParseError("need min <= max, and degenerate 1 exactly when min == max", line_no)
+    mins, maxs, degenerate = np.array([values for _, values in found]).T.copy()
+    return NormStats(mins, maxs, degenerate == 1)
 
 
 def window_sequences(
@@ -463,10 +480,10 @@ def synth_generate(config: SynthConfig) -> tuple[Records, list[AnomalyLabel]]:
     k = len(config.cluster_profiles)
     columns = []  # per element the five KPI columns, each one value per day
     for e in range(config.element_count):
-        profile = config.cluster_profiles[e % k]
-        enb = np.maximum(0.0, np.round(rng.normal(profile.means[2], profile.scales[2], config.days)))
-        mme = np.maximum(0.0, np.round(rng.normal(profile.means[3], profile.scales[3], config.days)))
-        att = np.maximum(1.0, np.round(rng.normal(profile.means[4], profile.scales[4], config.days)))
+        p = config.cluster_profiles[e % k]
+        enb = np.maximum(0.0, np.round(rng.normal(p.means[2], p.scales[2], config.days)))
+        mme = np.maximum(0.0, np.round(rng.normal(p.means[3], p.scales[3], config.days)))
+        att = np.maximum(1.0, np.round(rng.normal(p.means[4], p.scales[4], config.days)))
         td = enb + mme
         columns.append((100.0 * td / np.maximum(att, 1.0), td, enb, mme, att))
     ids = [f"el{e:04d}" for e in range(config.element_count)]

@@ -485,48 +485,48 @@ def save_checkpoint(params: VaeParams, path) -> None:
             fh.write(np.ascontiguousarray(params.tensors[k]).tobytes())
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ParseError(f"truncated checkpoint: {what} needs {n} bytes, found {len(buf)}")
-    return buf
-
-
 def load_checkpoint(path) -> VaeParams:
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         raise MissingArtifactError(f"checkpoint not found: {path}")
     with fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise ParseError(f"not a kpivae checkpoint: {path}")
-        (blob_len,) = struct.unpack(">Q", _read_exact(fh, 8, "header length"))
-        blob = _read_exact(fh, blob_len, "header")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-            if header.get("format") != CHECKPOINT_FORMAT:
-                raise ParseError(f"unsupported checkpoint format {header.get('format')!r}")
-            arch = ArchConfig(**header["arch"])
-            latent = LatentConfig(**header["latent"])
-            arrays = [
-                (name, np.dtype(dtype), tuple(int(n) for n in shape))
-                for name, dtype, shape in header["arrays"]
-            ]
-            seed = header["seed"]
-            if arch.input_dim != N_KPIS:
-                raise ParseError(f"checkpoint input_dim {arch.input_dim} is not {N_KPIS}")
-            arch.validate()
-            latent.validate(arch.input_dim)
-            shapes = _tensor_shapes(arch, latent)
-        except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
-            raise ParseError(f"bad checkpoint header: {e}")
-        if arrays != [(k, np.dtype(np.float64), shapes[k]) for k in sorted(shapes)]:
-            raise ParseError("checkpoint tensors do not match the architecture in its header")
-        tensors = {}
-        for name, dtype, shape in arrays:
-            buf = _read_exact(fh, math.prod(shape) * dtype.itemsize, f"tensor {name}")
-            tensors[name] = np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-        if fh.read(1):
-            raise ParseError("trailing bytes after the last checkpoint tensor")
+        buf = fh.read()
+    # each size the file declares is checked against its length before slicing;
+    # the header length is the ">Q" that save_checkpoint packs
+    blob_len = int.from_bytes(buf[:8], "big")
+    blob = buf[8 : 8 + blob_len]
+    if len(buf) < 8 or len(blob) != blob_len:
+        raise ParseError("truncated checkpoint header")
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise ParseError(f"unsupported checkpoint format {header.get('format')!r}")
+        arch = ArchConfig(**header["arch"])
+        latent = LatentConfig(**header["latent"])
+        arrays = [
+            (name, np.dtype(dtype), tuple(int(n) for n in shape))
+            for name, dtype, shape in header["arrays"]
+        ]
+        seed = header["seed"]
+        if arch.input_dim != N_KPIS:
+            raise ParseError(f"checkpoint input_dim {arch.input_dim} is not {N_KPIS}")
+        arch.validate()
+        latent.validate(arch.input_dim)
+        shapes = _tensor_shapes(arch, latent)
+    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
+        raise ParseError(f"bad checkpoint header: {e}")
+    if arrays != [(k, np.dtype(np.float64), shapes[k]) for k in sorted(shapes)]:
+        raise ParseError("checkpoint tensors do not match the architecture in its header")
+    counts = [math.prod(shape) for _, _, shape in arrays]
+    body = 8 + blob_len
+    need, found = 8 * sum(counts), len(buf) - body  # 8 bytes per float64
+    if found != need:
+        what = "truncated checkpoint" if found < need else "trailing bytes in checkpoint"
+        raise ParseError(f"{what}: its tensors need {need} bytes, found {found}")
+    flat = np.frombuffer(buf, np.float64, offset=body)
+    parts = np.split(flat, np.cumsum(counts)[:-1])
+    tensors = {name: a.reshape(shape).copy() for (name, _, shape), a in zip(arrays, parts)}
     return VaeParams(arch=arch, latent=latent, tensors=tensors, seed=seed)

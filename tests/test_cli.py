@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpivae import anomaly, cli, concepts, data, vae
-from kpivae.errors import ConfigError, ValidationError
+from kpivae.errors import ConfigError, KpivaeError, ValidationError
 
 
 def run(argv):
@@ -353,8 +355,14 @@ class TestMalformedInputs:
             ("model", "model", "centroid 1", 3, "inf"),
             ("model", "model", "centroid 1", 8, "nan"),
             ("model", "model", "assign", 2, None),
+            # compared with the centroid rows before anything of size k is built
+            ("model", "model", "k ", 1, "10000000000000"),
             ("stats", "stats", "total_drops", 2, "abc"),
             ("stats", "stats", "mme_drops", 3, "yes"),
+            # a norm-stats row holds min, max and the degenerate flag
+            ("stats", "stats", "total_call_attempts", 2, "inf"),
+            ("stats", "stats", "call_drop_rate", 1, "1e9"),
+            ("stats", "stats", "enodeb_drops", 3, "7"),
         ],
     )
     def test_bad_text_artifact(
@@ -522,6 +530,19 @@ class TestMalformedInputs:
         assert err.startswith("error:") and "prior_std" in err
         assert not (tmp_path / "report.csv").exists()
 
+    def test_checkpoint_declares_huge_tensors(self, pipeline, tmp_path, capsys):
+        def huge(header):
+            header["arch"]["hidden"] = 2**30
+            arch, latent = vae.ArchConfig(**header["arch"]), vae.LatentConfig(**header["latent"])
+            shapes = vae._tensor_shapes(arch, latent)
+            header["arrays"] = [[k, "float64", list(shapes[k])] for k in sorted(shapes)]
+
+        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", huge)
+        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "truncated" in lines[0]
+
     def test_concept_model_without_clusters(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "model.txt"
         bad.write_text(f"{concepts.CONCEPTS_TAG}\nk 0\ninertia 0.0\n")
@@ -533,6 +554,56 @@ class TestMalformedInputs:
         ])
         assert code == 2
         assert "k must be >= 1" in capsys.readouterr().err
+
+
+LOADERS = {
+    "stats": data.load_norm_stats,
+    "model": concepts.load_concept_model,
+    "lstats": anomaly.load_latent_stats,
+}
+
+
+def assert_sound(artifact, loaded):
+    """Every check a loaded text artifact must pass."""
+    if artifact == "stats":
+        assert np.isfinite(loaded.mins).all() and np.isfinite(loaded.maxs).all()
+        assert (loaded.mins <= loaded.maxs).all()
+        assert np.array_equal(loaded.degenerate, loaded.mins == loaded.maxs)
+    elif artifact == "model":
+        assert loaded.centroids.shape == loaded.prior_means.shape == (loaded.k, data.N_KPIS)
+        assert np.isfinite(loaded.centroids).all() and np.isfinite(loaded.prior_means).all()
+        assert np.isfinite(loaded.inertia)
+        assert all(0 <= j < loaded.k for j in loaded.assignment.values())
+    else:
+        means = [loaded.global_mean, *loaded.cluster_mean.values()]
+        stds = [loaded.global_std, *loaded.cluster_std.values()]
+        assert loaded.cluster_mean.keys() == loaded.cluster_std.keys()
+        for mean, std in zip(means, stds):
+            assert mean.shape == std.shape == (loaded.concept_dims,)
+            assert np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()
+
+
+class TestArtifactFuzz:
+    # bytes that keep a number a number are drawn more often than the rest
+    BYTES = st.one_of(st.sampled_from(b"0123456789.-e \n"), st.integers(0, 255))
+
+    @settings(max_examples=600, deadline=None)
+    @given(draw=st.data())
+    def test_edit_or_truncation_fails_or_loads_sound(self, pipeline, tmp_path_factory, draw):
+        artifact = draw.draw(st.sampled_from(sorted(LOADERS)))
+        blob = bytearray(pipeline[artifact].read_bytes())
+        at = draw.draw(st.integers(0, len(blob) - 1))
+        if draw.draw(st.booleans()):
+            del blob[at:]
+        else:
+            blob[at] = draw.draw(self.BYTES)
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_bytes(bytes(blob))
+        try:
+            loaded = LOADERS[artifact](path)
+        except KpivaeError:
+            return
+        assert_sound(artifact, loaded)
 
 
 class TestArgparseErrors:

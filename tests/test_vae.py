@@ -399,6 +399,17 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="trailing"):
             vae.load_checkpoint(cut)
 
+    def test_header_length_beyond_file_rejected(self, tmp_path):
+        params = vae.init_params(ArchConfig(hidden=2, layers=1), LatentConfig(free_dims=1))
+        p = tmp_path / "ckpt.bin"
+        vae.save_checkpoint(params, p)
+        blob = p.read_bytes()
+        start = len(vae.CHECKPOINT_MAGIC)
+        for n in (2**40, 2**64 - 1):
+            p.write_bytes(blob[:start] + struct.pack(">Q", n) + blob[start + 8 :])
+            with pytest.raises(ParseError, match="truncated"):
+                vae.load_checkpoint(p)
+
     def test_corrupt_header_rejected(self, tmp_path):
         params = vae.init_params(ArchConfig(hidden=2, layers=1), LatentConfig(free_dims=1))
         p = tmp_path / "ckpt.bin"
