@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import datetime as _dt
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -26,6 +26,9 @@ N_KPIS = len(KPI_NAMES)
 
 CSV_HEADER = ["element_id", "date"] + list(KPI_NAMES)
 LABEL_HEADER = ["element_id", "date", "kpi_index"]
+
+# CSV rows load_records converts at a time; bounds the row strings held at once
+LOAD_CHUNK_ROWS = 1024
 
 NORMSTATS_TAG = "kpivae-normstats-v1"
 
@@ -197,18 +200,26 @@ def load_records(path) -> Records:
     Raises ParseError with the line number for malformed rows, ValidationError
     for negative KPIs or duplicate (element_id, date) pairs.
     """
-    rows = (row for _, row in csv_rows(path, CSV_HEADER))
-    ids, dates, *kpis = list(zip(*rows)) or [()] * len(CSV_HEADER)
+    rows = csv_rows(path, CSV_HEADER)
+    ids, dates, blocks = [], [], [np.empty((N_KPIS, 0))]
     try:
-        # one column after another, so the KPI strings are freed before the key set
-        kpis = np.fromiter(map(float, chain.from_iterable(kpis)), np.float64).reshape(N_KPIS, -1).T
-        dates = list(map(_parse_date, dates))
+        # each chunk's KPIs go column after column into one (5, n) block
+        while chunk := [row for _, row in islice(rows, LOAD_CHUNK_ROWS)]:
+            chunk_ids, chunk_dates, *cols = zip(*chunk)
+            floats = map(float, chain.from_iterable(cols))
+            blocks.append(np.fromiter(floats, np.float64).reshape(N_KPIS, -1))
+            dates += map(_parse_date, chunk_dates)
+            ids += chunk_ids
+        kpis = np.concatenate(blocks, axis=1).T
         unique = len(set(zip(ids, dates))) == len(dates)
         if unique and np.isfinite(kpis).all() and (kpis >= 0).all():
             return Records(np.array(ids, dtype=object), np.array(dates, dtype=np.int64), kpis)
     except (KpivaeError, ValueError, OverflowError):
         pass
-    # the first bad row decides the error, so read row by row to name it
+    # the first bad row decides the error: a row csv_rows rejects comes first
+    # wherever it is, then the first bad value, read row by row to name it
+    for _ in csv_rows(path, CSV_HEADER):
+        pass
     _raise_first_bad_row(csv_rows(path, CSV_HEADER))
 
 

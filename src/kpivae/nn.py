@@ -1,11 +1,12 @@
 """Minimal neural-net kernels: LSTM and linear layers with hand-written
 backward passes, orthogonal initialization, and Adam.
 
-The forward kernels compute in the dtype of their input: every buffer and
-constant of `lstm_forward` follows it, so float32 inputs and weights give a
-float32 pass with no float64 upcast. Training, forward and backward, runs in
-float64; the no-grad passes of encoding and scoring run in float32 (see
-`vae.FORWARD_DTYPE`), and `vae` sums their losses in float64.
+The kernels compute in the dtype of their input: every buffer and constant
+of `lstm_forward`, `lstm_backward` and `Adam` follows it, so float32 inputs
+and weights give float32 passes, gradients and moments with no float64
+upcast. Training and the no-grad passes of encoding and scoring run in
+float32 (see `vae.COMPUTE_DTYPE`), and `vae` sums their losses in float64;
+the gradient checks run the same kernels in float64.
 
 Layer inputs and outputs are batch-first (B, T, D). Inside an LSTM layer the
 work is time-major, so that each timestep is one contiguous (B, .) block:
@@ -119,8 +120,8 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
     # the gradient reaching the gate
     da = gates * (1.0 - gates)
     da[:, :, 2 * H : 3 * H] = 1.0 - gates[:, :, 2 * H : 3 * H] ** 2
-    dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
+    dh_next = np.zeros((B, H), dtype=h.dtype)
+    dc_next = np.zeros((B, H), dtype=h.dtype)
     for t in range(T - 1, -1, -1):
         a = gates[t]
         d = da[t]

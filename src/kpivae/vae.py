@@ -7,12 +7,14 @@ from the cluster centroids, the remaining 25 use a standard normal prior.
 Training minimizes KL + recon_weight * (-log-likelihood); reported losses are
 always the unweighted kl - loglik.
 
-Training is float64 with hand-written reverse-mode gradients, which keeps the
-whole pipeline bit-reproducible and lets tests check gradients against central
-finite differences. The no-grad passes of `encode_windows` and `detect` run the
-encoder and decoder in FORWARD_DTYPE (float32) from the float64 checkpoint;
-the per-timestep KL and log-likelihood sums, the sample mean and everything
-downstream of them stay float64.
+Gradients are hand-written reverse mode. Every pass runs the encoder and
+decoder in COMPUTE_DTYPE (float32): training keeps its weights, gradients and
+Adam moments in it, and the no-grad passes of `encode_windows` and `detect`
+cast the float64 checkpoint to it. The KL and log-likelihood sums, the sample
+mean and everything downstream of them are float64, and so is the checkpoint:
+training draws its initial parameters in float64 and upcasts the best ones,
+exactly, on return. The kernels follow the dtype of their parameters, so the
+gradient checks run them in float64 against central finite differences.
 """
 from __future__ import annotations
 
@@ -50,9 +52,9 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # of the scored output, not a tuning knob
 BATCH_WINDOWS = 256
 
-# dtype of the encoder and decoder in encode_windows and detect; like
-# BATCH_WINDOWS it is part of the scored output
-FORWARD_DTYPE = np.float32
+# dtype of the encoder and decoder in training, encode_windows and detect;
+# like BATCH_WINDOWS it is part of the output
+COMPUTE_DTYPE = np.float32
 
 CHECKPOINT_MAGIC = b"KPIVAE\x00\x01"
 CHECKPOINT_FORMAT = "kpivae-ckpt-v1"
@@ -120,8 +122,8 @@ class VaeParams:
 
 
 def _forward_params(params: VaeParams) -> VaeParams:
-    """`params` with every tensor cast to FORWARD_DTYPE, for no-grad passes."""
-    tensors = {k: v.astype(FORWARD_DTYPE) for k, v in params.tensors.items()}
+    """`params` with every tensor cast to COMPUTE_DTYPE."""
+    tensors = {k: v.astype(COMPUTE_DTYPE) for k, v in params.tensors.items()}
     return VaeParams(params.arch, params.latent, tensors, params.seed)
 
 
@@ -260,14 +262,14 @@ def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads) 
 
 
 def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
-    """float64 (mu, logvar), each (N, T, total), encoded in FORWARD_DTYPE
+    """float64 (mu, logvar), each (N, T, total), encoded in COMPUTE_DTYPE
     BATCH_WINDOWS windows at a time in input order."""
     params = _forward_params(params)
     x = windows.values
     # outputs are joined after the last chunk, not preallocated, so they do
     # not add to the peak memory of the forward passes
     parts = [
-        _encoder_forward(params, x[s : s + BATCH_WINDOWS].astype(FORWARD_DTYPE))
+        _encoder_forward(params, x[s : s + BATCH_WINDOWS].astype(COMPUTE_DTYPE))
         for s in range(0, len(x), BATCH_WINDOWS)
     ]
     return tuple(np.concatenate([p[i] for p in parts], dtype=np.float64) for i in (0, 1))
@@ -329,6 +331,8 @@ def objective_and_grads(
 
     One reparameterized sample per window (eps is (B, T, total)). Returns
     (objective, components dict, gradient dict keyed like params.tensors).
+    The networks and gradients run in the dtype of the arguments, which must
+    all share it; the reported KL and log-likelihood are summed in float64.
     """
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
@@ -341,8 +345,10 @@ def objective_and_grads(
 
     resid = x - mu_x
     inv_var_x = np.exp(-lx)
-    loglik = float(_loglik_ts(x, mu_x, lx).mean())
-    kl = float(_kl_ts(mu, lv, prior_means[:, None, :], prior_std).mean())
+    # the reported parts are summed in float64, as in batch_components
+    f64 = [np.asarray(a, np.float64) for a in (x, mu_x, lx, mu, lv, prior_means[:, None, :])]
+    loglik = float(_loglik_ts(*f64[:3]).mean())
+    kl = float(_kl_ts(*f64[3:], prior_std).mean())
     objective = kl - recon_weight * loglik
 
     grads: dict[str, np.ndarray] = {}
@@ -370,8 +376,9 @@ def train_step(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> dict[str, float]:
-    """One Adam update on a batch; mutates params in place via the optimizer."""
-    eps = rng.standard_normal((x.shape[0], x.shape[1], params.latent.total))
+    """One Adam update on a batch; mutates params in place via the optimizer.
+    The noise is drawn in float64 and cast to the dtype of `x`."""
+    eps = rng.standard_normal(x.shape[:2] + (params.latent.total,)).astype(x.dtype, copy=False)
     objective, components, grads = objective_and_grads(
         params, x, prior_means, params.latent.prior_std, config.recon_weight, eps
     )
@@ -397,6 +404,10 @@ def train(
     (epoch, train_loss, train_kl, train_loglik, val_loss), where losses are
     unweighted kl - loglik. Validation reuses one fixed noise draw across
     epochs so successive epochs are compared on common random numbers.
+
+    The initial parameters are drawn in float64 and cast once to
+    COMPUTE_DTYPE, in which the weights, gradients, Adam moments and
+    validation pass then run; the best tensors are returned as float64.
     """
     config.validate()
     if not len(train_windows):
@@ -408,14 +419,16 @@ def train(
 
     seq = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss, noise_ss, val_ss = seq.spawn(4)
-    params = init_params(arch, latent, seed=config.seed, rng=np.random.default_rng(init_ss))
+    params = _forward_params(
+        init_params(arch, latent, seed=config.seed, rng=np.random.default_rng(init_ss))
+    )
     rng_shuffle = np.random.default_rng(shuffle_ss)
     rng_noise = np.random.default_rng(noise_ss)
     rng_val = np.random.default_rng(val_ss)
 
     table = prior_table(concept_model, latent)
-    x_train = train_windows.values
-    p_train = table[window_clusters(train_windows, concept_model.assignment)]
+    x_train = train_windows.values.astype(COMPUTE_DTYPE)
+    p_train = table.astype(COMPUTE_DTYPE)[window_clusters(train_windows, concept_model.assignment)]
     x_val = val_windows.values
     p_val = table[window_clusters(val_windows, concept_model.assignment)]
     val_eps = rng_val.standard_normal((1,) + x_val.shape[:2] + (latent.total,))
@@ -460,7 +473,7 @@ def train(
             if since_best >= config.patience:
                 break
 
-    params.tensors = best_tensors
+    params.tensors = {k: v.astype(np.float64) for k, v in best_tensors.items()}
     return params, history
 
 

@@ -14,6 +14,9 @@ for the array versions of the same name, over a list of `KpiRecord`.
 `report_list` turns the columns of an `anomaly.Report` into one
 `AnomalyReport` per scored cell, and `attribute` is the per-vector formula
 that names the flagged KPIs of one cell.
+
+`NoFloat64` wraps the float32 inputs of a kernel so that any float64 array or
+numpy scalar that meets them fails the test.
 """
 from dataclasses import dataclass
 
@@ -372,3 +375,26 @@ def element_profiles(train: list[KpiRecord], stats: data.NormStats) -> list[Elem
     return [
         ElementProfile(eid, sums[eid] / counts[eid]) for eid in sorted(sums)
     ]
+
+
+class NoFloat64(np.ndarray):
+    """An array view whose ufuncs fail when a float64 operand or result
+    appears. Results are wrapped again, so a kernel fed these views is checked
+    at every ufunc its inputs reach, in-place and `out=` forms included; an
+    explicit cast such as `np.asarray(a, np.float64)` leaves the check."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, NoFloat64) else a
+
+        args = [plain(a) for a in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(plain(o) for o in out)
+        result = getattr(ufunc, method)(*args, **kwargs)
+        results = result if isinstance(result, tuple) else (result,)
+        for a in (*args, *results):
+            if isinstance(a, (np.ndarray, np.generic)) and a.dtype == np.float64:
+                raise AssertionError(f"float64 in np.{ufunc.__name__}")
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(NoFloat64) if isinstance(result, np.ndarray) else result

@@ -364,7 +364,7 @@ class TestForwardPrecision:
 
     def test_float32_scores_like_float64(self, monkeypatch):
         low, low_order = self.scored()
-        monkeypatch.setattr(vae, "FORWARD_DTYPE", np.float64)
+        monkeypatch.setattr(vae, "COMPUTE_DTYPE", np.float64)
         high, high_order = self.scored()
         assert low.keys() == high.keys()
         assert sum(sum(r.flagged) for r in high.values()) > 0
@@ -385,6 +385,33 @@ class TestForwardPrecision:
             vae.TrainConfig(batch_size=8, max_epochs=1, patience=1), arch=vae.ArchConfig(hidden=4),
         )
         assert all(v.dtype == np.float64 for v in trained.tensors.values())
+
+
+class TestTrainPrecision:
+    """Training in the compute dtype against the same run in float64."""
+
+    def trained(self):
+        _, windows, model, _ = scored_setup()
+        is_val = windows.element == windows.element.max()
+        params, history = vae.train(
+            windows[~is_val], windows[is_val], model,
+            vae.TrainConfig(batch_size=8, max_epochs=6, patience=6, seed=2),
+            arch=vae.ArchConfig(hidden=8),
+        )
+        lstats = anomaly.fit_latent_stats(params, windows, model.assignment)
+        return params, history, anomaly.detect(params, windows, model, lstats)
+
+    def test_float32_training_like_float64(self, monkeypatch):
+        low, low_history, low_report = self.trained()
+        monkeypatch.setattr(vae, "COMPUTE_DTYPE", np.float64)
+        high, high_history, high_report = self.trained()
+        assert len(low_history) == len(high_history)
+        for lo, hi in zip(low_history, high_history):
+            assert lo["val_loss"] == pytest.approx(hi["val_loss"], rel=1e-5)
+        assert all(v.dtype == np.float64 for v in [*low.tensors.values(), *high.tensors.values()])
+        top = -(-len(high_report) // 50)  # the top 2%, rounded up
+        cells = [set(zip(r.element_id[:top], r.date[:top])) for r in (low_report, high_report)]
+        assert cells[0] == cells[1]
 
 
 class TestDetectionRanking:

@@ -630,9 +630,9 @@ def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
     """`concepts`, `score`, `train` and `export-latent` write the same bytes at
     1 and 2 BLAS threads and under two hash seeds.
 
-    Training forms dWx and dWh as single GEMMs whose inner dimension is B*T.
-    Hidden 32 puts those GEMMs above OpenBLAS's size threshold for threading,
-    which hidden 6 or 8 on this data would not reach. `score` and
+    Training forms dWx and dWh as single float32 GEMMs whose inner dimension
+    is B*T. Hidden 32 puts those GEMMs above OpenBLAS's size threshold for
+    threading, which hidden 6 or 8 on this data would not reach. `score` and
     `export-latent` use the hidden-32 checkpoint and latent stats that `train`
     writes, so their float32 GEMMs cross that threshold too. The hash seed
     would show any output that follows the iteration order of a set or a

@@ -70,6 +70,29 @@ class TestLoadRecords:
         data.save_records(records, p)
         assert oracles.records_equal(data.load_records(p), records)
 
+    def test_chunks_join_to_the_same_records(self, tmp_path, monkeypatch):
+        # 36 rows in chunks of 5 leave a short last chunk
+        records, _ = data.synth_generate(data.SynthConfig(element_count=4, days=9, rng_seed=5))
+        p = tmp_path / "rt.csv"
+        data.save_records(records, p)
+        whole = data.load_records(p)
+        monkeypatch.setattr(data, "LOAD_CHUNK_ROWS", 5)
+        chunked = data.load_records(p)
+        assert oracles.records_equal(chunked, whole)
+        assert chunked.kpis.flags["F_CONTIGUOUS"] == whole.kpis.flags["F_CONTIGUOUS"]
+
+    def test_malformed_row_in_a_later_chunk_is_reported_first(self, tmp_path, monkeypatch):
+        # a bad value in the first chunk, a row with too few fields in the third
+        monkeypatch.setattr(data, "LOAD_CHUNK_ROWS", 2)
+        rows = [f"A,{d},1,2,1,1,10\n" for d in range(1, 7)]
+        rows[0] = "A,1,x,2,1,1,10\n"
+        rows[5] = "A,6,1,2\n"
+        with pytest.raises(ParseError, match="line 7.*expected 7 fields"):
+            data.load_records(write(tmp_path, HEADER + "".join(rows)))
+        rows[5] = "A,6,1,2,1,1,10\n"
+        with pytest.raises(ParseError, match="line 2.*non-numeric"):
+            data.load_records(write(tmp_path, HEADER + "".join(rows)))
+
 
 class TestNormalization:
     def test_min_max_per_column(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from kpivae import vae
 from kpivae.vae import ArchConfig, LatentConfig
 
@@ -96,3 +97,26 @@ class TestObjectiveGradients:
         _, _, a = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
         _, _, b = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_follow_the_parameter_dtype(self, dtype):
+        params, latent = micro_model(seed=3)
+        params.tensors = {k: v.astype(dtype) for k, v in params.tensors.items()}
+        rng = np.random.default_rng(3)
+        x = rng.uniform(size=(2, 2, 3)).astype(dtype)
+        prior_means = rng.uniform(-1, 1, (2, latent.total)).astype(dtype)
+        eps = rng.standard_normal((2, 2, latent.total)).astype(dtype)
+        _, components, grads = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
+        assert all(g.dtype == dtype for g in grads.values())
+        assert all(type(v) is float for v in components.values())
+
+    def test_float32_pass_meets_no_float64(self):
+        # only the reported sums leave float32, by an explicit cast
+        params, latent = micro_model(seed=3)
+        f32 = lambda a: a.astype(np.float32).view(oracles.NoFloat64)  # noqa: E731
+        params.tensors = {k: f32(v) for k, v in params.tensors.items()}
+        rng = np.random.default_rng(3)
+        x = f32(rng.uniform(size=(2, 2, 3)))
+        prior_means = f32(rng.uniform(-1, 1, (2, latent.total)))
+        eps = f32(rng.standard_normal((2, 2, latent.total)))
+        vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps)

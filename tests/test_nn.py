@@ -136,6 +136,31 @@ class TestBackward:
         assert relerr(dx, numgrad(loss, x)) < 1e-6
 
 
+class TestDtype:
+    """A float32 pass stays float32: no float64 buffer or constant upcasts it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lstm_gradients_and_adam_moments_follow_the_input(self, dtype):
+        rng = np.random.default_rng(8)
+        p = {k: v.astype(dtype) for k, v in nn.lstm_init(3, 4, rng).items()}
+        h, cache = nn.lstm_forward(rng.normal(size=(2, 3, 3)).astype(dtype), p)
+        dx, grads = nn.lstm_backward(np.ones_like(h), cache, p)
+        assert dx.dtype == dtype
+        assert all(g.dtype == dtype for g in grads.values())
+        opt = nn.Adam(p, lr=0.01)
+        opt.step(grads)
+        assert all(a.dtype == dtype for a in [*opt.m.values(), *opt.v.values(), *p.values()])
+
+    def test_float32_pass_meets_no_float64(self):
+        rng = np.random.default_rng(9)
+        f32 = lambda a: a.astype(np.float32).view(oracles.NoFloat64)  # noqa: E731
+        p = {k: f32(v) for k, v in nn.lstm_init(3, 4, rng).items()}
+        for T in (1, 3):
+            h, cache = nn.lstm_forward(f32(rng.normal(size=(2, T, 3))), p)
+            _, grads = nn.lstm_backward(f32(rng.normal(size=h.shape)), cache, p)
+            nn.Adam(p, lr=0.01).step(grads)
+
+
 def scaled_err(new, ref):
     """Largest deviation relative to the largest reference magnitude; an
     all-zero reference must be matched exactly."""

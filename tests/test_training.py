@@ -72,7 +72,7 @@ class TestTrainLoop:
         assert history[-1]["train_kl"] < history[0]["train_kl"]
 
     def test_vanishing_lr_stops_after_patience(self):
-        # steps of 1e-30 are below float64 resolution, so params never move,
+        # steps of 1e-30 are below the resolution of the weights, so params never move,
         # val loss is constant and early stopping must fire exactly
         train_w, val_w, model = toy_setup()
         arch = ArchConfig(hidden=6)
@@ -81,6 +81,22 @@ class TestTrainLoop:
         assert len(history) == 5
         vals = {row["val_loss"] for row in history}
         assert len(vals) == 1
+
+    def test_steps_meet_no_float64(self, monkeypatch):
+        # every training step and Adam update runs on checked float32 views
+        step = vae.objective_and_grads
+
+        def checked(params, x, prior_means, prior_std, recon_weight, eps):
+            view = lambda a: a.view(oracles.NoFloat64)  # noqa: E731
+            tensors = {k: view(v) for k, v in params.tensors.items()}
+            params = vae.VaeParams(params.arch, params.latent, tensors, params.seed)
+            return step(params, view(x), view(prior_means), prior_std, recon_weight, view(eps))
+
+        monkeypatch.setattr(vae, "objective_and_grads", checked)
+        train_w, val_w, model = toy_setup()
+        arch = ArchConfig(hidden=6)
+        _, history = vae.train(train_w, val_w, model, quick_cfg(max_epochs=1), arch=arch)
+        assert len(history) == 1
 
     def test_returns_best_validation_params(self):
         train_w, val_w, model = toy_setup()
@@ -96,8 +112,10 @@ class TestTrainLoop:
         val_eps = np.random.default_rng(val_ss).standard_normal(
             (1,) + x_val.shape[:2] + (latent.total,)
         )
+        # training validates in the compute dtype; the float64 upcast of the
+        # returned tensors casts back to it exactly
         _, _, kl_ts, ll_ts = vae.batch_components(
-            params, x_val, p_val, latent.prior_std, val_eps
+            vae._forward_params(params), x_val, p_val, latent.prior_std, val_eps
         )
         got = float(kl_ts.mean() - ll_ts.mean())
         assert got == pytest.approx(min(r["val_loss"] for r in history), abs=1e-12)
