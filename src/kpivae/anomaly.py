@@ -20,7 +20,6 @@ from .errors import ConfigError, ParseError, ValidationError
 from .vae import (
     BATCH_WINDOWS,
     VaeParams,
-    _forward_params,
     batch_components,
     encode_windows,
     prior_table,
@@ -111,21 +110,6 @@ def fit_latent_stats(
     return stats
 
 
-def zscores(stats: LatentStats, cluster: int | None, mu) -> np.ndarray:
-    """Standardize concept-dim encoder means against the cluster's stats.
-
-    `mu` may be (concept_dims,), (T, latent) or anything whose trailing axis
-    holds at least concept_dims entries; extra latent dims are ignored.
-    Unknown or under-observed clusters use the global statistics.
-    """
-    m = np.asarray(mu, dtype=np.float64)[..., : stats.concept_dims]
-    if cluster is not None and cluster in stats.cluster_mean:
-        mean, std = stats.cluster_mean[cluster], stats.cluster_std[cluster]
-    else:
-        mean, std = stats.global_mean, stats.global_std
-    return (m - mean) / std
-
-
 def resolve_clusters(windows: Windows, model: ConceptModel) -> dict[str, int]:
     """Cluster per element; elements unseen at fit time take the centroid
     nearest to their mean normalized KPI vector over unique dates."""
@@ -178,7 +162,7 @@ def detect(
     clusters = window_clusters(windows, resolve_clusters(windows, model))
     table = prior_table(model, params.latent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params = _forward_params(params)
+    params = params.in_compute_dtype()
 
     # kl, loglik and concept-dim mu of every scored timestep
     x = windows.values
@@ -208,10 +192,14 @@ def detect(
 
     win, step = np.divmod(keep, length)
     cell_cluster = clusters[win]
-    z = np.empty((keep.size, stats.concept_dims))
-    for cl in np.unique(cell_cluster).tolist():
-        rows = cell_cluster == cl
-        z[rows] = zscores(stats, cl, mu_c[keep[rows]])
+    # z against each cell's cluster stats, or the global ones where it has none
+    mean = np.tile(stats.global_mean, (model.k, 1))
+    std = np.tile(stats.global_std, (model.k, 1))
+    for j in stats.cluster_mean:
+        mean[j], std[j] = stats.cluster_mean[j], stats.cluster_std[j]
+    z = mu_c[keep]
+    z -= mean[cell_cluster]
+    z /= std[cell_cluster]
     score = np.abs(z) if symmetric else z
     flagged = score > z_threshold
     # names only for the rows that carry a flag, strongest first

@@ -76,20 +76,17 @@ def lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nda
     labels = _assign(points, centroids)
     history = [_inertia(points, centroids, labels)]
     for _ in range(LLOYD_MAX_ITER):
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = points[labels == j]
-            if len(members):
-                new_centroids[j] = members.mean(axis=0)
-        empties = [j for j in range(k) if not (labels == j).any()]
-        if empties:
+        empties = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+        with np.errstate(invalid="ignore"):  # an empty cluster's mean is 0/0, re-seeded below
+            new_centroids = group_means(labels, points, k)
+        if empties.size:
             d2 = ((points - new_centroids[labels]) ** 2).sum(axis=1)
-            new_centroids[empties] = points[np.argsort(-d2, kind="stable")[: len(empties)]]
+            new_centroids[empties] = points[np.argsort(-d2, kind="stable")[: empties.size]]
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         new_labels = _assign(points, centroids)
         history.append(_inertia(points, centroids, new_labels))
-        converged = (new_labels == labels).all() and not empties
+        converged = (new_labels == labels).all() and not empties.size
         labels = new_labels
         if converged or shift < LLOYD_TOL:
             break

@@ -153,9 +153,13 @@ class SynthConfig:
 def _parse_date(token: str, line_no: int | None = None) -> int:
     token = token.strip()
     try:
-        return int(token)
+        day = int(token)
     except ValueError:
         pass
+    else:
+        if not -(2**63) <= day < 2**63:
+            raise ParseError(f"date {token!r} does not fit in 64 bits", line_no)
+        return day
     try:
         return _dt.date.fromisoformat(token).toordinal()
     except ValueError:
@@ -214,7 +218,7 @@ def load_records(path) -> Records:
         unique = len(set(zip(ids, dates))) == len(dates)
         if unique and np.isfinite(kpis).all() and (kpis >= 0).all():
             return Records(np.array(ids, dtype=object), np.array(dates, dtype=np.int64), kpis)
-    except (KpivaeError, ValueError, OverflowError):
+    except (KpivaeError, ValueError):
         pass
     # the first bad row decides the error: a row csv_rows rejects comes first
     # wherever it is, then the first bad value, read row by row to name it
@@ -240,7 +244,7 @@ def _raise_first_bad_row(lines) -> None:
         if key in seen:
             raise ValidationError(f"line {line_no}: duplicate (element_id, date) {key}")
         seen.add(key)
-    raise ParseError("a date does not fit in 64 bits")
+    raise ParseError("data CSV failed a check that no single row explains")
 
 
 def write_csv(path, rows) -> None:
@@ -281,7 +285,8 @@ def normalize(kpis, stats: NormStats) -> np.ndarray:
 
 def group_means(group: np.ndarray, rows: np.ndarray, n_groups: int) -> np.ndarray:
     """(n_groups, D) mean of the rows of each group, each summed in row order,
-    so that it equals `rows[group == g].mean(axis=0)` bit for bit."""
+    so that for D >= 2 it equals `rows[group == g].mean(axis=0)` bit for bit
+    (numpy sums a single column pairwise). An empty group's mean is 0/0."""
     # -0.0 is the additive identity, so each sum starts at its group's first row
     sums = np.full((n_groups, rows.shape[1]), -0.0)
     np.add.at(sums, group, rows)

@@ -161,24 +161,33 @@ def linear_backward(dy: np.ndarray, cache, p: dict[str, np.ndarray]):
 
 
 class Adam:
-    """Adam with the standard first/second moment estimates and bias correction."""
+    """Adam with the standard first/second moment estimates and bias correction,
+    updating one flat parameter vector in place. A step keeps the textbook
+    per-element operation order, so it matches a per-tensor update bit for
+    bit, and puts its temporaries in two scratch vectors made once."""
 
-    def __init__(self, tensors: dict[str, np.ndarray], lr: float = 1e-3):
-        self.tensors = tensors
+    def __init__(self, params: np.ndarray, lr: float = 1e-3):
+        self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
-        for k, g in grads.items():
-            m = self.m[k]
-            v = self.v[k]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            self.tensors[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        m, v, (a, b) = self.m, self.v, self._scratch
+        m *= ADAM_BETA1
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=a)
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=a)
+        v += np.multiply(a, grad, out=a)
+        np.divide(v, b2t, out=a)
+        np.sqrt(a, out=a)
+        a += ADAM_EPS
+        np.divide(m, b1t, out=b)
+        b *= self.lr
+        b /= a
+        self.params -= b

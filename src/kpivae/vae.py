@@ -7,6 +7,11 @@ from the cluster centroids, the remaining 25 use a standard normal prior.
 Training minimizes KL + recon_weight * (-log-likelihood); reported losses are
 always the unweighted kl - loglik.
 
+The parameters are one flat vector holding the tensors `_tensor_shapes`
+describes in sorted-name order, the order of the checkpoint body; the
+gradient is a vector in the same layout, so a copy, cast, Adam update or
+checkpoint read or write is one array operation.
+
 Gradients are hand-written reverse mode. Every pass runs the encoder and
 decoder in COMPUTE_DTYPE (float32): training keeps its weights, gradients and
 Adam moments in it, and the no-grad passes of `encode_windows` and `detect`
@@ -21,7 +26,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -59,6 +65,15 @@ COMPUTE_DTYPE = np.float32
 CHECKPOINT_MAGIC = b"KPIVAE\x00\x01"
 CHECKPOINT_FORMAT = "kpivae-ckpt-v1"
 
+F32_MAX = float(np.finfo(np.float32).max)
+# prior_std**2 must be a normal, finite float32, where the training and
+# scoring passes divide by it
+PRIOR_STD_MIN = math.sqrt(float(np.finfo(np.float32).tiny))
+PRIOR_STD_MAX = math.sqrt(F32_MAX)
+# |logvar| bound, so that exp(logvar / 2) times a noise draw of up to 10
+# stays below sqrt(F32_MAX) in the float32 passes
+LOGVAR_MAX = 2.0 * math.log(math.sqrt(F32_MAX) / 10.0)
+
 
 @dataclass
 class LatentConfig:
@@ -77,8 +92,12 @@ class LatentConfig:
             )
         if self.free_dims < 0:
             raise ConfigError("free_dims must be >= 0")
-        if not self.prior_std > 0:
-            raise ConfigError("prior_std must be positive")
+        # compared, not squared, so that a huge value cannot overflow here
+        if not PRIOR_STD_MIN <= self.prior_std <= PRIOR_STD_MAX:
+            raise ConfigError(
+                f"prior_std must be in [{PRIOR_STD_MIN:.4g}, {PRIOR_STD_MAX:.4g}], "
+                "so that its square is a normal float32"
+            )
 
 
 @dataclass
@@ -92,6 +111,10 @@ class ArchConfig:
     def validate(self) -> None:
         if self.hidden < 1 or self.layers < 1:
             raise ConfigError("hidden and layers must be >= 1")
+        if not -LOGVAR_MAX <= self.logvar_lo < self.logvar_hi <= LOGVAR_MAX:
+            raise ConfigError(
+                f"logvar_lo must be below logvar_hi, both in [{-LOGVAR_MAX:.4g}, {LOGVAR_MAX:.4g}]"
+            )
 
 
 @dataclass
@@ -112,19 +135,27 @@ class TrainConfig:
 
 @dataclass
 class VaeParams:
+    """`tensors` ("enc0.Wx" -> array) and `layers` ("enc0" -> {"Wx", "Wh",
+    "b"}, "enc_head" -> {"W", "b"}) are views of `flat`, built once; to
+    replace `flat`, build a new VaeParams."""
+
     arch: ArchConfig
     latent: LatentConfig
-    tensors: dict[str, np.ndarray]
+    flat: np.ndarray
     seed: int
 
-    def copy_tensors(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.tensors.items()}
+    def __post_init__(self):
+        self.tensors, self.layers, start = {}, {}, 0
+        for name, shape in sorted(_tensor_shapes(self.arch, self.latent).items()):
+            stop = start + math.prod(shape)
+            self.tensors[name] = self.flat[start:stop].reshape(shape)
+            layer, key = name.split(".")
+            self.layers.setdefault(layer, {})[key] = self.tensors[name]
+            start = stop
 
-
-def _forward_params(params: VaeParams) -> VaeParams:
-    """`params` with every tensor cast to COMPUTE_DTYPE."""
-    tensors = {k: v.astype(COMPUTE_DTYPE) for k, v in params.tensors.items()}
-    return VaeParams(params.arch, params.latent, tensors, params.seed)
+    def in_compute_dtype(self) -> VaeParams:
+        """A copy with `flat` cast to COMPUTE_DTYPE, read when called."""
+        return replace(self, flat=self.flat.astype(COMPUTE_DTYPE))
 
 
 def validate_prior(mean: np.ndarray, std: float, concept_dims: int) -> None:
@@ -190,20 +221,15 @@ def init_params(
     latent.validate(arch.input_dim)
     if rng is None:
         rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
+    size = sum(map(math.prod, _tensor_shapes(arch, latent).values()))
+    params = VaeParams(arch=arch, latent=latent, flat=np.empty(size), seed=seed)
     for net, dim, out in _nets(arch, latent):
         for i in range(arch.layers):
             for k, v in lstm_init(dim if i == 0 else arch.hidden, arch.hidden, rng).items():
-                tensors[f"{net}{i}.{k}"] = v
+                params.layers[f"{net}{i}"][k][...] = v
         for k, v in linear_init(arch.hidden, 2 * out, rng).items():
-            tensors[f"{net}_head.{k}"] = v
-    return VaeParams(arch=arch, latent=latent, tensors=tensors, seed=seed)
-
-
-def _layer(params: VaeParams, key: str) -> dict[str, np.ndarray]:
-    """The tensors of one LSTM layer or head, named without the `key.` prefix."""
-    prefix = key + "."
-    return {k[len(prefix) :]: v for k, v in params.tensors.items() if k.startswith(prefix)}
+            params.layers[f"{net}_head"][k][...] = v
+    return params
 
 
 def _check_finite(what: str, mean: np.ndarray, logvar: np.ndarray) -> None:
@@ -221,10 +247,10 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool):
     caches = []
     h = x
     for i in range(arch.layers):
-        h, cache = lstm_forward(h, _layer(params, f"{net}{i}"))
+        h, cache = lstm_forward(h, params.layers[f"{net}{i}"])
         if want_cache:
             caches.append(cache)
-    raw, head_cache = linear_forward(h, _layer(params, f"{net}_head"))
+    raw, head_cache = linear_forward(h, params.layers[f"{net}_head"])
     half = raw.shape[-1] // 2
     mean, lv_raw = raw[..., :half], raw[..., half:]
     lv = np.clip(lv_raw, arch.logvar_lo, arch.logvar_hi)
@@ -248,23 +274,24 @@ def _decoder_forward(params: VaeParams, z: np.ndarray, want_cache: bool = False)
 
 def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads) -> np.ndarray:
     """Backward through one network from the gradients of its mean and clipped
-    logvar; stores the tensor gradients in `grads`, returns the input gradient."""
+    logvar; writes the tensor gradients into the layer views `grads`, returns
+    the input gradient."""
     layer_caches, head_cache, mask = caches
     draw = np.concatenate([dmean, dlogvar * mask], axis=-1)
-    dh, head_grads = linear_backward(draw, head_cache, _layer(params, f"{net}_head"))
+    dh, head_grads = linear_backward(draw, head_cache, params.layers[f"{net}_head"])
     for k, v in head_grads.items():
-        grads[f"{net}_head.{k}"] = v
+        grads[f"{net}_head"][k][...] = v
     for i in range(params.arch.layers - 1, -1, -1):
-        dh, layer_grads = lstm_backward(dh, layer_caches[i], _layer(params, f"{net}{i}"))
+        dh, layer_grads = lstm_backward(dh, layer_caches[i], params.layers[f"{net}{i}"])
         for k, v in layer_grads.items():
-            grads[f"{net}{i}.{k}"] = v
+            grads[f"{net}{i}"][k][...] = v
     return dh
 
 
 def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
     """float64 (mu, logvar), each (N, T, total), encoded in COMPUTE_DTYPE
     BATCH_WINDOWS windows at a time in input order."""
-    params = _forward_params(params)
+    params = params.in_compute_dtype()
     x = windows.values
     # outputs are joined after the last chunk, not preallocated, so they do
     # not add to the peak memory of the forward passes
@@ -307,7 +334,7 @@ def batch_components(
     (mu, logvar, kl_ts, loglik_ts) with the *_ts arrays shaped (B, T). The
     networks run in the dtype of `params`; the *_ts sums are float64.
     """
-    mu, lv, _ = _encoder_forward(params, x.astype(params.tensors["enc0.Wx"].dtype, copy=False))
+    mu, lv, _ = _encoder_forward(params, x.astype(params.flat.dtype, copy=False))
     kl_ts = _kl_ts(np.asarray(mu, np.float64), np.asarray(lv, np.float64),
                    prior_means[:, None, :], prior_std)
     std = np.exp(lv / 2.0)
@@ -330,7 +357,7 @@ def objective_and_grads(
     """Training objective kl + recon_weight * (-loglik) and its exact gradients.
 
     One reparameterized sample per window (eps is (B, T, total)). Returns
-    (objective, components dict, gradient dict keyed like params.tensors).
+    (objective, components dict, gradient vector laid out like params.flat).
     The networks and gradients run in the dtype of the arguments, which must
     all share it; the reported KL and log-likelihood are summed in float64.
     """
@@ -351,7 +378,8 @@ def objective_and_grads(
     kl = float(_kl_ts(*f64[3:], prior_std).mean())
     objective = kl - recon_weight * loglik
 
-    grads: dict[str, np.ndarray] = {}
+    grad = np.empty_like(params.flat)
+    grads = replace(params, flat=grad).layers  # views of grad
 
     # reconstruction term: d(-w * loglik) through the decoder
     coef = -recon_weight * scale
@@ -365,7 +393,7 @@ def objective_and_grads(
     _stack_backward(params, "enc", dmu, dlv, enc_cache, grads)
 
     components = {"objective": objective, "kl": kl, "loglik": loglik}
-    return objective, components, grads
+    return objective, components, grad
 
 
 def train_step(
@@ -379,14 +407,14 @@ def train_step(
     """One Adam update on a batch; mutates params in place via the optimizer.
     The noise is drawn in float64 and cast to the dtype of `x`."""
     eps = rng.standard_normal(x.shape[:2] + (params.latent.total,)).astype(x.dtype, copy=False)
-    objective, components, grads = objective_and_grads(
+    objective, components, grad = objective_and_grads(
         params, x, prior_means, params.latent.prior_std, config.recon_weight, eps
     )
     if not np.isfinite(objective):
         raise TrainingDivergedError(
             f"training objective is non-finite ({objective})", diagnostics=components
         )
-    opt.step(grads)
+    opt.step(grad)
     return components
 
 
@@ -419,9 +447,9 @@ def train(
 
     seq = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss, noise_ss, val_ss = seq.spawn(4)
-    params = _forward_params(
-        init_params(arch, latent, seed=config.seed, rng=np.random.default_rng(init_ss))
-    )
+    params = init_params(
+        arch, latent, seed=config.seed, rng=np.random.default_rng(init_ss)
+    ).in_compute_dtype()
     rng_shuffle = np.random.default_rng(shuffle_ss)
     rng_noise = np.random.default_rng(noise_ss)
     rng_val = np.random.default_rng(val_ss)
@@ -433,10 +461,10 @@ def train(
     p_val = table[window_clusters(val_windows, concept_model.assignment)]
     val_eps = rng_val.standard_normal((1,) + x_val.shape[:2] + (latent.total,))
 
-    opt = Adam(params.tensors, lr=config.learning_rate)
+    opt = Adam(params.flat, lr=config.learning_rate)
     history: list[dict[str, float]] = []
     best_val = np.inf
-    best_tensors = params.copy_tensors()
+    best = params.flat.copy()
     since_best = 0
     n = len(train_windows)
 
@@ -466,36 +494,47 @@ def train(
         )
         if val_loss < best_val:
             best_val = val_loss
-            best_tensors = params.copy_tensors()
+            best = params.flat.copy()
             since_best = 0
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
 
-    params.tensors = {k: v.astype(np.float64) for k, v in best_tensors.items()}
-    return params, history
+    return replace(params, flat=best.astype(np.float64)), history
 
 
 def save_checkpoint(params: VaeParams, path) -> None:
     """Versioned binary checkpoint; identical params give identical bytes."""
-    names = sorted(params.tensors)
     header = {
         "format": CHECKPOINT_FORMAT,
         "arch": asdict(params.arch),
         "latent": asdict(params.latent),
         "seed": params.seed,
-        "arrays": [
-            [k, str(params.tensors[k].dtype), list(params.tensors[k].shape)] for k in names
-        ],
+        "arrays": [[k, str(v.dtype), list(v.shape)] for k, v in params.tensors.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack(">Q", len(blob)))
         fh.write(blob)
-        for k in names:
-            fh.write(np.ascontiguousarray(params.tensors[k]).tobytes())
+        fh.write(params.flat.tobytes())
+
+
+def _check_numbers(values: dict, defaults: dict) -> None:
+    """Each header field must be in `values`, with the JSON type of its default:
+    an int, not a bool or a float, or a finite number, which becomes a float."""
+    for name, default in defaults.items():
+        if name not in values:  # a default would change the model silently
+            raise ParseError(f"bad checkpoint header: {name} is missing")
+        v = values[name]
+        if isinstance(default, int):
+            ok, kind = type(v) is int, "an int"
+        else:  # compared, not converted, so that a huge int cannot overflow
+            ok, kind = type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"
+        if not ok:
+            raise ParseError(f"bad checkpoint header: {name} must be {kind}")
+        values[name] = type(default)(v)
 
 
 def load_checkpoint(path) -> VaeParams:
@@ -517,6 +556,9 @@ def load_checkpoint(path) -> VaeParams:
         header = json.loads(blob.decode("utf-8"))
         if header.get("format") != CHECKPOINT_FORMAT:
             raise ParseError(f"unsupported checkpoint format {header.get('format')!r}")
+        _check_numbers(header["arch"], asdict(ArchConfig()))
+        _check_numbers(header["latent"], asdict(LatentConfig()))
+        _check_numbers(header, {"seed": 0})
         arch = ArchConfig(**header["arch"])
         latent = LatentConfig(**header["latent"])
         arrays = [
@@ -528,18 +570,18 @@ def load_checkpoint(path) -> VaeParams:
             raise ParseError(f"checkpoint input_dim {arch.input_dim} is not {N_KPIS}")
         arch.validate()
         latent.validate(arch.input_dim)
-        shapes = _tensor_shapes(arch, latent)
+        # a layer holds at least one tensor, so more layers than listed tensors
+        # cannot match, and the layout of a huge layer count is never built
+        shapes = _tensor_shapes(arch, latent) if arch.layers <= len(arrays) else None
     except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
         raise ParseError(f"bad checkpoint header: {e}")
-    if arrays != [(k, np.dtype(np.float64), shapes[k]) for k in sorted(shapes)]:
+    if shapes is None or arrays != [(k, np.dtype(np.float64), shapes[k]) for k in sorted(shapes)]:
         raise ParseError("checkpoint tensors do not match the architecture in its header")
-    counts = [math.prod(shape) for _, _, shape in arrays]
     body = 8 + blob_len
-    need, found = 8 * sum(counts), len(buf) - body  # 8 bytes per float64
+    need = 8 * sum(math.prod(shape) for _, _, shape in arrays)  # 8 bytes per float64
+    found = len(buf) - body
     if found != need:
         what = "truncated checkpoint" if found < need else "trailing bytes in checkpoint"
         raise ParseError(f"{what}: its tensors need {need} bytes, found {found}")
-    flat = np.frombuffer(buf, np.float64, offset=body)
-    parts = np.split(flat, np.cumsum(counts)[:-1])
-    tensors = {name: a.reshape(shape).copy() for (name, _, shape), a in zip(arrays, parts)}
-    return VaeParams(arch=arch, latent=latent, tensors=tensors, seed=seed)
+    flat = np.frombuffer(buf, np.float64, offset=body).copy()
+    return VaeParams(arch=arch, latent=latent, flat=flat, seed=seed)

@@ -15,14 +15,22 @@ for the array versions of the same name, over a list of `KpiRecord`.
 `AnomalyReport` per scored cell, and `attribute` is the per-vector formula
 that names the flagged KPIs of one cell.
 
+`lloyd` is k-means' Lloyd iteration with one mean per cluster, taken in a
+loop; `concepts.lloyd` must match it bit for bit.
+
+`Adam` is the per-name optimizer `nn.Adam` must match bit for bit: one
+moment pair per tensor, each updated by the textbook expression. `zscores`
+is the per-cluster standardization that `anomaly.detect` does for all rows
+at once.
+
 `NoFloat64` wraps the float32 inputs of a kernel so that any float64 array or
 numpy scalar that meets them fails the test.
 """
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from kpivae import anomaly, data, vae
+from kpivae import anomaly, concepts, data, nn, vae
 from kpivae.errors import ConfigError, ParseError, ValidationError
 
 
@@ -92,6 +100,11 @@ class PriorSpec:
 
 def n_params(params) -> int:
     return sum(int(v.size) for v in params.tensors.values())
+
+
+def tensors_of(params, flat) -> dict[str, np.ndarray]:
+    """name -> view of `flat`, a vector laid out like `params.flat` (a gradient)."""
+    return replace(params, flat=flat).tensors
 
 
 @dataclass
@@ -192,7 +205,7 @@ def eval_loss(params, window, prior: PriorSpec, eval_samples=10, rng=None) -> di
     x = as_windows(window).values
     eps = rng.standard_normal((eval_samples, 1) + (x.shape[1], params.latent.total))
     _, _, kl_ts, ll_ts = vae.batch_components(
-        vae._forward_params(params), x, prior.mean[None], prior.std, eps
+        params.in_compute_dtype(), x, prior.mean[None], prior.std, eps
     )
     kl = float(kl_ts.mean())
     loglik = float(ll_ts.mean())
@@ -203,6 +216,72 @@ def build_prior(model, latent, cluster: int) -> PriorSpec:
     """The prior of one cluster: one row of the prior table."""
     mean = vae.prior_table(model, latent)[cluster]
     return PriorSpec(mean, latent.prior_std, latent.concept_dims)
+
+
+def lloyd(points: np.ndarray, centroids: np.ndarray):
+    """Lloyd iteration as `concepts.lloyd` documents it, one cluster at a time."""
+    k = centroids.shape[0]
+    centroids = centroids.copy()
+    labels = concepts._assign(points, centroids)
+    history = [concepts._inertia(points, centroids, labels)]
+    for _ in range(concepts.LLOYD_MAX_ITER):
+        new_centroids = centroids.copy()
+        for j in range(k):
+            members = points[labels == j]
+            if len(members):
+                new_centroids[j] = members.mean(axis=0)
+        empties = [j for j in range(k) if not (labels == j).any()]
+        if empties:
+            d2 = ((points - new_centroids[labels]) ** 2).sum(axis=1)
+            new_centroids[empties] = points[np.argsort(-d2, kind="stable")[: len(empties)]]
+        shift = float(np.abs(new_centroids - centroids).max())
+        centroids = new_centroids
+        new_labels = concepts._assign(points, centroids)
+        history.append(concepts._inertia(points, centroids, new_labels))
+        converged = (new_labels == labels).all() and not empties
+        labels = new_labels
+        if converged or shift < concepts.LLOYD_TOL:
+            break
+    return centroids, labels, history[-1], history
+
+
+def zscores(stats: anomaly.LatentStats, cluster: int | None, mu) -> np.ndarray:
+    """Standardize concept-dim encoder means against the cluster's stats.
+
+    `mu` may be (concept_dims,), (T, latent) or anything whose trailing axis
+    holds at least concept_dims entries; extra latent dims are ignored.
+    Unknown or under-observed clusters use the global statistics.
+    """
+    m = np.asarray(mu, dtype=np.float64)[..., : stats.concept_dims]
+    if cluster is not None and cluster in stats.cluster_mean:
+        mean, std = stats.cluster_mean[cluster], stats.cluster_std[cluster]
+    else:
+        mean, std = stats.global_mean, stats.global_std
+    return (m - mean) / std
+
+
+class Adam:
+    """Adam over a dict of named tensors, updated in place, one name at a time."""
+
+    def __init__(self, tensors: dict[str, np.ndarray], lr: float = 1e-3):
+        self.tensors = tensors
+        self.lr = lr
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        b1t = 1.0 - nn.ADAM_BETA1**self.t
+        b2t = 1.0 - nn.ADAM_BETA2**self.t
+        for k, g in grads.items():
+            m = self.m[k]
+            v = self.v[k]
+            m *= nn.ADAM_BETA1
+            m += (1.0 - nn.ADAM_BETA1) * g
+            v *= nn.ADAM_BETA2
+            v += (1.0 - nn.ADAM_BETA2) * g * g
+            self.tensors[k] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + nn.ADAM_EPS)
 
 
 def recurrent_weight_blocks(params):

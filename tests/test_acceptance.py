@@ -97,7 +97,7 @@ class TestGradientCheck:
         count = 0
         for k in sorted(params.tensors):
             tensor = params.tensors[k]
-            analytic = grads[k]
+            analytic = oracles.tensors_of(params, grads)[k]
             it = np.nditer(tensor, flags=["multi_index"])
             while not it.finished:
                 idx = it.multi_index

@@ -100,21 +100,21 @@ class TestZScores:
 
     def test_mean_input_scores_zero(self):
         s = self.stats()
-        assert np.array_equal(anomaly.zscores(s, 0, np.full(5, 1.0)), np.zeros(5))
-        assert np.array_equal(anomaly.zscores(s, None, np.zeros(5)), np.zeros(5))
+        assert np.array_equal(oracles.zscores(s, 0, np.full(5, 1.0)), np.zeros(5))
+        assert np.array_equal(oracles.zscores(s, None, np.zeros(5)), np.zeros(5))
 
     def test_known_cluster_uses_its_stats(self):
-        z = anomaly.zscores(self.stats(), 0, np.full(5, 2.0))
+        z = oracles.zscores(self.stats(), 0, np.full(5, 2.0))
         assert np.array_equal(z, np.full(5, 2.0))
 
     def test_unknown_cluster_falls_back_to_global(self):
         s = self.stats()
-        z = anomaly.zscores(s, 7, np.full(5, 2.0))
+        z = oracles.zscores(s, 7, np.full(5, 2.0))
         assert np.array_equal(z, (np.full(5, 2.0) - s.global_mean) / s.global_std)
 
     def test_trailing_latent_dims_ignored(self):
         mu = np.concatenate([np.full(5, 2.0), np.full(25, 99.0)])
-        z = anomaly.zscores(self.stats(), 0, mu)
+        z = oracles.zscores(self.stats(), 0, mu)
         assert z.shape == (5,)
         assert np.array_equal(z, np.full(5, 2.0))
 
@@ -129,8 +129,8 @@ class TestZScores:
             cluster_std={0: s.cluster_std[0]},
         )
         mu = np.array([0.1, 0.7, 1.3, 2.0, -0.4])
-        z0 = anomaly.zscores(s, 0, mu)
-        z1 = anomaly.zscores(shifted, 0, mu)
+        z0 = oracles.zscores(s, 0, mu)
+        z1 = oracles.zscores(shifted, 0, mu)
         assert np.allclose(z1, z0 - delta / s.cluster_std[0], atol=1e-12)
 
 
@@ -278,7 +278,7 @@ class TestDetect:
         )
         eps = rng.standard_normal((s, len(ordered), 10, params.latent.total))
         _, _, kl_ts, ll_ts = vae.batch_components(
-            vae._forward_params(params), x, priors, params.latent.prior_std, eps
+            params.in_compute_dtype(), x, priors, params.latent.prior_std, eps
         )
         best = {}
         for j, w in enumerate(ordered):
@@ -342,6 +342,30 @@ class TestDetect:
         assert not any(r.stats_fallback for r in via_explicit)
         assert [r.zscores for r in via_fallback] == [r.zscores for r in via_explicit]
 
+    def test_z_matches_the_oracle_row_by_row(self, monkeypatch):
+        # stride 10 windows do not overlap, so each cell is scored once
+        params, windows, model, lstats = scored_setup(stride=10)
+        # cluster 1 keeps no stats of its own, so its rows use the global ones
+        del lstats.cluster_mean[1], lstats.cluster_std[1]
+        mus, real = [], anomaly.batch_components
+
+        def spy(*args):
+            out = real(*args)
+            mus.append(np.asarray(out[0], np.float64))
+            return out
+
+        monkeypatch.setattr(anomaly, "batch_components", spy)
+        report = anomaly.detect(params, windows, model, lstats, eval_samples=2)
+        scored = windows[np.lexsort((windows.start, windows.element))]
+        mu_of = {}
+        for i, mu in enumerate(np.concatenate(mus)):
+            for t, m in enumerate(mu):
+                mu_of[scored.elements[scored.element[i]], int(scored.start[i]) + t] = m
+        assert report.stats_fallback.any() and not report.stats_fallback.all()
+        for r in range(len(report)):
+            mu = mu_of[report.element_id[r], int(report.date[r])]
+            assert np.array_equal(report.z[r], oracles.zscores(lstats, int(report.cluster[r]), mu))
+
     def test_same_seed_reproduces_exactly(self):
         params, windows, model, lstats = scored_setup()
         a = detect_list(params, windows, model, lstats, eval_samples=2, seed=4)
@@ -349,6 +373,18 @@ class TestDetect:
         assert [(r.element_id, r.date, r.loss, r.zscores) for r in a] == [
             (r.element_id, r.date, r.loss, r.zscores) for r in b
         ]
+
+
+def spy_pass_dtypes(monkeypatch) -> list:
+    """The dtype of the parameters of every scoring pass `detect` runs."""
+    dtypes, real = [], anomaly.batch_components
+
+    def spy(params, *args):
+        dtypes.append(params.flat.dtype)
+        return real(params, *args)
+
+    monkeypatch.setattr(anomaly, "batch_components", spy)
+    return dtypes
 
 
 class TestForwardPrecision:
@@ -363,9 +399,13 @@ class TestForwardPrecision:
         ]
 
     def test_float32_scores_like_float64(self, monkeypatch):
+        dtypes = spy_pass_dtypes(monkeypatch)
         low, low_order = self.scored()
+        assert set(dtypes) == {np.dtype(np.float32)}
+        dtypes.clear()
         monkeypatch.setattr(vae, "COMPUTE_DTYPE", np.float64)
         high, high_order = self.scored()
+        assert set(dtypes) == {np.dtype(np.float64)}
         assert low.keys() == high.keys()
         assert sum(sum(r.flagged) for r in high.values()) > 0
         for key, r in high.items():
@@ -402,9 +442,13 @@ class TestTrainPrecision:
         return params, history, anomaly.detect(params, windows, model, lstats)
 
     def test_float32_training_like_float64(self, monkeypatch):
+        dtypes = spy_pass_dtypes(monkeypatch)
         low, low_history, low_report = self.trained()
+        assert set(dtypes) == {np.dtype(np.float32)}
+        dtypes.clear()
         monkeypatch.setattr(vae, "COMPUTE_DTYPE", np.float64)
         high, high_history, high_report = self.trained()
+        assert set(dtypes) == {np.dtype(np.float64)}
         assert len(low_history) == len(high_history)
         for lo, hi in zip(low_history, high_history):
             assert lo["val_loss"] == pytest.approx(hi["val_loss"], rel=1e-5)

@@ -1,10 +1,14 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +547,83 @@ class TestMalformedInputs:
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "truncated" in lines[0]
 
+    @pytest.mark.parametrize(
+        "section, changes",
+        [
+            ("latent", {"free_dims": 25.0}),
+            ("latent", {"concept_dims": 5.0}),
+            ("arch", {"logvar_lo": "a"}),
+            ("arch", {"hidden": 6.0}),
+            (None, {"seed": "x"}),
+            ("arch", {"logvar_lo": 5.0, "logvar_hi": -5.0}),
+            ("arch", {"logvar_hi": 1e300}),
+            ("arch", {"logvar_lo": 1e30, "logvar_hi": 2e30}),
+            ("arch", {"logvar_lo": -85.0}),
+            ("latent", {"prior_std": 1e300}),
+            ("latent", {"prior_std": 1e-300}),
+        ],
+    )
+    def test_checkpoint_header_field(self, pipeline, tmp_path, capsys, section, changes):
+        def edit(header):
+            (header if section is None else header[section]).update(changes)
+
+        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", edit)
+        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: bad checkpoint header")
+        assert any(name in lines[0] for name in changes)
+
+    @pytest.mark.parametrize(
+        "section, name", [("arch", "logvar_lo"), ("latent", "prior_std"), (None, "seed")]
+    )
+    def test_checkpoint_header_field_missing(self, pipeline, tmp_path, capsys, section, name):
+        def drop(header):
+            del (header if section is None else header[section])[name]
+
+        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", drop)
+        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: bad checkpoint header: {name} is missing"]
+
+    def test_checkpoint_declares_a_huge_layer_count(self, pipeline, tmp_path, capsys):
+        def deep(header):
+            header["arch"]["layers"] = 10**12
+
+        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", deep)
+        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "do not match" in lines[0]
+
+    @pytest.mark.parametrize("prior_std", ["1e200", "1e20", "1e-30"])
+    def test_prior_std_out_of_range(self, pipeline, tmp_path, capsys, prior_std):
+        code = run([
+            "train", "--data", str(pipeline["data"]), "--model", str(pipeline["model"]),
+            "--stats", str(pipeline["stats"]), "--out-checkpoint", str(tmp_path / "m.bin"),
+            "--window", "10", "--hidden", "4", "--max-epochs", "1", "--prior-std", prior_std,
+        ])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "prior_std" in lines[0]
+
+    def test_date_beyond_64_bits_names_its_line(self, pipeline, tmp_path, capsys):
+        lines = pipeline["data"].read_text().splitlines()
+        parts = lines[4].split(",")
+        parts[1] = "99999999999999999999"
+        lines[4] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run([
+            "concepts", "--data", str(bad), "--k", "2",
+            "--out-model", str(tmp_path / "m.txt"), "--out-stats", str(tmp_path / "s.txt"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 5: date '99999999999999999999' does not fit in 64 bits"
+        ]
+
     def test_concept_model_without_clusters(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "model.txt"
         bad.write_text(f"{concepts.CONCEPTS_TAG}\nk 0\ninertia 0.0\n")
@@ -604,6 +685,51 @@ class TestArtifactFuzz:
         except KpivaeError:
             return
         assert_sound(artifact, loaded)
+
+
+HEADER_FIELDS = (
+    [("arch", name) for name in asdict(vae.ArchConfig())]
+    + [("latent", name) for name in asdict(vae.LatentConfig())]
+    + [(None, "seed")]
+)
+
+
+class TestCheckpointHeaderFuzz:
+    """One header field set to another JSON type or an out-of-range number."""
+
+    VALUES = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=3),
+        st.lists(st.integers(-9, 9), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(-9, 9), max_size=1),
+        st.integers(-(2**70), 2**70),
+        st.floats(),
+        st.sampled_from([0, -1, 2**63, 10**400, 1e300, -1e300, 1e-300, 1e20, 1e-30, 5e-324]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(HEADER_FIELDS), value=VALUES)
+    def test_field_fails_with_one_line_or_scores_quietly(
+        self, pipeline, tmp_path_factory, field, value
+    ):
+        section, name = field
+
+        def edit(header):
+            (header if section is None else header[section])[name] = value
+
+        d = tmp_path_factory.getbasetemp()
+        rewrite_header(pipeline["ckpt"], d / "fuzz.bin", edit)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = score_with(pipeline, d, checkpoint=d / "fuzz.bin")
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert code == 2
+            assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestArgparseErrors:

@@ -125,6 +125,27 @@ class TestKmeans:
         for a, b in zip(history, history[1:]):
             assert b <= a + 1e-9
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        pts=arrays(
+            np.float64,
+            st.tuples(st.integers(4, 30), st.just(5)),
+            elements=st.floats(0, 1, allow_nan=False),
+        ),
+        k=st.integers(1, 4),
+        far=st.integers(0, 2),
+    )
+    def test_lloyd_matches_the_per_cluster_loop(self, pts, k, far):
+        # `far` seeds start far from every point, so their clusters start
+        # empty and are re-seeded; their 0/0 means must not warn
+        seeds = pts[:k].copy()
+        seeds[: min(far, k)] += 5.0
+        got = concepts.lloyd(pts, seeds)
+        want = oracles.lloyd(pts, seeds)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        assert got[3] == want[3]
+
     def test_assignment_is_nearest_centroid(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(size=(15, 5))

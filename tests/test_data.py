@@ -48,6 +48,11 @@ class TestLoadRecords:
         with pytest.raises(ParseError, match="line 3"):
             data.load_records(p)
 
+    def test_date_beyond_64_bits_names_line(self, tmp_path):
+        p = write(tmp_path, HEADER + "A,1,1,2,1,1,10\nA,99999999999999999999,1,2,1,1,10\n")
+        with pytest.raises(ParseError, match="line 3: date .* does not fit in 64 bits"):
+            data.load_records(p)
+
     def test_negative_kpi_rejected(self, tmp_path):
         p = write(tmp_path, HEADER + "A,1,1,-1,1,1,10\n")
         with pytest.raises(ValidationError, match="negative"):

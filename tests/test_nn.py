@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from kpivae import nn
+
+
+def flat(tensors):
+    """The tensors of a dict, raveled into one vector in sorted-name order."""
+    return np.concatenate([tensors[k].ravel() for k in sorted(tensors)])
 
 
 def numgrad(f, x, h=1e-6):
@@ -147,9 +154,10 @@ class TestDtype:
         dx, grads = nn.lstm_backward(np.ones_like(h), cache, p)
         assert dx.dtype == dtype
         assert all(g.dtype == dtype for g in grads.values())
-        opt = nn.Adam(p, lr=0.01)
-        opt.step(grads)
-        assert all(a.dtype == dtype for a in [*opt.m.values(), *opt.v.values(), *p.values()])
+        theta = flat(p)
+        opt = nn.Adam(theta, lr=0.01)
+        opt.step(flat(grads))
+        assert all(a.dtype == dtype for a in [opt.m, opt.v, theta])
 
     def test_float32_pass_meets_no_float64(self):
         rng = np.random.default_rng(9)
@@ -158,7 +166,7 @@ class TestDtype:
         for T in (1, 3):
             h, cache = nn.lstm_forward(f32(rng.normal(size=(2, T, 3))), p)
             _, grads = nn.lstm_backward(f32(rng.normal(size=h.shape)), cache, p)
-            nn.Adam(p, lr=0.01).step(grads)
+            nn.Adam(f32(flat(p)), lr=0.01).step(f32(flat(grads)))
 
 
 def scaled_err(new, ref):
@@ -201,24 +209,56 @@ class TestAgainstReference:
 class TestAdam:
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(7)
-        theta = {"w": rng.normal(size=(3, 2))}
-        ref = theta["w"].copy()
+        theta = rng.normal(size=(3, 2))
+        ref = theta.copy()
         opt = nn.Adam(theta, lr=0.01)
         m = np.zeros_like(ref)
         v = np.zeros_like(ref)
         for t in range(1, 4):
             g = rng.normal(size=(3, 2))
-            opt.step({"w": g.copy()})
+            opt.step(g.copy())
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mhat = m / (1 - 0.9**t)
             vhat = v / (1 - 0.999**t)
             ref = ref - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
-            assert np.allclose(theta["w"], ref, atol=1e-14)
+            assert np.allclose(theta, ref, atol=1e-14)
 
     def test_first_step_magnitude_near_lr(self):
-        theta = {"w": np.zeros(4)}
+        theta = np.zeros(4)
         opt = nn.Adam(theta, lr=0.05)
-        opt.step({"w": np.full(4, 123.0)})
+        opt.step(np.full(4, 123.0))
         # bias-corrected first step is lr * g / (|g| + eps), so about -lr
-        assert np.allclose(theta["w"], -0.05, atol=1e-6)
+        assert np.allclose(theta, -0.05, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_matches_per_name_oracle_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(11)
+        tensors = {
+            f"l{i}.{k}": v.astype(dtype)
+            for i in range(2)
+            for k, v in nn.lstm_init(3 + i, 4, rng).items()
+        }
+        ref = oracles.Adam(tensors, lr=0.01)
+        theta = flat(tensors)
+        opt = nn.Adam(theta, lr=0.01)
+        for _ in range(5):
+            grads = {k: rng.normal(size=v.shape).astype(dtype) for k, v in tensors.items()}
+            ref.step(grads)
+            opt.step(flat(grads))
+            assert theta.tobytes() == flat(tensors).tobytes()
+            assert opt.m.tobytes() == flat(ref.m).tobytes()
+            assert opt.v.tobytes() == flat(ref.v).tobytes()
+
+    def test_step_allocates_less_than_one_vector(self):
+        theta = np.zeros(1_000_000, np.float32)
+        grad = np.full_like(theta, 0.5)
+        opt = nn.Adam(theta, lr=0.01)
+        opt.step(grad)
+        tracemalloc.start()
+        try:
+            opt.step(grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < theta.nbytes

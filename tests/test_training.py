@@ -88,8 +88,7 @@ class TestTrainLoop:
 
         def checked(params, x, prior_means, prior_std, recon_weight, eps):
             view = lambda a: a.view(oracles.NoFloat64)  # noqa: E731
-            tensors = {k: view(v) for k, v in params.tensors.items()}
-            params = vae.VaeParams(params.arch, params.latent, tensors, params.seed)
+            params = vae.VaeParams(params.arch, params.latent, view(params.flat), params.seed)
             return step(params, view(x), view(prior_means), prior_std, recon_weight, view(eps))
 
         monkeypatch.setattr(vae, "objective_and_grads", checked)
@@ -115,7 +114,7 @@ class TestTrainLoop:
         # training validates in the compute dtype; the float64 upcast of the
         # returned tensors casts back to it exactly
         _, _, kl_ts, ll_ts = vae.batch_components(
-            vae._forward_params(params), x_val, p_val, latent.prior_std, val_eps
+            params.in_compute_dtype(), x_val, p_val, latent.prior_std, val_eps
         )
         got = float(kl_ts.mean() - ll_ts.mean())
         assert got == pytest.approx(min(r["val_loss"] for r in history), abs=1e-12)

@@ -274,6 +274,13 @@ class TestPriorSpec:
             LatentConfig(concept_dims=4).validate(5)
         with pytest.raises(ConfigError):
             LatentConfig(prior_std=0.0).validate(5)
+        # prior_std**2 must be a normal, finite float32; 1e200 would also
+        # overflow a Python float if it were squared to check
+        for std in (1e200, 1e20, 1e-30, float("nan")):
+            with pytest.raises(ConfigError, match="prior_std"):
+                LatentConfig(prior_std=std).validate(5)
+        LatentConfig(prior_std=vae.PRIOR_STD_MIN).validate(5)
+        LatentConfig(prior_std=vae.PRIOR_STD_MAX).validate(5)
         with pytest.raises(ConfigError):
             vae.init_params(ArchConfig(), LatentConfig(concept_dims=3))
 
@@ -281,6 +288,15 @@ class TestPriorSpec:
     def test_arch_config_validation(self, arch):
         with pytest.raises(ConfigError, match="hidden and layers"):
             vae.init_params(arch, LatentConfig())
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(5.0, -5.0), (1.0, 1.0), (-8.0, 1e300), (-1e39, 8.0), (float("nan"), 8.0),
+         (1e30, 2e30), (-85.0, 8.0), (-8.0, 85.0)],
+    )
+    def test_logvar_bounds_ordered_and_in_range(self, lo, hi):
+        with pytest.raises(ConfigError, match="logvar_lo"):
+            ArchConfig(logvar_lo=lo, logvar_hi=hi).validate()
 
 
 def length_window(eid, length):
@@ -360,6 +376,29 @@ class TestCheckpoint:
         params = vae.init_params(arch, latent)
         assert vae._tensor_shapes(arch, latent) == {k: v.shape for k, v in params.tensors.items()}
 
+    def test_tensors_and_layers_are_views_of_flat(self):
+        params = small_params(seed=7)
+        views = [*params.tensors.values()]
+        views += [v for layer in params.layers.values() for v in layer.values()]
+        assert all(np.shares_memory(v, params.flat) for v in views)
+        assert sum(v.size for v in params.tensors.values()) == params.flat.size
+        params.tensors["dec0.Wh"][0, 0] = 123.0
+        assert params.layers["dec0"]["Wh"][0, 0] == 123.0
+        # sorted-name order, the order of the checkpoint body
+        assert list(params.tensors) == sorted(params.tensors)
+        packed = np.concatenate([v.ravel() for v in params.tensors.values()])
+        assert packed.tobytes() == params.flat.tobytes()
+
+    def test_body_is_the_flat_vector(self, tmp_path):
+        params = small_params(seed=7)
+        p = tmp_path / "ckpt.bin"
+        vae.save_checkpoint(params, p)
+        blob = p.read_bytes()
+        (n,) = struct.unpack(">Q", blob[len(vae.CHECKPOINT_MAGIC) : len(vae.CHECKPOINT_MAGIC) + 8])
+        body = blob[len(vae.CHECKPOINT_MAGIC) + 8 + n :]
+        assert body == params.flat.tobytes()
+        assert vae.load_checkpoint(p).flat.tobytes() == body
+
     def test_round_trip_exact(self, tmp_path):
         params = small_params(seed=7)
         p = tmp_path / "ckpt.bin"
@@ -371,6 +410,16 @@ class TestCheckpoint:
         assert set(loaded.tensors) == set(params.tensors)
         for k in params.tensors:
             assert np.array_equal(loaded.tensors[k], params.tensors[k])
+
+    def test_whole_number_float_fields_load_as_floats(self, tmp_path):
+        arch = ArchConfig(hidden=2, layers=1, logvar_lo=-8, logvar_hi=8)
+        params = vae.init_params(arch, LatentConfig(free_dims=1, prior_std=2**32))
+        p = tmp_path / "ckpt.bin"
+        vae.save_checkpoint(params, p)
+        loaded = vae.load_checkpoint(p)
+        assert loaded.arch == arch and loaded.latent == params.latent
+        for v in (loaded.arch.logvar_lo, loaded.arch.logvar_hi, loaded.latent.prior_std):
+            assert type(v) is float
 
     def test_same_params_same_bytes(self, tmp_path):
         params = small_params(seed=7)
