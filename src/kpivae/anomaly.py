@@ -14,7 +14,7 @@ import numpy as np
 
 from .concepts import ConceptModel, assign_concept
 from .data import (
-    KPI_NAMES, N_KPIS, Windows, fmt_float, group_means, read_artifact, write_artifact, write_csv
+    KPI_NAMES, N_KPIS, Windows, group_means, read_artifact, write_artifact, write_csv
 )
 from .errors import ConfigError, ParseError, ValidationError
 from .vae import (
@@ -222,20 +222,13 @@ def detect(
     )
 
 
-def report_rows(report: Report):
-    """Yield the report CSV rows, header first."""
-    yield list(REPORT_HEADER)
-    floats = np.column_stack([report.kpis, report.loss, report.loglik, report.kl, report.z])
-    columns = zip(
-        report.element_id.tolist(), report.date.tolist(), report.cluster.tolist(),
-        floats.tolist(), report.attribution.tolist(), report.stats_fallback.tolist(),
-    )
-    for rank, (eid, date, cl, values, names, fallback) in enumerate(columns, start=1):
-        yield [rank, eid, date, cl] + [fmt_float(v) for v in values] + [names, int(fallback)]
-
-
 def save_report(report: Report, path) -> None:
-    write_csv(path, report_rows(report))
+    columns = (
+        np.arange(1, len(report) + 1), report.element_id, report.date, report.cluster,
+        report.kpis, report.loss, report.loglik, report.kl, report.z,
+        report.attribution, report.stats_fallback,
+    )
+    write_csv(path, REPORT_HEADER, columns)
 
 
 def save_latent_stats(stats: LatentStats, path) -> None:

@@ -227,8 +227,7 @@ def cmd_concepts(args: argparse.Namespace) -> int:
     concepts.save_concept_model(model, o.get("out_model"))
     quality_path = o.get("out_quality")
     if quality_path:
-        report = concepts.cluster_quality(model, profiles)
-        data.write_csv(quality_path, concepts.quality_csv_rows(report))
+        concepts.save_quality(concepts.cluster_quality(model, profiles), quality_path)
     print(f"fitted k={model.k} on {len(profiles[0])} elements, inertia {fmt_float(model.inertia)}")
     return 0
 
@@ -271,8 +270,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     history_path = o.get("out_history")
     if history_path:
-        rows = [[h["epoch"]] + [fmt_float(h[k]) for k in HISTORY_HEADER[1:]] for h in history]
-        data.write_csv(history_path, [HISTORY_HEADER] + rows)
+        columns = [np.array([h[key] for h in history]) for key in HISTORY_HEADER]
+        data.write_csv(history_path, HISTORY_HEADER, columns)
     stats_path = o.get("out_latent_stats")
     if stats_path:
         lstats = anomaly.fit_latent_stats(params, train_w, model.assignment)
@@ -357,26 +356,23 @@ def cmd_export_latent(args: argparse.Namespace) -> int:
     win, step = np.divmod(first, length)
     mu, lv = vae.encode_windows(params, windows)
     values, mu, lv = windows.values[win, step], mu[win, step], lv[win, step]
-    cells = zip(
-        [windows.elements[e] for e in windows.element[win].tolist()],
-        (windows.start[win] + step).tolist(),
-        clusters[win].tolist(),
-        values.tolist(),
-        mu.tolist(),
-        lv.tolist(),
-    )
-    rows = [
-        [eid, d, cl, dim, fmt_float(m[dim]), fmt_float(v[dim]),
-         fmt_float(x[dim]) if dim < data.N_KPIS else ""]
-        for eid, d, cl, x, m, v in cells
-        for dim in range(n_dims)
+    # one row per cell and dim; the KPI value is empty for the free dims
+    x = np.full((len(win), n_dims), "", dtype=object)
+    x[:, : data.N_KPIS] = np.array(data.fmt_floats(values), dtype=object).reshape(values.shape)
+    ids = np.array(windows.elements, dtype=object)[windows.element[win]]
+    columns = [np.repeat(a, n_dims) for a in (ids, windows.start[win] + step, clusters[win])]
+    columns += [
+        np.tile(np.arange(n_dims), len(win)),
+        mu[:, :n_dims].ravel(),
+        lv[:, :n_dims].ravel(),
+        x.ravel(),
     ]
-    data.write_csv(o.get("out"), [LATENT_HEADER] + rows)
+    data.write_csv(o.get("out"), LATENT_HEADER, columns)
     svg_path = o.get("svg")
     if svg_path:
         c = params.latent.concept_dims
         _svg_scatter(values[:, :c], mu[:, :c], svg_path)
-    print(f"exported {len(rows)} latent rows to {o.get('out')}")
+    print(f"exported {x.size} latent rows to {o.get('out')}")
     return 0
 
 

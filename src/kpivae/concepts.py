@@ -9,10 +9,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import N_KPIS, NormStats, Records, group_means, normalize, read_artifact, write_artifact
+from .data import (
+    N_KPIS, NormStats, Records, group_means, normalize, read_artifact, write_artifact, write_csv
+)
 from .errors import ParseError, ValidationError
 
 CONCEPTS_TAG = "kpivae-concepts-v1"
+QUALITY_HEADER = ["cluster", "size", "variance"]
 
 LLOYD_MAX_ITER = 100
 LLOYD_TOL = 1e-9
@@ -186,8 +189,11 @@ def load_concept_model(path) -> ConceptModel:
     return ConceptModel(k, centroids, priors, assignment, inertia)
 
 
-def quality_csv_rows(report: QualityReport) -> list[list]:
-    rows = [["cluster", "size", "variance"]]
-    for j in sorted(report.sizes):
-        rows.append([j, report.sizes[j], repr(report.variances[j])])
-    return rows
+def save_quality(report: QualityReport, path) -> None:
+    clusters = sorted(report.sizes)
+    columns = (
+        np.array(clusters, dtype=np.int64),
+        np.array([report.sizes[j] for j in clusters], dtype=np.int64),
+        np.array([report.variances[j] for j in clusters], dtype=np.float64),
+    )
+    write_csv(path, QUALITY_HEADER, columns)

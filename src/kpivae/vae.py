@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -92,6 +93,8 @@ class LatentConfig:
             )
         if self.free_dims < 0:
             raise ConfigError("free_dims must be >= 0")
+        if isinstance(self.prior_std, bool) or not isinstance(self.prior_std, numbers.Real):
+            raise ConfigError(f"prior_std must be a number, not {type(self.prior_std).__name__}")
         # compared, not squared, so that a huge value cannot overflow here
         if not PRIOR_STD_MIN <= self.prior_std <= PRIOR_STD_MAX:
             raise ConfigError(
@@ -305,7 +308,7 @@ def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.
 def _kl_ts(mu, logvar, prior_means, prior_std):
     # closed-form KL(q || p) per (batch, timestep), summed over dimensions:
     # per dim log(s_p/s_q) + (s_q^2 + (mu - m)^2) / (2 s_p^2) - 1/2
-    var_p = prior_std**2
+    var_p = float(prior_std) ** 2
     per_dim = (
         0.5 * np.log(var_p)
         - 0.5 * logvar
@@ -363,7 +366,7 @@ def objective_and_grads(
     """
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
-    var_p = prior_std**2
+    var_p = float(prior_std) ** 2
 
     mu, lv, enc_cache = _encoder_forward(params, x, want_cache=True)
     std = np.exp(lv / 2.0)

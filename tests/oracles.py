@@ -15,6 +15,11 @@ for the array versions of the same name, over a list of `KpiRecord`.
 `AnomalyReport` per scored cell, and `attribute` is the per-vector formula
 that names the flagged KPIs of one cell.
 
+`report_rows` and `latent_rows` build the report and `export-latent` CSVs
+one row list at a time, each float through `fmt_float`; `csv_bytes` writes
+such rows with `csv.writer`. The streamed `data.write_csv` must give the
+same bytes.
+
 `lloyd` is k-means' Lloyd iteration with one mean per cluster, taken in a
 loop; `concepts.lloyd` must match it bit for bit.
 
@@ -26,11 +31,13 @@ at once.
 `NoFloat64` wraps the float32 inputs of a kernel so that any float64 array or
 numpy scalar that meets them fails the test.
 """
+import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from kpivae import anomaly, concepts, data, nn, vae
+from kpivae import anomaly, cli, concepts, data, nn, vae
 from kpivae.errors import ConfigError, ParseError, ValidationError
 
 
@@ -136,6 +143,48 @@ def report_list(report: anomaly.Report) -> list[AnomalyReport]:
                       tuple(a.split("|")) if a else (), fb, rank)
         for rank, (e, d, c, k, loss, kl, ll, z, f, a, fb) in enumerate(rows, start=1)
     ]
+
+
+def report_rows(report: anomaly.Report):
+    """Yield the report CSV rows, header first, one list per row."""
+    yield list(anomaly.REPORT_HEADER)
+    floats = np.column_stack([report.kpis, report.loss, report.loglik, report.kl, report.z])
+    columns = zip(
+        report.element_id.tolist(), report.date.tolist(), report.cluster.tolist(),
+        floats.tolist(), report.attribution.tolist(), report.stats_fallback.tolist(),
+    )
+    for rank, (eid, date, cl, values, names, fallback) in enumerate(columns, start=1):
+        yield [rank, eid, date, cl] + [data.fmt_float(v) for v in values] + [names, int(fallback)]
+
+
+def latent_rows(params, windows, model, dims: str = "concept", cluster=None):
+    """The `export-latent` CSV rows, header first: per (element, date) cell, at
+    its first timestep in input order, one row per latent dim."""
+    n_dims = params.latent.concept_dims if dims == "concept" else params.latent.total
+    clusters = vae.window_clusters(windows, anomaly.resolve_clusters(windows, model))
+    mu, lv = vae.encode_windows(params, windows)
+    rows, seen = [list(cli.LATENT_HEADER)], set()
+    for w in range(len(windows)):
+        eid = windows.elements[windows.element[w]]
+        for t in range(windows.cell.shape[1]):
+            if windows.cell[w, t] in seen:
+                continue
+            seen.add(windows.cell[w, t])
+            if cluster is not None and clusters[w] != cluster:
+                continue
+            x = windows.values[w, t]
+            for dim in range(n_dims):
+                x_text = data.fmt_float(x[dim]) if dim < data.N_KPIS else ""
+                rows.append([eid, int(windows.start[w]) + t, int(clusters[w]), dim,
+                             data.fmt_float(mu[w, t, dim]), data.fmt_float(lv[w, t, dim]), x_text])
+    return rows
+
+
+def csv_bytes(rows) -> bytes:
+    """The bytes csv.writer writes for `rows`, with LF line ends."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
 
 
 def attribute(report, threshold: float = anomaly.Z_THRESHOLD, symmetric: bool = False) -> list[str]:

@@ -520,7 +520,7 @@ class TestReportSerialization:
         )
         reports = oracles.report_list(report)
         assert any(r.attribution for r in reports)
-        rows = list(anomaly.report_rows(report))
+        rows = list(oracles.report_rows(report))
         assert rows[0] == anomaly.REPORT_HEADER
         assert len(rows) == len(reports) + 1
         for row, r in zip(rows[1:], reports):
@@ -546,6 +546,19 @@ class TestReportSerialization:
         lines = out.read_text().splitlines()
         assert lines[0].split(",")[:4] == ["rank", "element_id", "date", "cluster"]
         assert len(lines) == 3
+
+    def test_save_report_bytes_match_the_row_oracle(self, tmp_path, monkeypatch):
+        params, windows, model, lstats = scored_setup()
+        report = anomaly.detect(
+            params, windows, model, lstats, eval_samples=2, z_threshold=1.0, symmetric=True
+        )
+        assert any(report.attribution) and not all(report.attribution)
+        # blocks of 7 rows leave a short last block
+        monkeypatch.setattr(data, "WRITE_BLOCK_ROWS", 7)
+        out = tmp_path / "report.csv"
+        anomaly.save_report(report, out)
+        assert len(report) % 7
+        assert out.read_bytes() == oracles.csv_bytes(oracles.report_rows(report))
 
     def test_latent_stats_round_trip(self, tmp_path):
         stats = LatentStats(

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from kpivae import anomaly, cli, concepts, data, vae
 from kpivae.errors import ConfigError, KpivaeError, ValidationError
 
@@ -281,6 +282,104 @@ class TestExportLatent:
             "--window", "10", "--dims", "everything",
         ])
         assert code == 2
+
+
+# element ids that csv.writer quotes; none is in the concept model, so each
+# element is routed to its nearest centroid
+QUOTED_IDS = {"el0000": "el,0", "el0001": 'el"1"', "el0002": "el\n2", "el0003": "él 3"}
+
+
+@pytest.fixture(scope="module")
+def quoted_data(pipeline, tmp_path_factory):
+    """The pipeline's data with element ids that csv.writer must quote."""
+    records = data.load_records(pipeline["data"])
+    records.element_ids = np.array([QUOTED_IDS.get(e, e) for e in records.element_ids], object)
+    path = tmp_path_factory.mktemp("quoted") / "kpis.csv"
+    data.save_records(records, path)
+    assert oracles.records_equal(data.load_records(path), records)
+    return path
+
+
+class TestCsvBytes:
+    """Each CSV the CLI writes equals csv.writer's bytes for the rows of the
+    row-by-row oracle."""
+
+    @pytest.mark.parametrize("extra, dims, cluster", [
+        ([], "concept", None), (["--dims", "all", "--cluster", "1"], "all", 1),
+    ])
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_export_latent(self, pipeline, quoted_data, tmp_path, capsys,
+                           extra, dims, cluster, quoted):
+        source = quoted_data if quoted else pipeline["data"]
+        out = tmp_path / "lat.csv"
+        assert run([
+            "export-latent", "--data", str(source), "--checkpoint", str(pipeline["ckpt"]),
+            "--model", str(pipeline["model"]), "--stats", str(pipeline["stats"]),
+            "--out", str(out), "--window", "10", *extra,
+        ]) == 0
+        windows = data.window_sequences(
+            data.load_records(source), 10, stride=10,
+            stats=data.load_norm_stats(pipeline["stats"]),
+        )
+        rows = oracles.latent_rows(
+            vae.load_checkpoint(pipeline["ckpt"]), windows,
+            concepts.load_concept_model(pipeline["model"]), dims, cluster,
+        )
+        assert out.read_bytes() == oracles.csv_bytes(rows)
+        assert capsys.readouterr().out == f"exported {len(rows) - 1} latent rows to {out}\n"
+        if dims == "all":
+            assert {r[6] for r in rows[1:] if r[3] >= data.N_KPIS} == {""}
+            assert len(rows) > 1
+        if quoted:
+            assert any(r[0] in QUOTED_IDS.values() for r in rows[1:])
+
+    def test_report_with_quoted_ids(self, pipeline, quoted_data, tmp_path):
+        out = tmp_path / "report.csv"
+        assert run([
+            "score", "--data", str(quoted_data), "--checkpoint", str(pipeline["ckpt"]),
+            "--model", str(pipeline["model"]), "--stats", str(pipeline["stats"]),
+            "--latent-stats", str(pipeline["lstats"]), "--out", str(out),
+            "--window", "10", "--eval-samples", "2", "--z-threshold", "1", "--symmetric",
+        ]) == 0
+        windows = data.window_sequences(
+            data.load_records(quoted_data), 10, stride=10,
+            stats=data.load_norm_stats(pipeline["stats"]),
+        )
+        report = anomaly.detect(
+            vae.load_checkpoint(pipeline["ckpt"]), windows,
+            concepts.load_concept_model(pipeline["model"]),
+            anomaly.load_latent_stats(pipeline["lstats"]),
+            eval_samples=2, z_threshold=1.0, symmetric=True,
+        )
+        assert any(report.attribution) and set(QUOTED_IDS.values()) <= set(report.element_id)
+        assert out.read_bytes() == oracles.csv_bytes(oracles.report_rows(report))
+
+    def test_synth_quality_and_history(self, pipeline, tmp_path):
+        records = data.load_records(pipeline["data"])
+        cells = zip(records.element_ids.tolist(), records.dates.tolist(), records.kpis.tolist())
+        rows = [[e, d, *map(data.fmt_float, k)] for e, d, k in cells]
+        assert pipeline["data"].read_bytes() == oracles.csv_bytes([data.CSV_HEADER] + rows)
+        argv = SYNTH_ARGS + ["--out", str(tmp_path / "x.csv")]
+        argv[argv.index("--anomaly-rate") + 1] = "0.05"
+        assert run(argv) == 0
+        labels = oracles.load_labels(tmp_path / "x.labels.csv")
+        rows = [[lab.element_id, lab.date, lab.kpi_index] for lab in labels]
+        assert len(rows) == 9
+        assert (tmp_path / "x.labels.csv").read_bytes() == oracles.csv_bytes(
+            [data.LABEL_HEADER] + rows
+        )
+
+        stats = data.load_norm_stats(pipeline["stats"])
+        model = concepts.load_concept_model(pipeline["model"])
+        quality = concepts.cluster_quality(model, concepts.element_profiles(records, stats))
+        rows = [[j, quality.sizes[j], repr(quality.variances[j])] for j in sorted(quality.sizes)]
+        assert pipeline["quality"].read_bytes() == oracles.csv_bytes(
+            [concepts.QUALITY_HEADER] + rows
+        )
+        # each float of the history is written in its shortest round-trip form
+        history = read_csv(pipeline["history"])
+        assert pipeline["history"].read_bytes() == oracles.csv_bytes(history)
+        assert all(v == data.fmt_float(float(v)) for row in history[1:] for v in row[1:])
 
 
 def score_with(pipeline, tmp_path, window="10", **swap):

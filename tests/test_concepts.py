@@ -234,11 +234,11 @@ class TestQualityAndPersistence:
         assert a.sizes == b.sizes
         assert a.inertia == pytest.approx(b.inertia)
 
-    def test_quality_csv_rows_schema(self):
-        report = concepts.QualityReport(inertia=1.0, sizes={0: 2, 1: 3}, variances={0: 0.1, 1: 0.2})
-        rows = concepts.quality_csv_rows(report)
-        assert rows[0] == ["cluster", "size", "variance"]
-        assert len(rows) == 3
+    def test_quality_csv_rows_schema(self, tmp_path):
+        report = concepts.QualityReport(inertia=1.0, sizes={1: 3, 0: 2}, variances={0: 0.1, 1: 0.2})
+        path = tmp_path / "quality.csv"
+        concepts.save_quality(report, path)
+        assert path.read_text() == "cluster,size,variance\n0,2,0.1\n1,3,0.2\n"
 
     def test_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

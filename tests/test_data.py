@@ -385,3 +385,78 @@ class TestSynth:
         for p in profiles:
             for k in (2, 3, 4):
                 assert p.scales[k] / p.means[k] < 0.11
+
+
+# text with every character csv.writer may quote, and any other code point
+CSV_TEXT = st.text(
+    alphabet=st.sampled_from([",", '"', "\r", "\n", " ", "|", "a", "é", "日"])
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=5,
+)
+EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1]
+CSV_FLOATS = st.sampled_from(EDGE_FLOATS) | st.floats()
+# float32 values, and doubles cast to float32
+CSV_FLOAT32S = st.sampled_from(EDGE_FLOATS) | st.floats(width=32) | st.floats(-1e38, 1e38)
+WRITE_BLOCK = 4
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("write_csv") / "out.csv"
+
+
+class TestWriteCsv:
+    HEADER = ["rank", "id", "date", "a", "b", "f32", "flag", "names", "score"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.sampled_from([0, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1])
+        | st.integers(0, 3 * WRITE_BLOCK + 1),
+        draw=st.data(),
+    )
+    def test_bytes_match_csv_writer(self, csv_path, n, draw):
+        def column(strategy):
+            return draw.draw(st.lists(strategy, min_size=n, max_size=n))
+
+        ids, names = column(CSV_TEXT), column(st.just("") | CSV_TEXT)
+        dates = column(st.integers(-(2**63), 2**63 - 1))
+        ab = np.array(column(st.tuples(CSV_FLOATS, CSV_FLOATS)), dtype=np.float64).reshape(n, 2)
+        f32 = np.array(column(CSV_FLOAT32S), dtype=np.float64).astype(np.float32)
+        flags, scores = column(st.booleans()), column(CSV_FLOATS)
+        columns = (
+            np.arange(1, n + 1), np.array(ids, dtype=object), np.array(dates, dtype=np.int64),
+            ab, f32, np.array(flags, dtype=bool), np.array(names, dtype=object),
+            np.array(scores, dtype=np.float64),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "WRITE_BLOCK_ROWS", WRITE_BLOCK)
+            data.write_csv(csv_path, self.HEADER, columns)
+        rows = [self.HEADER] + [
+            [r + 1, ids[r], dates[r], *map(data.fmt_float, ab[r]), data.fmt_float(f32[r]),
+             int(flags[r]), names[r], data.fmt_float(scores[r])]
+            for r in range(n)
+        ]
+        assert csv_path.read_bytes() == oracles.csv_bytes(rows)
+
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch):
+        records, _ = data.synth_generate(data.SynthConfig(element_count=3, days=7, rng_seed=2))
+        paths = []
+        for block in (1, 5, 21, data.WRITE_BLOCK_ROWS):
+            monkeypatch.setattr(data, "WRITE_BLOCK_ROWS", block)
+            paths.append(tmp_path / f"{block}.csv")
+            data.save_records(records, paths[-1])
+        assert len({p.read_bytes() for p in paths}) == 1
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            (["a"], [np.arange(3)]),
+            (["a", "b"], [np.arange(3)]),
+            (["a", "b"], [np.arange(3), np.arange(2)]),
+            (["a", "b"], [np.zeros((3, 3))]),
+            (["a", "b"], [np.zeros((3, 2), dtype=int)]),
+        ],
+    )
+    def test_mismatched_columns_rejected(self, tmp_path, header, columns):
+        with pytest.raises(ValueError, match="one column per header field"):
+            data.write_csv(tmp_path / "x.csv", header, columns)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from kpivae import concepts, data, vae
+from kpivae import anomaly, concepts, data, vae
 from kpivae.errors import ValidationError
 from kpivae.vae import ArchConfig, LatentConfig, TrainConfig
 
@@ -56,6 +56,22 @@ class TestTrainLoop:
             outs.append((history, path.read_bytes()))
         assert outs[0][0] == outs[1][0]
         assert outs[0][1] == outs[1][1]
+
+    def test_int_prior_std_trains_and_scores_like_the_equal_float(self):
+        train_w, val_w, model = toy_setup()
+        arch = ArchConfig(hidden=6)
+        runs = []
+        # 2**32 squared does not fit in an int64
+        for std in (2**32, float(2**32)):
+            latent = LatentConfig(prior_std=std)
+            params, history = vae.train(train_w, val_w, model, quick_cfg(), arch=arch, latent=latent)
+            stats = anomaly.fit_latent_stats(params, train_w, model.assignment)
+            report = anomaly.detect(params, val_w, model, stats, eval_samples=2)
+            runs.append((params.flat, history, report.loss, report.z))
+        (flat, history, loss, z), (flat_f, history_f, loss_f, z_f) = runs
+        assert history == history_f
+        assert np.array_equal(flat, flat_f)
+        assert np.array_equal(loss, loss_f) and np.array_equal(z, z_f)
 
     def test_seed_changes_trajectory(self):
         train_w, val_w, model = toy_setup()

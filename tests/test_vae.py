@@ -281,8 +281,22 @@ class TestPriorSpec:
                 LatentConfig(prior_std=std).validate(5)
         LatentConfig(prior_std=vae.PRIOR_STD_MIN).validate(5)
         LatentConfig(prior_std=vae.PRIOR_STD_MAX).validate(5)
+        LatentConfig(prior_std=2**32).validate(5)
         with pytest.raises(ConfigError):
             vae.init_params(ArchConfig(), LatentConfig(concept_dims=3))
+
+    @pytest.mark.parametrize("std", [True, False, np.True_, "1.0", None, 1j, [1.0]])
+    def test_prior_std_of_the_wrong_type_rejected(self, std):
+        with pytest.raises(ConfigError, match="prior_std must be a number"):
+            LatentConfig(prior_std=std).validate(5)
+
+    def test_int_prior_std_gives_the_kl_of_the_equal_float(self):
+        rng = np.random.default_rng(4)
+        mu, logvar, prior = rng.normal(size=(3, 2, 4, 6))
+        for std in (2, 2**32):
+            assert np.array_equal(
+                vae._kl_ts(mu, logvar, prior, std), vae._kl_ts(mu, logvar, prior, float(std))
+            )
 
     @pytest.mark.parametrize("arch", [ArchConfig(hidden=0), ArchConfig(layers=0)])
     def test_arch_config_validation(self, arch):
