@@ -8,6 +8,9 @@ names the KPI that moved.
 """
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,11 @@ LATENTSTATS_TAG = "kpivae-latentstats-v1"
 MIN_CLUSTER_TIMESTEPS = 30
 STD_FLOOR = 1e-6
 Z_THRESHOLD = 15.0
+
+# most threads, the calling one included, that score detect's BATCH_WINDOWS
+# chunks; each more adds a chunk's noise and activations, a BLAS buffer and a
+# malloc arena to the peak memory
+_MAX_WORKERS = 4
 
 REPORT_HEADER = (
     ["rank", "element_id", "date", "cluster"]
@@ -126,6 +134,58 @@ def resolve_clusters(windows: Windows, model: ConceptModel) -> dict[str, int]:
     return out
 
 
+def _worker_count() -> int:
+    """Usable CPUs, at most _MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _score_chunks(score, n: int, noise_shape: tuple[int, int, int], rng) -> None:
+    """Call score(chunk, eps) on each BATCH_WINDOWS chunk of n windows.
+
+    Up to _worker_count() threads, this one among them, take the chunks in
+    order, each as soon as it is free; numpy releases the GIL in their GEMMs
+    and ufuncs. A chunk's (S, B, T, total) noise is drawn from `rng` under the
+    lock that hands the chunk out, so it is drawn in chunk order and the result
+    does not depend on the thread count; each thread holds one chunk at a time.
+    One worker starts no thread. Once a chunk fails no chunk is handed out, and
+    when the running ones are done the error of the first failed chunk is
+    raised: the error the serial loop raises.
+    """
+    s, t, total = noise_shape
+    starts = iter(range(0, n, BATCH_WINDOWS))
+    lock, errors = threading.Lock(), {}
+
+    def take():
+        with lock:
+            start = next(starts, None)
+            if start is None or errors:
+                return None
+            b = slice(start, min(start + BATCH_WINDOWS, n))
+            return b, rng.standard_normal((s, b.stop - b.start, t, total))
+
+    def work():
+        while (job := take()) is not None:
+            try:
+                score(*job)
+            except Exception as e:
+                with lock:
+                    errors[job[0].start] = e
+            del job  # frees the noise before the next chunk's is drawn
+
+    workers = min(_worker_count(), -(-n // BATCH_WINDOWS))
+    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # starts threads on submit
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+    for helper in helpers:
+        helper.result()
+    if errors:
+        raise errors[min(errors)]
+
+
 def detect(
     params: VaeParams,
     windows: Windows,
@@ -169,13 +229,14 @@ def detect(
     n, length = x.shape[:2]
     kl, ll = np.empty((n, length)), np.empty((n, length))
     mu_c = np.empty((n, length, stats.concept_dims))
-    for s in range(0, n, BATCH_WINDOWS):
-        b = slice(s, s + BATCH_WINDOWS)
-        eps = rng.standard_normal((eval_samples,) + x[b].shape[:2] + (params.latent.total,))
+
+    def score(b, eps):  # writes only chunk b's rows
         mu, _, kl[b], ll[b] = batch_components(
             params, x[b], table[clusters[b]], params.latent.prior_std, eps
         )
         mu_c[b] = mu[..., : stats.concept_dims]
+
+    _score_chunks(score, n, (eval_samples, length, params.latent.total), rng)
     kl, ll, mu_c = kl.ravel(), ll.ravel(), mu_c.reshape(n * length, stats.concept_dims)
     loss = kl - ll
     cell = windows.cell.ravel()

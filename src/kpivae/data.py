@@ -370,8 +370,15 @@ def group_means(group: np.ndarray, rows: np.ndarray, n_groups: int) -> np.ndarra
 def write_artifact(path, tag: str, rows) -> None:
     """Write a text artifact: the tag line, then one line of tokens per row.
 
-    Floats are written by fmt_float, every other token by str.
+    Floats are written by fmt_float, every other token by str. Raises
+    ValidationError, before the file is opened, for a str token that
+    read_artifact would not read back as one token: an empty one, or one that
+    holds whitespace (a space, a line break, a \\x1c).
     """
+    rows = [list(row) for row in rows]
+    for t in (t for row in rows for t in row if isinstance(t, str)):
+        if t.split() != [t]:
+            raise ValidationError(f"cannot write {t!r} as one token of {tag}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(tag + "\n")
         for row in rows:

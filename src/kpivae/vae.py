@@ -253,6 +253,7 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool):
         h, cache = lstm_forward(h, params.layers[f"{net}{i}"])
         if want_cache:
             caches.append(cache)
+        del cache  # else the next layer's pass runs with this one's gates held
     raw, head_cache = linear_forward(h, params.layers[f"{net}_head"])
     half = raw.shape[-1] // 2
     mean, lv_raw = raw[..., :half], raw[..., half:]

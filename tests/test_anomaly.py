@@ -1,4 +1,8 @@
+import dataclasses
 import functools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import oracles
 from kpivae import anomaly, concepts, data, vae
 from kpivae.anomaly import LatentStats
 from kpivae.data import KPI_NAMES
-from kpivae.errors import ConfigError, ParseError, ValidationError
+from kpivae.errors import ConfigError, NonFiniteError, ParseError, ValidationError
 
 
 def mk_windows(*specs):
@@ -373,6 +377,131 @@ class TestDetect:
         assert [(r.element_id, r.date, r.loss, r.zscores) for r in a] == [
             (r.element_id, r.date, r.loss, r.zscores) for r in b
         ]
+
+
+def chunked_setup(monkeypatch, workers, chunk_windows):
+    """scored_setup's 30 windows, scored chunk_windows at a time on `workers`
+    threads; also returns each chunk's x, in the order detect scores them."""
+    params, windows, model, lstats = scored_setup()
+    monkeypatch.setattr(anomaly, "BATCH_WINDOWS", chunk_windows)
+    monkeypatch.setattr(anomaly, "_worker_count", lambda: workers)
+    x = windows[np.lexsort((windows.start, windows.element))].values
+    chunks = [x[i : i + chunk_windows] for i in range(0, len(x), chunk_windows)]
+    assert len({c.tobytes() for c in chunks}) == len(chunks)
+    return (params, windows, model, lstats), chunks
+
+
+def chunk_index(chunks, x) -> int:
+    return next(k for k, c in enumerate(chunks) if np.array_equal(c, x))
+
+
+class TestChunkThreads:
+    """detect's chunks on one to eight threads."""
+
+    def test_thread_count_does_not_change_the_report(self, monkeypatch):
+        """Also with more threads than cores, switching every microsecond."""
+        reports, threads = {}, set()
+        real = anomaly.batch_components
+
+        def spy(*args):
+            threads.add(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(anomaly, "batch_components", spy)
+        interval = sys.getswitchinterval()
+        for workers in (1, 2, 3, 8):
+            setup, _ = chunked_setup(monkeypatch, workers, chunk_windows=2)
+
+            def score(workers=workers, setup=setup):
+                reports[workers] = anomaly.detect(
+                    *setup, eval_samples=2, seed=5, z_threshold=1.0, symmetric=True
+                )
+
+            caller = threading.Thread(target=score)
+            sys.setswitchinterval(1e-6)
+            try:
+                caller.start()
+                caller.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not caller.is_alive()
+            if workers == 1:
+                assert threads == {caller}
+        first = reports[1]
+        assert first.flagged.any() and not first.flagged.all() and any(first.attribution)
+        assert len(threads) > 2
+        for report in (reports[2], reports[3], reports[8]):
+            for field in dataclasses.fields(anomaly.Report):
+                assert np.array_equal(getattr(report, field.name), getattr(first, field.name))
+
+    def test_noise_in_chunk_order_and_at_most_workers_in_flight(self, monkeypatch):
+        workers, seed = 3, 5
+        setup, chunks = chunked_setup(monkeypatch, workers, chunk_windows=2)
+        total = setup[0].latent.total
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        want = [rng.standard_normal((2, len(c), 10, total)) for c in chunks]
+        # a chunk is in flight from its noise draw to the end of its pass
+        seen, lock, count = {}, threading.Lock(), {"drawn": 0, "done": 0, "running": 0}
+        in_flight, running = [], []
+        real_rng, real = np.random.default_rng, anomaly.batch_components
+
+        class Rng:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def standard_normal(self, shape):
+                with lock:
+                    count["drawn"] += 1
+                    in_flight.append(count["drawn"] - count["done"])
+                return self.rng.standard_normal(shape)
+
+        def spy(params, x, prior_means, prior_std, eps):
+            with lock:
+                count["running"] += 1
+                running.append(count["running"])
+            try:
+                time.sleep(0.01)  # so that the chunks overlap
+                seen[chunk_index(chunks, x)] = eps.copy()
+                return real(params, x, prior_means, prior_std, eps)
+            finally:
+                with lock:
+                    count["running"] -= 1
+                    count["done"] += 1
+
+        monkeypatch.setattr(np.random, "default_rng", Rng)
+        monkeypatch.setattr(anomaly, "batch_components", spy)
+        anomaly.detect(*setup, eval_samples=2, seed=seed)
+        assert sorted(seen) == list(range(len(chunks)))
+        assert all(np.array_equal(seen[k], want[k]) for k in seen)
+        assert len(in_flight) == len(chunks) and max(in_flight) <= workers
+        assert max(running) >= 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_chunk_error_raises_after_the_running_chunks(self, monkeypatch, workers):
+        # 30 windows in 6 chunks; the third fails, and on threads it fails
+        # after the fourth, which fails too, has started
+        setup, chunks = chunked_setup(monkeypatch, workers, chunk_windows=5)
+        assert len(chunks) == 6
+        started, ended = set(), set()
+        real = anomaly.batch_components
+
+        def spy(params, x, *args):
+            k = chunk_index(chunks, x)
+            started.add(k)
+            try:
+                time.sleep(0.05 if k == 2 else 0.01)
+                if k in (2, 3):
+                    raise NonFiniteError(f"decoder produced non-finite values in chunk {k}")
+                return real(params, x, *args)
+            finally:
+                ended.add(k)
+
+        monkeypatch.setattr(anomaly, "batch_components", spy)
+        before = threading.active_count()
+        with pytest.raises(NonFiniteError, match="chunk 2"):
+            anomaly.detect(*setup, eval_samples=2)
+        assert started == ended and {0, 1, 2} <= started
+        assert threading.active_count() == before
 
 
 def spy_pass_dtypes(monkeypatch) -> list:

@@ -2,11 +2,13 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import struct
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 from kpivae import anomaly, cli, concepts, data, vae
-from kpivae.errors import ConfigError, KpivaeError, ValidationError
+from kpivae.errors import ConfigError, KpivaeError, NonFiniteError, ValidationError
 
 
 def run(argv):
@@ -723,6 +725,42 @@ class TestMalformedInputs:
             "error: line 5: date '99999999999999999999' does not fit in 64 bits"
         ]
 
+    @pytest.mark.parametrize("element_id", ["é 3", 'a,"b"\nc'])
+    def test_element_id_that_is_not_one_token(self, pipeline, tmp_path, capsys, element_id):
+        records = data.load_records(pipeline["data"])
+        records.element_ids = np.array(
+            [element_id if e == "el0003" else e for e in records.element_ids], object
+        )
+        data.save_records(records, tmp_path / "kpis.csv")
+        code = run([
+            "concepts", "--data", str(tmp_path / "kpis.csv"), "--k", "2",
+            "--out-model", str(tmp_path / "model.txt"), "--out-stats", str(tmp_path / "s.txt"),
+        ])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and repr(element_id) in lines[0]
+        assert not (tmp_path / "model.txt").exists()
+
+    def test_chunk_error_on_a_thread(self, pipeline, tmp_path, capsys, monkeypatch):
+        # 18 windows in 6 chunks on 3 threads; the third pass fails
+        monkeypatch.setattr(anomaly, "BATCH_WINDOWS", 3)
+        monkeypatch.setattr(anomaly, "_worker_count", lambda: 3)
+        calls, real = itertools.count(1), anomaly.batch_components
+
+        def spy(*args):
+            if next(calls) == 3:
+                raise NonFiniteError("decoder produced non-finite values at timestep 4")
+            return real(*args)
+
+        monkeypatch.setattr(anomaly, "batch_components", spy)
+        before = threading.active_count()
+        assert score_with(pipeline, tmp_path) == 2
+        assert threading.active_count() == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: decoder produced non-finite values at timestep 4\n"
+        assert not (tmp_path / "report.csv").exists()
+
     def test_concept_model_without_clusters(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "model.txt"
         bad.write_text(f"{concepts.CONCEPTS_TAG}\nk 0\ninertia 0.0\n")
@@ -853,7 +891,8 @@ class TestArgparseErrors:
 
 def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
     """`concepts`, `score`, `train` and `export-latent` write the same bytes at
-    1 and 2 BLAS threads and under two hash seeds.
+    1 and 2 BLAS threads and under two hash seeds, and `score` also at one
+    usable CPU.
 
     Training forms dWx and dWh as single float32 GEMMs whose inner dimension
     is B*T. Hidden 32 puts those GEMMs above OpenBLAS's size threshold for
@@ -861,13 +900,35 @@ def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
     `export-latent` use the hidden-32 checkpoint and latent stats that `train`
     writes, so their float32 GEMMs cross that threshold too. The hash seed
     would show any output that follows the iteration order of a set or a
-    str-keyed dict.
+    str-keyed dict. The second `score` reads 840 windows, 4 chunks of
+    BATCH_WINDOWS, which detect runs on threads when 2 or more CPUs are
+    usable and on this thread alone when pinned to one.
     """
     src = Path(cli.__file__).resolve().parents[1]
     data_arg = ["--data", str(pipeline["data"])]
-    inputs = data_arg + [
+    fitted = [
         "--model", str(pipeline["model"]), "--stats", str(pipeline["stats"]), "--window", "10",
     ]
+    inputs = data_arg + fitted
+    fleet = tmp_path / "fleet.csv"
+    argv = SYNTH_ARGS + ["--out", str(fleet)]
+    argv[argv.index("--elements") + 1] = "40"
+    assert run(argv) == 0
+
+    def score_fleet(out, report):
+        return [
+            "score", "--data", str(fleet), *fitted, "--stride", "1",
+            "--checkpoint", str(out / "model.bin"), "--latent-stats", str(out / "lstats.txt"),
+            "--out", str(out / report), "--eval-samples", "2", "--seed", "0",
+            "--z-threshold", "1", "--symmetric",
+        ]
+
+    def kpivae(argv, env, **kwargs):
+        subprocess.run(
+            [sys.executable, "-m", "kpivae.cli", *argv],
+            env=env, check=True, capture_output=True, timeout=300, **kwargs,
+        )
+
     outputs = []
     for threads, hash_seed in (("1", "0"), ("2", "1")):
         out = tmp_path / threads
@@ -891,21 +952,29 @@ def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
                 "--latent-stats", str(out / "lstats.txt"), "--out", str(out / "report.csv"),
                 "--eval-samples", "2", "--seed", "0",
             ],
+            score_fleet(out, "fleet_report.csv"),
             [
                 "export-latent", *inputs, "--checkpoint", str(out / "model.bin"),
                 "--stride", "5", "--out", str(out / "latent.csv"), "--svg", str(out / "latent.svg"),
             ],
         ):
-            subprocess.run(
-                [sys.executable, "-m", "kpivae.cli", *argv],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
+            kpivae(argv, env)
         outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert sorted(outputs[0]) == [
-        "history.csv", "latent.csv", "latent.svg", "lstats.txt", "model.bin", "model.txt",
-        "quality.csv", "report.csv", "stats.txt",
+        "fleet_report.csv", "history.csv", "latent.csv", "latent.svg", "lstats.txt",
+        "model.bin", "model.txt", "quality.csv", "report.csv", "stats.txt",
     ]
     assert outputs[0] == outputs[1]
+    assert outputs[0]["fleet_report.csv"].count(b"\n") == 40 * 30 + 1
+
+    usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(usable) < 2:
+        return  # the one-CPU leg needs a run on 2 or more CPUs to compare with
+    kpivae(
+        score_fleet(out, "pinned_report.csv"), env,
+        preexec_fn=lambda: os.sched_setaffinity(0, {usable[0]}),
+    )
+    assert (out / "pinned_report.csv").read_bytes() == outputs[0]["fleet_report.csv"]
 
 
 class TestConfigFile:

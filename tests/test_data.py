@@ -460,3 +460,18 @@ class TestWriteCsv:
     def test_mismatched_columns_rejected(self, tmp_path, header, columns):
         with pytest.raises(ValueError, match="one column per header field"):
             data.write_csv(tmp_path / "x.csv", header, columns)
+
+
+class TestWriteArtifact:
+    @pytest.mark.parametrize("token", ["", "a b", "a\nb", "a\rb", "\x1c", "é "])
+    def test_token_that_would_not_read_back_rejected_unwritten(self, tmp_path, token):
+        path = tmp_path / "x.txt"
+        with pytest.raises(ValidationError, match="one token"):
+            data.write_artifact(path, "tag", iter([["k", 1], ["assign", token, 0]]))
+        assert not path.exists()
+
+    def test_single_tokens_read_back(self, tmp_path):
+        path = tmp_path / "x.txt"
+        data.write_artifact(path, "tag", iter([["assign", 'é,"1"', 0], ["assign", "日", 1]]))
+        rows = data.read_artifact(path, "tag", {"assign": (str, int, 1)})
+        assert rows["assign"] == {'é,"1"': (2, [0]), "日": (3, [1])}
