@@ -29,7 +29,7 @@ from .vae import (
     window_clusters,
 )
 
-LATENTSTATS_TAG = "kpivae-latentstats-v1"
+LATENTSTATS_TAG = "kpivae-latentstats-v2"
 
 # clusters with fewer healthy timesteps than this fall back to global stats
 MIN_CLUSTER_TIMESTEPS = 30
@@ -59,8 +59,7 @@ class LatentStats:
     global statistics. Stds are population stds floored at STD_FLOOR.
     """
 
-    concept_dims: int
-    global_mean: np.ndarray  # (concept_dims,)
+    global_mean: np.ndarray  # (N_KPIS,), one per concept dim
     global_std: np.ndarray
     cluster_mean: dict[int, np.ndarray]
     cluster_std: dict[int, np.ndarray]
@@ -98,14 +97,14 @@ def fit_latent_stats(
     if not len(windows):
         raise ValidationError("cannot fit latent stats on zero windows")
     clusters = window_clusters(windows, assignment)
-    c = params.latent.concept_dims
-    mu = encode_windows(params, windows)[0][..., :c]
+    mu = encode_windows(params, windows)[0][..., :N_KPIS]
     # each cluster's timesteps, windows in input order; clusters in order of
     # first appearance, which fixes the row order of the global stats
-    by_cluster = {cl: mu[clusters == cl].reshape(-1, c) for cl in dict.fromkeys(clusters.tolist())}
+    by_cluster = {
+        cl: mu[clusters == cl].reshape(-1, N_KPIS) for cl in dict.fromkeys(clusters.tolist())
+    }
     all_rows = np.concatenate(list(by_cluster.values()))
     stats = LatentStats(
-        concept_dims=c,
         global_mean=all_rows.mean(axis=0),
         global_std=_floored_std(all_rows),
         cluster_mean={},
@@ -211,11 +210,6 @@ def detect(
         raise ConfigError("eval_samples must be >= 1")
     if top_k is not None and top_k < 1:
         raise ConfigError("top_k must be >= 1")
-    if stats.concept_dims != params.latent.concept_dims:
-        raise ConfigError(
-            f"latent stats have {stats.concept_dims} concept dims, "
-            f"the checkpoint {params.latent.concept_dims}"
-        )
     if any(not 0 <= j < model.k for j in stats.cluster_mean):
         raise ConfigError(f"latent stats name a cluster outside 0..{model.k - 1}")
     windows = windows[np.lexsort((windows.start, windows.element))]
@@ -228,16 +222,16 @@ def detect(
     x = windows.values
     n, length = x.shape[:2]
     kl, ll = np.empty((n, length)), np.empty((n, length))
-    mu_c = np.empty((n, length, stats.concept_dims))
+    mu_c = np.empty((n, length, N_KPIS))
 
     def score(b, eps):  # writes only chunk b's rows
         mu, _, kl[b], ll[b] = batch_components(
             params, x[b], table[clusters[b]], params.latent.prior_std, eps
         )
-        mu_c[b] = mu[..., : stats.concept_dims]
+        mu_c[b] = mu[..., :N_KPIS]
 
     _score_chunks(score, n, (eval_samples, length, params.latent.total), rng)
-    kl, ll, mu_c = kl.ravel(), ll.ravel(), mu_c.reshape(n * length, stats.concept_dims)
+    kl, ll, mu_c = kl.ravel(), ll.ravel(), mu_c.reshape(n * length, N_KPIS)
     loss = kl - ll
     cell = windows.cell.ravel()
 
@@ -293,30 +287,21 @@ def save_report(report: Report, path) -> None:
 
 
 def save_latent_stats(stats: LatentStats, path) -> None:
-    rows = [["concept_dims", stats.concept_dims], ["global", *stats.global_mean, *stats.global_std]]
+    rows = [["global", *stats.global_mean, *stats.global_std]]
     for j in sorted(stats.cluster_mean):
         rows.append(["cluster", j, *stats.cluster_mean[j], *stats.cluster_std[j]])
     write_artifact(path, LATENTSTATS_TAG, rows)
 
 
 def load_latent_stats(path) -> LatentStats:
-    def width(rows):  # a stats row holds concept_dims means, then concept_dims stds
-        return 2 * rows["concept_dims"][None][1][0]
-
-    kinds = {
-        "concept_dims": (None, int, 1),
-        "global": (None, float, width),
-        "cluster": (int, float, width),
-    }
-    rows = read_artifact(path, LATENTSTATS_TAG, kinds)
+    # a stats row holds one mean per concept dim, then one std per concept dim
+    row = (float, 2 * N_KPIS, lambda v: min(v[N_KPIS:]) <= 0 and "latent stats need positive stds")
+    rows = read_artifact(path, LATENTSTATS_TAG, {"global": (None, *row), "cluster": (int, *row)})
     if not rows["global"]:
         raise ParseError("missing global stats row")
-    by_key = {None: rows["global"][None], **rows["cluster"]}
-    split = {j: (line_no, *np.split(np.array(v), 2)) for j, (line_no, v) in by_key.items()}
-    for line_no, _, std in sorted(split.values(), key=lambda row: row[0]):
-        if (std <= 0).any():
-            raise ParseError("latent stats need positive stds", line_no)
-    _, mean, std = split.pop(None)
-    cluster_mean = {j: m for j, (_, m, _) in split.items()}
-    cluster_std = {j: s for j, (_, _, s) in split.items()}
-    return LatentStats(rows["concept_dims"][None][1][0], mean, std, cluster_mean, cluster_std)
+    by_key = {**rows["global"], **rows["cluster"]}
+    split = {j: np.split(np.array(v), 2) for j, (_, v) in by_key.items()}
+    mean, std = split.pop(None)
+    cluster_mean = {j: m for j, (m, _) in split.items()}
+    cluster_std = {j: s for j, (_, s) in split.items()}
+    return LatentStats(mean, std, cluster_mean, cluster_std)

@@ -23,6 +23,21 @@ REQUIRED = object()
 HISTORY_HEADER = ["epoch", "train_loss", "train_kl", "train_loglik", "val_loss"]
 LATENT_HEADER = ["element_id", "date", "cluster", "dim", "mu", "logvar", "kpi_value"]
 
+# the keys that several commands take, each with its one default and type
+SHARED_KEYS = {
+    "data": (REQUIRED, str),
+    "model": (REQUIRED, str),
+    "stats": (REQUIRED, str),
+    "checkpoint": (REQUIRED, str),
+    "window": (25, int),
+    "stride": (None, int),
+}
+
+
+def _shared(*keys: str) -> dict:
+    return {key: SHARED_KEYS[key] for key in keys}
+
+
 SYNTH_KEYS = {
     "out": (REQUIRED, str),
     "labels_out": (None, str),
@@ -34,7 +49,7 @@ SYNTH_KEYS = {
     "seed": (0, int),
 }
 CONCEPTS_KEYS = {
-    "data": (REQUIRED, str),
+    **_shared("data"),
     "k": (10, int),
     "seed": (0, int),
     "out_model": (REQUIRED, str),
@@ -42,14 +57,11 @@ CONCEPTS_KEYS = {
     "out_quality": (None, str),
 }
 TRAIN_KEYS = {
-    "data": (REQUIRED, str),
-    "model": (REQUIRED, str),
-    "stats": (REQUIRED, str),
+    **_shared("data", "model", "stats"),
     "out_checkpoint": (REQUIRED, str),
     "out_history": (None, str),
     "out_latent_stats": (None, str),
-    "window": (25, int),
-    "stride": (None, int),
+    **_shared("window", "stride"),
     "hidden": (64, int),
     "layers": (3, int),
     "free_dims": (25, int),
@@ -63,14 +75,10 @@ TRAIN_KEYS = {
     "val_fraction": (0.05, float),
 }
 SCORE_KEYS = {
-    "data": (REQUIRED, str),
-    "checkpoint": (REQUIRED, str),
-    "model": (REQUIRED, str),
-    "stats": (REQUIRED, str),
+    **_shared("data", "checkpoint", "model", "stats"),
     "latent_stats": (REQUIRED, str),
     "out": (REQUIRED, str),
-    "window": (25, int),
-    "stride": (None, int),
+    **_shared("window", "stride"),
     "eval_samples": (10, int),
     "seed": (0, int),
     "loss_floor": (None, float),
@@ -79,13 +87,9 @@ SCORE_KEYS = {
     "symmetric": (False, bool),
 }
 EXPORT_KEYS = {
-    "data": (REQUIRED, str),
-    "checkpoint": (REQUIRED, str),
-    "model": (REQUIRED, str),
-    "stats": (REQUIRED, str),
+    **_shared("data", "checkpoint", "model", "stats"),
     "out": (REQUIRED, str),
-    "window": (25, int),
-    "stride": (None, int),
+    **_shared("window", "stride"),
     "cluster": (None, int),
     "dims": ("concept", str),
     "svg": (None, str),
@@ -223,7 +227,6 @@ def cmd_concepts(args: argparse.Namespace) -> int:
     data.save_norm_stats(stats, o.get("out_stats"))
     profiles = concepts.element_profiles(records, stats)
     model = concepts.kmeans_fit(profiles, o.get("k"), seed=o.get("seed"))
-    concepts.scale_centroids(model)
     concepts.save_concept_model(model, o.get("out_model"))
     quality_path = o.get("out_quality")
     if quality_path:
@@ -253,10 +256,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     is_train = np.array([e in train_ids for e in windows.elements])[windows.element]
     train_w, val_w = windows[is_train], windows[~is_train]
 
-    arch = vae.ArchConfig(input_dim=data.N_KPIS, hidden=o.get("hidden"), layers=o.get("layers"))
-    latent = vae.LatentConfig(
-        concept_dims=data.N_KPIS, free_dims=o.get("free_dims"), prior_std=o.get("prior_std")
-    )
+    arch = vae.ArchConfig(hidden=o.get("hidden"), layers=o.get("layers"))
+    latent = vae.LatentConfig(free_dims=o.get("free_dims"), prior_std=o.get("prior_std"))
     tcfg = vae.TrainConfig(
         learning_rate=o.get("learning_rate"),
         recon_weight=o.get("recon_weight"),
@@ -342,7 +343,7 @@ def cmd_export_latent(args: argparse.Namespace) -> int:
     dims_mode = o.get("dims")
     if dims_mode not in ("concept", "all"):
         raise ConfigError("--dims must be 'concept' or 'all'")
-    n_dims = params.latent.concept_dims if dims_mode == "concept" else params.latent.total
+    n_dims = data.N_KPIS if dims_mode == "concept" else params.latent.total
     cluster_filter = o.get("cluster")
     if cluster_filter is not None and not 0 <= cluster_filter < model.k:
         raise ConfigError(f"unknown cluster id {cluster_filter} (model has k={model.k})")
@@ -370,8 +371,7 @@ def cmd_export_latent(args: argparse.Namespace) -> int:
     data.write_csv(o.get("out"), LATENT_HEADER, columns)
     svg_path = o.get("svg")
     if svg_path:
-        c = params.latent.concept_dims
-        _svg_scatter(values[:, :c], mu[:, :c], svg_path)
+        _svg_scatter(values, mu[:, : data.N_KPIS], svg_path)
     print(f"exported {x.size} latent rows to {o.get('out')}")
     return 0
 

@@ -14,7 +14,7 @@ from .data import (
 )
 from .errors import ParseError, ValidationError
 
-CONCEPTS_TAG = "kpivae-concepts-v1"
+CONCEPTS_TAG = "kpivae-concepts-v2"
 QUALITY_HEADER = ["cluster", "size", "variance"]
 
 LLOYD_MAX_ITER = 100
@@ -24,10 +24,15 @@ LLOYD_TOL = 1e-9
 @dataclass
 class ConceptModel:
     k: int
-    centroids: np.ndarray  # (k, 5) in normalized profile space
-    prior_means: np.ndarray | None  # (k, 5) in [-1, 1], filled by scale_centroids
+    centroids: np.ndarray  # (k, 5) in normalized profile space, [0, 1]
     assignment: dict[str, int]
     inertia: float
+
+    @property
+    def prior_means(self) -> np.ndarray:
+        """(k, 5) concept-dim prior means: the affine map 2c - 1 of the
+        centroids from [0, 1] to [-1, 1]."""
+        return 2.0 * self.centroids - 1.0
 
 
 def element_profiles(train: Records, stats: NormStats) -> tuple[list[str], np.ndarray]:
@@ -108,18 +113,7 @@ def kmeans_fit(profiles: tuple[list[str], np.ndarray], k: int, seed: int = 0) ->
     centroids = kmeans_pp_seed(points, k, rng)
     centroids, labels, inertia, _ = lloyd(points, centroids)
     assignment = dict(zip(ids, labels.tolist()))
-    return ConceptModel(k, centroids, None, assignment, inertia)
-
-
-def scale_centroids(model: ConceptModel) -> ConceptModel:
-    """Fill prior_means with the affine map 2c - 1 from [0,1] to [-1,1]."""
-    c = model.centroids
-    if c.min() < -1e-12 or c.max() > 1.0 + 1e-12:
-        raise ValidationError(
-            "centroids outside [0, 1]; profiles were not normalized before clustering"
-        )
-    model.prior_means = 2.0 * np.clip(c, 0.0, 1.0) - 1.0
-    return model
+    return ConceptModel(k, centroids, assignment, inertia)
 
 
 def assign_concept(profiles: np.ndarray, model: ConceptModel) -> np.ndarray:
@@ -130,46 +124,43 @@ def assign_concept(profiles: np.ndarray, model: ConceptModel) -> np.ndarray:
 
 @dataclass
 class QualityReport:
-    inertia: float
     sizes: dict[int, int]
     variances: dict[int, float]  # mean squared distance to centroid
 
 
 def cluster_quality(model: ConceptModel, profiles: tuple[list[str], np.ndarray]) -> QualityReport:
-    """Per-cluster size and variance plus total inertia, for elbow-style k picks."""
+    """Per-cluster size and variance, for elbow-style k picks."""
     points = np.asarray(profiles[1], dtype=np.float64)
     labels = _assign(points, model.centroids)
     sizes = {}
     variances = {}
-    inertia = 0.0
     for j in range(model.k):
         members = points[labels == j]
         sizes[j] = int(len(members))
         if len(members):
             sq = ((members - model.centroids[j]) ** 2).sum(axis=1)
             variances[j] = float(sq.mean())
-            inertia += float(sq.sum())
         else:
             variances[j] = 0.0
-    return QualityReport(inertia=inertia, sizes=sizes, variances=variances)
+    return QualityReport(sizes=sizes, variances=variances)
 
 
 def save_concept_model(model: ConceptModel, path) -> None:
-    if model.prior_means is None:
-        raise ValidationError("cannot persist a model without prior_means; run scale_centroids")
     rows = [["k", model.k], ["inertia", model.inertia]]
-    rows += [["centroid", j, *model.centroids[j], *model.prior_means[j]] for j in range(model.k)]
+    rows += [["centroid", j, *model.centroids[j]] for j in range(model.k)]
     rows += [["assign", eid, model.assignment[eid]] for eid in sorted(model.assignment)]
     write_artifact(path, CONCEPTS_TAG, rows)
 
 
 def load_concept_model(path) -> ConceptModel:
     kinds = {
-        "k": (None, int, 1),
-        "inertia": (None, float, 1),
-        # a centroid row holds its 5 centroid values, then its 5 prior means
-        "centroid": (int, float, 2 * N_KPIS),
-        "assign": (str, int, 1),
+        "k": (None, int, 1, None),
+        "inertia": (None, float, 1, None),
+        "centroid": (
+            int, float, N_KPIS,
+            lambda v: not 0.0 <= min(v) <= max(v) <= 1.0 and "centroid values must lie in [0, 1]",
+        ),
+        "assign": (str, int, 1, None),
     }
     rows = read_artifact(path, CONCEPTS_TAG, kinds)
     if not rows["k"] or not rows["inertia"]:
@@ -183,10 +174,9 @@ def load_concept_model(path) -> ConceptModel:
     for line_no, (j,) in rows["assign"].values():
         if not 0 <= j < k:
             raise ParseError(f"cluster assignment {j} outside 0..{k - 1}", line_no)
-    values = np.array([rows["centroid"][j][1] for j in range(k)])
+    centroids = np.array([rows["centroid"][j][1] for j in range(k)])
     assignment = {eid: j for eid, (_, (j,)) in rows["assign"].items()}
-    centroids, priors = values[:, :N_KPIS].copy(), values[:, N_KPIS:].copy()
-    return ConceptModel(k, centroids, priors, assignment, inertia)
+    return ConceptModel(k, centroids, assignment, inertia)
 
 
 def save_quality(report: QualityReport, path) -> None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import hashlib
 import io
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -37,7 +38,7 @@ WRITE_BLOCK_ROWS = 1024
 # a text field holding one of these is encoded by csv.writer
 CSV_SPECIAL = ',"\r\n'
 
-NORMSTATS_TAG = "kpivae-normstats-v1"
+NORMSTATS_TAG = "kpivae-normstats-v2"
 
 
 def fmt_float(x: float) -> str:
@@ -59,11 +60,15 @@ class Records:
 
 @dataclass
 class NormStats:
-    """Per-KPI min/max fitted on training data; degenerate marks min == max."""
+    """Per-KPI min/max fitted on training data."""
 
     mins: np.ndarray
     maxs: np.ndarray
-    degenerate: np.ndarray  # bool per KPI
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Bool per KPI: min == max, a column normalize() maps to 0."""
+        return self.mins == self.maxs
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,9 +349,7 @@ def fit_normalization(train: Records) -> NormStats:
     """
     if not len(train):
         raise ValidationError("cannot fit normalization on an empty dataset")
-    mins = train.kpis.min(axis=0)
-    maxs = train.kpis.max(axis=0)
-    return NormStats(mins=mins, maxs=maxs, degenerate=(mins == maxs))
+    return NormStats(mins=train.kpis.min(axis=0), maxs=train.kpis.max(axis=0))
 
 
 def normalize(kpis, stats: NormStats) -> np.ndarray:
@@ -368,7 +371,8 @@ def group_means(group: np.ndarray, rows: np.ndarray, n_groups: int) -> np.ndarra
 
 
 def write_artifact(path, tag: str, rows) -> None:
-    """Write a text artifact: the tag line, then one line of tokens per row.
+    """Write a text artifact: the tag line, one line of tokens per row, then
+    a `sha256` row with the hash of the text before it.
 
     Floats are written by fmt_float, every other token by str. Raises
     ValidationError, before the file is opened, for a str token that
@@ -379,37 +383,47 @@ def write_artifact(path, tag: str, rows) -> None:
     for t in (t for row in rows for t in row if isinstance(t, str)):
         if t.split() != [t]:
             raise ValidationError(f"cannot write {t!r} as one token of {tag}")
+    lines = [tag] + [
+        " ".join(fmt_float(t) if isinstance(t, (float, np.floating)) else str(t) for t in row)
+        for row in rows
+    ]
+    text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(tag + "\n")
-        for row in rows:
-            tokens = (fmt_float(t) if isinstance(t, (float, np.floating)) else str(t) for t in row)
-            fh.write(" ".join(tokens) + "\n")
+        fh.write(text + f"sha256 {hashlib.sha256(text.encode('utf-8')).hexdigest()}\n")
 
 
 def read_artifact(path, tag: str, kinds: dict) -> dict:
     """Parse a text artifact into {kind: {key: (line number, values)}}.
 
     A row is its kind, then a key if the kind has one, then its values.
-    `kinds` maps each kind to (key cast or None, value cast, value count); a
-    count may be a function of the rows read before. Raises ParseError naming
-    the line, in file order, for a bad tag or non-UTF-8 bytes, an unknown
-    kind, a token that does not cast, a wrong value count, a value that is
-    not finite and a key repeated (compared after casting).
+    `kinds` maps each kind to (key cast or None, value cast, value count,
+    rule or None); a rule returns why a row's values are invalid, or a false
+    value. Raises ParseError naming the line, in file order, for a bad tag or
+    non-UTF-8 bytes, an unknown kind, a token that does not cast, a wrong
+    value count, a value that is not finite, a broken rule and a key repeated
+    (compared after casting). Then the `sha256` row must hold the hash of
+    every other line, so that a file cut short, or with a row added after
+    that row, fails.
     """
+    kinds = {**kinds, "sha256": (None, str, 1, None)}
     rows = {kind: {} for kind in kinds}
+    digest = hashlib.sha256()
     lines = enumerate(text_lines(path), start=1)
-    if next(lines, (1, ""))[1].rstrip("\n") != tag:
-        raise ParseError(f"bad tag in {path}, expected {tag!r}", 1)
+    first = next(lines, (1, ""))[1]
+    if first.rstrip("\n") != tag:
+        raise ParseError(f"bad tag {first.rstrip()[:64]!r} in {path}, expected {tag!r}", 1)
+    digest.update(first.encode("utf-8"))
     for line_no, ln in lines:
         tokens = ln.split()
+        if tokens[:1] != ["sha256"]:
+            digest.update(ln.encode("utf-8"))
         if not tokens:
             continue
         kind = tokens.pop(0)
         if kind not in kinds:
             raise ParseError(f"unknown row {kind!r}", line_no)
-        key_cast, cast, count = kinds[kind]
+        key_cast, cast, count, rule = kinds[kind]
         try:
-            count = count(rows) if callable(count) else count
             key = key_cast(tokens.pop(0)) if key_cast else None
             values = [cast(t) for t in tokens]
         except (ValueError, IndexError, KeyError):
@@ -419,27 +433,31 @@ def read_artifact(path, tag: str, kinds: dict) -> dict:
             raise ParseError(f"{name} row needs {count} values, got {len(values)}", line_no)
         if cast is float and not np.isfinite(values).all():
             raise ParseError(f"{name} row has a value that is not finite", line_no)
+        if rule and (why := rule(values)):
+            raise ParseError(why, line_no)
         if key in rows[kind]:
             raise ParseError(f"repeated {name!r} row", line_no)
         rows[kind][key] = (line_no, values)
+    if not rows["sha256"]:
+        raise ParseError(f"{path} has no sha256 row; it may be cut short")
+    line_no, (stored,) = rows.pop("sha256")[None]
+    if stored != digest.hexdigest():
+        raise ParseError("sha256 does not match the other lines", line_no)
     return rows
 
 
 def save_norm_stats(stats: NormStats, path) -> None:
-    rows = zip(KPI_NAMES, stats.mins, stats.maxs, stats.degenerate.astype(int).tolist())
-    write_artifact(path, NORMSTATS_TAG, rows)
+    write_artifact(path, NORMSTATS_TAG, zip(KPI_NAMES, stats.mins, stats.maxs))
 
 
 def load_norm_stats(path) -> NormStats:
-    rows = read_artifact(path, NORMSTATS_TAG, dict.fromkeys(KPI_NAMES, (None, float, 3)))
+    kinds = dict.fromkeys(KPI_NAMES, (None, float, 2, lambda v: v[0] > v[1] and "need min <= max"))
+    rows = read_artifact(path, NORMSTATS_TAG, kinds)
     found = [rows[name][None] for name in KPI_NAMES if rows[name]]
     if len(found) != N_KPIS:
         raise ParseError(f"expected {N_KPIS} stat rows, got {len(found)}")
-    for line_no, (lo, hi, degenerate) in sorted(found):
-        if not lo <= hi or degenerate != (lo == hi):
-            raise ParseError("need min <= max, and degenerate 1 exactly when min == max", line_no)
-    mins, maxs, degenerate = np.array([values for _, values in found]).T.copy()
-    return NormStats(mins, maxs, degenerate == 1)
+    mins, maxs = np.array([values for _, values in found]).T.copy()
+    return NormStats(mins, maxs)
 
 
 def window_sequences(

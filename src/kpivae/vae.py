@@ -23,6 +23,7 @@ gradient checks run them in float64 against central finite differences.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
@@ -64,7 +65,7 @@ BATCH_WINDOWS = 256
 COMPUTE_DTYPE = np.float32
 
 CHECKPOINT_MAGIC = b"KPIVAE\x00\x01"
-CHECKPOINT_FORMAT = "kpivae-ckpt-v1"
+CHECKPOINT_FORMAT = "kpivae-ckpt-v2"
 
 F32_MAX = float(np.finfo(np.float32).max)
 # prior_std**2 must be a normal, finite float32, where the training and
@@ -78,19 +79,16 @@ LOGVAR_MAX = 2.0 * math.log(math.sqrt(F32_MAX) / 10.0)
 
 @dataclass
 class LatentConfig:
-    concept_dims: int = 5
+    """The latent dims: one concept dim per KPI, then `free_dims` free ones."""
+
     free_dims: int = 25
     prior_std: float = 1.0
 
     @property
     def total(self) -> int:
-        return self.concept_dims + self.free_dims
+        return N_KPIS + self.free_dims
 
-    def validate(self, n_kpis: int) -> None:
-        if self.concept_dims != n_kpis:
-            raise ConfigError(
-                f"concept_dims ({self.concept_dims}) must equal the KPI count ({n_kpis})"
-            )
+    def validate(self) -> None:
         if self.free_dims < 0:
             raise ConfigError("free_dims must be >= 0")
         if isinstance(self.prior_std, bool) or not isinstance(self.prior_std, numbers.Real):
@@ -105,7 +103,8 @@ class LatentConfig:
 
 @dataclass
 class ArchConfig:
-    input_dim: int = 5
+    """Encoder and decoder size; both read and write the N_KPIS KPIs."""
+
     hidden: int = 64
     layers: int = 3
     logvar_lo: float = -8.0
@@ -145,7 +144,6 @@ class VaeParams:
     arch: ArchConfig
     latent: LatentConfig
     flat: np.ndarray
-    seed: int
 
     def __post_init__(self):
         self.tensors, self.layers, start = {}, {}, 0
@@ -177,11 +175,9 @@ def validate_prior(mean: np.ndarray, std: float, concept_dims: int) -> None:
 
 def prior_table(model: ConceptModel, latent: LatentConfig) -> np.ndarray:
     """(k, total) prior means, one validated row per cluster."""
-    if model.prior_means is None:
-        raise ValidationError("concept model has no prior_means; run scale_centroids")
-    table = np.zeros((len(model.prior_means), latent.total))
-    table[:, : latent.concept_dims] = model.prior_means
-    validate_prior(table, latent.prior_std, latent.concept_dims)
+    table = np.zeros((model.k, latent.total))
+    table[:, :N_KPIS] = model.prior_means
+    validate_prior(table, latent.prior_std, N_KPIS)
     return table
 
 
@@ -194,16 +190,16 @@ def window_clusters(windows: Windows, assignment: dict[str, int]) -> np.ndarray:
     return np.array([assignment.get(e, -1) for e in windows.elements], dtype=int)[windows.element]
 
 
-def _nets(arch: ArchConfig, latent: LatentConfig):
+def _nets(latent: LatentConfig):
     # (name, input width, output mean width) of the encoder and the decoder
-    return (("enc", arch.input_dim, latent.total), ("dec", latent.total, arch.input_dim))
+    return (("enc", N_KPIS, latent.total), ("dec", latent.total, N_KPIS))
 
 
 def _tensor_shapes(arch: ArchConfig, latent: LatentConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every tensor init_params makes, without drawing any."""
     H = arch.hidden
     shapes = {}
-    for net, dim, out in _nets(arch, latent):
+    for net, dim, out in _nets(latent):
         for i in range(arch.layers):
             shapes[f"{net}{i}.Wx"] = (dim if i == 0 else H, 4 * H)
             shapes[f"{net}{i}.Wh"] = (H, 4 * H)
@@ -211,6 +207,17 @@ def _tensor_shapes(arch: ArchConfig, latent: LatentConfig) -> dict[str, tuple[in
         shapes[f"{net}_head.W"] = (H, 2 * out)
         shapes[f"{net}_head.b"] = (2 * out,)
     return shapes
+
+
+def _param_count(arch: ArchConfig, latent: LatentConfig) -> int:
+    """Size of the `_tensor_shapes` layout, counted without building it, so
+    that a huge declared size costs nothing."""
+    H, L = arch.hidden, arch.layers
+    # per net: Wx of layer 0 and the rest, every Wh and b, then the head
+    return sum(
+        (dim + (L - 1) * H) * 4 * H + L * (H + 1) * 4 * H + (H + 1) * 2 * out
+        for _, dim, out in _nets(latent)
+    )
 
 
 def init_params(
@@ -221,12 +228,11 @@ def init_params(
 ) -> VaeParams:
     """Fresh parameters: orthogonal kernels (QR of Gaussians), zero biases."""
     arch.validate()
-    latent.validate(arch.input_dim)
+    latent.validate()
     if rng is None:
         rng = np.random.default_rng(seed)
-    size = sum(map(math.prod, _tensor_shapes(arch, latent).values()))
-    params = VaeParams(arch=arch, latent=latent, flat=np.empty(size), seed=seed)
-    for net, dim, out in _nets(arch, latent):
+    params = VaeParams(arch=arch, latent=latent, flat=np.empty(_param_count(arch, latent)))
+    for net, dim, out in _nets(latent):
         for i in range(arch.layers):
             for k, v in lstm_init(dim if i == 0 else arch.hidden, arch.hidden, rng).items():
                 params.layers[f"{net}{i}"][k][...] = v
@@ -509,13 +515,13 @@ def train(
 
 
 def save_checkpoint(params: VaeParams, path) -> None:
-    """Versioned binary checkpoint; identical params give identical bytes."""
+    """Versioned binary checkpoint; identical params give identical bytes. The
+    body is `params.flat`, whose layout the header's arch and latent fix."""
     header = {
         "format": CHECKPOINT_FORMAT,
         "arch": asdict(params.arch),
         "latent": asdict(params.latent),
-        "seed": params.seed,
-        "arrays": [[k, str(v.dtype), list(v.shape)] for k, v in params.tensors.items()],
+        "sha256": hashlib.sha256(params.flat).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -525,14 +531,17 @@ def save_checkpoint(params: VaeParams, path) -> None:
         fh.write(params.flat.tobytes())
 
 
-def _check_numbers(values: dict, defaults: dict) -> None:
+def _check_fields(values: dict, defaults: dict) -> None:
     """Each header field must be in `values`, with the JSON type of its default:
-    an int, not a bool or a float, or a finite number, which becomes a float."""
+    a string; an int, not a bool or a float; or a finite number, which becomes
+    a float."""
     for name, default in defaults.items():
         if name not in values:  # a default would change the model silently
             raise ParseError(f"bad checkpoint header: {name} is missing")
         v = values[name]
-        if isinstance(default, int):
+        if isinstance(default, str):
+            ok, kind = type(v) is str, "a string"
+        elif isinstance(default, int):
             ok, kind = type(v) is int, "an int"
         else:  # compared, not converted, so that a huge int cannot overflow
             ok, kind = type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"
@@ -560,32 +569,24 @@ def load_checkpoint(path) -> VaeParams:
         header = json.loads(blob.decode("utf-8"))
         if header.get("format") != CHECKPOINT_FORMAT:
             raise ParseError(f"unsupported checkpoint format {header.get('format')!r}")
-        _check_numbers(header["arch"], asdict(ArchConfig()))
-        _check_numbers(header["latent"], asdict(LatentConfig()))
-        _check_numbers(header, {"seed": 0})
+        if unknown := set(header) - {"format", "arch", "latent", "sha256"}:
+            raise ConfigError(f"unknown field {min(unknown)}")
+        _check_fields(header["arch"], asdict(ArchConfig()))
+        _check_fields(header["latent"], asdict(LatentConfig()))
+        _check_fields(header, {"sha256": ""})
         arch = ArchConfig(**header["arch"])
         latent = LatentConfig(**header["latent"])
-        arrays = [
-            (name, np.dtype(dtype), tuple(int(n) for n in shape))
-            for name, dtype, shape in header["arrays"]
-        ]
-        seed = header["seed"]
-        if arch.input_dim != N_KPIS:
-            raise ParseError(f"checkpoint input_dim {arch.input_dim} is not {N_KPIS}")
         arch.validate()
-        latent.validate(arch.input_dim)
-        # a layer holds at least one tensor, so more layers than listed tensors
-        # cannot match, and the layout of a huge layer count is never built
-        shapes = _tensor_shapes(arch, latent) if arch.layers <= len(arrays) else None
+        latent.validate()
     except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
         raise ParseError(f"bad checkpoint header: {e}")
-    if shapes is None or arrays != [(k, np.dtype(np.float64), shapes[k]) for k in sorted(shapes)]:
-        raise ParseError("checkpoint tensors do not match the architecture in its header")
     body = 8 + blob_len
-    need = 8 * sum(math.prod(shape) for _, _, shape in arrays)  # 8 bytes per float64
+    need = 8 * _param_count(arch, latent)  # 8 bytes per float64
     found = len(buf) - body
     if found != need:
         what = "truncated checkpoint" if found < need else "trailing bytes in checkpoint"
         raise ParseError(f"{what}: its tensors need {need} bytes, found {found}")
     flat = np.frombuffer(buf, np.float64, offset=body).copy()
-    return VaeParams(arch=arch, latent=latent, flat=flat, seed=seed)
+    if hashlib.sha256(flat).hexdigest() != header["sha256"]:
+        raise ParseError("checkpoint body does not match the sha256 in its header")
+    return VaeParams(arch=arch, latent=latent, flat=flat)

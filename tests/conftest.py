@@ -23,7 +23,7 @@ def tiny_pipeline():
     records, _ = data.synth_generate(cfg)
     stats = data.fit_normalization(records)
     eprofiles = concepts.element_profiles(records, stats)
-    model = concepts.scale_centroids(concepts.kmeans_fit(eprofiles, 2, seed=0))
+    model = concepts.kmeans_fit(eprofiles, 2, seed=0)
     windows = data.window_sequences(records, 20, stride=20, stats=stats)
     train_ids, val_ids = cli.split_elements([w.element_id for w in windows], 0.2)
     is_train = np.array([w.element_id in train_ids for w in windows])

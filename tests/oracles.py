@@ -160,7 +160,7 @@ def report_rows(report: anomaly.Report):
 def latent_rows(params, windows, model, dims: str = "concept", cluster=None):
     """The `export-latent` CSV rows, header first: per (element, date) cell, at
     its first timestep in input order, one row per latent dim."""
-    n_dims = params.latent.concept_dims if dims == "concept" else params.latent.total
+    n_dims = data.N_KPIS if dims == "concept" else params.latent.total
     clusters = vae.window_clusters(windows, anomaly.resolve_clusters(windows, model))
     mu, lv = vae.encode_windows(params, windows)
     rows, seen = [list(cli.LATENT_HEADER)], set()
@@ -264,7 +264,7 @@ def eval_loss(params, window, prior: PriorSpec, eval_samples=10, rng=None) -> di
 def build_prior(model, latent, cluster: int) -> PriorSpec:
     """The prior of one cluster: one row of the prior table."""
     mean = vae.prior_table(model, latent)[cluster]
-    return PriorSpec(mean, latent.prior_std, latent.concept_dims)
+    return PriorSpec(mean, latent.prior_std, data.N_KPIS)
 
 
 def lloyd(points: np.ndarray, centroids: np.ndarray):
@@ -297,11 +297,11 @@ def lloyd(points: np.ndarray, centroids: np.ndarray):
 def zscores(stats: anomaly.LatentStats, cluster: int | None, mu) -> np.ndarray:
     """Standardize concept-dim encoder means against the cluster's stats.
 
-    `mu` may be (concept_dims,), (T, latent) or anything whose trailing axis
-    holds at least concept_dims entries; extra latent dims are ignored.
+    `mu` may be (N_KPIS,), (T, latent) or anything whose trailing axis
+    holds at least N_KPIS entries; extra latent dims are ignored.
     Unknown or under-observed clusters use the global statistics.
     """
-    m = np.asarray(mu, dtype=np.float64)[..., : stats.concept_dims]
+    m = np.asarray(mu, dtype=np.float64)[..., : data.N_KPIS]
     if cluster is not None and cluster in stats.cluster_mean:
         mean, std = stats.cluster_mean[cluster], stats.cluster_std[cluster]
     else:

@@ -34,9 +34,7 @@ class TestLossArithmetic:
         )
         records, _ = data.synth_generate(cfg)
         stats = data.fit_normalization(records)
-        model = concepts.scale_centroids(
-            concepts.kmeans_fit(concepts.element_profiles(records, stats), 2, seed=0)
-        )
+        model = concepts.kmeans_fit(concepts.element_profiles(records, stats), 2, seed=0)
         windows = data.window_sequences(records, 5, stride=5, stats=stats)
         params = vae.init_params(ArchConfig(hidden=8), LatentConfig(), seed=1)
         lstats = anomaly.fit_latent_stats(params, windows, model.assignment)
@@ -190,9 +188,7 @@ def pipeline():
     test_recs, labels = _e2e_synth(101, 0.01)
     clean_recs, _ = _e2e_synth(102, 0.0)
     stats = data.fit_normalization(train_recs)
-    model = concepts.scale_centroids(
-        concepts.kmeans_fit(concepts.element_profiles(train_recs, stats), E2E_K, seed=0)
-    )
+    model = concepts.kmeans_fit(concepts.element_profiles(train_recs, stats), E2E_K, seed=0)
     windows = data.window_sequences(train_recs, E2E_WINDOW, stride=E2E_WINDOW, stats=stats)
     train_ids, val_ids = cli.split_elements([w.element_id for w in windows], 0.05)
     is_train = np.array([w.element_id in train_ids for w in windows])

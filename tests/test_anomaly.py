@@ -95,7 +95,6 @@ class TestFitLatentStats:
 class TestZScores:
     def stats(self):
         return LatentStats(
-            concept_dims=5,
             global_mean=np.zeros(5),
             global_std=np.ones(5),
             cluster_mean={0: np.full(5, 1.0)},
@@ -126,7 +125,6 @@ class TestZScores:
         s = self.stats()
         delta = 0.3
         shifted = LatentStats(
-            concept_dims=5,
             global_mean=s.global_mean,
             global_std=s.global_std,
             cluster_mean={0: s.cluster_mean[0] + delta},
@@ -179,7 +177,6 @@ class TestResolveClusters:
         model = concepts.ConceptModel(
             k=2,
             centroids=np.array([[0.1] * 5, [0.9] * 5]),
-            prior_means=None,
             assignment={"el0000": 1},
             inertia=0.0,
         )
@@ -190,7 +187,6 @@ class TestResolveClusters:
         model = concepts.ConceptModel(
             k=2,
             centroids=np.array([[0.1] * 5, [0.9] * 5]),
-            prior_means=None,
             assignment={},
             inertia=0.0,
         )
@@ -201,7 +197,6 @@ class TestResolveClusters:
         model = concepts.ConceptModel(
             k=2,
             centroids=np.array([[0.45] * 5, [0.6] * 5]),
-            prior_means=None,
             assignment={},
             inertia=0.0,
         )
@@ -222,9 +217,7 @@ def scored_setup(stride=5):
     )
     records, _ = data.synth_generate(cfg)
     stats = data.fit_normalization(records)
-    model = concepts.scale_centroids(
-        concepts.kmeans_fit(concepts.element_profiles(records, stats), 2, seed=0)
-    )
+    model = concepts.kmeans_fit(concepts.element_profiles(records, stats), 2, seed=0)
     windows = data.window_sequences(records, 10, stride=stride, stats=stats)
     params = vae.init_params(vae.ArchConfig(hidden=4), vae.LatentConfig(), seed=1)
     lstats = anomaly.fit_latent_stats(params, windows, model.assignment)
@@ -334,7 +327,6 @@ class TestDetect:
         # explicit per-cluster entries equal to the global stats must yield
         # the same z-scores the fallback path produces
         explicit = LatentStats(
-            concept_dims=starved.concept_dims,
             global_mean=starved.global_mean,
             global_std=starved.global_std,
             cluster_mean={c: starved.global_mean for c in range(model.k)},
@@ -691,7 +683,6 @@ class TestReportSerialization:
 
     def test_latent_stats_round_trip(self, tmp_path):
         stats = LatentStats(
-            concept_dims=5,
             global_mean=np.array([0.1, -0.2, 0.3, 1e-9, 5.0]),
             global_std=np.array([1.0, 0.5, 1e-6, 2.0, 3.0]),
             cluster_mean={0: np.arange(5.0), 3: np.full(5, -1.25)},
@@ -700,7 +691,7 @@ class TestReportSerialization:
         path = tmp_path / "stats.txt"
         anomaly.save_latent_stats(stats, path)
         back = anomaly.load_latent_stats(path)
-        assert back.concept_dims == 5
+        assert back.global_mean.shape == (5,)
         assert np.array_equal(back.global_mean, stats.global_mean)
         assert np.array_equal(back.global_std, stats.global_std)
         assert sorted(back.cluster_mean) == [0, 3]

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -118,7 +119,7 @@ class TestConcepts:
     def test_model_reloads(self, pipeline):
         model = concepts.load_concept_model(pipeline["model"])
         assert model.k == 2
-        assert model.prior_means is not None
+        assert model.prior_means.shape == (2, data.N_KPIS)
         assert len(model.assignment) == 6
 
     def test_quality_has_one_row_per_cluster(self, pipeline):
@@ -150,7 +151,7 @@ class TestTrain:
 
     def test_latent_stats_reload(self, pipeline):
         ls = anomaly.load_latent_stats(pipeline["lstats"])
-        assert ls.concept_dims == 5
+        assert ls.global_mean.shape == ls.global_std.shape == (5,)
 
 
 class TestScore:
@@ -410,16 +411,21 @@ def rewrite_header(src, dst, edit):
 
 def corrupt_token(src, dst, prefix, index, token):
     """Copy a text artifact, replacing one field of the first row starting
-    with `prefix` (dropping it when `token` is None); returns its line number."""
-    lines = src.read_text().splitlines()
+    with `prefix` (dropping it when `token` is None, appending it when `index`
+    is one past the last field); returns its line number. The copy gets the
+    sha256 row of its new text, so that a check behind the hash fails."""
+    lines = [ln for ln in src.read_text().splitlines() if not ln.startswith("sha256 ")]
     n = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
     parts = lines[n].split()
     if token is None:
         del parts[index]
+    elif index == len(parts):
+        parts.append(token)
     else:
         parts[index] = token
     lines[n] = " ".join(parts)
-    dst.write_text("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    dst.write_text(text + f"sha256 {hashlib.sha256(text.encode()).hexdigest()}\n")
     return n + 1
 
 
@@ -453,20 +459,24 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "artifact, flag, prefix, index, token",
         [
-            ("lstats", "latent_stats", "concept_dims", 1, "x"),
+            ("lstats", "latent_stats", "cluster", 1, "x"),
             ("lstats", "latent_stats", "global", 3, "1.0e"),
             ("model", "model", "centroid 1", 4, "abc"),
-            # a centroid row holds its 5 centroid values, then its 5 prior means
+            # a centroid row holds its 5 centroid values, each in [0, 1]
             ("model", "model", "centroid 1", 3, "inf"),
-            ("model", "model", "centroid 1", 8, "nan"),
+            ("model", "model", "centroid 1", 6, "nan"),
+            ("model", "model", "centroid 1", 5, "1.5"),
+            ("model", "model", "centroid 0", 2, "-0.25"),
+            ("model", "model", "centroid 0", 7, "0.5"),
             ("model", "model", "assign", 2, None),
             # compared with the centroid rows before anything of size k is built
             ("model", "model", "k ", 1, "10000000000000"),
             ("stats", "stats", "total_drops", 2, "abc"),
-            ("stats", "stats", "mme_drops", 3, "yes"),
-            # a norm-stats row holds min, max and the degenerate flag
             ("stats", "stats", "total_call_attempts", 2, "inf"),
             ("stats", "stats", "call_drop_rate", 1, "1e9"),
+            # a norm-stats row holds min and max; a third value, such as the
+            # degenerate flag of the v1 format, is one too many
+            ("stats", "stats", "mme_drops", 3, "yes"),
             ("stats", "stats", "enodeb_drops", 3, "7"),
         ],
     )
@@ -483,7 +493,7 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "artifact, flag, prefix",
         [
-            ("lstats", "latent_stats", "concept_dims"),
+            ("lstats", "latent_stats", "sha256"),
             # after the cluster rows, a second global row used to drop them all
             ("lstats", "latent_stats", "global"),
             ("lstats", "latent_stats", "cluster"),
@@ -554,10 +564,10 @@ class TestMalformedInputs:
 
     def test_latent_stats_concept_dims_mismatch(self, pipeline, tmp_path, capsys):
         c = 3
-        lstats = anomaly.LatentStats(c, np.zeros(c), np.ones(c), {}, {})
+        lstats = anomaly.LatentStats(np.zeros(c), np.ones(c), {}, {})
         anomaly.save_latent_stats(lstats, tmp_path / "lat.txt")
         assert score_with(pipeline, tmp_path, latent_stats=tmp_path / "lat.txt") == 2
-        assert "concept dims" in capsys.readouterr().err
+        assert "line 2: global row needs 10 values, got 6" in capsys.readouterr().err
 
     def test_latent_stats_unknown_cluster(self, pipeline, tmp_path, capsys):
         lstats = anomaly.load_latent_stats(pipeline["lstats"])
@@ -592,29 +602,12 @@ class TestMalformedInputs:
         assert err.startswith("error:")
         assert f"line {line_no}" in err
 
-    def test_checkpoint_tensor_renamed(self, pipeline, tmp_path, capsys):
-        def rename(header):
-            entry = next(a for a in header["arrays"] if a[0] == "dec0.Wh")
-            entry[0] = "dec0.Wq"
-
-        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", rename)
-        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_checkpoint_tensor_reshaped(self, pipeline, tmp_path, capsys):
-        def transpose(header):
-            entry = next(a for a in header["arrays"] if a[0] == "enc0.Wx")
-            entry[2] = entry[2][::-1]
-
-        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", transpose)
-        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
-        assert capsys.readouterr().err.startswith("error:")
-
     def test_checkpoint_input_dim(self, pipeline, tmp_path, capsys):
-        params = vae.init_params(
-            vae.ArchConfig(input_dim=3, hidden=6), vae.LatentConfig(concept_dims=3)
-        )
-        vae.save_checkpoint(params, tmp_path / "bad.bin")
+        # the input is N_KPIS wide; a header may not declare another width
+        def narrow(header):
+            header["arch"]["input_dim"] = 3
+
+        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", narrow)
         code = run([
             "export-latent", "--data", str(pipeline["data"]),
             "--checkpoint", str(tmp_path / "bad.bin"), "--model", str(pipeline["model"]),
@@ -622,7 +615,9 @@ class TestMalformedInputs:
             "--window", "10",
         ])
         assert code == 2
-        assert "input_dim" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: bad checkpoint header") and "input_dim" in lines[0]
 
     def test_checkpoint_nan_prior_std(self, pipeline, tmp_path, capsys):
         def nan_prior(header):
@@ -638,9 +633,6 @@ class TestMalformedInputs:
     def test_checkpoint_declares_huge_tensors(self, pipeline, tmp_path, capsys):
         def huge(header):
             header["arch"]["hidden"] = 2**30
-            arch, latent = vae.ArchConfig(**header["arch"]), vae.LatentConfig(**header["latent"])
-            shapes = vae._tensor_shapes(arch, latent)
-            header["arrays"] = [[k, "float64", list(shapes[k])] for k in sorted(shapes)]
 
         rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", huge)
         assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
@@ -652,16 +644,19 @@ class TestMalformedInputs:
         "section, changes",
         [
             ("latent", {"free_dims": 25.0}),
+            # a field of the v1 format, now fixed at N_KPIS
             ("latent", {"concept_dims": 5.0}),
             ("arch", {"logvar_lo": "a"}),
             ("arch", {"hidden": 6.0}),
-            (None, {"seed": "x"}),
+            (None, {"sha256": 1}),
             ("arch", {"logvar_lo": 5.0, "logvar_hi": -5.0}),
             ("arch", {"logvar_hi": 1e300}),
             ("arch", {"logvar_lo": 1e30, "logvar_hi": 2e30}),
             ("arch", {"logvar_lo": -85.0}),
             ("latent", {"prior_std": 1e300}),
             ("latent", {"prior_std": 1e-300}),
+            # every header field is one the v2 format stores
+            (None, {"seed": 0}),
         ],
     )
     def test_checkpoint_header_field(self, pipeline, tmp_path, capsys, section, changes):
@@ -676,7 +671,7 @@ class TestMalformedInputs:
         assert any(name in lines[0] for name in changes)
 
     @pytest.mark.parametrize(
-        "section, name", [("arch", "logvar_lo"), ("latent", "prior_std"), (None, "seed")]
+        "section, name", [("arch", "logvar_lo"), ("latent", "prior_std"), (None, "sha256")]
     )
     def test_checkpoint_header_field_missing(self, pipeline, tmp_path, capsys, section, name):
         def drop(header):
@@ -695,7 +690,7 @@ class TestMalformedInputs:
         assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error:") and "do not match" in lines[0]
+        assert lines[0].startswith("error:") and "truncated" in lines[0]
 
     @pytest.mark.parametrize("prior_std", ["1e200", "1e20", "1e-30"])
     def test_prior_std_out_of_range(self, pipeline, tmp_path, capsys, prior_std):
@@ -763,7 +758,7 @@ class TestMalformedInputs:
 
     def test_concept_model_without_clusters(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "model.txt"
-        bad.write_text(f"{concepts.CONCEPTS_TAG}\nk 0\ninertia 0.0\n")
+        data.write_artifact(bad, concepts.CONCEPTS_TAG, [["k", 0], ["inertia", 0.0]])
         code = run([
             "export-latent", "--data", str(pipeline["data"]),
             "--checkpoint", str(pipeline["ckpt"]), "--model", str(bad),
@@ -772,6 +767,72 @@ class TestMalformedInputs:
         ])
         assert code == 2
         assert "k must be >= 1" in capsys.readouterr().err
+
+    def test_latent_stats_cut_at_a_row_boundary(self, pipeline, tmp_path, capsys):
+        # a k=4 model on the pipeline's data, so that the stats have 4 cluster rows
+        records = data.load_records(pipeline["data"])
+        stats = data.load_norm_stats(pipeline["stats"])
+        model = concepts.kmeans_fit(concepts.element_profiles(records, stats), 4, seed=0)
+        concepts.save_concept_model(model, tmp_path / "model.txt")
+        windows = data.window_sequences(records, 10, stride=10, stats=stats)
+        params = vae.load_checkpoint(pipeline["ckpt"])
+        lstats = anomaly.fit_latent_stats(params, windows, model.assignment)
+        assert len(lstats.cluster_mean) == 4
+        anomaly.save_latent_stats(lstats, tmp_path / "full.txt")
+        assert score_with(
+            pipeline, tmp_path, model=tmp_path / "model.txt", latent_stats=tmp_path / "full.txt"
+        ) == 0
+        # without its last 3 cluster rows, and the sha256 row after them
+        lines = (tmp_path / "full.txt").read_text().splitlines(keepends=True)
+        assert [ln.split()[0] for ln in lines[-4:]] == ["cluster"] * 3 + ["sha256"]
+        (tmp_path / "cut.txt").write_text("".join(lines[:-4]))
+        (tmp_path / "report.csv").unlink()
+        assert score_with(
+            pipeline, tmp_path, model=tmp_path / "model.txt", latent_stats=tmp_path / "cut.txt"
+        ) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "sha256" in lines[0]
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_concept_model_cut_at_a_row_boundary(self, pipeline, tmp_path, capsys):
+        # 20 more assignments, which sort after the pipeline's elements
+        model = concepts.load_concept_model(pipeline["model"])
+        model.assignment.update({f"zz{i:02d}": i % 2 for i in range(20)})
+        concepts.save_concept_model(model, tmp_path / "full.txt")
+        lines = (tmp_path / "full.txt").read_text().splitlines(keepends=True)
+        assert [ln.split()[0] for ln in lines[-21:]] == ["assign"] * 20 + ["sha256"]
+        (tmp_path / "cut.txt").write_text("".join(lines[:-21]))
+        assert score_with(pipeline, tmp_path, model=tmp_path / "cut.txt") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "sha256" in lines[0]
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_checkpoint_body_byte_flipped(self, pipeline, tmp_path, capsys):
+        blob = bytearray(pipeline["ckpt"].read_bytes())
+        blob[-8] ^= 1  # the lowest mantissa bit of the last weight
+        (tmp_path / "bad.bin").write_bytes(bytes(blob))
+        assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: checkpoint body does not match the sha256 in its header"]
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "artifact, flag", [
+            ("stats", "stats"), ("model", "model"), ("lstats", "latent_stats"),
+            ("ckpt", "checkpoint"),
+        ],
+    )
+    def test_v1_file_names_its_version(self, pipeline, tmp_path, capsys, artifact, flag):
+        old = tmp_path / "old"
+        if artifact == "ckpt":
+            rewrite_header(pipeline["ckpt"], old, lambda h: h.update(format="kpivae-ckpt-v1"))
+        else:
+            text = pipeline[artifact].read_text()
+            assert text.split("\n", 1)[0].endswith("-v2")
+            old.write_text(text.replace("-v2\n", "-v1\n", 1))
+        assert score_with(pipeline, tmp_path, **{flag: old}) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "-v1" in lines[0]
 
 
 LOADERS = {
@@ -789,7 +850,7 @@ def assert_sound(artifact, loaded):
         assert np.array_equal(loaded.degenerate, loaded.mins == loaded.maxs)
     elif artifact == "model":
         assert loaded.centroids.shape == loaded.prior_means.shape == (loaded.k, data.N_KPIS)
-        assert np.isfinite(loaded.centroids).all() and np.isfinite(loaded.prior_means).all()
+        assert (loaded.centroids >= 0).all() and (loaded.centroids <= 1).all()
         assert np.isfinite(loaded.inertia)
         assert all(0 <= j < loaded.k for j in loaded.assignment.values())
     else:
@@ -797,7 +858,7 @@ def assert_sound(artifact, loaded):
         stds = [loaded.global_std, *loaded.cluster_std.values()]
         assert loaded.cluster_mean.keys() == loaded.cluster_std.keys()
         for mean, std in zip(means, stds):
-            assert mean.shape == std.shape == (loaded.concept_dims,)
+            assert mean.shape == std.shape == (data.N_KPIS,)
             assert np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()
 
 
@@ -827,7 +888,7 @@ class TestArtifactFuzz:
 HEADER_FIELDS = (
     [("arch", name) for name in asdict(vae.ArchConfig())]
     + [("latent", name) for name in asdict(vae.LatentConfig())]
-    + [(None, "seed")]
+    + [(None, "sha256")]
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from kpivae import concepts, data
+from kpivae import concepts, data, vae
 from kpivae.errors import ParseError, ValidationError
 
 
@@ -161,21 +161,20 @@ class TestScalingAndAssign:
         model = concepts.ConceptModel(
             k=3,
             centroids=np.array([[0.0] * 5, [0.5] * 5, [1.0] * 5]),
-            prior_means=None,
             assignment={},
             inertia=0.0,
         )
-        concepts.scale_centroids(model)
         assert np.allclose(model.prior_means[0], -1.0)
         assert np.allclose(model.prior_means[1], 0.0)
         assert np.allclose(model.prior_means[2], 1.0)
 
     def test_out_of_range_centroid_errors(self):
         model = concepts.ConceptModel(
-            k=1, centroids=np.array([[1.5] * 5]), prior_means=None, assignment={}, inertia=0.0
+            k=1, centroids=np.array([[1.5] * 5]), assignment={}, inertia=0.0
         )
+        # checked where the prior means are used
         with pytest.raises(ValidationError):
-            concepts.scale_centroids(model)
+            vae.prior_table(model, vae.LatentConfig())
 
     @given(
         c=arrays(
@@ -184,10 +183,7 @@ class TestScalingAndAssign:
         )
     )
     def test_scaling_bijective(self, c):
-        model = concepts.ConceptModel(
-            k=len(c), centroids=c, prior_means=None, assignment={}, inertia=0.0
-        )
-        concepts.scale_centroids(model)
+        model = concepts.ConceptModel(k=len(c), centroids=c, assignment={}, inertia=0.0)
         assert np.allclose((model.prior_means + 1.0) / 2.0, c, atol=1e-12)
         assert model.prior_means.min() >= -1.0 and model.prior_means.max() <= 1.0
 
@@ -195,7 +191,6 @@ class TestScalingAndAssign:
         model = concepts.ConceptModel(
             k=2,
             centroids=np.array([[0.0] * 5, [1.0] * 5]),
-            prior_means=None,
             assignment={},
             inertia=0.0,
         )
@@ -232,10 +227,10 @@ class TestQualityAndPersistence:
         a = concepts.cluster_quality(model, profs)
         b = concepts.cluster_quality(model, (profs[0][::-1], profs[1][::-1]))
         assert a.sizes == b.sizes
-        assert a.inertia == pytest.approx(b.inertia)
+        assert a.variances == pytest.approx(b.variances)
 
     def test_quality_csv_rows_schema(self, tmp_path):
-        report = concepts.QualityReport(inertia=1.0, sizes={1: 3, 0: 2}, variances={0: 0.1, 1: 0.2})
+        report = concepts.QualityReport(sizes={1: 3, 0: 2}, variances={0: 0.1, 1: 0.2})
         path = tmp_path / "quality.csv"
         concepts.save_quality(report, path)
         assert path.read_text() == "cluster,size,variance\n0,2,0.1\n1,3,0.2\n"
@@ -243,19 +238,20 @@ class TestQualityAndPersistence:
     def test_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         pts = rng.uniform(size=(10, 5))
-        model = concepts.scale_centroids(concepts.kmeans_fit(profiles_from(pts), 3, seed=5))
+        model = concepts.kmeans_fit(profiles_from(pts), 3, seed=5)
         p = tmp_path / "model.txt"
         concepts.save_concept_model(model, p)
         loaded = concepts.load_concept_model(p)
         assert loaded.k == model.k
         assert np.array_equal(loaded.centroids, model.centroids)
-        assert np.array_equal(loaded.prior_means, model.prior_means)
+        assert loaded.prior_means.tobytes() == model.prior_means.tobytes()
         assert loaded.assignment == model.assignment
         assert loaded.inertia == model.inertia
 
     def test_same_centroid_spelled_twice_rejected(self, tmp_path):
-        values = " ".join(["0.5"] * 10)
+        values = [0.5] * 5
         p = tmp_path / "model.txt"
-        p.write_text(f"{concepts.CONCEPTS_TAG}\nk 1\ncentroid 0 {values}\ncentroid 00 {values}\n")
+        rows = [["k", 1], ["centroid", 0, *values], ["centroid", "00", *values]]
+        data.write_artifact(p, concepts.CONCEPTS_TAG, rows)
         with pytest.raises(ParseError, match="line 4: repeated 'centroid 0' row"):
             concepts.load_concept_model(p)

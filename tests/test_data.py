@@ -126,9 +126,7 @@ class TestNormalization:
             data.fit_normalization(oracles.records([]))
 
     def test_boundary_and_midpoint(self):
-        stats = data.NormStats(
-            mins=np.zeros(5), maxs=np.full(5, 10.0), degenerate=np.zeros(5, dtype=bool)
-        )
+        stats = data.NormStats(mins=np.zeros(5), maxs=np.full(5, 10.0))
         out = data.normalize((0.0, 10.0, 5.0, 15.0, -2.0), stats)
         assert out[0] == 0.0
         assert out[1] == 1.0
@@ -142,11 +140,7 @@ class TestNormalization:
         span=st.floats(1e-3, 100),
     )
     def test_output_always_in_unit_interval(self, v, lo, span):
-        stats = data.NormStats(
-            mins=np.full(5, lo),
-            maxs=np.full(5, lo + span),
-            degenerate=np.zeros(5, dtype=bool),
-        )
+        stats = data.NormStats(mins=np.full(5, lo), maxs=np.full(5, lo + span))
         out = data.normalize([v] * 5, stats)
         assert (out >= 0.0).all() and (out <= 1.0).all()
 
@@ -473,5 +467,5 @@ class TestWriteArtifact:
     def test_single_tokens_read_back(self, tmp_path):
         path = tmp_path / "x.txt"
         data.write_artifact(path, "tag", iter([["assign", 'é,"1"', 0], ["assign", "日", 1]]))
-        rows = data.read_artifact(path, "tag", {"assign": (str, int, 1)})
+        rows = data.read_artifact(path, "tag", {"assign": (str, int, 1, None)})
         assert rows["assign"] == {'é,"1"': (2, [0]), "日": (3, [1])}

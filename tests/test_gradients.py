@@ -47,8 +47,9 @@ def fd_check(params, x, prior_means, recon_weight, eps, step=1e-5, tol=1e-4, key
 
 
 def micro_model(seed=0):
-    arch = ArchConfig(input_dim=3, hidden=3)
-    latent = LatentConfig(concept_dims=3, free_dims=2)
+    # the input is the fixed N_KPIS wide
+    arch = ArchConfig(hidden=3)
+    latent = LatentConfig(free_dims=2)
     return vae.init_params(arch, latent, seed=seed), latent
 
 
@@ -56,7 +57,7 @@ class TestObjectiveGradients:
     def test_all_tensors_match_finite_differences(self):
         params, latent = micro_model(seed=1)
         rng = np.random.default_rng(0)
-        x = rng.uniform(size=(1, 2, 3))
+        x = rng.uniform(size=(1, 2, 5))
         prior_means = rng.uniform(-1, 1, (1, latent.total))
         eps = rng.standard_normal((1, 2, latent.total))
         fd_check(params, x, prior_means, recon_weight=10.0, eps=eps)
@@ -64,7 +65,7 @@ class TestObjectiveGradients:
     def test_zero_recon_weight_still_matches(self):
         params, latent = micro_model(seed=2)
         rng = np.random.default_rng(1)
-        x = rng.uniform(size=(2, 2, 3))
+        x = rng.uniform(size=(2, 2, 5))
         prior_means = rng.uniform(-1, 1, (2, latent.total))
         eps = rng.standard_normal((2, 2, latent.total))
         fd_check(
@@ -78,7 +79,7 @@ class TestObjectiveGradients:
         # push encoder logvar deep into the clamp; its bias must get no signal
         params.tensors["enc_head.b"][total:] = -12.0
         rng = np.random.default_rng(2)
-        x = rng.uniform(size=(1, 2, 3))
+        x = rng.uniform(size=(1, 2, 5))
         prior_means = rng.uniform(-1, 1, (1, total))
         eps = rng.standard_normal((1, 2, total))
         _, _, grad = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
@@ -88,7 +89,7 @@ class TestObjectiveGradients:
     def test_objective_composes_components(self):
         params, latent = micro_model(seed=4)
         rng = np.random.default_rng(3)
-        x = rng.uniform(size=(2, 3, 3))
+        x = rng.uniform(size=(2, 3, 5))
         prior_means = rng.uniform(-1, 1, (2, latent.total))
         eps = rng.standard_normal((2, 3, latent.total))
         obj, comps, _ = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
@@ -98,7 +99,7 @@ class TestObjectiveGradients:
     def test_gradients_deterministic(self):
         params, latent = micro_model(seed=5)
         rng = np.random.default_rng(4)
-        x = rng.uniform(size=(1, 2, 3))
+        x = rng.uniform(size=(1, 2, 5))
         prior_means = rng.uniform(-1, 1, (1, latent.total))
         eps = rng.standard_normal((1, 2, latent.total))
         _, _, a = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
@@ -110,7 +111,7 @@ class TestObjectiveGradients:
         params, latent = micro_model(seed=3)
         params = replace(params, flat=params.flat.astype(dtype))
         rng = np.random.default_rng(3)
-        x = rng.uniform(size=(2, 2, 3)).astype(dtype)
+        x = rng.uniform(size=(2, 2, 5)).astype(dtype)
         prior_means = rng.uniform(-1, 1, (2, latent.total)).astype(dtype)
         eps = rng.standard_normal((2, 2, latent.total)).astype(dtype)
         _, components, grad = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
@@ -123,7 +124,7 @@ class TestObjectiveGradients:
         f32 = lambda a: a.astype(np.float32).view(oracles.NoFloat64)  # noqa: E731
         params = replace(params, flat=f32(params.flat))
         rng = np.random.default_rng(3)
-        x = f32(rng.uniform(size=(2, 2, 3)))
+        x = f32(rng.uniform(size=(2, 2, 5)))
         prior_means = f32(rng.uniform(-1, 1, (2, latent.total)))
         eps = f32(rng.standard_normal((2, 2, latent.total)))
         vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps)

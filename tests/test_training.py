@@ -17,9 +17,7 @@ def toy_setup(seed=7, elements=6, days=40):
     )
     records, _ = data.synth_generate(cfg)
     stats = data.fit_normalization(records)
-    model = concepts.scale_centroids(
-        concepts.kmeans_fit(concepts.element_profiles(records, stats), 2, seed=0)
-    )
+    model = concepts.kmeans_fit(concepts.element_profiles(records, stats), 2, seed=0)
     windows = data.window_sequences(records, 10, stride=10, stats=stats)
     ids = sorted({w.element_id for w in windows})
     is_val = np.array([w.element_id == ids[-1] for w in windows])
@@ -104,7 +102,7 @@ class TestTrainLoop:
 
         def checked(params, x, prior_means, prior_std, recon_weight, eps):
             view = lambda a: a.view(oracles.NoFloat64)  # noqa: E731
-            params = vae.VaeParams(params.arch, params.latent, view(params.flat), params.seed)
+            params = vae.VaeParams(params.arch, params.latent, view(params.flat))
             return step(params, view(x), view(prior_means), prior_std, recon_weight, view(eps))
 
         monkeypatch.setattr(vae, "objective_and_grads", checked)
@@ -167,7 +165,7 @@ class TestLearnedStructure:
         by_cluster = {0: [], 1: []}
         for w, m in zip(tp.windows, mu):
             c = tp.model.assignment[w.element_id]
-            by_cluster[c].append(m[:, : latent.concept_dims].mean(axis=0))
+            by_cluster[c].append(m[:, : data.N_KPIS].mean(axis=0))
         centers = {c: np.mean(v, axis=0) for c, v in by_cluster.items()}
         gap = np.abs(centers[0] - centers[1]).max()
         assert gap > 1.0 * latent.prior_std

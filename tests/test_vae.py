@@ -18,7 +18,7 @@ def small_params(seed=0, hidden=8, latent=None):
 
 def std_prior(latent=None):
     latent = latent or LatentConfig()
-    return PriorSpec(mean=np.zeros(latent.total), std=1.0, concept_dims=latent.concept_dims)
+    return PriorSpec(mean=np.zeros(latent.total), std=1.0, concept_dims=data.N_KPIS)
 
 
 class TestKlLoss:
@@ -215,42 +215,34 @@ class TestEvalLoss:
 class TestPriorSpec:
     def test_build_prior_places_centroid_and_zeros(self):
         latent = LatentConfig()
-        prior_means = np.linspace(-1, 1, 10).reshape(2, 5)
-        model = concepts.ConceptModel(
-            k=2, centroids=(prior_means + 1) / 2, prior_means=prior_means,
-            assignment={}, inertia=0.0,
-        )
+        centroids = np.linspace(0, 1, 10).reshape(2, 5)
+        model = concepts.ConceptModel(k=2, centroids=centroids, assignment={}, inertia=0.0)
         spec = oracles.build_prior(model, latent, 1)
-        assert np.array_equal(spec.mean[:5], prior_means[1])
+        assert np.array_equal(spec.mean[:5], 2.0 * centroids[1] - 1.0)
         assert (spec.mean[5:] == 0.0).all()
         assert spec.std == latent.prior_std
 
     def test_unscaled_model_rejected(self):
+        # centroids outside [0, 1] were not fitted on normalized profiles
         model = concepts.ConceptModel(
-            k=1, centroids=np.full((1, 5), 0.5), prior_means=None, assignment={}, inertia=0.0
+            k=1, centroids=np.full((1, 5), 1.5), assignment={}, inertia=0.0
         )
         with pytest.raises(ValidationError):
             oracles.build_prior(model, LatentConfig(), 0)
 
     def test_prior_table_rows_match_build_prior(self):
         latent = LatentConfig()
-        prior_means = np.linspace(-1, 1, 15).reshape(3, 5)
-        model = concepts.ConceptModel(
-            k=3, centroids=(prior_means + 1) / 2, prior_means=prior_means,
-            assignment={}, inertia=0.0,
-        )
+        centroids = np.linspace(0, 1, 15).reshape(3, 5)
+        model = concepts.ConceptModel(k=3, centroids=centroids, assignment={}, inertia=0.0)
         table = vae.prior_table(model, latent)
         assert table.shape == (3, latent.total)
         for j in range(3):
             assert np.array_equal(table[j], oracles.build_prior(model, latent, j).mean)
 
     def test_prior_table_validates_every_row(self):
-        prior_means = np.zeros((2, 5))
-        prior_means[1, 3] = 1.5
-        model = concepts.ConceptModel(
-            k=2, centroids=np.full((2, 5), 0.5), prior_means=prior_means,
-            assignment={}, inertia=0.0,
-        )
+        centroids = np.full((2, 5), 0.5)
+        centroids[1, 3] = 1.25  # a prior mean of 1.5
+        model = concepts.ConceptModel(k=2, centroids=centroids, assignment={}, inertia=0.0)
         with pytest.raises(ValidationError):
             vae.prior_table(model, LatentConfig())
 
@@ -271,24 +263,22 @@ class TestPriorSpec:
 
     def test_latent_config_validation(self):
         with pytest.raises(ConfigError):
-            LatentConfig(concept_dims=4).validate(5)
-        with pytest.raises(ConfigError):
-            LatentConfig(prior_std=0.0).validate(5)
+            LatentConfig(prior_std=0.0).validate()
         # prior_std**2 must be a normal, finite float32; 1e200 would also
         # overflow a Python float if it were squared to check
         for std in (1e200, 1e20, 1e-30, float("nan")):
             with pytest.raises(ConfigError, match="prior_std"):
-                LatentConfig(prior_std=std).validate(5)
-        LatentConfig(prior_std=vae.PRIOR_STD_MIN).validate(5)
-        LatentConfig(prior_std=vae.PRIOR_STD_MAX).validate(5)
-        LatentConfig(prior_std=2**32).validate(5)
+                LatentConfig(prior_std=std).validate()
+        LatentConfig(prior_std=vae.PRIOR_STD_MIN).validate()
+        LatentConfig(prior_std=vae.PRIOR_STD_MAX).validate()
+        LatentConfig(prior_std=2**32).validate()
         with pytest.raises(ConfigError):
-            vae.init_params(ArchConfig(), LatentConfig(concept_dims=3))
+            vae.init_params(ArchConfig(), LatentConfig(free_dims=-1))
 
     @pytest.mark.parametrize("std", [True, False, np.True_, "1.0", None, 1j, [1.0]])
     def test_prior_std_of_the_wrong_type_rejected(self, std):
         with pytest.raises(ConfigError, match="prior_std must be a number"):
-            LatentConfig(prior_std=std).validate(5)
+            LatentConfig(prior_std=std).validate()
 
     def test_int_prior_std_gives_the_kl_of_the_equal_float(self):
         rng = np.random.default_rng(4)
@@ -418,7 +408,6 @@ class TestCheckpoint:
         p = tmp_path / "ckpt.bin"
         vae.save_checkpoint(params, p)
         loaded = vae.load_checkpoint(p)
-        assert loaded.seed == params.seed
         assert loaded.arch == params.arch
         assert loaded.latent == params.latent
         assert set(loaded.tensors) == set(params.tensors)
