@@ -150,9 +150,9 @@ def _score_chunks(score, n: int, noise_shape: tuple[int, int, int], rng) -> None
     and ufuncs. A chunk's (S, B, T, total) noise is drawn from `rng` under the
     lock that hands the chunk out, so it is drawn in chunk order and the result
     does not depend on the thread count; each thread holds one chunk at a time.
-    One worker starts no thread. Once a chunk fails no chunk is handed out, and
-    when the running ones are done the error of the first failed chunk is
-    raised: the error the serial loop raises.
+    One worker starts no thread. Once a chunk fails, its noise draw included,
+    no chunk is handed out, and when the running ones are done the error of
+    the first failed chunk is raised: the error the serial loop raises.
     """
     s, t, total = noise_shape
     starts = iter(range(0, n, BATCH_WINDOWS))
@@ -164,7 +164,13 @@ def _score_chunks(score, n: int, noise_shape: tuple[int, int, int], rng) -> None
             if start is None or errors:
                 return None
             b = slice(start, min(start + BATCH_WINDOWS, n))
-            return b, rng.standard_normal((s, b.stop - b.start, t, total))
+            try:
+                return b, rng.standard_normal((s, b.stop - b.start, t, total))
+            except ValueError:  # numpy's error for a size beyond the address space
+                errors[start] = MemoryError(f"the noise of {s:,} eval samples is too large")
+            except MemoryError as e:
+                errors[start] = e
+            return None
 
     def work():
         while (job := take()) is not None:

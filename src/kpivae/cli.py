@@ -416,6 +416,9 @@ def main(argv=None) -> int:
     except (KpivaeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # a size too large to allocate; numpy names it
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

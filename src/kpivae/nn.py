@@ -18,7 +18,18 @@ time-major h, c and tanh(c), so backward recomputes none of them; backward
 writes each step's gate gradient into one (T, B, 4H) buffer and forms the
 weight and input gradients from it after the loop, one GEMM each. The hidden
 states a layer returns are a (B, T, H) view of its time-major h, which the
-next layer reads without a copy.
+next layer reads without a copy; so does a layer whose input is the
+batch-first view of any time-major array.
+
+Buffer ownership. By default every call allocates its buffers, and what it
+returns is its own. A caller that passes buffers owns them instead: the
+cache, hidden states and gradients the call returns are views of those
+buffers, and stay valid only until the caller hands the same buffers to
+another call. `lstm_forward(x, p, out)` fills `out = (h, c, tanh_c, gates)`;
+`lstm_backward(dh_out, cache, p, out, da)` fills the gradient arrays `out`
+{"Wx", "Wh", "b"} and uses `da` for its gate gradients, which no caller
+reads back, so one `da` can serve every layer in turn. The GEMMs, sums and
+ufuncs are the same whoever owns the buffers, so both give the same bytes.
 
 A sigmoid is 0.5 + 0.5 * tanh(x / 2), branch-free; the LSTM activates all
 four gates with one tanh per step this way.
@@ -72,8 +83,10 @@ def linear_init(input_dim: int, out_dim: int, rng: np.random.Generator) -> dict[
     return {"W": orthogonal((input_dim, out_dim), rng), "b": np.zeros(out_dim)}
 
 
-def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
-    """Run one LSTM layer over (B, T, D); returns hidden states (B, T, H) and a cache."""
+def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out=None):
+    """Run one LSTM layer over (B, T, D); returns hidden states (B, T, H) and a
+    cache. `out`, if given, is the (h, c, tanh_c, gates) buffers to fill:
+    C-contiguous, time-major (T, B, H) and (T, B, 4H), in the dtype of x."""
     B, T, D = x.shape
     H = p["Wh"].shape[0]
     # gate order i, f, g, o: sigmoid(a) = 0.5 + 0.5 * tanh(a / 2) on i, f and
@@ -83,11 +96,14 @@ def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
     shift = np.repeat([0.5, 0.5, 0.0, 0.5], H).astype(x.dtype)
     Wh = p["Wh"] * scale
     xs = np.ascontiguousarray(x.transpose(1, 0, 2))  # no copy for another layer's h
-    gates = (xs.reshape(T * B, D) @ (p["Wx"] * scale)).reshape(T, B, 4 * H)
+    if out is None:
+        h, c, tanh_c = (np.empty((T, B, H), dtype=x.dtype) for _ in range(3))
+        proj = None
+    else:
+        h, c, tanh_c, gates = out
+        proj = gates.reshape(T * B, 4 * H)
+    gates = np.matmul(xs.reshape(T * B, D), p["Wx"] * scale, out=proj).reshape(T, B, 4 * H)
     gates += p["b"] * scale
-    h = np.empty((T, B, H), dtype=x.dtype)
-    c = np.empty((T, B, H), dtype=x.dtype)
-    tanh_c = np.empty((T, B, H), dtype=x.dtype)
     rec = np.empty((B, 4 * H), dtype=x.dtype)
     fc = np.empty((B, H), dtype=x.dtype)
     for t in range(T):
@@ -107,19 +123,26 @@ def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
     return h.transpose(1, 0, 2), (xs, h, c, tanh_c, gates)
 
 
-def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
+def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out=None, da=None):
     """Backprop through time for one layer.
 
     dh_out is the gradient wrt every hidden state (B, T, H). Returns the
-    gradient wrt the layer input (B, T, D) plus parameter gradients.
+    gradient wrt the layer input (B, T, D) plus parameter gradients, written
+    into `out` ({"Wx", "Wh", "b"} arrays shaped like p) if given. `da`, if
+    given, is a C-contiguous (T, B, 4H) buffer for the gate gradients.
     """
     xs, h, c, tanh_c, gates = cache
     T, B, H = h.shape
     WhT = p["Wh"].T
     # each gate's derivative wrt its pre-activation, multiplied in the loop by
     # the gradient reaching the gate
-    da = gates * (1.0 - gates)
-    da[:, :, 2 * H : 3 * H] = 1.0 - gates[:, :, 2 * H : 3 * H] ** 2
+    if da is None:
+        da = np.empty_like(gates)
+    np.subtract(1.0, gates, out=da)
+    da *= gates
+    dg = da[:, :, 2 * H : 3 * H]
+    np.square(gates[:, :, 2 * H : 3 * H], out=dg)
+    np.subtract(1.0, dg, out=dg)
     dh_next = np.zeros((B, H), dtype=h.dtype)
     dc_next = np.zeros((B, H), dtype=h.dtype)
     for t in range(T - 1, -1, -1):
@@ -139,11 +162,14 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
         if t:  # h_{-1} is zero
             dh_next = d @ WhT
     flat = da.reshape(T * B, 4 * H)
-    dWx = xs.reshape(T * B, -1).T @ flat
-    dWh = h[:-1].reshape((T - 1) * B, H).T @ flat[B:]
-    db = flat.sum(axis=0)
+    out = out or {}
+    grads = {
+        "Wx": np.matmul(xs.reshape(T * B, -1).T, flat, out=out.get("Wx")),
+        "Wh": np.matmul(h[:-1].reshape((T - 1) * B, H).T, flat[B:], out=out.get("Wh")),
+        "b": np.sum(flat, axis=0, out=out.get("b")),
+    }
     dx = (flat @ p["Wx"].T).reshape(T, B, -1).transpose(1, 0, 2)
-    return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+    return dx, grads
 
 
 def linear_forward(x: np.ndarray, p: dict[str, np.ndarray]):

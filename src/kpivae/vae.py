@@ -231,7 +231,12 @@ def init_params(
     latent.validate()
     if rng is None:
         rng = np.random.default_rng(seed)
-    params = VaeParams(arch=arch, latent=latent, flat=np.empty(_param_count(arch, latent)))
+    count = _param_count(arch, latent)
+    try:
+        flat = np.empty(count)
+    except ValueError:  # numpy's error for a size beyond the address space
+        raise MemoryError(f"{count:,} parameters do not fit in the address space") from None
+    params = VaeParams(arch=arch, latent=latent, flat=flat)
     for net, dim, out in _nets(latent):
         for i in range(arch.layers):
             for k, v in lstm_init(dim if i == 0 else arch.hidden, arch.hidden, rng).items():
@@ -248,15 +253,21 @@ def _check_finite(what: str, mean: np.ndarray, logvar: np.ndarray) -> None:
     raise NonFiniteError(f"{what} produced non-finite values at timestep {int(np.argmax(bad))}")
 
 
-def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool):
+def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=None):
     """One network ("enc" or "dec"): LSTM layers, then a linear head split into
     a mean half and a clipped logvar half. The cache, when wanted, carries the
-    layer caches, the head cache and the mask of logvars the clip left alone."""
+    layer caches, the head cache and the mask of logvars the clip left alone.
+    `bufs`, from a `_Workspace`, is (time-major input, one `lstm_forward` out
+    tuple per layer); the layer caches are then views of it."""
     arch = params.arch
     caches = []
     h = x
+    if bufs is not None:
+        xs, outs = bufs
+        np.copyto(xs, x.transpose(1, 0, 2))
+        h = xs.transpose(1, 0, 2)  # the first layer reads it without a copy
     for i in range(arch.layers):
-        h, cache = lstm_forward(h, params.layers[f"{net}{i}"])
+        h, cache = lstm_forward(h, params.layers[f"{net}{i}"], None if bufs is None else outs[i])
         if want_cache:
             caches.append(cache)
         del cache  # else the next layer's pass runs with this one's gates held
@@ -269,33 +280,90 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool):
     return mean, lv, (caches, head_cache, (lv_raw > arch.logvar_lo) & (lv_raw < arch.logvar_hi))
 
 
-def _encoder_forward(params: VaeParams, x: np.ndarray, want_cache: bool = False):
-    mu, lv, cache = _stack(params, "enc", x, want_cache)
+def _encoder_forward(params: VaeParams, x: np.ndarray, want_cache: bool = False, bufs=None):
+    mu, lv, cache = _stack(params, "enc", x, want_cache, bufs)
     _check_finite("encoder", mu, lv)
     return mu, lv, cache
 
 
-def _decoder_forward(params: VaeParams, z: np.ndarray, want_cache: bool = False):
-    pre, lx, cache = _stack(params, "dec", z, want_cache)
+def _decoder_forward(params: VaeParams, z: np.ndarray, want_cache: bool = False, bufs=None):
+    pre, lx, cache = _stack(params, "dec", z, want_cache, bufs)
     mu_x = sigmoid(pre)
     _check_finite("decoder", mu_x, lx)
     return mu_x, lx, cache
 
 
-def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads) -> np.ndarray:
+def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads, da=None):
     """Backward through one network from the gradients of its mean and clipped
     logvar; writes the tensor gradients into the layer views `grads`, returns
-    the input gradient."""
+    the input gradient. `da` is the gate-gradient buffer every layer shares,
+    or None for one per layer."""
     layer_caches, head_cache, mask = caches
     draw = np.concatenate([dmean, dlogvar * mask], axis=-1)
     dh, head_grads = linear_backward(draw, head_cache, params.layers[f"{net}_head"])
     for k, v in head_grads.items():
         grads[f"{net}_head"][k][...] = v
     for i in range(params.arch.layers - 1, -1, -1):
-        dh, layer_grads = lstm_backward(dh, layer_caches[i], params.layers[f"{net}{i}"])
-        for k, v in layer_grads.items():
-            grads[f"{net}{i}"][k][...] = v
+        layer = f"{net}{i}"
+        dh, _ = lstm_backward(dh, layer_caches[i], params.layers[layer], grads[layer], da)
     return dh
+
+
+class _Workspace:
+    """The arrays one `train` call reuses on every step, so that no step
+    allocates, frees and faults them in again.
+
+    One flat buffer per array: each network's time-major input, each LSTM
+    layer's h, c, tanh(c) and gates, and one gate-gradient buffer that every
+    layer's backward pass shares; then the gradient vector and its layer
+    views. The buffers hold `batch` windows, the largest batch `train` draws.
+    A batch of b windows takes C-contiguous (T, b, .) views from the front of
+    each buffer, built once per b, so every GEMM sees the layout a fresh
+    array has. The buffers are allocated at the first step, like its input
+    and parameters, so that they share their array type as well as their
+    dtype. They are one allocation: freed as one block, it stays with the C
+    allocator for the next `train` in the process, where one allocation per
+    buffer would be handed back to the kernel and faulted in again.
+    """
+
+    def __init__(self, batch: int):
+        self.batch = batch
+        self._views = {}  # (b, T) -> (grad, grad layer views, enc bufs, dec bufs, da)
+        self._flat = None
+
+    def get(self, params: VaeParams, x: np.ndarray):
+        views = self._views.get(x.shape[:2])
+        if views is None:
+            views = self._views[x.shape[:2]] = self._carve(params, x)
+        return views
+
+    def _carve(self, params: VaeParams, x: np.ndarray):
+        b, T, _ = x.shape
+        H, L = params.arch.hidden, params.arch.layers
+        # each network's input width and the widths of a layer's h, c, tanh(c), gates
+        nets = [(dim, (H, H, H, 4 * H)) for _, dim, _ in _nets(params.latent)]
+        if self._flat is None:
+            # da, then each network's input and its layers' buffers, in one block
+            order = [4 * H] + [w for dim, widths in nets for w in (dim, *widths * L)]
+            rows = T * self.batch
+            whole = np.empty_like(x, shape=(rows * sum(order),))
+            bufs = iter(np.split(whole, rows * np.cumsum(order)[:-1]))
+            da = next(bufs)
+            flats = [
+                (next(bufs), [[next(bufs) for _ in widths] for _ in range(L)]) for _, widths in nets
+            ]
+            grad = np.empty_like(params.flat)
+            self._flat = grad, replace(params, flat=grad).layers, da, flats
+        grad, grads, da, flats = self._flat
+
+        def view(a, width):
+            return a[: T * b * width].reshape(T, b, width)
+
+        enc, dec = (
+            (view(xs, dim), [tuple(map(view, layer, widths)) for layer in layers])
+            for (xs, layers), (dim, widths) in zip(flats, nets)
+        )
+        return grad, grads, enc, dec, view(da, 4 * H)
 
 
 def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
@@ -363,6 +431,7 @@ def objective_and_grads(
     prior_std: float,
     recon_weight: float,
     eps: np.ndarray,
+    ws: _Workspace | None = None,
 ):
     """Training objective kl + recon_weight * (-loglik) and its exact gradients.
 
@@ -370,15 +439,24 @@ def objective_and_grads(
     (objective, components dict, gradient vector laid out like params.flat).
     The networks and gradients run in the dtype of the arguments, which must
     all share it; the reported KL and log-likelihood are summed in float64.
+    With a workspace `ws`, of at least B windows, the layer caches and the
+    gradient vector are its buffers: the returned vector is overwritten by
+    the next call with the same workspace. Without one, every array is new.
     """
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
     var_p = float(prior_std) ** 2
+    if ws is None:
+        grad = np.empty_like(params.flat)
+        grads = replace(params, flat=grad).layers  # views of grad
+        enc_bufs = dec_bufs = da = None
+    else:
+        grad, grads, enc_bufs, dec_bufs, da = ws.get(params, x)
 
-    mu, lv, enc_cache = _encoder_forward(params, x, want_cache=True)
+    mu, lv, enc_cache = _encoder_forward(params, x, want_cache=True, bufs=enc_bufs)
     std = np.exp(lv / 2.0)
     z = mu + std * eps
-    mu_x, lx, dec_cache = _decoder_forward(params, z, want_cache=True)
+    mu_x, lx, dec_cache = _decoder_forward(params, z, want_cache=True, bufs=dec_bufs)
 
     resid = x - mu_x
     inv_var_x = np.exp(-lx)
@@ -388,19 +466,16 @@ def objective_and_grads(
     kl = float(_kl_ts(*f64[3:], prior_std).mean())
     objective = kl - recon_weight * loglik
 
-    grad = np.empty_like(params.flat)
-    grads = replace(params, flat=grad).layers  # views of grad
-
     # reconstruction term: d(-w * loglik) through the decoder
     coef = -recon_weight * scale
     dmu_x = coef * (resid * inv_var_x)
     dlx = coef * (-0.5 + 0.5 * resid**2 * inv_var_x)
-    dz = _stack_backward(params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads)
+    dz = _stack_backward(params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads, da)
 
     # KL term plus the pathwise gradient through z = mu + std * eps
     dmu = scale * (mu - prior_means[:, None, :]) / var_p + dz
     dlv = scale * (0.5 * np.exp(lv) / var_p - 0.5) + dz * eps * 0.5 * std
-    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads)
+    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads, da)
 
     components = {"objective": objective, "kl": kl, "loglik": loglik}
     return objective, components, grad
@@ -413,12 +488,14 @@ def train_step(
     prior_means: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
+    ws: _Workspace | None = None,
 ) -> dict[str, float]:
     """One Adam update on a batch; mutates params in place via the optimizer.
-    The noise is drawn in float64 and cast to the dtype of `x`."""
+    The noise is drawn in float64 and cast to the dtype of `x`; `ws` is
+    passed to `objective_and_grads`."""
     eps = rng.standard_normal(x.shape[:2] + (params.latent.total,)).astype(x.dtype, copy=False)
     objective, components, grad = objective_and_grads(
-        params, x, prior_means, params.latent.prior_std, config.recon_weight, eps
+        params, x, prior_means, params.latent.prior_std, config.recon_weight, eps, ws
     )
     if not np.isfinite(objective):
         raise TrainingDivergedError(
@@ -446,6 +523,10 @@ def train(
     The initial parameters are drawn in float64 and cast once to
     COMPUTE_DTYPE, in which the weights, gradients, Adam moments and
     validation pass then run; the best tensors are returned as float64.
+
+    The steps share one `_Workspace`, sized for the largest batch drawn,
+    min(batch_size, len(train_windows)). It lives for this call only, so its
+    buffers are freed before the caller encodes or scores anything.
     """
     config.validate()
     if not len(train_windows):
@@ -477,13 +558,14 @@ def train(
     best = params.flat.copy()
     since_best = 0
     n = len(train_windows)
+    ws = _Workspace(min(config.batch_size, n))
 
     for epoch in range(config.max_epochs):
         order = rng_shuffle.permutation(n)
         kl_sum = ll_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            comps = train_step(params, opt, x_train[idx], p_train[idx], config, rng_noise)
+            comps = train_step(params, opt, x_train[idx], p_train[idx], config, rng_noise, ws)
             kl_sum += comps["kl"] * len(idx)
             ll_sum += comps["loglik"] * len(idx)
         train_kl = kl_sum / n

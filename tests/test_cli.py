@@ -950,6 +950,67 @@ class TestArgparseErrors:
         assert names in lines[0]
 
 
+def train_with(pipeline, tmp_path, *extra):
+    """Run a one-epoch `train` on the shared artifacts with extra flags."""
+    return run([
+        "train", "--data", str(pipeline["data"]), "--model", str(pipeline["model"]),
+        "--stats", str(pipeline["stats"]), "--out-checkpoint", str(tmp_path / "m.bin"),
+        "--window", "10", "--hidden", "4", "--max-epochs", "1", *extra,
+    ])
+
+
+class TestUnallocatableSizes:
+    """A size that no allocation can meet gives one `error:` line and exit 2.
+    Every size here fails at once, at TiB scale or beyond the address space."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--hidden", "60000"],  # 1.05 TiB of parameters
+            ["--hidden", "1000000000"],  # more parameters than an array can index
+            ["--layers", "100000000"],
+            ["--free-dims", "1000000000"],
+        ],
+    )
+    def test_train_model_size(self, pipeline, tmp_path, capsys, flags):
+        assert train_with(pipeline, tmp_path, *flags) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory:")
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_train_workspace(self, pipeline, tmp_path, capsys, monkeypatch):
+        # the training workspace is the only caller that passes shape=
+        empty_like = np.empty_like
+
+        def failing(a, *args, **kwargs):
+            if "shape" in kwargs:
+                raise MemoryError("Unable to allocate 9.00 TiB for the workspace")
+            return empty_like(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty_like", failing)
+        assert train_with(pipeline, tmp_path) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: out of memory: Unable to allocate 9.00 TiB for the workspace"]
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_train_batch_size_beyond_the_training_set(self, pipeline, tmp_path):
+        # the workspace holds the largest batch drawn, not batch_size windows
+        assert train_with(pipeline, tmp_path, "--batch-size", "1000000000000") == 0
+
+    @pytest.mark.parametrize("samples", ["100000000000", "1000000000000000"])
+    def test_score_eval_samples(self, pipeline, tmp_path, capsys, samples):
+        code = run([
+            "score", "--data", str(pipeline["data"]), "--checkpoint", str(pipeline["ckpt"]),
+            "--model", str(pipeline["model"]), "--stats", str(pipeline["stats"]),
+            "--latent-stats", str(pipeline["lstats"]), "--out", str(tmp_path / "r.csv"),
+            "--window", "10", "--eval-samples", samples,
+        ])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory:")
+        assert not (tmp_path / "r.csv").exists()
+
+
 def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
     """`concepts`, `score`, `train` and `export-latent` write the same bytes at
     1 and 2 BLAS threads and under two hash seeds, and `score` also at one

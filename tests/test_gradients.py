@@ -104,6 +104,7 @@ class TestObjectiveGradients:
         eps = rng.standard_normal((1, 2, latent.total))
         _, _, a = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
         _, _, b = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
+        assert not np.shares_memory(a, b)  # without a workspace, each call's own vector
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

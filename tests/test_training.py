@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from kpivae.errors import ValidationError
 from kpivae.vae import ArchConfig, LatentConfig, TrainConfig
 
 
-def toy_setup(seed=7, elements=6, days=40):
+def toy_setup(seed=7, elements=6, days=40, window=10):
     cfg = data.SynthConfig(
         element_count=elements,
         days=days,
@@ -18,7 +20,7 @@ def toy_setup(seed=7, elements=6, days=40):
     records, _ = data.synth_generate(cfg)
     stats = data.fit_normalization(records)
     model = concepts.kmeans_fit(concepts.element_profiles(records, stats), 2, seed=0)
-    windows = data.window_sequences(records, 10, stride=10, stats=stats)
+    windows = data.window_sequences(records, window, stride=window, stats=stats)
     ids = sorted({w.element_id for w in windows})
     is_val = np.array([w.element_id == ids[-1] for w in windows])
     return windows[~is_val], windows[is_val], model
@@ -100,10 +102,10 @@ class TestTrainLoop:
         # every training step and Adam update runs on checked float32 views
         step = vae.objective_and_grads
 
-        def checked(params, x, prior_means, prior_std, recon_weight, eps):
+        def checked(params, x, prior_means, prior_std, recon_weight, eps, ws=None):
             view = lambda a: a.view(oracles.NoFloat64)  # noqa: E731
             params = vae.VaeParams(params.arch, params.latent, view(params.flat))
-            return step(params, view(x), view(prior_means), prior_std, recon_weight, view(eps))
+            return step(params, view(x), view(prior_means), prior_std, recon_weight, view(eps), ws)
 
         monkeypatch.setattr(vae, "objective_and_grads", checked)
         train_w, val_w, model = toy_setup()
@@ -151,6 +153,57 @@ class TestTrainLoop:
         train_w, val_w, model = toy_setup()
         with pytest.raises(Exception):
             vae.train(train_w, val_w, model, quick_cfg(learning_rate=0.0))
+
+
+class TestWorkspace:
+    """The buffers `train` reuses on every step change no byte of a step."""
+
+    # at T = 1 the recurrent weight gradient is an empty sum, written as zeros
+    @pytest.mark.parametrize("T", [1, 2, 10])
+    def test_shared_workspace_matches_calls_without_one(self, T):
+        arch, latent = ArchConfig(hidden=6, layers=2), LatentConfig(free_dims=2)
+        params = vae.init_params(arch, latent, seed=1).in_compute_dtype()
+        rng = np.random.default_rng(T)
+        ws = vae._Workspace(5)
+        grads = []
+        # full batch, partial batch, then full again over the partial one's bytes
+        for b in (5, 3, 5):
+            x = rng.uniform(size=(b, T, 5)).astype(np.float32)
+            prior_means = rng.uniform(-1, 1, (b, latent.total)).astype(np.float32)
+            eps = rng.standard_normal((b, T, latent.total)).astype(np.float32)
+            want = vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps)
+            got = vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, ws)
+            assert got[0] == want[0] and got[1] == want[1]
+            assert got[2].tobytes() == want[2].tobytes()
+            grads.append(got[2])
+        # every call wrote into the workspace's one gradient vector
+        assert all(g is grads[0] for g in grads)
+
+    def test_warm_steps_allocate_under_a_tenth_of_the_caches(self, monkeypatch):
+        step, peaks = vae.train_step, []
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return step(*args, **kwargs)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(vae, "train_step", traced)
+        # two epochs of a full and a partial batch; a step still allocates its
+        # input gradients, one (T, B, H) array per layer in flight, and the
+        # objective's terms, which a small latent keeps small
+        T, B, H, layers = 25, 32, 128, 4
+        train_w, val_w, model = toy_setup(elements=10, days=100, window=T)
+        assert B < len(train_w) < 2 * B
+        arch, latent = ArchConfig(hidden=H, layers=layers), LatentConfig(free_dims=2)
+        cfg = quick_cfg(batch_size=B, max_epochs=2)
+        vae.train(train_w, val_w, model, cfg, arch=arch, latent=latent)
+        # float32 gates (4H wide), h, c and tanh(c) of every layer of both networks
+        cache_bytes = 2 * layers * T * B * 7 * H * 4
+        assert len(peaks) == 4
+        assert max(peaks[1:]) < cache_bytes / 10, (peaks, cache_bytes)
 
 
 class TestLearnedStructure:
