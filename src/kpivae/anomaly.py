@@ -214,6 +214,8 @@ def detect(
     """
     if eval_samples < 1:
         raise ConfigError("eval_samples must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if top_k is not None and top_k < 1:
         raise ConfigError("top_k must be >= 1")
     if any(not 0 <= j < model.k for j in stats.cluster_mean):

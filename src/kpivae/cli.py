@@ -224,9 +224,9 @@ def cmd_concepts(args: argparse.Namespace) -> int:
     o = Opts(args, CONCEPTS_KEYS)
     records = data.load_records(o.get("data"))
     stats = data.fit_normalization(records)
-    data.save_norm_stats(stats, o.get("out_stats"))
     profiles = concepts.element_profiles(records, stats)
     model = concepts.kmeans_fit(profiles, o.get("k"), seed=o.get("seed"))
+    data.save_norm_stats(stats, o.get("out_stats"))
     concepts.save_concept_model(model, o.get("out_model"))
     quality_path = o.get("out_quality")
     if quality_path:

@@ -12,7 +12,7 @@ import numpy as np
 from .data import (
     N_KPIS, NormStats, Records, group_means, normalize, read_artifact, write_artifact, write_csv
 )
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 
 CONCEPTS_TAG = "kpivae-concepts-v2"
 QUALITY_HEADER = ["cluster", "size", "variance"]
@@ -104,6 +104,8 @@ def lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nda
 def kmeans_fit(profiles: tuple[list[str], np.ndarray], k: int, seed: int = 0) -> ConceptModel:
     """Fit k-means on (element ids, profiles) (k-means++ seeding, Lloyd iteration)."""
     ids, points = profiles
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if k < 1:
         raise ValidationError("k must be >= 1")
     if k > len(ids):

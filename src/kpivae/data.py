@@ -10,12 +10,13 @@ import csv
 import datetime as _dt
 import hashlib
 import io
+import re
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ConfigError, KpivaeError, ParseError, ValidationError
+from .errors import ConfigError, KpivaeError, MissingArtifactError, ParseError, ValidationError
 
 KPI_NAMES = (
     "call_drop_rate",
@@ -39,6 +40,8 @@ WRITE_BLOCK_ROWS = 1024
 CSV_SPECIAL = ',"\r\n'
 
 NORMSTATS_TAG = "kpivae-normstats-v2"
+# the one date form read besides an integer ordinal
+ISO_DAY = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 def fmt_float(x: float) -> str:
@@ -151,6 +154,8 @@ class SynthConfig:
     def validate(self) -> None:
         if self.element_count < 1 or self.days < 1:
             raise ConfigError("element_count and days must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
         if not 0.0 <= self.anomaly_rate <= 1.0:
             raise ConfigError("anomaly_rate must be in [0, 1]")
         if self.anomaly_rate > 0 and self.anomaly_magnitude <= 1.0:
@@ -172,10 +177,14 @@ def _parse_date(token: str, line_no: int | None = None) -> int:
         if not -(2**63) <= day < 2**63:
             raise ParseError(f"date {token!r} does not fit in 64 bits", line_no)
         return day
-    try:
-        return _dt.date.fromisoformat(token).toordinal()
-    except ValueError:
-        raise ParseError(f"bad date {token!r} (want ISO day or integer ordinal)", line_no)
+    # only YYYY-MM-DD, which date.fromisoformat reads on every Python; from
+    # 3.11 it also reads forms such as the week date 2024-W01-1
+    if ISO_DAY.fullmatch(token):
+        try:
+            return _dt.date.fromisoformat(token).toordinal()
+        except ValueError:  # a day that does not exist, such as 2023-02-30
+            pass
+    raise ParseError(f"bad date {token!r} (want ISO day or integer ordinal)", line_no)
 
 
 def text_lines(path, newline=None):
@@ -370,9 +379,10 @@ def group_means(group: np.ndarray, rows: np.ndarray, n_groups: int) -> np.ndarra
     return sums / np.bincount(group, minlength=n_groups)[:, None]
 
 
-def write_artifact(path, tag: str, rows) -> None:
-    """Write a text artifact: the tag line, one line of tokens per row, then
-    a `sha256` row with the hash of the text before it.
+def write_artifact(path, tag: str, rows, body: bytes = b"") -> None:
+    """Write an artifact: the tag line, one line of tokens per row, a `sha256`
+    row, then `body`. The hash covers the text before the `sha256` row and
+    the body after it.
 
     Floats are written by fmt_float, every other token by str. Raises
     ValidationError, before the file is opened, for a str token that
@@ -387,36 +397,56 @@ def write_artifact(path, tag: str, rows) -> None:
         " ".join(fmt_float(t) if isinstance(t, (float, np.floating)) else str(t) for t in row)
         for row in rows
     ]
-    text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + f"sha256 {hashlib.sha256(text.encode('utf-8')).hexdigest()}\n")
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    digest = hashlib.sha256(text)
+    digest.update(body)
+    with open(path, "wb") as fh:
+        fh.write(text + f"sha256 {digest.hexdigest()}\n".encode("ascii"))
+        fh.write(body)
 
 
-def read_artifact(path, tag: str, kinds: dict) -> dict:
-    """Parse a text artifact into {kind: {key: (line number, values)}}.
+def read_artifact(path, tag: str, kinds: dict, body: bool = False):
+    """Parse an artifact into {kind: {key: (line number, values)}}.
 
     A row is its kind, then a key if the kind has one, then its values.
     `kinds` maps each kind to (key cast or None, value cast, value count,
     rule or None); a rule returns why a row's values are invalid, or a false
-    value. Raises ParseError naming the line, in file order, for a bad tag or
-    non-UTF-8 bytes, an unknown kind, a token that does not cast, a wrong
-    value count, a value that is not finite, a broken rule and a key repeated
-    (compared after casting). Then the `sha256` row must hold the hash of
-    every other line, so that a file cut short, or with a row added after
-    that row, fails.
+    value. Raises MissingArtifactError naming a missing file. Raises
+    ParseError naming the line, in file order, for a bad tag or non-UTF-8
+    bytes, an unknown kind, a token that does not cast, a wrong value count,
+    a value that is not finite, a broken rule and a key repeated (compared
+    after casting). Then the `sha256` row must hold the hash of every other
+    line, so that a file cut short, or with a row added after that row,
+    fails.
+
+    With `body`, the rows end at the first `sha256` row, and the bytes after
+    it are a body that the hash covers too; returns (rows, body), the body a
+    memoryview of the one buffer the file is read into.
     """
     kinds = {**kinds, "sha256": (None, str, 1, None)}
     rows = {kind: {} for kind in kinds}
-    digest = hashlib.sha256()
-    lines = enumerate(text_lines(path), start=1)
-    first = next(lines, (1, ""))[1]
-    if first.rstrip("\n") != tag:
-        raise ParseError(f"bad tag {first.rstrip()[:64]!r} in {path}, expected {tag!r}", 1)
-    digest.update(first.encode("utf-8"))
-    for line_no, ln in lines:
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+    except FileNotFoundError:
+        raise MissingArtifactError(f"artifact not found: {path}") from None
+    start = buf.find(b"\n") + 1 or len(buf)
+    if buf[:start].rstrip(b"\n") != tag.encode("utf-8"):
+        first = buf[: min(start, 256)].decode("utf-8", "replace").rstrip("\n")
+        raise ParseError(f"bad tag {first[:64]!r} in {path}, expected {tag!r}", 1)
+    digest = hashlib.sha256(buf[:start])
+    line_no = 1
+    while start < len(buf):
+        line_no += 1
+        end = buf.find(b"\n", start) + 1 or len(buf)
+        line, start = buf[start:end], end
+        try:
+            ln = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path} is not UTF-8 text", line_no) from None
         tokens = ln.split()
         if tokens[:1] != ["sha256"]:
-            digest.update(ln.encode("utf-8"))
+            digest.update(line)
         if not tokens:
             continue
         kind = tokens.pop(0)
@@ -438,12 +468,17 @@ def read_artifact(path, tag: str, kinds: dict) -> dict:
         if key in rows[kind]:
             raise ParseError(f"repeated {name!r} row", line_no)
         rows[kind][key] = (line_no, values)
+        if body and kind == "sha256":
+            break
     if not rows["sha256"]:
         raise ParseError(f"{path} has no sha256 row; it may be cut short")
+    rest = memoryview(buf)[start:]  # empty unless a body follows the sha256 row
+    digest.update(rest)
     line_no, (stored,) = rows.pop("sha256")[None]
     if stored != digest.hexdigest():
-        raise ParseError("sha256 does not match the other lines", line_no)
-    return rows
+        what = "the other lines and the body" if body else "the other lines"
+        raise ParseError(f"sha256 does not match {what}", line_no)
+    return (rows, rest) if body else rows
 
 
 def save_norm_stats(stats: NormStats, path) -> None:
@@ -470,10 +505,14 @@ def window_sequences(
 
     Runs shorter than `length` yield nothing; no padding is ever applied.
     Windows are sorted by (element_id, start_date), and `elements` lists the
-    elements that have windows.
+    elements that have windows. No run is longer than the record count, so
+    a longer `length` is cut to one more than it and a longer `stride` to
+    it, which gives the same windows and keeps the int64 arithmetic below
+    from overflowing.
     """
     if length < 1 or stride < 1:
         raise ConfigError("length and stride must be >= 1")
+    length, stride = min(length, len(records) + 1), min(stride, max(len(records), 1))
     ids, element = np.unique(np.asarray(records.element_ids, dtype=object), return_inverse=True)
     order = np.lexsort((records.dates, element))
     element, date, raw = element[order], records.dates[order], records.kpis[order]

@@ -23,21 +23,16 @@ gradient checks run them in float64 against central finite differences.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import numbers
-import struct
-import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .concepts import ConceptModel
-from .data import N_KPIS, Windows
+from .data import N_KPIS, Windows, read_artifact, write_artifact
 from .errors import (
     ConfigError,
-    MissingArtifactError,
     NonFiniteError,
     ParseError,
     TrainingDivergedError,
@@ -64,8 +59,7 @@ BATCH_WINDOWS = 256
 # like BATCH_WINDOWS it is part of the output
 COMPUTE_DTYPE = np.float32
 
-CHECKPOINT_MAGIC = b"KPIVAE\x00\x01"
-CHECKPOINT_FORMAT = "kpivae-ckpt-v2"
+CHECKPOINT_TAG = "kpivae-ckpt-v3"
 
 F32_MAX = float(np.finfo(np.float32).max)
 # prior_std**2 must be a normal, finite float32, where the training and
@@ -133,6 +127,8 @@ class TrainConfig:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, max_epochs and patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -221,16 +217,13 @@ def _param_count(arch: ArchConfig, latent: LatentConfig) -> int:
 
 
 def init_params(
-    arch: ArchConfig,
-    latent: LatentConfig,
-    seed: int = 0,
-    rng: np.random.Generator | None = None,
+    arch: ArchConfig, latent: LatentConfig, seed: int | np.random.SeedSequence = 0
 ) -> VaeParams:
-    """Fresh parameters: orthogonal kernels (QR of Gaussians), zero biases."""
+    """Fresh parameters: orthogonal kernels (QR of Gaussians), zero biases,
+    drawn from `default_rng(seed)`."""
     arch.validate()
     latent.validate()
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     count = _param_count(arch, latent)
     try:
         flat = np.empty(count)
@@ -538,9 +531,7 @@ def train(
 
     seq = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss, noise_ss, val_ss = seq.spawn(4)
-    params = init_params(
-        arch, latent, seed=config.seed, rng=np.random.default_rng(init_ss)
-    ).in_compute_dtype()
+    params = init_params(arch, latent, seed=init_ss).in_compute_dtype()
     rng_shuffle = np.random.default_rng(shuffle_ss)
     rng_noise = np.random.default_rng(noise_ss)
     rng_val = np.random.default_rng(val_ss)
@@ -597,78 +588,30 @@ def train(
 
 
 def save_checkpoint(params: VaeParams, path) -> None:
-    """Versioned binary checkpoint; identical params give identical bytes. The
-    body is `params.flat`, whose layout the header's arch and latent fix."""
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "arch": asdict(params.arch),
-        "latent": asdict(params.latent),
-        "sha256": hashlib.sha256(params.flat).hexdigest(),
-    }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack(">Q", len(blob)))
-        fh.write(blob)
-        fh.write(params.flat.tobytes())
-
-
-def _check_fields(values: dict, defaults: dict) -> None:
-    """Each header field must be in `values`, with the JSON type of its default:
-    a string; an int, not a bool or a float; or a finite number, which becomes
-    a float."""
-    for name, default in defaults.items():
-        if name not in values:  # a default would change the model silently
-            raise ParseError(f"bad checkpoint header: {name} is missing")
-        v = values[name]
-        if isinstance(default, str):
-            ok, kind = type(v) is str, "a string"
-        elif isinstance(default, int):
-            ok, kind = type(v) is int, "an int"
-        else:  # compared, not converted, so that a huge int cannot overflow
-            ok, kind = type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number"
-        if not ok:
-            raise ParseError(f"bad checkpoint header: {name} must be {kind}")
-        values[name] = type(default)(v)
+    """A codec artifact: one row per ArchConfig and LatentConfig field, the
+    `sha256` row, then the body, `params.flat` as float64 bytes in the
+    layout those rows fix. Identical params give identical bytes."""
+    rows = {**asdict(params.arch), **asdict(params.latent)}.items()
+    write_artifact(path, CHECKPOINT_TAG, rows, body=params.flat.tobytes())
 
 
 def load_checkpoint(path) -> VaeParams:
+    """Every field row must be there, and the configs it makes must validate
+    before the body size is counted, so that a huge declared `hidden` or
+    `layers` builds nothing."""
+    configs = (ArchConfig(), LatentConfig())
+    kinds = {name: (None, type(v), 1, None) for c in configs for name, v in asdict(c).items()}
+    rows, body = read_artifact(path, CHECKPOINT_TAG, kinds, body=True)
+    if missing := [name for name in kinds if not rows[name]]:  # no default fills one in
+        raise ParseError(f"bad checkpoint header: {missing[0]} is missing")
+    arch, latent = (replace(c, **{n: rows[n][None][1][0] for n in asdict(c)}) for c in configs)
     try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise MissingArtifactError(f"checkpoint not found: {path}")
-    with fh:
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ParseError(f"not a kpivae checkpoint: {path}")
-        buf = fh.read()
-    # each size the file declares is checked against its length before slicing;
-    # the header length is the ">Q" that save_checkpoint packs
-    blob_len = int.from_bytes(buf[:8], "big")
-    blob = buf[8 : 8 + blob_len]
-    if len(buf) < 8 or len(blob) != blob_len:
-        raise ParseError("truncated checkpoint header")
-    try:
-        header = json.loads(blob.decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ParseError(f"unsupported checkpoint format {header.get('format')!r}")
-        if unknown := set(header) - {"format", "arch", "latent", "sha256"}:
-            raise ConfigError(f"unknown field {min(unknown)}")
-        _check_fields(header["arch"], asdict(ArchConfig()))
-        _check_fields(header["latent"], asdict(LatentConfig()))
-        _check_fields(header, {"sha256": ""})
-        arch = ArchConfig(**header["arch"])
-        latent = LatentConfig(**header["latent"])
         arch.validate()
         latent.validate()
-    except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
+    except ConfigError as e:
         raise ParseError(f"bad checkpoint header: {e}")
-    body = 8 + blob_len
     need = 8 * _param_count(arch, latent)  # 8 bytes per float64
-    found = len(buf) - body
-    if found != need:
-        what = "truncated checkpoint" if found < need else "trailing bytes in checkpoint"
-        raise ParseError(f"{what}: its tensors need {need} bytes, found {found}")
-    flat = np.frombuffer(buf, np.float64, offset=body).copy()
-    if hashlib.sha256(flat).hexdigest() != header["sha256"]:
-        raise ParseError("checkpoint body does not match the sha256 in its header")
-    return VaeParams(arch=arch, latent=latent, flat=flat)
+    if len(body) != need:
+        what = "truncated checkpoint" if len(body) < need else "trailing bytes in checkpoint"
+        raise ParseError(f"{what}: its tensors need {need} bytes, found {len(body)}")
+    return VaeParams(arch=arch, latent=latent, flat=np.frombuffer(body, np.float64).copy())

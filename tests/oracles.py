@@ -30,10 +30,17 @@ at once.
 
 `NoFloat64` wraps the float32 inputs of a kernel so that any float64 array or
 numpy scalar that meets them fails the test.
+
+`rewrite_checkpoint` copies a checkpoint with its field rows edited and a
+fresh `sha256` row, so that a check behind the hash fails, and
+`legacy_checkpoint` writes the JSON-header checkpoint of earlier releases.
 """
 import csv
+import hashlib
 import io
-from dataclasses import dataclass, replace
+import json
+import struct
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -526,3 +533,37 @@ class NoFloat64(np.ndarray):
         if out is not None:
             return out[0] if len(out) == 1 else out
         return result.view(NoFloat64) if isinstance(result, np.ndarray) else result
+
+
+def rewrite_checkpoint(src, dst, edit) -> None:
+    """Copy a checkpoint, passing its rows, {field: token}, through `edit`
+    first. The `sha256` entry, last and None unless the edit sets it, becomes
+    the hash of the new text and the body; the copy has no `sha256` row when
+    the edit deletes it."""
+    blob = src.read_bytes()
+    end = blob.index(b"\nsha256 ") + 1
+    first, *lines = blob[:end].decode("utf-8").splitlines()
+    body = blob[blob.index(b"\n", end) + 1 :]
+    rows = dict(ln.split(" ", 1) for ln in lines)
+    rows["sha256"] = None
+    edit(rows)
+    digest = rows.pop("sha256", False)
+    text = (first + "\n" + "".join(f"{k} {v}\n" for k, v in rows.items())).encode()
+    if digest is None:
+        digest = hashlib.sha256(text + body).hexdigest()
+    sha_row = b"" if digest is False else f"sha256 {digest}\n".encode("utf-8")
+    dst.write_bytes(text + sha_row + body)
+
+
+def legacy_checkpoint(params, path, version: int) -> None:
+    """`params` in the checkpoint format of the releases before -v3: a magic
+    number, the big-endian u64 length of a JSON header, the header and the
+    float64 body."""
+    header = {
+        "format": f"kpivae-ckpt-v{version}",
+        "arch": asdict(params.arch),
+        "latent": asdict(params.latent),
+        "sha256": hashlib.sha256(params.flat).hexdigest(),
+    }
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(b"KPIVAE\x00\x01" + struct.pack(">Q", len(blob)) + blob + params.flat.tobytes())

@@ -4,9 +4,7 @@ import csv
 import hashlib
 import io
 import itertools
-import json
 import os
-import struct
 import subprocess
 import sys
 import threading
@@ -398,17 +396,6 @@ def score_with(pipeline, tmp_path, window="10", **swap):
     return run(argv)
 
 
-def rewrite_header(src, dst, edit):
-    """Copy a checkpoint, passing its JSON header through `edit` first."""
-    blob = src.read_bytes()
-    start = len(vae.CHECKPOINT_MAGIC) + 8
-    (n,) = struct.unpack(">Q", blob[start - 8 : start])
-    header = json.loads(blob[start : start + n])
-    edit(header)
-    new = json.dumps(header).encode()
-    dst.write_bytes(blob[: start - 8] + struct.pack(">Q", len(new)) + new + blob[start + n :])
-
-
 def corrupt_token(src, dst, prefix, index, token):
     """Copy a text artifact, replacing one field of the first row starting
     with `prefix` (dropping it when `token` is None, appending it when `index`
@@ -604,10 +591,10 @@ class TestMalformedInputs:
 
     def test_checkpoint_input_dim(self, pipeline, tmp_path, capsys):
         # the input is N_KPIS wide; a header may not declare another width
-        def narrow(header):
-            header["arch"]["input_dim"] = 3
+        def narrow(rows):
+            rows["input_dim"] = 3
 
-        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", narrow)
+        oracles.rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.bin", narrow)
         code = run([
             "export-latent", "--data", str(pipeline["data"]),
             "--checkpoint", str(tmp_path / "bad.bin"), "--model", str(pipeline["model"]),
@@ -617,24 +604,24 @@ class TestMalformedInputs:
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: bad checkpoint header") and "input_dim" in lines[0]
+        assert lines == ["error: line 8: unknown row 'input_dim'"]
 
     def test_checkpoint_nan_prior_std(self, pipeline, tmp_path, capsys):
-        def nan_prior(header):
-            header["latent"]["prior_std"] = float("nan")
+        def nan_prior(rows):
+            rows["prior_std"] = float("nan")
 
-        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", nan_prior)
-        assert b'"prior_std": NaN' in (tmp_path / "bad.bin").read_bytes()
+        oracles.rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.bin", nan_prior)
+        assert b"\nprior_std nan\n" in (tmp_path / "bad.bin").read_bytes()
         assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "prior_std" in err
         assert not (tmp_path / "report.csv").exists()
 
     def test_checkpoint_declares_huge_tensors(self, pipeline, tmp_path, capsys):
-        def huge(header):
-            header["arch"]["hidden"] = 2**30
+        def huge(rows):
+            rows["hidden"] = 2**30
 
-        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", huge)
+        oracles.rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.bin", huge)
         assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -660,33 +647,35 @@ class TestMalformedInputs:
         ],
     )
     def test_checkpoint_header_field(self, pipeline, tmp_path, capsys, section, changes):
-        def edit(header):
-            (header if section is None else header[section]).update(changes)
-
-        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", edit)
+        # `section` is the config a field belongs to, None for the others
+        oracles.rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.bin", lambda r: r.update(changes))
         assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: bad checkpoint header")
+        assert lines[0].startswith("error:")
         assert any(name in lines[0] for name in changes)
 
     @pytest.mark.parametrize(
         "section, name", [("arch", "logvar_lo"), ("latent", "prior_std"), (None, "sha256")]
     )
     def test_checkpoint_header_field_missing(self, pipeline, tmp_path, capsys, section, name):
-        def drop(header):
-            del (header if section is None else header[section])[name]
+        # `section` is the config a field belongs to, None for the others
+        def drop(rows):
+            del rows[name]
 
-        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", drop)
+        oracles.rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.bin", drop)
         assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
         lines = capsys.readouterr().err.splitlines()
-        assert lines == [f"error: bad checkpoint header: {name} is missing"]
+        if name == "sha256":  # the body is then read as rows
+            assert len(lines) == 1 and lines[0].startswith("error:")
+        else:
+            assert lines == [f"error: bad checkpoint header: {name} is missing"]
 
     def test_checkpoint_declares_a_huge_layer_count(self, pipeline, tmp_path, capsys):
-        def deep(header):
-            header["arch"]["layers"] = 10**12
+        def deep(rows):
+            rows["layers"] = 10**12
 
-        rewrite_header(pipeline["ckpt"], tmp_path / "bad.bin", deep)
+        oracles.rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.bin", deep)
         assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -813,7 +802,7 @@ class TestMalformedInputs:
         (tmp_path / "bad.bin").write_bytes(bytes(blob))
         assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
         lines = capsys.readouterr().err.splitlines()
-        assert lines == ["error: checkpoint body does not match the sha256 in its header"]
+        assert lines == ["error: line 8: sha256 does not match the other lines and the body"]
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize(
@@ -823,16 +812,74 @@ class TestMalformedInputs:
         ],
     )
     def test_v1_file_names_its_version(self, pipeline, tmp_path, capsys, artifact, flag):
+        tag, rest = pipeline[artifact].read_bytes().split(b"\n", 1)
+        assert tag.endswith(b"-v3" if artifact == "ckpt" else b"-v2")
         old = tmp_path / "old"
-        if artifact == "ckpt":
-            rewrite_header(pipeline["ckpt"], old, lambda h: h.update(format="kpivae-ckpt-v1"))
-        else:
-            text = pipeline[artifact].read_text()
-            assert text.split("\n", 1)[0].endswith("-v2")
-            old.write_text(text.replace("-v2\n", "-v1\n", 1))
+        old.write_bytes(tag[:-1] + b"1\n" + rest)
         assert score_with(pipeline, tmp_path, **{flag: old}) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "-v1" in lines[0]
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_checkpoint_of_an_earlier_release(self, pipeline, tmp_path, capsys, version):
+        # the JSON-header format before -v3 has no tag line
+        old = tmp_path / "old.bin"
+        oracles.legacy_checkpoint(vae.load_checkpoint(pipeline["ckpt"]), old, version)
+        assert score_with(pipeline, tmp_path, checkpoint=old) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: line 1: bad tag 'KPIVAE")
+        assert "expected 'kpivae-ckpt-v3'" in lines[0]
+
+    def test_checkpoint_cut_inside_its_rows(self, pipeline, tmp_path, capsys):
+        blob = pipeline["ckpt"].read_bytes()
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(blob[: blob.index(b"\nprior_std ") + 1])
+        assert score_with(pipeline, tmp_path, checkpoint=cut) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: {cut} has no sha256 row; it may be cut short"]
+
+    @pytest.mark.parametrize("flag", ["checkpoint", "model", "stats", "latent_stats"])
+    def test_missing_artifact_named(self, pipeline, tmp_path, capsys, flag):
+        absent = tmp_path / "absent.txt"
+        assert score_with(pipeline, tmp_path, **{flag: absent}) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: artifact not found: {absent}"]
+
+    @pytest.mark.parametrize("command", ["synth", "concepts", "train", "score"])
+    def test_negative_seed(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", "--out", str(out)],
+            "concepts": [
+                "concepts", "--data", str(pipeline["data"]), "--k", "2",
+                "--out-model", str(out), "--out-stats", str(tmp_path / "stats.txt"),
+            ],
+            "train": [
+                "train", "--data", str(pipeline["data"]), "--model", str(pipeline["model"]),
+                "--stats", str(pipeline["stats"]), "--out-checkpoint", str(out),
+                "--window", "10", "--hidden", "4", "--max-epochs", "1",
+            ],
+        }
+        if command == "score":
+            code = score_with(pipeline, tmp_path, seed="-1")
+        else:
+            code = run(argv[command] + ["--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("window", [str(2**63 - 1), str(10**20)])
+    def test_window_beyond_int64(self, pipeline, tmp_path, capsys, window):
+        assert score_with(pipeline, tmp_path, window=window) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: no windows of length {window}; every run is shorter"]
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_stride_beyond_int64(self, pipeline, tmp_path):
+        # 180 records: a longer stride gives the windows of a stride of 180
+        assert score_with(pipeline, tmp_path, stride=str(10**20)) == 0
+        wide = (tmp_path / "report.csv").read_bytes()
+        assert score_with(pipeline, tmp_path, stride="180") == 0
+        assert (tmp_path / "report.csv").read_bytes() == wide
 
 
 LOADERS = {
@@ -885,15 +932,12 @@ class TestArtifactFuzz:
         assert_sound(artifact, loaded)
 
 
-HEADER_FIELDS = (
-    [("arch", name) for name in asdict(vae.ArchConfig())]
-    + [("latent", name) for name in asdict(vae.LatentConfig())]
-    + [(None, "sha256")]
-)
+HEADER_FIELDS = [*asdict(vae.ArchConfig()), *asdict(vae.LatentConfig()), "sha256"]
 
 
 class TestCheckpointHeaderFuzz:
-    """One header field set to another JSON type or an out-of-range number."""
+    """One header row set to the text of another type's value, of a number out
+    of range, or of any short string, with the sha256 row of the new text."""
 
     VALUES = st.one_of(
         st.none(),
@@ -904,6 +948,8 @@ class TestCheckpointHeaderFuzz:
         st.integers(-(2**70), 2**70),
         st.floats(),
         st.sampled_from([0, -1, 2**63, 10**400, 1e300, -1e300, 1e-300, 1e20, 1e-30, 5e-324]),
+        # tokens int() or float() read in a form of their own
+        st.sampled_from(["1_0", "+8", "0x10", "\u0663", "8.", "-0", "1e1_0", "6 6"]),
     )
 
     @settings(max_examples=300, deadline=None)
@@ -911,13 +957,8 @@ class TestCheckpointHeaderFuzz:
     def test_field_fails_with_one_line_or_scores_quietly(
         self, pipeline, tmp_path_factory, field, value
     ):
-        section, name = field
-
-        def edit(header):
-            (header if section is None else header[section])[name] = value
-
         d = tmp_path_factory.getbasetemp()
-        rewrite_header(pipeline["ckpt"], d / "fuzz.bin", edit)
+        oracles.rewrite_checkpoint(pipeline["ckpt"], d / "fuzz.bin", lambda r: r.update({field: value}))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -48,6 +48,13 @@ class TestLoadRecords:
         with pytest.raises(ParseError, match="line 3"):
             data.load_records(p)
 
+    @pytest.mark.parametrize("day", ["2024-W01-1", "2024W011", "2024-W01", "2024-1-05"])
+    def test_only_iso_calendar_days_read(self, tmp_path, day):
+        # Python 3.11's date.fromisoformat reads week dates, 3.10's does not
+        p = write(tmp_path, HEADER + "A,1,1,2,1,1,10\n" + f"A,{day},1,2,1,1,10\n")
+        with pytest.raises(ParseError, match=f"line 3: bad date '{day}'"):
+            data.load_records(p)
+
     def test_date_beyond_64_bits_names_line(self, tmp_path):
         p = write(tmp_path, HEADER + "A,1,1,2,1,1,10\nA,99999999999999999999,1,2,1,1,10\n")
         with pytest.raises(ParseError, match="line 3: date .* does not fit in 64 bits"):
@@ -219,6 +226,18 @@ class TestWindowing:
     def test_stride_default_one(self):
         ws = windows(make_run("A", 1, 5), 3)
         assert [w.start_date for w in ws] == [1, 2, 3]
+
+    @pytest.mark.parametrize("length", [2**63 - 1, 2**64, 10**20])
+    def test_length_beyond_int64_gives_no_windows(self, length):
+        assert len(windows(make_run("A", 1, 5), length)) == 0
+
+    @pytest.mark.parametrize("stride", [6, 2**63 - 1, 10**20])
+    def test_stride_beyond_the_records_is_the_record_count(self, stride):
+        recs = make_run("A", 1, 3) + make_run("B", 1, 2)
+        got = windows(recs, 2, stride=stride)
+        want = windows(recs, 2, stride=5)
+        assert [(w.element_id, w.start_date) for w in got] == [("A", 1), ("B", 1)]
+        assert [(w.element_id, w.start_date) for w in want] == [("A", 1), ("B", 1)]
 
     def test_bad_length_or_stride(self):
         with pytest.raises(ConfigError):
@@ -463,6 +482,30 @@ class TestWriteArtifact:
         with pytest.raises(ValidationError, match="one token"):
             data.write_artifact(path, "tag", iter([["k", 1], ["assign", token, 0]]))
         assert not path.exists()
+
+    def test_body_round_trips_under_the_hash(self, tmp_path):
+        path = tmp_path / "x.bin"
+        body = bytes(range(256)) * 3  # every byte, line breaks and non-UTF-8 among them
+        data.write_artifact(path, "tag", [["k", 1]], body=body)
+        blob = path.read_bytes()
+        assert blob.endswith(b"\n" + body) and blob.startswith(b"tag\nk 1\nsha256 ")
+        rows, got = data.read_artifact(path, "tag", {"k": (None, int, 1, None)}, body=True)
+        assert rows == {"k": {None: (2, [1])}}
+        assert bytes(got) == body
+        for at in (0, len(body) // 2, len(body) - 1):
+            flipped = bytearray(blob)
+            flipped[len(blob) - len(body) + at] ^= 1
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(ParseError, match="line 3: sha256 does not match"):
+                data.read_artifact(path, "tag", {"k": (None, int, 1, None)}, body=True)
+
+    def test_crlf_line_ends_fail_at_the_tag(self, tmp_path):
+        # the hash covers the bytes as written, so no line end is translated
+        path = tmp_path / "x.txt"
+        data.write_artifact(path, "tag", [["k", 1]])
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        with pytest.raises(ParseError, match=r"line 1: bad tag 'tag\\r'"):
+            data.read_artifact(path, "tag", {"k": (None, int, 1, None)})
 
     def test_single_tokens_read_back(self, tmp_path):
         path = tmp_path / "x.txt"

@@ -1,6 +1,3 @@
-import json
-import struct
-
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -398,8 +395,12 @@ class TestCheckpoint:
         p = tmp_path / "ckpt.bin"
         vae.save_checkpoint(params, p)
         blob = p.read_bytes()
-        (n,) = struct.unpack(">Q", blob[len(vae.CHECKPOINT_MAGIC) : len(vae.CHECKPOINT_MAGIC) + 8])
-        body = blob[len(vae.CHECKPOINT_MAGIC) + 8 + n :]
+        rows = blob[: blob.index(b"\nsha256 ") + 1].decode().splitlines()
+        assert rows == [
+            "kpivae-ckpt-v3", "hidden 8", "layers 3", "logvar_lo -8.0", "logvar_hi 8.0",
+            "free_dims 25", "prior_std 1.0",
+        ]
+        body = blob[blob.index(b"\n", blob.index(b"\nsha256 ") + 1) + 1 :]
         assert body == params.flat.tobytes()
         assert vae.load_checkpoint(p).flat.tobytes() == body
 
@@ -431,10 +432,10 @@ class TestCheckpoint:
         vae.save_checkpoint(params, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bad_magic_rejected(self, tmp_path):
+    def test_bad_tag_rejected(self, tmp_path):
         p = tmp_path / "junk.bin"
         p.write_bytes(b"not a checkpoint")
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="bad tag 'not a checkpoint'"):
             vae.load_checkpoint(p)
 
     def test_every_truncation_rejected(self, tmp_path):
@@ -447,33 +448,31 @@ class TestCheckpoint:
             cut.write_bytes(blob[:n])
             with pytest.raises(ParseError):
                 vae.load_checkpoint(cut)
+        # trailing bytes are part of the body the sha256 row covers
         cut.write_bytes(blob + b"\x00")
-        with pytest.raises(ParseError, match="trailing"):
+        with pytest.raises(ParseError, match="sha256 does not match"):
             vae.load_checkpoint(cut)
 
-    def test_header_length_beyond_file_rejected(self, tmp_path):
+    def test_declared_size_other_than_the_body_rejected(self, tmp_path):
         params = vae.init_params(ArchConfig(hidden=2, layers=1), LatentConfig(free_dims=1))
-        p = tmp_path / "ckpt.bin"
-        vae.save_checkpoint(params, p)
-        blob = p.read_bytes()
-        start = len(vae.CHECKPOINT_MAGIC)
-        for n in (2**40, 2**64 - 1):
-            p.write_bytes(blob[:start] + struct.pack(">Q", n) + blob[start + 8 :])
-            with pytest.raises(ParseError, match="truncated"):
+        full, p = tmp_path / "full.bin", tmp_path / "ckpt.bin"
+        vae.save_checkpoint(params, full)
+        # the last has fewer float64s than the body holds
+        for field, value, match in [
+            ("hidden", 2**40, "truncated"),
+            ("layers", 2**64, "truncated"),
+            ("free_dims", 0, "trailing bytes"),
+        ]:
+            oracles.rewrite_checkpoint(full, p, lambda rows: rows.update({field: value}))
+            with pytest.raises(ParseError, match=match):
                 vae.load_checkpoint(p)
 
     def test_corrupt_header_rejected(self, tmp_path):
         params = vae.init_params(ArchConfig(hidden=2, layers=1), LatentConfig(free_dims=1))
         p = tmp_path / "ckpt.bin"
         vae.save_checkpoint(params, p)
-        blob = p.read_bytes()
-        start = len(vae.CHECKPOINT_MAGIC) + 8
-        (n,) = struct.unpack(">Q", blob[start - 8 : start])
-        header = json.loads(blob[start : start + n])
-        header["arch"]["depth"] = 1
-        new = json.dumps(header).encode()
-        p.write_bytes(blob[: start - 8] + struct.pack(">Q", len(new)) + new + blob[start + n :])
-        with pytest.raises(ParseError, match="bad checkpoint header"):
+        oracles.rewrite_checkpoint(p, p, lambda rows: rows.update(depth=1))
+        with pytest.raises(ParseError, match="line 8: unknown row 'depth'"):
             vae.load_checkpoint(p)
 
     def test_missing_file_named(self, tmp_path):
