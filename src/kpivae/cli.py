@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +39,15 @@ def _shared(*keys: str) -> dict:
     return {key: SHARED_KEYS[key] for key in keys}
 
 
+def _fields(*configs) -> dict:
+    # every field of the config dataclasses, with its default and its type
+    return {f.name: (f.default, type(f.default)) for c in configs for f in fields(c)}
+
+
 SYNTH_KEYS = {
     "out": (REQUIRED, str),
     "labels_out": (None, str),
-    "elements": (50, int),
-    "days": (150, int),
-    "clusters": (10, int),
-    "anomaly_rate": (0.01, float),
-    "anomaly_magnitude": (10.0, float),
-    "seed": (0, int),
+    **_fields(data.SynthConfig),
 }
 CONCEPTS_KEYS = {
     **_shared("data"),
@@ -62,16 +63,7 @@ TRAIN_KEYS = {
     "out_history": (None, str),
     "out_latent_stats": (None, str),
     **_shared("window", "stride"),
-    "hidden": (64, int),
-    "layers": (3, int),
-    "free_dims": (25, int),
-    "prior_std": (1.0, float),
-    "learning_rate": (1e-3, float),
-    "recon_weight": (10.0, float),
-    "batch_size": (64, int),
-    "max_epochs": (200, int),
-    "patience": (10, int),
-    "seed": (0, int),
+    **_fields(vae.ArchConfig, vae.LatentConfig, vae.TrainConfig),
     "val_fraction": (0.05, float),
 }
 SCORE_KEYS = {
@@ -201,19 +193,16 @@ def split_elements(element_ids, val_fraction: float) -> tuple[set[str], set[str]
     return set(ids) - val, val
 
 
+def _config(config, o: Opts):
+    """The config dataclass `config` with each field set from its option."""
+    return config(**{f.name: o.get(f.name) for f in fields(config)})
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     o = Opts(args, SYNTH_KEYS)
     out = Path(o.get("out"))
     labels_out = o.get("labels_out") or out.with_suffix(".labels.csv")
-    cfg = data.SynthConfig(
-        element_count=o.get("elements"),
-        days=o.get("days"),
-        cluster_profiles=data.default_profiles(o.get("clusters")),
-        anomaly_rate=o.get("anomaly_rate"),
-        anomaly_magnitude=o.get("anomaly_magnitude"),
-        rng_seed=o.get("seed"),
-    )
-    records, labels = data.synth_generate(cfg)
+    records, labels = data.synth_generate(_config(data.SynthConfig, o))
     data.save_records(records, out)
     data.save_labels(labels, labels_out)
     print(f"wrote {len(records)} records ({len(labels)} injected) to {out}")
@@ -231,7 +220,8 @@ def cmd_concepts(args: argparse.Namespace) -> int:
     quality_path = o.get("out_quality")
     if quality_path:
         concepts.save_quality(concepts.cluster_quality(model, profiles), quality_path)
-    print(f"fitted k={model.k} on {len(profiles[0])} elements, inertia {fmt_float(model.inertia)}")
+    inertia = fmt_float(concepts.inertia(model, profiles))
+    print(f"fitted k={model.k} on {len(profiles[0])} elements, inertia {inertia}")
     return 0
 
 
@@ -256,16 +246,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     is_train = np.array([e in train_ids for e in windows.elements])[windows.element]
     train_w, val_w = windows[is_train], windows[~is_train]
 
-    arch = vae.ArchConfig(hidden=o.get("hidden"), layers=o.get("layers"))
-    latent = vae.LatentConfig(free_dims=o.get("free_dims"), prior_std=o.get("prior_std"))
-    tcfg = vae.TrainConfig(
-        learning_rate=o.get("learning_rate"),
-        recon_weight=o.get("recon_weight"),
-        batch_size=o.get("batch_size"),
-        max_epochs=o.get("max_epochs"),
-        patience=o.get("patience"),
-        seed=o.get("seed"),
-    )
+    arch, latent = _config(vae.ArchConfig, o), _config(vae.LatentConfig, o)
+    tcfg = _config(vae.TrainConfig, o)
     params, history = vae.train(train_w, val_w, model, tcfg, arch=arch, latent=latent)
     vae.save_checkpoint(params, o.get("out_checkpoint"))
 

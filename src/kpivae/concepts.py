@@ -14,7 +14,7 @@ from .data import (
 )
 from .errors import ConfigError, ParseError, ValidationError
 
-CONCEPTS_TAG = "kpivae-concepts-v2"
+CONCEPTS_TAG = "kpivae-concepts-v3"
 QUALITY_HEADER = ["cluster", "size", "variance"]
 
 LLOYD_MAX_ITER = 100
@@ -23,10 +23,12 @@ LLOYD_TOL = 1e-9
 
 @dataclass
 class ConceptModel:
-    k: int
     centroids: np.ndarray  # (k, 5) in normalized profile space, [0, 1]
     assignment: dict[str, int]
-    inertia: float
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
     @property
     def prior_means(self) -> np.ndarray:
@@ -113,9 +115,15 @@ def kmeans_fit(profiles: tuple[list[str], np.ndarray], k: int, seed: int = 0) ->
     points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed)
     centroids = kmeans_pp_seed(points, k, rng)
-    centroids, labels, inertia, _ = lloyd(points, centroids)
-    assignment = dict(zip(ids, labels.tolist()))
-    return ConceptModel(k, centroids, assignment, inertia)
+    centroids, labels, _, _ = lloyd(points, centroids)
+    return ConceptModel(centroids, dict(zip(ids, labels.tolist())))
+
+
+def inertia(model: ConceptModel, profiles: tuple[list[str], np.ndarray]) -> float:
+    """Sum of squared distances of the profiles to their nearest centroid;
+    for the profiles it was fitted on, the inertia `lloyd` ended at."""
+    points = np.asarray(profiles[1], dtype=np.float64)
+    return _inertia(points, model.centroids, _assign(points, model.centroids))
 
 
 def assign_concept(profiles: np.ndarray, model: ConceptModel) -> np.ndarray:
@@ -148,16 +156,13 @@ def cluster_quality(model: ConceptModel, profiles: tuple[list[str], np.ndarray])
 
 
 def save_concept_model(model: ConceptModel, path) -> None:
-    rows = [["k", model.k], ["inertia", model.inertia]]
-    rows += [["centroid", j, *model.centroids[j]] for j in range(model.k)]
+    rows = [["centroid", j, *model.centroids[j]] for j in range(model.k)]
     rows += [["assign", eid, model.assignment[eid]] for eid in sorted(model.assignment)]
     write_artifact(path, CONCEPTS_TAG, rows)
 
 
 def load_concept_model(path) -> ConceptModel:
     kinds = {
-        "k": (None, int, 1, None),
-        "inertia": (None, float, 1, None),
         "centroid": (
             int, float, N_KPIS,
             lambda v: not 0.0 <= min(v) <= max(v) <= 1.0 and "centroid values must lie in [0, 1]",
@@ -165,20 +170,17 @@ def load_concept_model(path) -> ConceptModel:
         "assign": (str, int, 1, None),
     }
     rows = read_artifact(path, CONCEPTS_TAG, kinds)
-    if not rows["k"] or not rows["inertia"]:
-        raise ParseError("missing k or inertia row")
-    (k_line, (k,)), (inertia,) = rows["k"][None], rows["inertia"][None][1]
-    if k < 1:
-        raise ParseError(f"k must be >= 1, got {k}", k_line)
-    # the count first, so that a huge k builds nothing
-    if len(rows["centroid"]) != k or sorted(rows["centroid"]) != list(range(k)):
-        raise ParseError(f"expected one centroid row for each of 0..{k - 1}", k_line)
+    k = len(rows["centroid"])
+    if not k:
+        raise ParseError("a concept model needs at least one centroid row")
+    for j, (line_no, _) in rows["centroid"].items():
+        if not 0 <= j < k:
+            raise ParseError(f"centroid {j} outside 0..{k - 1} ({k} centroid rows)", line_no)
     for line_no, (j,) in rows["assign"].values():
         if not 0 <= j < k:
             raise ParseError(f"cluster assignment {j} outside 0..{k - 1}", line_no)
     centroids = np.array([rows["centroid"][j][1] for j in range(k)])
-    assignment = {eid: j for eid, (_, (j,)) in rows["assign"].items()}
-    return ConceptModel(k, centroids, assignment, inertia)
+    return ConceptModel(centroids, {eid: j for eid, (_, (j,)) in rows["assign"].items()})
 
 
 def save_quality(report: QualityReport, path) -> None:

@@ -11,7 +11,7 @@ import datetime as _dt
 import hashlib
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -130,41 +130,25 @@ class AnomalyLabel:
 
 
 @dataclass
-class KpiProfile:
-    """Per-KPI baseline mean/scale of one synthetic cluster.
-
-    Only the eNodeB-drop, MME-drop and call-attempt entries are sampled;
-    total drops and call drop rate are derived from them, so their entries
-    here are informational.
-    """
-
-    means: tuple[float, ...]
-    scales: tuple[float, ...]
-
-
-@dataclass
 class SynthConfig:
-    element_count: int = 50
+    elements: int = 50
     days: int = 150
-    cluster_profiles: list[KpiProfile] = field(default_factory=lambda: default_profiles(10))
+    clusters: int = 10
     anomaly_rate: float = 0.01
     anomaly_magnitude: float = 10.0
-    rng_seed: int = 0
+    seed: int = 0
 
     def validate(self) -> None:
-        if self.element_count < 1 or self.days < 1:
-            raise ConfigError("element_count and days must be >= 1")
-        if self.rng_seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.rng_seed}")
+        if self.elements < 1 or self.days < 1:
+            raise ConfigError("elements and days must be >= 1")
+        if self.clusters < 1:
+            raise ConfigError("clusters must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.anomaly_rate <= 1.0:
             raise ConfigError("anomaly_rate must be in [0, 1]")
         if self.anomaly_rate > 0 and self.anomaly_magnitude <= 1.0:
             raise ConfigError("anomaly_magnitude must be > 1")
-        if not self.cluster_profiles:
-            raise ConfigError("cluster_profiles must be non-empty")
-        for p in self.cluster_profiles:
-            if len(p.means) != N_KPIS or len(p.scales) != N_KPIS:
-                raise ConfigError("profiles need one mean/scale per KPI")
 
 
 def _parse_date(token: str, line_no: int | None = None) -> int:
@@ -562,101 +546,74 @@ def _mme_ranks(n: int) -> list[int]:
     return [(i * 3 + 1) % n for i in range(n)]
 
 
-def default_profiles(n_clusters: int) -> list[KpiProfile]:
-    """Hand-spread cluster baselines covering a wide KPI range.
+def _profiles(clusters: int) -> tuple[np.ndarray, np.ndarray]:
+    """(clusters, 3) means and scales of the eNodeB drops, MME drops and call
+    attempts of each synthetic cluster; total drops and the drop rate are
+    derived from them.
 
     Attempts rise with cluster index while eNodeB drops fall, so the busiest
     cluster owns the attempts maximum and cluster 0 owns the eNodeB, total
     and drop-rate maxima; MME ranks rotate independently.
     """
-    if n_clusters < 1:
-        raise ConfigError("n_clusters must be >= 1")
-    levels = _rank_levels(n_clusters)
-    mme_rank = _mme_ranks(n_clusters)
-    profiles = []
-    for i in range(n_clusters):
-        att_mean = 200000.0 * levels[i]
-        enb_mean = 2000.0 * levels[n_clusters - 1 - i]
-        mme_mean = 300.0 * levels[mme_rank[i]]
-        td_mean = enb_mean + mme_mean
-        cdr_mean = 100.0 * td_mean / att_mean
-        att_scale = 0.04 * att_mean
-        enb_scale = max(1.0, 0.04 * enb_mean)
-        mme_scale = max(1.0, 0.04 * mme_mean)
-        profiles.append(
-            KpiProfile(
-                means=(cdr_mean, td_mean, enb_mean, mme_mean, att_mean),
-                scales=(0.0, enb_scale + mme_scale, enb_scale, mme_scale, att_scale),
-            )
-        )
-    return profiles
-
-
-def _inject(kpis: tuple, kpi_index: int, magnitude: float) -> tuple:
-    """Multiply one KPI by `magnitude`, keeping total = eNodeB + MME exact.
-
-    The labeled KPI is always assigned old * magnitude literally so the
-    ground-truth contract holds bit-exactly; dependent KPIs are recomputed.
-    """
-    cdr, td, enb, mme, att = kpis
-    if kpi_index == 4:
-        att = att * magnitude
-    elif kpi_index in (2, 3):
-        enb, mme = (enb * magnitude, mme) if kpi_index == 2 else (enb, mme * magnitude)
-        td = enb + mme
-    elif kpi_index in (0, 1):
-        new_td = td * magnitude
-        enb = enb * magnitude
-        mme = new_td - enb  # keeps the sum identity exact
-        td = new_td
-    else:
-        raise ConfigError(f"kpi_index out of range: {kpi_index}")
-    # the drop rate is assigned directly when labeled: the contract is bit-exact
-    cdr = cdr * magnitude if kpi_index == 0 else 100.0 * td / max(att, 1.0)
-    return (cdr, td, enb, mme, att)
+    levels = np.array(_rank_levels(clusters))
+    means = np.column_stack(
+        (2000.0 * levels[::-1], 300.0 * levels[_mme_ranks(clusters)], 200000.0 * levels)
+    )
+    # the floor of 1 only lifts drop scales: attempts scales are at least 320
+    return means, np.maximum(1.0, 0.04 * means)
 
 
 def synth_generate(config: SynthConfig) -> tuple[Records, list[AnomalyLabel]]:
     """Draw a synthetic KPI dataset plus ground-truth anomaly labels.
 
-    Each element follows one cluster profile (round-robin assignment). Drops
-    and attempts are drawn as non-negative integers; total drops and call
-    drop rate are derived. Anomalies multiply one positive KPI of a chosen
-    (element, day) cell by `anomaly_magnitude`; the injection RNG stream is
-    independent of the draw stream, so the same seed with anomaly_rate = 0
-    reproduces the clean counterfactual values bit-for-bit.
+    Element e follows cluster e mod `clusters`. Drops and attempts are drawn
+    as non-negative integers, element by element, KPI by KPI, day by day;
+    total drops and call drop rate are derived. Anomalies multiply one
+    positive KPI of a chosen (element, day) cell by `anomaly_magnitude`,
+    exactly, and recompute the KPIs derived from it, so that total drops stay
+    eNodeB plus MME drops. The injection RNG stream is independent of the
+    draw stream, so the same seed with anomaly_rate = 0 reproduces the clean
+    counterfactual values bit-for-bit. Raises ConfigError when an injected
+    KPI would not be finite.
     """
     config.validate()
-    seq = np.random.SeedSequence(config.rng_seed)
-    draw_ss, inject_ss = seq.spawn(2)
+    n, days, m = config.elements, config.days, config.anomaly_magnitude
+    draw_ss, inject_ss = np.random.SeedSequence(config.seed).spawn(2)
+    means, scales = _profiles(config.clusters)
+    c = np.arange(n) % config.clusters
     rng = np.random.default_rng(draw_ss)
+    draws = np.round(rng.normal(means[c, :, None], scales[c, :, None], (n, 3, days)))
+    enb, mme = np.maximum(0.0, draws[:, :2]).transpose(1, 0, 2)
+    att = np.maximum(1.0, draws[:, 2])
+    td = enb + mme
+    kpis = np.stack((100.0 * td / att, td, enb, mme, att), axis=-1).reshape(-1, N_KPIS)
 
-    k = len(config.cluster_profiles)
-    columns = []  # per element the five KPI columns, each one value per day
-    for e in range(config.element_count):
-        p = config.cluster_profiles[e % k]
-        enb = np.maximum(0.0, np.round(rng.normal(p.means[2], p.scales[2], config.days)))
-        mme = np.maximum(0.0, np.round(rng.normal(p.means[3], p.scales[3], config.days)))
-        att = np.maximum(1.0, np.round(rng.normal(p.means[4], p.scales[4], config.days)))
-        td = enb + mme
-        columns.append((100.0 * td / np.maximum(att, 1.0), td, enb, mme, att))
-    ids = [f"el{e:04d}" for e in range(config.element_count)]
-    records = Records(
-        element_ids=np.repeat(np.array(ids, dtype=object), config.days),
-        dates=np.tile(np.arange(1, config.days + 1), config.element_count),
-        kpis=np.array(columns).transpose(0, 2, 1).reshape(-1, N_KPIS),
-    )
-
-    labels: list[AnomalyLabel] = []
-    n_cells = config.element_count * config.days
-    n_anom = int(round(config.anomaly_rate * n_cells))
+    n_anom = int(round(config.anomaly_rate * n * days))
+    cells = kpi = np.zeros(0, dtype=np.int64)
     if n_anom > 0:
-        rng_inject = np.random.default_rng(inject_ss)
-        cells = np.sort(rng_inject.choice(n_cells, size=n_anom, replace=False))
-        for idx in cells.tolist():
-            positive = np.flatnonzero(records.kpis[idx] > 0)
-            kpi_index = int(positive[rng_inject.integers(len(positive))])
-            kpis = tuple(records.kpis[idx])
-            records.kpis[idx] = _inject(kpis, kpi_index, config.anomaly_magnitude)
-            labels.append(AnomalyLabel(ids[idx // config.days], idx % config.days + 1, kpi_index))
-    return records, labels
+        rng = np.random.default_rng(inject_ss)
+        cells = np.sort(rng.choice(n * days, size=n_anom, replace=False))
+        positive = kpis[cells] > 0
+        # each cell's KPI: one draw below its count of positive KPIs picks one
+        pick = rng.integers(positive.sum(axis=1))
+        kpi = np.argsort(~positive, axis=1, kind="stable")[np.arange(n_anom), pick]
+        cdr, td, enb, mme, att = kpis[cells].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            att = np.where(kpi == 4, att * m, att)
+            enb = np.where(kpi <= 2, enb * m, enb)
+            # total drops scaled: MME drops take what eNodeB drops leave
+            mme = np.where(kpi == 3, mme * m, np.where(kpi <= 1, td * m - enb, mme))
+            td = np.where(kpi <= 1, td * m, enb + mme)
+            cdr = np.where(kpi == 0, cdr * m, 100.0 * td / att)
+        injected = np.column_stack((cdr, td, enb, mme, att))
+        if not np.isfinite(injected).all():
+            raise ConfigError(f"anomaly_magnitude {m!r} takes an injected KPI past the float range")
+        kpis[cells] = injected
+    ids = [f"el{e:04d}" for e in range(n)]
+    records = Records(
+        element_ids=np.repeat(np.array(ids, dtype=object), days),
+        dates=np.tile(np.arange(1, days + 1), n),
+        kpis=kpis,
+    )
+    cells_at = zip((cells // days).tolist(), (cells % days + 1).tolist(), kpi.tolist())
+    return records, [AnomalyLabel(ids[e], date, k) for e, date, k in cells_at]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -59,16 +59,15 @@ BATCH_WINDOWS = 256
 # like BATCH_WINDOWS it is part of the output
 COMPUTE_DTYPE = np.float32
 
-CHECKPOINT_TAG = "kpivae-ckpt-v3"
+CHECKPOINT_TAG = "kpivae-ckpt-v4"
 
-F32_MAX = float(np.finfo(np.float32).max)
 # prior_std**2 must be a normal, finite float32, where the training and
 # scoring passes divide by it
 PRIOR_STD_MIN = math.sqrt(float(np.finfo(np.float32).tiny))
-PRIOR_STD_MAX = math.sqrt(F32_MAX)
-# |logvar| bound, so that exp(logvar / 2) times a noise draw of up to 10
-# stays below sqrt(F32_MAX) in the float32 passes
-LOGVAR_MAX = 2.0 * math.log(math.sqrt(F32_MAX) / 10.0)
+PRIOR_STD_MAX = math.sqrt(float(np.finfo(np.float32).max))
+# the clip of every logvar the encoder and decoder emit
+LOGVAR_LO = -8.0
+LOGVAR_HI = 8.0
 
 
 @dataclass
@@ -101,16 +100,10 @@ class ArchConfig:
 
     hidden: int = 64
     layers: int = 3
-    logvar_lo: float = -8.0
-    logvar_hi: float = 8.0
 
     def validate(self) -> None:
         if self.hidden < 1 or self.layers < 1:
             raise ConfigError("hidden and layers must be >= 1")
-        if not -LOGVAR_MAX <= self.logvar_lo < self.logvar_hi <= LOGVAR_MAX:
-            raise ConfigError(
-                f"logvar_lo must be below logvar_hi, both in [{-LOGVAR_MAX:.4g}, {LOGVAR_MAX:.4g}]"
-            )
 
 
 @dataclass
@@ -125,6 +118,8 @@ class TrainConfig:
     def validate(self) -> None:
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be positive")
+        if not self.recon_weight >= 0:
+            raise ConfigError(f"recon_weight must be >= 0, got {self.recon_weight}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("batch_size, max_epochs and patience must be >= 1")
         if self.seed < 0:
@@ -252,14 +247,13 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=No
     layer caches, the head cache and the mask of logvars the clip left alone.
     `bufs`, from a `_Workspace`, is (time-major input, one `lstm_forward` out
     tuple per layer); the layer caches are then views of it."""
-    arch = params.arch
     caches = []
     h = x
     if bufs is not None:
         xs, outs = bufs
         np.copyto(xs, x.transpose(1, 0, 2))
         h = xs.transpose(1, 0, 2)  # the first layer reads it without a copy
-    for i in range(arch.layers):
+    for i in range(params.arch.layers):
         h, cache = lstm_forward(h, params.layers[f"{net}{i}"], None if bufs is None else outs[i])
         if want_cache:
             caches.append(cache)
@@ -267,10 +261,10 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=No
     raw, head_cache = linear_forward(h, params.layers[f"{net}_head"])
     half = raw.shape[-1] // 2
     mean, lv_raw = raw[..., :half], raw[..., half:]
-    lv = np.clip(lv_raw, arch.logvar_lo, arch.logvar_hi)
+    lv = np.clip(lv_raw, LOGVAR_LO, LOGVAR_HI)
     if not want_cache:
         return mean, lv, None
-    return mean, lv, (caches, head_cache, (lv_raw > arch.logvar_lo) & (lv_raw < arch.logvar_hi))
+    return mean, lv, (caches, head_cache, (lv_raw > LOGVAR_LO) & (lv_raw < LOGVAR_HI))
 
 
 def _encoder_forward(params: VaeParams, x: np.ndarray, want_cache: bool = False, bufs=None):
@@ -590,8 +584,10 @@ def train(
 def save_checkpoint(params: VaeParams, path) -> None:
     """A codec artifact: one row per ArchConfig and LatentConfig field, the
     `sha256` row, then the body, `params.flat` as float64 bytes in the
-    layout those rows fix. Identical params give identical bytes."""
-    rows = {**asdict(params.arch), **asdict(params.latent)}.items()
+    layout those rows fix. Each row holds its value cast to the type of the
+    field's default, so equal params give identical bytes."""
+    configs = (params.arch, params.latent)
+    rows = [(f.name, type(f.default)(getattr(c, f.name))) for c in configs for f in fields(c)]
     write_artifact(path, CHECKPOINT_TAG, rows, body=params.flat.tobytes())
 
 
@@ -599,12 +595,12 @@ def load_checkpoint(path) -> VaeParams:
     """Every field row must be there, and the configs it makes must validate
     before the body size is counted, so that a huge declared `hidden` or
     `layers` builds nothing."""
-    configs = (ArchConfig(), LatentConfig())
-    kinds = {name: (None, type(v), 1, None) for c in configs for name, v in asdict(c).items()}
+    configs = (ArchConfig, LatentConfig)
+    kinds = {f.name: (None, type(f.default), 1, None) for c in configs for f in fields(c)}
     rows, body = read_artifact(path, CHECKPOINT_TAG, kinds, body=True)
     if missing := [name for name in kinds if not rows[name]]:  # no default fills one in
         raise ParseError(f"bad checkpoint header: {missing[0]} is missing")
-    arch, latent = (replace(c, **{n: rows[n][None][1][0] for n in asdict(c)}) for c in configs)
+    arch, latent = (c(**{f.name: rows[f.name][None][1][0] for f in fields(c)}) for c in configs)
     try:
         arch.validate()
         latent.validate()

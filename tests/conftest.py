@@ -14,11 +14,11 @@ def tiny_pipeline():
     priors; kept small so the whole suite stays fast.
     """
     cfg = data.SynthConfig(
-        element_count=8,
+        elements=8,
         days=80,
-        cluster_profiles=data.default_profiles(2),
+        clusters=2,
         anomaly_rate=0.0,
-        rng_seed=11,
+        seed=11,
     )
     records, _ = data.synth_generate(cfg)
     stats = data.fit_normalization(records)

@@ -28,6 +28,10 @@ moment pair per tensor, each updated by the textbook expression. `zscores`
 is the per-cluster standardization that `anomaly.detect` does for all rows
 at once.
 
+`synth_generate` draws each element and injects each anomaly in a loop,
+with `inject` as the per-cell formula; `data.synth_generate`, which does
+both for all elements and cells at once, must give the same bytes.
+
 `NoFloat64` wraps the float32 inputs of a kernel so that any float64 array or
 numpy scalar that meets them fails the test.
 
@@ -359,6 +363,70 @@ def expected_window_count(run_length: int, length: int, stride: int) -> int:
 def synth_cluster_of(element_id: str, n_clusters: int) -> int:
     """Ground-truth cluster of a synthetic element (round-robin rule)."""
     return int(element_id.removeprefix("el")) % n_clusters
+
+
+def inject(kpis: tuple, kpi_index: int, magnitude: float) -> tuple:
+    """Multiply one KPI by `magnitude`, keeping total = eNodeB + MME exact.
+
+    The labeled KPI is always assigned old * magnitude literally so the
+    ground-truth contract holds bit-exactly; dependent KPIs are recomputed.
+    """
+    cdr, td, enb, mme, att = kpis
+    if kpi_index == 4:
+        att = att * magnitude
+    elif kpi_index in (2, 3):
+        enb, mme = (enb * magnitude, mme) if kpi_index == 2 else (enb, mme * magnitude)
+        td = enb + mme
+    elif kpi_index in (0, 1):
+        new_td = td * magnitude
+        enb = enb * magnitude
+        mme = new_td - enb  # keeps the sum identity exact
+        td = new_td
+    else:
+        raise ConfigError(f"kpi_index out of range: {kpi_index}")
+    # the drop rate is assigned directly when labeled: the contract is bit-exact
+    cdr = cdr * magnitude if kpi_index == 0 else 100.0 * td / max(att, 1.0)
+    return (cdr, td, enb, mme, att)
+
+
+def synth_generate(config: data.SynthConfig) -> tuple[data.Records, list[data.AnomalyLabel]]:
+    """`data.synth_generate` one element and one injected cell at a time: per
+    element three draws of `days` values (eNodeB drops, MME drops, attempts),
+    then per injected cell one draw of its KPI and `inject`."""
+    seq = np.random.SeedSequence(config.seed)
+    draw_ss, inject_ss = seq.spawn(2)
+    rng = np.random.default_rng(draw_ss)
+    means, scales = (a.tolist() for a in data._profiles(config.clusters))
+    columns = []  # per element the five KPI columns, each one value per day
+    for e in range(config.elements):
+        m, s = means[e % config.clusters], scales[e % config.clusters]
+        enb = np.maximum(0.0, np.round(rng.normal(m[0], s[0], config.days)))
+        mme = np.maximum(0.0, np.round(rng.normal(m[1], s[1], config.days)))
+        att = np.maximum(1.0, np.round(rng.normal(m[2], s[2], config.days)))
+        td = enb + mme
+        columns.append((100.0 * td / np.maximum(att, 1.0), td, enb, mme, att))
+    ids = [f"el{e:04d}" for e in range(config.elements)]
+    records = data.Records(
+        element_ids=np.repeat(np.array(ids, dtype=object), config.days),
+        dates=np.tile(np.arange(1, config.days + 1), config.elements),
+        kpis=np.array(columns).transpose(0, 2, 1).reshape(-1, data.N_KPIS),
+    )
+
+    labels = []
+    n_cells = config.elements * config.days
+    n_anom = int(round(config.anomaly_rate * n_cells))
+    if n_anom > 0:
+        rng_inject = np.random.default_rng(inject_ss)
+        cells = np.sort(rng_inject.choice(n_cells, size=n_anom, replace=False))
+        for idx in cells.tolist():
+            positive = np.flatnonzero(records.kpis[idx] > 0)
+            kpi_index = int(positive[rng_inject.integers(len(positive))])
+            kpis = tuple(records.kpis[idx])
+            records.kpis[idx] = inject(kpis, kpi_index, config.anomaly_magnitude)
+            labels.append(
+                data.AnomalyLabel(ids[idx // config.days], idx % config.days + 1, kpi_index)
+            )
+    return records, labels
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

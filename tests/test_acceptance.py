@@ -26,11 +26,11 @@ def scoreline(capsys, name: str, ok: bool, detail: str) -> None:
 class TestLossArithmetic:
     def test_loss_decomposes_into_kl_minus_loglik(self, capsys):
         cfg = data.SynthConfig(
-            element_count=4,
+            elements=4,
             days=30,
-            cluster_profiles=data.default_profiles(2),
+            clusters=2,
             anomaly_rate=0.02,
-            rng_seed=3,
+            seed=3,
         )
         records, _ = data.synth_generate(cfg)
         stats = data.fit_normalization(records)
@@ -149,7 +149,8 @@ class TestKmeansOracle:
             k = min(int(rng.integers(1, 4)), n)
             pts = rng.uniform(size=(n, 5))
             profs = ([f"e{i:02d}" for i in range(n)], pts)
-            fit = min(concepts.kmeans_fit(profs, k, seed=s).inertia for s in range(40))
+            fits = (concepts.kmeans_fit(profs, k, seed=s) for s in range(40))
+            fit = min(concepts.inertia(model, profs) for model in fits)
             best = np.inf
             for assign in itertools.product(range(k), repeat=n):
                 total = 0.0
@@ -171,12 +172,12 @@ E2E_PRIOR_STD = 0.03
 
 def _e2e_synth(seed: int, rate: float):
     cfg = data.SynthConfig(
-        element_count=50,
+        elements=50,
         days=150,
-        cluster_profiles=data.default_profiles(E2E_K),
+        clusters=E2E_K,
         anomaly_rate=rate,
         anomaly_magnitude=10.0,
-        rng_seed=seed,
+        seed=seed,
     )
     return data.synth_generate(cfg)
 
@@ -258,11 +259,11 @@ class TestSyntheticDetection:
         """
         p = pipeline
         cfg = data.SynthConfig(
-            element_count=50,
+            elements=50,
             days=30,
-            cluster_profiles=data.default_profiles(E2E_K),
+            clusters=E2E_K,
             anomaly_rate=0.0,
-            rng_seed=103,
+            seed=103,
         )
         base, _ = data.synth_generate(cfg)
         cells = [("el0013", 10, 1), ("el0027", 20, 4), ("el0035", 15, 2)]
@@ -274,7 +275,7 @@ class TestSyntheticDetection:
                     i for i, r in enumerate(records) if r.element_id == eid and r.date == date
                 )
                 records[idx] = oracles.KpiRecord(
-                    eid, date, data._inject(records[idx].kpis, kpi, mag)
+                    eid, date, oracles.inject(records[idx].kpis, kpi, mag)
                 )
                 windows = data.window_sequences(oracles.records(records), E2E_WINDOW, stride=E2E_WINDOW, stats=p.stats)
                 report = anomaly.detect(p.params, windows, p.model, p.lstats, eval_samples=10, seed=0)

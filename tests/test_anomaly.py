@@ -175,30 +175,24 @@ class TestAttribution:
 class TestResolveClusters:
     def test_known_elements_keep_their_assignment(self):
         model = concepts.ConceptModel(
-            k=2,
             centroids=np.array([[0.1] * 5, [0.9] * 5]),
             assignment={"el0000": 1},
-            inertia=0.0,
         )
         w = mk_windows(("el0000", 1, np.full((4, 5), 0.1)))
         assert anomaly.resolve_clusters(w, model) == {"el0000": 1}
 
     def test_unseen_element_takes_nearest_centroid(self):
         model = concepts.ConceptModel(
-            k=2,
             centroids=np.array([[0.1] * 5, [0.9] * 5]),
             assignment={},
-            inertia=0.0,
         )
         w = mk_windows(("new", 1, np.full((4, 5), 0.85)))
         assert anomaly.resolve_clusters(w, model) == {"new": 1}
 
     def test_profile_counts_each_date_once(self):
         model = concepts.ConceptModel(
-            k=2,
             centroids=np.array([[0.45] * 5, [0.6] * 5]),
             assignment={},
-            inertia=0.0,
         )
         days = np.repeat([[0.9], [0.9], [0.1], [0.1], [0.9], [0.9]], 5, axis=1)
         # days 3 and 4 are in both windows: over unique dates the mean is
@@ -209,11 +203,11 @@ class TestResolveClusters:
 
 def scored_setup(stride=5):
     cfg = data.SynthConfig(
-        element_count=6,
+        elements=6,
         days=30,
-        cluster_profiles=data.default_profiles(2),
+        clusters=2,
         anomaly_rate=0.0,
-        rng_seed=21,
+        seed=21,
     )
     records, _ = data.synth_generate(cfg)
     stats = data.fit_normalization(records)
@@ -592,12 +586,12 @@ class TestDetectionRanking:
 
         def score(rate, mag):
             cfg = data.SynthConfig(
-                element_count=8,
+                elements=8,
                 days=80,
-                cluster_profiles=data.default_profiles(2),
+                clusters=2,
                 anomaly_rate=rate,
                 anomaly_magnitude=mag,
-                rng_seed=12,
+                seed=12,
             )
             records, labels = data.synth_generate(cfg)
             windows = data.window_sequences(records, 20, stride=20, stats=tp.stats)
@@ -620,12 +614,12 @@ class TestDetectionRanking:
         picked = []
         for mag in (2.0, 5.0, 10.0):
             cfg = data.SynthConfig(
-                element_count=8,
+                elements=8,
                 days=80,
-                cluster_profiles=data.default_profiles(2),
+                clusters=2,
                 anomaly_rate=0.01,
                 anomaly_magnitude=mag,
-                rng_seed=12,
+                seed=12,
             )
             _, labels = data.synth_generate(cfg)
             picked.append([(l.element_id, l.date, l.kpi_index) for l in labels])

@@ -456,8 +456,8 @@ class TestMalformedInputs:
             ("model", "model", "centroid 0", 2, "-0.25"),
             ("model", "model", "centroid 0", 7, "0.5"),
             ("model", "model", "assign", 2, None),
-            # compared with the centroid rows before anything of size k is built
-            ("model", "model", "k ", 1, "10000000000000"),
+            # the centroid rows must number 0..k-1; k is their count
+            ("model", "model", "centroid 1", 1, "10000000000000"),
             ("stats", "stats", "total_drops", 2, "abc"),
             ("stats", "stats", "total_call_attempts", 2, "inf"),
             ("stats", "stats", "call_drop_rate", 1, "1e9"),
@@ -484,8 +484,6 @@ class TestMalformedInputs:
             # after the cluster rows, a second global row used to drop them all
             ("lstats", "latent_stats", "global"),
             ("lstats", "latent_stats", "cluster"),
-            ("model", "model", "k "),
-            ("model", "model", "inertia"),
             # a second centroid 0 row used to replace the first
             ("model", "model", "centroid 0"),
             ("model", "model", "assign"),
@@ -604,7 +602,7 @@ class TestMalformedInputs:
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines == ["error: line 8: unknown row 'input_dim'"]
+        assert lines == ["error: line 6: unknown row 'input_dim'"]
 
     def test_checkpoint_nan_prior_std(self, pipeline, tmp_path, capsys):
         def nan_prior(rows):
@@ -633,6 +631,7 @@ class TestMalformedInputs:
             ("latent", {"free_dims": 25.0}),
             # a field of the v1 format, now fixed at N_KPIS
             ("latent", {"concept_dims": 5.0}),
+            # the logvar clip bounds are fields of the v3 format, now constants
             ("arch", {"logvar_lo": "a"}),
             ("arch", {"hidden": 6.0}),
             (None, {"sha256": 1}),
@@ -656,7 +655,7 @@ class TestMalformedInputs:
         assert any(name in lines[0] for name in changes)
 
     @pytest.mark.parametrize(
-        "section, name", [("arch", "logvar_lo"), ("latent", "prior_std"), (None, "sha256")]
+        "section, name", [("arch", "hidden"), ("latent", "prior_std"), (None, "sha256")]
     )
     def test_checkpoint_header_field_missing(self, pipeline, tmp_path, capsys, section, name):
         # `section` is the config a field belongs to, None for the others
@@ -680,6 +679,28 @@ class TestMalformedInputs:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "truncated" in lines[0]
+
+    def test_negative_recon_weight(self, pipeline, tmp_path, capsys):
+        code = run([
+            "train", "--data", str(pipeline["data"]), "--model", str(pipeline["model"]),
+            "--stats", str(pipeline["stats"]), "--out-checkpoint", str(tmp_path / "m.bin"),
+            "--window", "5", "--hidden", "8", "--max-epochs", "3", "--recon-weight", "-1",
+        ])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: recon_weight must be >= 0, got -1.0"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_synth_magnitude_that_overflows(self, tmp_path, capsys):
+        code = run([
+            "synth", "--out", str(tmp_path / "x.csv"), "--elements", "4", "--days", "5",
+            "--anomaly-rate", "0.5", "--anomaly-magnitude", "1e308",
+        ])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: anomaly_magnitude 1e+308")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("prior_std", ["1e200", "1e20", "1e-30"])
     def test_prior_std_out_of_range(self, pipeline, tmp_path, capsys, prior_std):
@@ -747,7 +768,7 @@ class TestMalformedInputs:
 
     def test_concept_model_without_clusters(self, pipeline, tmp_path, capsys):
         bad = tmp_path / "model.txt"
-        data.write_artifact(bad, concepts.CONCEPTS_TAG, [["k", 0], ["inertia", 0.0]])
+        data.write_artifact(bad, concepts.CONCEPTS_TAG, [["assign", "el0000", 0]])
         code = run([
             "export-latent", "--data", str(pipeline["data"]),
             "--checkpoint", str(pipeline["ckpt"]), "--model", str(bad),
@@ -755,7 +776,8 @@ class TestMalformedInputs:
             "--window", "10",
         ])
         assert code == 2
-        assert "k must be >= 1" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: a concept model needs at least one centroid row"]
 
     def test_latent_stats_cut_at_a_row_boundary(self, pipeline, tmp_path, capsys):
         # a k=4 model on the pipeline's data, so that the stats have 4 cluster rows
@@ -802,7 +824,7 @@ class TestMalformedInputs:
         (tmp_path / "bad.bin").write_bytes(bytes(blob))
         assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "bad.bin") == 2
         lines = capsys.readouterr().err.splitlines()
-        assert lines == ["error: line 8: sha256 does not match the other lines and the body"]
+        assert lines == ["error: line 6: sha256 does not match the other lines and the body"]
         assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize(
@@ -813,12 +835,33 @@ class TestMalformedInputs:
     )
     def test_v1_file_names_its_version(self, pipeline, tmp_path, capsys, artifact, flag):
         tag, rest = pipeline[artifact].read_bytes().split(b"\n", 1)
-        assert tag.endswith(b"-v3" if artifact == "ckpt" else b"-v2")
+        assert tag.endswith({"ckpt": b"-v4", "model": b"-v3"}.get(artifact, b"-v2"))
         old = tmp_path / "old"
         old.write_bytes(tag[:-1] + b"1\n" + rest)
         assert score_with(pipeline, tmp_path, **{flag: old}) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "-v1" in lines[0]
+
+    def test_files_of_the_previous_format(self, pipeline, tmp_path, capsys):
+        # a -v3 checkpoint holds the logvar clip bounds, a -v2 concept model
+        # its k and inertia
+        params = vae.load_checkpoint(pipeline["ckpt"])
+        ckpt, model = tmp_path / "v3.bin", tmp_path / "v2.txt"
+        rows = [("hidden", params.arch.hidden), ("layers", params.arch.layers),
+                ("logvar_lo", -8.0), ("logvar_hi", 8.0),
+                ("free_dims", params.latent.free_dims), ("prior_std", params.latent.prior_std)]
+        data.write_artifact(ckpt, "kpivae-ckpt-v3", rows, body=params.flat.tobytes())
+        cm = concepts.load_concept_model(pipeline["model"])
+        rows = [["k", cm.k], ["inertia", 0.5]]
+        rows += [["centroid", j, *c] for j, c in enumerate(cm.centroids)]
+        rows += [["assign", eid, j] for eid, j in cm.assignment.items()]
+        data.write_artifact(model, "kpivae-concepts-v2", rows)
+        for flag, path, tag in (("checkpoint", ckpt, "ckpt-v3"), ("model", model, "concepts-v2")):
+            assert score_with(pipeline, tmp_path, **{flag: path}) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error: line 1: bad tag 'kpivae-{tag}' in {path}")
+        assert not (tmp_path / "report.csv").exists()
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_checkpoint_of_an_earlier_release(self, pipeline, tmp_path, capsys, version):
@@ -828,7 +871,7 @@ class TestMalformedInputs:
         assert score_with(pipeline, tmp_path, checkpoint=old) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: line 1: bad tag 'KPIVAE")
-        assert "expected 'kpivae-ckpt-v3'" in lines[0]
+        assert "expected 'kpivae-ckpt-v4'" in lines[0]
 
     def test_checkpoint_cut_inside_its_rows(self, pipeline, tmp_path, capsys):
         blob = pipeline["ckpt"].read_bytes()
@@ -898,7 +941,6 @@ def assert_sound(artifact, loaded):
     elif artifact == "model":
         assert loaded.centroids.shape == loaded.prior_means.shape == (loaded.k, data.N_KPIS)
         assert (loaded.centroids >= 0).all() and (loaded.centroids <= 1).all()
-        assert np.isfinite(loaded.inertia)
         assert all(0 <= j < loaded.k for j in loaded.assignment.values())
     else:
         means = [loaded.global_mean, *loaded.cluster_mean.values()]

@@ -60,13 +60,14 @@ class TestKmeans:
         model = concepts.kmeans_fit(profiles_from(pts), 1)
         assert np.allclose(model.centroids[0], pts.mean(axis=0), atol=1e-12)
         assert set(model.assignment.values()) == {0}
-        assert model.inertia == pytest.approx(((pts - pts.mean(axis=0)) ** 2).sum())
+        inertia = concepts.inertia(model, profiles_from(pts))
+        assert inertia == pytest.approx(((pts - pts.mean(axis=0)) ** 2).sum())
 
     def test_k_equals_n_zero_inertia(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(size=(6, 5))
         model = concepts.kmeans_fit(profiles_from(pts), 6)
-        assert model.inertia == pytest.approx(0.0, abs=1e-12)
+        assert concepts.inertia(model, profiles_from(pts)) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_tight_groups_recovered(self):
         pts = np.array(
@@ -77,7 +78,8 @@ class TestKmeans:
         assert labels[0] == labels[1] == labels[2]
         assert labels[3] == labels[4] == labels[5]
         assert labels[0] != labels[3]
-        assert model.inertia == pytest.approx(exhaustive_best_inertia(pts, 2), abs=1e-9)
+        inertia = concepts.inertia(model, profiles_from(pts))
+        assert inertia == pytest.approx(exhaustive_best_inertia(pts, 2), abs=1e-9)
 
     def test_partition_same_under_input_reordering(self):
         pts = np.array(
@@ -108,6 +110,16 @@ class TestKmeans:
         b = concepts.kmeans_fit(profiles_from(pts), 3, seed=7)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.assignment == b.assignment
+
+    def test_inertia_is_the_one_lloyd_ends_at(self):
+        # bit for bit, so `concepts` prints the inertia of the fit it made
+        rng = np.random.default_rng(9)
+        for seed in range(40):
+            pts = rng.uniform(size=(int(rng.integers(2, 30)), 5))
+            k = int(rng.integers(1, min(len(pts), 6) + 1))
+            model = concepts.kmeans_fit(profiles_from(pts), k, seed=seed)
+            seeds = concepts.kmeans_pp_seed(pts, k, np.random.default_rng(seed))
+            assert concepts.inertia(model, profiles_from(pts)) == concepts.lloyd(pts, seeds)[2]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -159,19 +171,15 @@ class TestKmeans:
 class TestScalingAndAssign:
     def test_affine_map_endpoints(self):
         model = concepts.ConceptModel(
-            k=3,
             centroids=np.array([[0.0] * 5, [0.5] * 5, [1.0] * 5]),
             assignment={},
-            inertia=0.0,
         )
         assert np.allclose(model.prior_means[0], -1.0)
         assert np.allclose(model.prior_means[1], 0.0)
         assert np.allclose(model.prior_means[2], 1.0)
 
     def test_out_of_range_centroid_errors(self):
-        model = concepts.ConceptModel(
-            k=1, centroids=np.array([[1.5] * 5]), assignment={}, inertia=0.0
-        )
+        model = concepts.ConceptModel(centroids=np.array([[1.5] * 5]), assignment={})
         # checked where the prior means are used
         with pytest.raises(ValidationError):
             vae.prior_table(model, vae.LatentConfig())
@@ -183,16 +191,14 @@ class TestScalingAndAssign:
         )
     )
     def test_scaling_bijective(self, c):
-        model = concepts.ConceptModel(k=len(c), centroids=c, assignment={}, inertia=0.0)
+        model = concepts.ConceptModel(centroids=c, assignment={})
         assert np.allclose((model.prior_means + 1.0) / 2.0, c, atol=1e-12)
         assert model.prior_means.min() >= -1.0 and model.prior_means.max() <= 1.0
 
     def test_tie_breaks_to_lowest_index(self):
         model = concepts.ConceptModel(
-            k=2,
             centroids=np.array([[0.0] * 5, [1.0] * 5]),
             assignment={},
-            inertia=0.0,
         )
         assert concepts.assign_concept(np.full((1, 5), 0.5), model).tolist() == [0]
 
@@ -246,12 +252,11 @@ class TestQualityAndPersistence:
         assert np.array_equal(loaded.centroids, model.centroids)
         assert loaded.prior_means.tobytes() == model.prior_means.tobytes()
         assert loaded.assignment == model.assignment
-        assert loaded.inertia == model.inertia
 
     def test_same_centroid_spelled_twice_rejected(self, tmp_path):
         values = [0.5] * 5
         p = tmp_path / "model.txt"
-        rows = [["k", 1], ["centroid", 0, *values], ["centroid", "00", *values]]
+        rows = [["centroid", 0, *values], ["centroid", "00", *values]]
         data.write_artifact(p, concepts.CONCEPTS_TAG, rows)
-        with pytest.raises(ParseError, match="line 4: repeated 'centroid 0' row"):
+        with pytest.raises(ParseError, match="line 3: repeated 'centroid 0' row"):
             concepts.load_concept_model(p)

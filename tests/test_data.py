@@ -76,7 +76,7 @@ class TestLoadRecords:
             data.load_records(p)
 
     def test_round_trip_is_exact(self, tmp_path):
-        cfg = data.SynthConfig(element_count=4, days=9, rng_seed=5)
+        cfg = data.SynthConfig(elements=4, days=9, seed=5)
         records, _ = data.synth_generate(cfg)
         p = tmp_path / "rt.csv"
         data.save_records(records, p)
@@ -84,7 +84,7 @@ class TestLoadRecords:
 
     def test_chunks_join_to_the_same_records(self, tmp_path, monkeypatch):
         # 36 rows in chunks of 5 leave a short last chunk
-        records, _ = data.synth_generate(data.SynthConfig(element_count=4, days=9, rng_seed=5))
+        records, _ = data.synth_generate(data.SynthConfig(elements=4, days=9, seed=5))
         p = tmp_path / "rt.csv"
         data.save_records(records, p)
         whole = data.load_records(p)
@@ -292,19 +292,19 @@ class TestWindowing:
 
 class TestSynth:
     def test_same_seed_bit_identical(self):
-        cfg = data.SynthConfig(element_count=6, days=20, rng_seed=9)
+        cfg = data.SynthConfig(elements=6, days=20, seed=9)
         a = data.synth_generate(cfg)
         b = data.synth_generate(cfg)
         assert oracles.records_equal(a[0], b[0]) and a[1] == b[1]
 
     def test_different_seed_differs(self):
-        a, _ = data.synth_generate(data.SynthConfig(element_count=6, days=20, rng_seed=1))
-        b, _ = data.synth_generate(data.SynthConfig(element_count=6, days=20, rng_seed=2))
+        a, _ = data.synth_generate(data.SynthConfig(elements=6, days=20, seed=1))
+        b, _ = data.synth_generate(data.SynthConfig(elements=6, days=20, seed=2))
         assert not oracles.records_equal(a, b)
 
     def test_sum_identity_holds_everywhere(self):
         records, _ = data.synth_generate(
-            data.SynthConfig(element_count=10, days=40, anomaly_rate=0.05, rng_seed=3)
+            data.SynthConfig(elements=10, days=40, anomaly_rate=0.05, seed=3)
         )
         for r in oracles.record_list(records):
             cdr, td, enb, mme, att = r.kpis
@@ -312,7 +312,7 @@ class TestSynth:
 
     def test_drop_rate_formula_on_clean_rows(self):
         records, labels = data.synth_generate(
-            data.SynthConfig(element_count=10, days=40, anomaly_rate=0.02, rng_seed=3)
+            data.SynthConfig(elements=10, days=40, anomaly_rate=0.02, seed=3)
         )
         hit = {(l.element_id, l.date) for l in labels}
         for r in oracles.record_list(records):
@@ -323,18 +323,18 @@ class TestSynth:
 
     def test_zero_rate_means_no_labels(self):
         _, labels = data.synth_generate(
-            data.SynthConfig(element_count=5, days=20, anomaly_rate=0.0, rng_seed=3)
+            data.SynthConfig(elements=5, days=20, anomaly_rate=0.0, seed=3)
         )
         assert labels == []
 
     def test_label_count_matches_rate(self):
         _, labels = data.synth_generate(
-            data.SynthConfig(element_count=10, days=100, anomaly_rate=0.01, rng_seed=3)
+            data.SynthConfig(elements=10, days=100, anomaly_rate=0.01, seed=3)
         )
         assert len(labels) == 10  # round(0.01 * 1000)
 
     def test_injection_is_exact_multiple_of_counterfactual(self):
-        cfg = dict(element_count=10, days=60, rng_seed=21)
+        cfg = dict(elements=10, days=60, seed=21)
         dirty, labels = data.synth_generate(
             data.SynthConfig(anomaly_rate=0.02, anomaly_magnitude=10.0, **cfg)
         )
@@ -349,7 +349,7 @@ class TestSynth:
 
     def test_labels_round_trip(self, tmp_path):
         _, labels = data.synth_generate(
-            data.SynthConfig(element_count=10, days=50, anomaly_rate=0.02, rng_seed=4)
+            data.SynthConfig(elements=10, days=50, anomaly_rate=0.02, seed=4)
         )
         p = tmp_path / "labels.csv"
         data.save_labels(labels, p)
@@ -365,8 +365,32 @@ class TestSynth:
         with pytest.raises(ParseError, match=where):
             oracles.load_labels(p)
 
+    @pytest.mark.parametrize(
+        "elements, days, clusters, rate, seed",
+        [
+            (50, 150, 10, 0.01, 0),
+            (7, 5, 3, 0.5, 0),  # 3 clusters do not divide 7 elements
+            (11, 13, 4, 0.0, 2),
+            (10, 40, 10, 0.05, 3),
+            (8, 80, 2, 0.3, 12),
+            (13, 9, 5, 1.0, 9),
+        ],
+    )
+    def test_matches_the_per_element_reference(self, elements, days, clusters, rate, seed):
+        cfg = data.SynthConfig(
+            elements=elements, days=days, clusters=clusters, anomaly_rate=rate,
+            anomaly_magnitude=7.5, seed=seed,
+        )
+        got, got_labels = data.synth_generate(cfg)
+        want, want_labels = oracles.synth_generate(cfg)
+        assert got.element_ids.tolist() == want.element_ids.tolist()
+        assert got.dates.tobytes() == want.dates.tobytes()
+        assert got.kpis.tobytes() == want.kpis.tobytes()
+        assert got_labels == want_labels
+        assert len(got_labels) == round(rate * elements * days)
+
     def test_cluster_round_robin(self):
-        cfg = data.SynthConfig(element_count=7, days=5, cluster_profiles=data.default_profiles(3))
+        cfg = data.SynthConfig(elements=7, days=5, clusters=3)
         records, _ = data.synth_generate(cfg)
         ids = sorted(set(records.element_ids.tolist()))
         assert len(ids) == 7
@@ -374,31 +398,28 @@ class TestSynth:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            data.SynthConfig(element_count=0).validate()
+            data.SynthConfig(elements=0).validate()
+        with pytest.raises(ConfigError, match="clusters"):
+            data.SynthConfig(clusters=0).validate()
         with pytest.raises(ConfigError):
             data.SynthConfig(anomaly_rate=1.5).validate()
         with pytest.raises(ConfigError):
             data.SynthConfig(anomaly_rate=0.1, anomaly_magnitude=1.0).validate()
 
     def test_default_profiles_spread(self):
-        profiles = data.default_profiles(10)
-        assert len(profiles) == 10
-        att = [p.means[4] for p in profiles]
-        assert att == sorted(att)
-        for p in profiles:
-            assert all(m >= 0 for m in p.means)
-            assert p.means[1] == p.means[2] + p.means[3]
-        # each KPI has one dominant cluster; everyone else sits low enough
-        # that a x10 spike clears the healthy band even after clipping
-        means = np.array([p.means for p in profiles])
-        for k in range(5):
-            col = np.sort(means[:, k])[::-1]
+        means, scales = data._profiles(10)
+        enb, mme, att = means.T
+        assert att.tolist() == sorted(att.tolist())
+        assert (means >= 0).all()
+        # each KPI, the derived total drops and drop rate too, has one
+        # dominant cluster; everyone else sits low enough that a x10 spike
+        # clears the healthy band even after clipping
+        td = enb + mme
+        for col in (100.0 * td / att, td, enb, mme, att):
+            col = np.sort(col)[::-1]
             assert col[1] / col[0] < 0.3
         # relative daily noise stays small so spikes are many stds out
-        for p in profiles:
-            for k in (2, 3, 4):
-                assert p.scales[k] / p.means[k] < 0.11
-
+        assert (scales / means < 0.11).all()
 
 # text with every character csv.writer may quote, and any other code point
 CSV_TEXT = st.text(
@@ -452,7 +473,7 @@ class TestWriteCsv:
         assert csv_path.read_bytes() == oracles.csv_bytes(rows)
 
     def test_block_size_changes_no_byte(self, tmp_path, monkeypatch):
-        records, _ = data.synth_generate(data.SynthConfig(element_count=3, days=7, rng_seed=2))
+        records, _ = data.synth_generate(data.SynthConfig(elements=3, days=7, seed=2))
         paths = []
         for block in (1, 5, 21, data.WRITE_BLOCK_ROWS):
             monkeypatch.setattr(data, "WRITE_BLOCK_ROWS", block)

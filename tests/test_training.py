@@ -11,11 +11,11 @@ from kpivae.vae import ArchConfig, LatentConfig, TrainConfig
 
 def toy_setup(seed=7, elements=6, days=40, window=10):
     cfg = data.SynthConfig(
-        element_count=elements,
+        elements=elements,
         days=days,
-        cluster_profiles=data.default_profiles(2),
+        clusters=2,
         anomaly_rate=0.0,
-        rng_seed=seed,
+        seed=seed,
     )
     records, _ = data.synth_generate(cfg)
     stats = data.fit_normalization(records)

@@ -213,7 +213,7 @@ class TestPriorSpec:
     def test_build_prior_places_centroid_and_zeros(self):
         latent = LatentConfig()
         centroids = np.linspace(0, 1, 10).reshape(2, 5)
-        model = concepts.ConceptModel(k=2, centroids=centroids, assignment={}, inertia=0.0)
+        model = concepts.ConceptModel(centroids=centroids, assignment={})
         spec = oracles.build_prior(model, latent, 1)
         assert np.array_equal(spec.mean[:5], 2.0 * centroids[1] - 1.0)
         assert (spec.mean[5:] == 0.0).all()
@@ -221,16 +221,14 @@ class TestPriorSpec:
 
     def test_unscaled_model_rejected(self):
         # centroids outside [0, 1] were not fitted on normalized profiles
-        model = concepts.ConceptModel(
-            k=1, centroids=np.full((1, 5), 1.5), assignment={}, inertia=0.0
-        )
+        model = concepts.ConceptModel(centroids=np.full((1, 5), 1.5), assignment={})
         with pytest.raises(ValidationError):
             oracles.build_prior(model, LatentConfig(), 0)
 
     def test_prior_table_rows_match_build_prior(self):
         latent = LatentConfig()
         centroids = np.linspace(0, 1, 15).reshape(3, 5)
-        model = concepts.ConceptModel(k=3, centroids=centroids, assignment={}, inertia=0.0)
+        model = concepts.ConceptModel(centroids=centroids, assignment={})
         table = vae.prior_table(model, latent)
         assert table.shape == (3, latent.total)
         for j in range(3):
@@ -239,7 +237,7 @@ class TestPriorSpec:
     def test_prior_table_validates_every_row(self):
         centroids = np.full((2, 5), 0.5)
         centroids[1, 3] = 1.25  # a prior mean of 1.5
-        model = concepts.ConceptModel(k=2, centroids=centroids, assignment={}, inertia=0.0)
+        model = concepts.ConceptModel(centroids=centroids, assignment={})
         with pytest.raises(ValidationError):
             vae.prior_table(model, LatentConfig())
 
@@ -295,9 +293,21 @@ class TestPriorSpec:
         [(5.0, -5.0), (1.0, 1.0), (-8.0, 1e300), (-1e39, 8.0), (float("nan"), 8.0),
          (1e30, 2e30), (-85.0, 8.0), (-8.0, 85.0)],
     )
-    def test_logvar_bounds_ordered_and_in_range(self, lo, hi):
-        with pytest.raises(ConfigError, match="logvar_lo"):
-            ArchConfig(logvar_lo=lo, logvar_hi=hi).validate()
+    def test_logvar_bounds_ordered_and_in_range(self, tmp_path, lo, hi):
+        # the clip is two constants, ordered and narrow enough that
+        # exp(logvar / 2) times a noise draw of up to 10 stays below
+        # sqrt(float32 max) in the float32 passes
+        assert vae.LOGVAR_LO < vae.LOGVAR_HI
+        bound = max(-vae.LOGVAR_LO, vae.LOGVAR_HI)
+        assert 10.0 * np.exp(bound / 2) < np.sqrt(np.finfo(np.float32).max)
+        # no config and no checkpoint row sets other bounds
+        with pytest.raises(TypeError):
+            ArchConfig(logvar_lo=lo, logvar_hi=hi)
+        p = tmp_path / "ckpt.bin"
+        vae.save_checkpoint(small_params(), p)
+        oracles.rewrite_checkpoint(p, p, lambda rows: rows.update(logvar_lo=lo, logvar_hi=hi))
+        with pytest.raises(ParseError, match="line 6: unknown row 'logvar_lo'"):
+            vae.load_checkpoint(p)
 
 
 def length_window(eid, length):
@@ -397,8 +407,7 @@ class TestCheckpoint:
         blob = p.read_bytes()
         rows = blob[: blob.index(b"\nsha256 ") + 1].decode().splitlines()
         assert rows == [
-            "kpivae-ckpt-v3", "hidden 8", "layers 3", "logvar_lo -8.0", "logvar_hi 8.0",
-            "free_dims 25", "prior_std 1.0",
+            "kpivae-ckpt-v4", "hidden 8", "layers 3", "free_dims 25", "prior_std 1.0",
         ]
         body = blob[blob.index(b"\n", blob.index(b"\nsha256 ") + 1) + 1 :]
         assert body == params.flat.tobytes()
@@ -416,14 +425,26 @@ class TestCheckpoint:
             assert np.array_equal(loaded.tensors[k], params.tensors[k])
 
     def test_whole_number_float_fields_load_as_floats(self, tmp_path):
-        arch = ArchConfig(hidden=2, layers=1, logvar_lo=-8, logvar_hi=8)
+        arch = ArchConfig(hidden=2, layers=1)
         params = vae.init_params(arch, LatentConfig(free_dims=1, prior_std=2**32))
         p = tmp_path / "ckpt.bin"
         vae.save_checkpoint(params, p)
         loaded = vae.load_checkpoint(p)
         assert loaded.arch == arch and loaded.latent == params.latent
-        for v in (loaded.arch.logvar_lo, loaded.arch.logvar_hi, loaded.latent.prior_std):
-            assert type(v) is float
+        assert type(loaded.latent.prior_std) is float
+
+    @pytest.mark.parametrize("prior_std", [2, np.float32(2.0), np.int64(2)])
+    def test_rows_are_written_in_their_field_type(self, tmp_path, prior_std):
+        # each value is written as the int or float it equals, so equal
+        # configs give identical bytes
+        arch = ArchConfig(hidden=2, layers=1)
+        flat = vae.init_params(arch, LatentConfig(free_dims=1)).flat
+        a, b = tmp_path / "a.bin", tmp_path / "b.bin"
+        latent = LatentConfig(np.int64(1), prior_std)
+        vae.save_checkpoint(vae.VaeParams(ArchConfig(np.int64(2), 1), latent, flat), a)
+        vae.save_checkpoint(vae.VaeParams(arch, LatentConfig(1, 2.0), flat), b)
+        assert b"\nprior_std 2.0\n" in a.read_bytes()
+        assert a.read_bytes() == b.read_bytes()
 
     def test_same_params_same_bytes(self, tmp_path):
         params = small_params(seed=7)
@@ -472,7 +493,7 @@ class TestCheckpoint:
         p = tmp_path / "ckpt.bin"
         vae.save_checkpoint(params, p)
         oracles.rewrite_checkpoint(p, p, lambda rows: rows.update(depth=1))
-        with pytest.raises(ParseError, match="line 8: unknown row 'depth'"):
+        with pytest.raises(ParseError, match="line 6: unknown row 'depth'"):
             vae.load_checkpoint(p)
 
     def test_missing_file_named(self, tmp_path):
