@@ -9,7 +9,6 @@ names the KPI that moved.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,9 +35,8 @@ MIN_CLUSTER_TIMESTEPS = 30
 STD_FLOOR = 1e-6
 Z_THRESHOLD = 15.0
 
-# most threads, the calling one included, that score detect's BATCH_WINDOWS
-# chunks; each more adds a chunk's noise and activations, a BLAS buffer and a
-# malloc arena to the peak memory
+# most threads that score detect's BATCH_WINDOWS chunks; each more adds a
+# chunk's activations, a BLAS buffer and a malloc arena to the peak memory
 _MAX_WORKERS = 4
 
 REPORT_HEADER = (
@@ -142,53 +140,23 @@ def _worker_count() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-def _score_chunks(score, n: int, noise_shape: tuple[int, int, int], rng) -> None:
-    """Call score(chunk, eps) on each BATCH_WINDOWS chunk of n windows.
+def _score_chunks(score, n: int) -> None:
+    """Call score(chunk) on each BATCH_WINDOWS chunk of n windows.
 
-    Up to _worker_count() threads, this one among them, take the chunks in
-    order, each as soon as it is free; numpy releases the GIL in their GEMMs
-    and ufuncs. A chunk's (S, B, T, total) noise is drawn from `rng` under the
-    lock that hands the chunk out, so it is drawn in chunk order and the result
-    does not depend on the thread count; each thread holds one chunk at a time.
-    One worker starts no thread. Once a chunk fails, its noise draw included,
-    no chunk is handed out, and when the running ones are done the error of
-    the first failed chunk is raised: the error the serial loop raises.
+    Up to _worker_count() threads take the chunks; numpy releases the GIL in
+    their GEMMs and ufuncs. Each chunk writes only its own rows, so the result
+    does not depend on the thread count. One worker starts no thread. The
+    first failed chunk's error in chunk order is raised once no chunk runs,
+    and the chunks not yet started are cancelled.
     """
-    s, t, total = noise_shape
-    starts = iter(range(0, n, BATCH_WINDOWS))
-    lock, errors = threading.Lock(), {}
-
-    def take():
-        with lock:
-            start = next(starts, None)
-            if start is None or errors:
-                return None
-            b = slice(start, min(start + BATCH_WINDOWS, n))
-            try:
-                return b, rng.standard_normal((s, b.stop - b.start, t, total))
-            except ValueError:  # numpy's error for a size beyond the address space
-                errors[start] = MemoryError(f"the noise of {s:,} eval samples is too large")
-            except MemoryError as e:
-                errors[start] = e
-            return None
-
-    def work():
-        while (job := take()) is not None:
-            try:
-                score(*job)
-            except Exception as e:
-                with lock:
-                    errors[job[0].start] = e
-            del job  # frees the noise before the next chunk's is drawn
-
-    workers = min(_worker_count(), -(-n // BATCH_WINDOWS))
-    with ThreadPoolExecutor(max(workers - 1, 1)) as pool:  # starts threads on submit
-        helpers = [pool.submit(work) for _ in range(workers - 1)]
-        work()
-    for helper in helpers:
-        helper.result()
-    if errors:
-        raise errors[min(errors)]
+    chunks = [slice(s, min(s + BATCH_WINDOWS, n)) for s in range(0, n, BATCH_WINDOWS)]
+    workers = min(_worker_count(), len(chunks))
+    if workers <= 1:
+        for b in chunks:
+            score(b)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(score, chunks))  # raises the first failed chunk's error
 
 
 def detect(
@@ -223,7 +191,6 @@ def detect(
     windows = windows[np.lexsort((windows.start, windows.element))]
     clusters = window_clusters(windows, resolve_clusters(windows, model))
     table = prior_table(model, params.latent)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     params = params.in_compute_dtype()
 
     # kl, loglik and concept-dim mu of every scored timestep
@@ -231,14 +198,21 @@ def detect(
     n, length = x.shape[:2]
     kl, ll = np.empty((n, length)), np.empty((n, length))
     mu_c = np.empty((n, length, N_KPIS))
+    # one noise draw that every window shares: a window's loss depends only on
+    # the window, the seed and eval_samples
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    try:
+        eps = rng.standard_normal((eval_samples, length, params.latent.total))
+    except ValueError:  # numpy's error for a size beyond the address space
+        raise MemoryError(f"the noise of {eval_samples:,} eval samples is too large")
 
-    def score(b, eps):  # writes only chunk b's rows
+    def score(b):  # writes only chunk b's rows
         mu, _, kl[b], ll[b] = batch_components(
             params, x[b], table[clusters[b]], params.latent.prior_std, eps
         )
         mu_c[b] = mu[..., :N_KPIS]
 
-    _score_chunks(score, n, (eval_samples, length, params.latent.total), rng)
+    _score_chunks(score, n)
     kl, ll, mu_c = kl.ravel(), ll.ravel(), mu_c.reshape(n * length, N_KPIS)
     loss = kl - ll
     cell = windows.cell.ravel()

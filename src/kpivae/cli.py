@@ -319,12 +319,12 @@ def _svg_scatter(values: np.ndarray, mu: np.ndarray, path) -> None:
 
 def cmd_export_latent(args: argparse.Namespace) -> int:
     o = Opts(args, EXPORT_KEYS)
-    windows = _load_windows(o)
-    params = vae.load_checkpoint(o.get("checkpoint"))
-    model = concepts.load_concept_model(o.get("model"))
     dims_mode = o.get("dims")
     if dims_mode not in ("concept", "all"):
         raise ConfigError("--dims must be 'concept' or 'all'")
+    windows = _load_windows(o)
+    params = vae.load_checkpoint(o.get("checkpoint"))
+    model = concepts.load_concept_model(o.get("model"))
     n_dims = data.N_KPIS if dims_mode == "concept" else params.latent.total
     cluster_filter = o.get("cluster")
     if cluster_filter is not None and not 0 <= cluster_filter < model.k:

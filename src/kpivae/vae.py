@@ -51,12 +51,12 @@ from .nn import (
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# windows per forward pass; scoring draws its noise per chunk, so this is part
-# of the scored output, not a tuning knob
+# windows per forward pass; a tuning constant, except that a batch of one
+# window takes BLAS's matrix-vector path, which can move its outputs' last bits
 BATCH_WINDOWS = 256
 
 # dtype of the encoder and decoder in training, encode_windows and detect;
-# like BATCH_WINDOWS it is part of the output
+# unlike BATCH_WINDOWS it is part of the output
 COMPUTE_DTYPE = np.float32
 
 CHECKPOINT_TAG = "kpivae-ckpt-v4"
@@ -395,9 +395,10 @@ def batch_components(
 ):
     """Per-timestep KL and sample-averaged log-likelihood for a batch.
 
-    x is (B, T, 5), prior_means (B, total), eps (S, B, T, total). Returns
-    (mu, logvar, kl_ts, loglik_ts) with the *_ts arrays shaped (B, T). The
-    networks run in the dtype of `params`; the *_ts sums are float64.
+    x is (B, T, 5), prior_means (B, total), eps (S, B, T, total) or, the same
+    S draws for every window, (S, T, total). Returns (mu, logvar, kl_ts,
+    loglik_ts) with the *_ts arrays shaped (B, T). The networks run in the
+    dtype of `params`; the *_ts sums are float64.
     """
     mu, lv, _ = _encoder_forward(params, x.astype(params.flat.dtype, copy=False))
     kl_ts = _kl_ts(np.asarray(mu, np.float64), np.asarray(lv, np.float64),

@@ -267,7 +267,9 @@ class TestDetect:
                 for w in ordered
             ]
         )
-        eps = rng.standard_normal((s, len(ordered), 10, params.latent.total))
+        # one (S, T, total) draw, the same S samples for every window
+        eps = rng.standard_normal((s, 10, params.latent.total))
+        eps = np.repeat(eps[:, None], len(ordered), axis=1)
         _, _, kl_ts, ll_ts = vae.batch_components(
             params.in_compute_dtype(), x, priors, params.latent.prior_std, eps
         )
@@ -377,6 +379,11 @@ def chunked_setup(monkeypatch, workers, chunk_windows):
     return (params, windows, model, lstats), chunks
 
 
+def assert_reports_equal(got, want):
+    for field in dataclasses.fields(anomaly.Report):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
 def chunk_index(chunks, x) -> int:
     return next(k for k, c in enumerate(chunks) if np.array_equal(c, x))
 
@@ -417,18 +424,15 @@ class TestChunkThreads:
         assert first.flagged.any() and not first.flagged.all() and any(first.attribution)
         assert len(threads) > 2
         for report in (reports[2], reports[3], reports[8]):
-            for field in dataclasses.fields(anomaly.Report):
-                assert np.array_equal(getattr(report, field.name), getattr(first, field.name))
+            assert_reports_equal(report, first)
 
-    def test_noise_in_chunk_order_and_at_most_workers_in_flight(self, monkeypatch):
+    def test_one_noise_draw_and_at_most_workers_running(self, monkeypatch):
         workers, seed = 3, 5
         setup, chunks = chunked_setup(monkeypatch, workers, chunk_windows=2)
         total = setup[0].latent.total
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        want = [rng.standard_normal((2, len(c), 10, total)) for c in chunks]
-        # a chunk is in flight from its noise draw to the end of its pass
-        seen, lock, count = {}, threading.Lock(), {"drawn": 0, "done": 0, "running": 0}
-        in_flight, running = [], []
+        want = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((2, 10, total))
+        lock, count = threading.Lock(), {"running": 0}
+        draws, running, seen = [], [], {}
         real_rng, real = np.random.default_rng, anomaly.batch_components
 
         class Rng:
@@ -437,8 +441,7 @@ class TestChunkThreads:
 
             def standard_normal(self, shape):
                 with lock:
-                    count["drawn"] += 1
-                    in_flight.append(count["drawn"] - count["done"])
+                    draws.append((threading.current_thread(), count["running"]))
                 return self.rng.standard_normal(shape)
 
         def spy(params, x, prior_means, prior_std, eps):
@@ -452,15 +455,15 @@ class TestChunkThreads:
             finally:
                 with lock:
                     count["running"] -= 1
-                    count["done"] += 1
 
         monkeypatch.setattr(np.random, "default_rng", Rng)
         monkeypatch.setattr(anomaly, "batch_components", spy)
         anomaly.detect(*setup, eval_samples=2, seed=seed)
+        # one draw, on the calling thread, before any chunk runs
+        assert draws == [(threading.current_thread(), 0)]
         assert sorted(seen) == list(range(len(chunks)))
-        assert all(np.array_equal(seen[k], want[k]) for k in seen)
-        assert len(in_flight) == len(chunks) and max(in_flight) <= workers
-        assert max(running) >= 2
+        assert all(np.array_equal(eps, want) for eps in seen.values())
+        assert 2 <= max(running) <= workers
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_chunk_error_raises_after_the_running_chunks(self, monkeypatch, workers):
@@ -488,6 +491,43 @@ class TestChunkThreads:
             anomaly.detect(*setup, eval_samples=2)
         assert started == ended and {0, 1, 2} <= started
         assert threading.active_count() == before
+
+
+class TestOwnWindowsOnly:
+    """A cell's score depends on its own windows, the seed and eval_samples.
+
+    Every window set here splits into chunks of at least 2 windows: a batch of
+    one window takes BLAS's matrix-vector path, which may move its last bits.
+    """
+
+    @pytest.mark.parametrize("elements", [
+        ["el0001"], ["el0000", "el0005"], ["el0002", "el0003", "el0004"],
+    ])
+    def test_subset_scores_like_the_whole_set(self, elements):
+        params, windows, model, lstats = scored_setup()
+        kwargs = dict(eval_samples=3, seed=7)
+        whole = anomaly.detect(params, windows, model, lstats, **kwargs)
+        keep = np.isin(np.array(windows.elements)[windows.element], elements)
+        part = anomaly.detect(params, windows[keep], model, lstats, **kwargs)
+        assert 0 < len(part) < len(whole)
+        row = {(e, int(d)): r for r, (e, d) in enumerate(zip(whole.element_id, whole.date))}
+        rows = [row[e, int(d)] for e, d in zip(part.element_id, part.date)]
+        for name in ("loss", "kl", "loglik", "z"):
+            assert getattr(part, name).tobytes() == getattr(whole, name)[rows].tobytes(), name
+
+    def test_batch_windows_does_not_change_the_report(self, monkeypatch):
+        # 30 windows: 15 chunks of 2, chunks of 7, 7, 7, 7 and 2, or one chunk
+        params, windows, model, lstats = scored_setup()
+        reports = {}
+        for chunk in (2, 7, 256):
+            monkeypatch.setattr(anomaly, "BATCH_WINDOWS", chunk)
+            reports[chunk] = anomaly.detect(
+                params, windows, model, lstats, eval_samples=2, seed=3,
+                z_threshold=1.0, symmetric=True,
+            )
+        assert reports[256].flagged.any()
+        assert_reports_equal(reports[2], reports[256])
+        assert_reports_equal(reports[7], reports[256])
 
 
 def spy_pass_dtypes(monkeypatch) -> list:

@@ -284,6 +284,17 @@ class TestExportLatent:
         ])
         assert code == 2
 
+    def test_bad_dims_mode_rejected_before_any_input_is_read(self, pipeline, tmp_path, capsys):
+        code = run([
+            "export-latent", "--data", str(tmp_path / "missing.csv"),
+            "--checkpoint", str(pipeline["ckpt"]), "--model", str(pipeline["model"]),
+            "--stats", str(pipeline["stats"]), "--out", str(tmp_path / "x.csv"),
+            "--dims", "bogus",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --dims must be 'concept' or 'all'\n"
+        assert not (tmp_path / "x.csv").exists()
+
 
 # element ids that csv.writer quotes; none is in the concept model, so each
 # element is routed to its nearest centroid
