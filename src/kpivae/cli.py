@@ -314,7 +314,7 @@ def _svg_scatter(values: np.ndarray, mu: np.ndarray, path) -> None:
             for x, y in zip(px.tolist(), py.tolist()):
                 parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5"/>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    data.save_text(path, "\n".join(parts) + "\n")
 
 
 def cmd_export_latent(args: argparse.Namespace) -> int:

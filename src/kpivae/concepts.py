@@ -74,17 +74,16 @@ def kmeans_pp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
-def lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, list]:
+def lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iteration until an assignment fixpoint, a centroid shift below
     LLOYD_TOL, or LLOYD_MAX_ITER rounds.
 
     Empty clusters are re-seeded to the point farthest from its assigned
-    centroid. Returns (centroids, labels, inertia, inertia history).
+    centroid. Returns (centroids, labels).
     """
     k = centroids.shape[0]
     centroids = centroids.copy()
     labels = _assign(points, centroids)
-    history = [_inertia(points, centroids, labels)]
     for _ in range(LLOYD_MAX_ITER):
         empties = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
         with np.errstate(invalid="ignore"):  # an empty cluster's mean is 0/0, re-seeded below
@@ -95,12 +94,11 @@ def lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nda
         shift = float(np.abs(new_centroids - centroids).max())
         centroids = new_centroids
         new_labels = _assign(points, centroids)
-        history.append(_inertia(points, centroids, new_labels))
         converged = (new_labels == labels).all() and not empties.size
         labels = new_labels
         if converged or shift < LLOYD_TOL:
             break
-    return centroids, labels, history[-1], history
+    return centroids, labels
 
 
 def kmeans_fit(profiles: tuple[list[str], np.ndarray], k: int, seed: int = 0) -> ConceptModel:
@@ -115,7 +113,7 @@ def kmeans_fit(profiles: tuple[list[str], np.ndarray], k: int, seed: int = 0) ->
     points = np.asarray(points, dtype=np.float64)
     rng = np.random.default_rng(seed)
     centroids = kmeans_pp_seed(points, k, rng)
-    centroids, labels, _, _ = lloyd(points, centroids)
+    centroids, labels = lloyd(points, centroids)
     return ConceptModel(centroids, dict(zip(ids, labels.tolist())))
 
 

@@ -322,6 +322,12 @@ def write_csv(path, header: list[str], columns) -> None:
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
+def save_text(path, text: str) -> None:
+    """Write `text` as UTF-8, its line ends as they are."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def save_records(records: Records, path) -> None:
     write_csv(path, CSV_HEADER, (records.element_ids, records.dates, records.kpis))
 

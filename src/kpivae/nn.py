@@ -25,14 +25,22 @@ Buffer ownership. By default every call allocates its buffers, and what it
 returns is its own. A caller that passes buffers owns them instead: the
 cache, hidden states and gradients the call returns are views of those
 buffers, and stay valid only until the caller hands the same buffers to
-another call. `lstm_forward(x, p, out)` fills `out = (h, c, tanh_c, gates)`;
-`lstm_backward(dh_out, cache, p, out, da)` fills the gradient arrays `out`
-{"Wx", "Wh", "b"} and uses `da` for its gate gradients, which no caller
-reads back, so one `da` can serve every layer in turn. The GEMMs, sums and
-ufuncs are the same whoever owns the buffers, so both give the same bytes.
+another call. `lstm_forward(x, p, out)` fills `out = (h, c, tanh_c, gates,
+rec, fc)`, where `rec` and `fc` are one step's scratch, which no caller
+reads back; `lstm_backward(dh_out, cache, p, out, da)` fills the gradient
+arrays `out` {"Wx", "Wh", "b"} and uses `da` for its gate gradients, which
+no caller reads back either. So one `da`, and one scratch pair, can serve
+every layer in turn. A pass that keeps no cache can go further: `vae`'s
+no-grad pass gives every layer of both networks one buffer set: two h
+buffers taken in turn, so that no layer writes the buffer it reads, and one
+c, tanh(c), gates and scratch pair. The GEMMs, sums and ufuncs are the same
+whoever owns the buffers, so all give the same bytes.
 
 A sigmoid is 0.5 + 0.5 * tanh(x / 2), branch-free; the LSTM activates all
-four gates with one tanh per step this way.
+four gates with one tanh per step this way, from `gate_constants`: the
+weights with each gate column scaled, and the scale and shift. A call
+builds them from its layer; a caller that runs the same weights many times,
+as the no-grad pass does, builds them once and passes each layer's in.
 
 Everything is deterministic given the RNG, which is what lets the pipeline
 reproduce checkpoints byte-for-byte.
@@ -83,29 +91,36 @@ def linear_init(input_dim: int, out_dim: int, rng: np.random.Generator) -> dict[
     return {"W": orthogonal((input_dim, out_dim), rng), "b": np.zeros(out_dim)}
 
 
-def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out=None):
-    """Run one LSTM layer over (B, T, D); returns hidden states (B, T, H) and a
-    cache. `out`, if given, is the (h, c, tanh_c, gates) buffers to fill:
-    C-contiguous, time-major (T, B, H) and (T, B, 4H), in the dtype of x."""
-    B, T, D = x.shape
-    H = p["Wh"].shape[0]
+def gate_constants(layers: list[dict[str, np.ndarray]], dtype) -> list[tuple]:
+    """Per layer (Wx, Wh, b, scale, shift) in `dtype`: the layer's weights with
+    every gate column scaled, and the scale and shift that activate its gates.
+    The layers share one hidden width, so they share one scale and shift."""
+    H = layers[0]["Wh"].shape[0]
     # gate order i, f, g, o: sigmoid(a) = 0.5 + 0.5 * tanh(a / 2) on i, f and
     # o, tanh(a) on g, so every gate column is shift + scale * tanh(scale * a);
     # halving a column is exact, so the scaled weights give scale * a exactly
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H).astype(x.dtype)
-    shift = np.repeat([0.5, 0.5, 0.0, 0.5], H).astype(x.dtype)
-    Wh = p["Wh"] * scale
+    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H).astype(dtype)
+    shift = np.repeat([0.5, 0.5, 0.0, 0.5], H).astype(dtype)
+    return [(p["Wx"] * scale, p["Wh"] * scale, p["b"] * scale, scale, shift) for p in layers]
+
+
+def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out=None, consts=None):
+    """Run one LSTM layer over (B, T, D); returns hidden states (B, T, H) and a
+    cache. `out`, if given, is the (h, c, tanh_c, gates, rec, fc) buffers to
+    fill, in the dtype of x: C-contiguous, time-major (T, B, H) and (T, B, 4H),
+    then one step's (B, 4H) and (B, H) scratch. `consts`, if given, is the
+    layer's `gate_constants` in that dtype."""
+    B, T, D = x.shape
+    H = p["Wh"].shape[0]
+    Wx, Wh, b, scale, shift = consts or gate_constants([p], x.dtype)[0]
     xs = np.ascontiguousarray(x.transpose(1, 0, 2))  # no copy for another layer's h
     if out is None:
-        h, c, tanh_c = (np.empty((T, B, H), dtype=x.dtype) for _ in range(3))
-        proj = None
-    else:
-        h, c, tanh_c, gates = out
-        proj = gates.reshape(T * B, 4 * H)
-    gates = np.matmul(xs.reshape(T * B, D), p["Wx"] * scale, out=proj).reshape(T, B, 4 * H)
-    gates += p["b"] * scale
-    rec = np.empty((B, 4 * H), dtype=x.dtype)
-    fc = np.empty((B, H), dtype=x.dtype)
+        widths = (H, H, H, 4 * H)
+        out = [np.empty((T, B, w), dtype=x.dtype) for w in widths]
+        out += [np.empty((B, w), dtype=x.dtype) for w in (4 * H, H)]
+    h, c, tanh_c, gates, rec, fc = out
+    np.matmul(xs.reshape(T * B, D), Wx, out=gates.reshape(T * B, 4 * H))
+    gates += b
     for t in range(T):
         a = gates[t]
         if t:  # h_{-1} is zero

@@ -20,6 +20,14 @@ mean and everything downstream of them are float64, and so is the checkpoint:
 training draws its initial parameters in float64 and upcasts the best ones,
 exactly, on return. The kernels follow the dtype of their parameters, so the
 gradient checks run them in float64 against central finite differences.
+
+The no-grad passes (`batch_components`, behind `detect` and the validation
+loss, and `encode_windows`, behind the latent stats and `export-latent`) run
+one `_nograd` forward per batch. It builds every layer's gate constants
+once, and every layer of both networks writes one shared buffer set, where
+training keeps one cache per layer in its `_Workspace`. The S decoder
+samples of a batch go into one (S, B, T, 5) array, which takes one sigmoid
+and one finite check. Both give the bytes of the training pass's `_stack`.
 """
 from __future__ import annotations
 
@@ -40,6 +48,7 @@ from .errors import (
 )
 from .nn import (
     Adam,
+    gate_constants,
     linear_backward,
     linear_forward,
     linear_init,
@@ -235,26 +244,32 @@ def init_params(
 
 
 def _check_finite(what: str, mean: np.ndarray, logvar: np.ndarray) -> None:
+    """mean and logvar are (..., T, D); the error names the first timestep
+    that is non-finite in any window or sample."""
     if np.isfinite(mean).all() and np.isfinite(logvar).all():
         return
-    bad = ~(np.isfinite(mean).all(axis=(0, 2)) & np.isfinite(logvar).all(axis=(0, 2)))
+    ok = np.isfinite(mean).all(axis=-1) & np.isfinite(logvar).all(axis=-1)
+    bad = ~ok.reshape(-1, ok.shape[-1]).all(axis=0)
     raise NonFiniteError(f"{what} produced non-finite values at timestep {int(np.argmax(bad))}")
 
 
-def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=None):
+def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=None, consts=None):
     """One network ("enc" or "dec"): LSTM layers, then a linear head split into
     a mean half and a clipped logvar half. The cache, when wanted, carries the
     layer caches, the head cache and the mask of logvars the clip left alone.
-    `bufs`, from a `_Workspace`, is (time-major input, one `lstm_forward` out
-    tuple per layer); the layer caches are then views of it."""
+    `bufs` is (time-major input, one `lstm_forward` out tuple per layer): a
+    `_Workspace`'s, whose views the layer caches then are, or `_nograd`'s.
+    `consts`, from `_nograd`, maps each layer to its `gate_constants`."""
     caches = []
     h = x
     if bufs is not None:
         xs, outs = bufs
-        np.copyto(xs, x.transpose(1, 0, 2))
+        np.copyto(xs, x.transpose(1, 0, 2))  # casts x to the dtype of the buffers
         h = xs.transpose(1, 0, 2)  # the first layer reads it without a copy
     for i in range(params.arch.layers):
-        h, cache = lstm_forward(h, params.layers[f"{net}{i}"], None if bufs is None else outs[i])
+        layer = f"{net}{i}"
+        out = None if bufs is None else outs[i]
+        h, cache = lstm_forward(h, params.layers[layer], out, consts and consts[layer])
         if want_cache:
             caches.append(cache)
         del cache  # else the next layer's pass runs with this one's gates held
@@ -267,17 +282,42 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=No
     return mean, lv, (caches, head_cache, (lv_raw > LOGVAR_LO) & (lv_raw < LOGVAR_HI))
 
 
-def _encoder_forward(params: VaeParams, x: np.ndarray, want_cache: bool = False, bufs=None):
-    mu, lv, cache = _stack(params, "enc", x, want_cache, bufs)
+def _encoder_forward(params: VaeParams, x: np.ndarray, bufs=None):
+    mu, lv, cache = _stack(params, "enc", x, True, bufs)
     _check_finite("encoder", mu, lv)
     return mu, lv, cache
 
 
-def _decoder_forward(params: VaeParams, z: np.ndarray, want_cache: bool = False, bufs=None):
-    pre, lx, cache = _stack(params, "dec", z, want_cache, bufs)
+def _decoder_forward(params: VaeParams, z: np.ndarray, bufs=None):
+    pre, lx, cache = _stack(params, "dec", z, True, bufs)
     mu_x = sigmoid(pre)
     _check_finite("decoder", mu_x, lx)
     return mu_x, lx, cache
+
+
+def _nograd(params: VaeParams, nets: tuple[str, ...], B: int, T: int):
+    """The no-grad forward of B windows of T steps: `run(net, x)` returns
+    `_stack`'s mean and clipped logvar of one of `nets` and keeps no cache.
+
+    The gate constants of their layers are built here, once. Every layer of
+    the networks writes one buffer set made here: two h buffers in turn, and
+    one c, tanh(c), gates and step scratch. A `run` overwrites the buffers of
+    the one before, but not the arrays it returned; the buffers are freed
+    with `run`."""
+    dtype, H, L = params.flat.dtype, params.arch.hidden, params.arch.layers
+    names = [f"{net}{i}" for net in nets for i in range(L)]
+    consts = dict(zip(names, gate_constants([params.layers[n] for n in names], dtype)))
+    h = [np.empty((T, B, H), dtype) for _ in range(2)]
+    shared = [np.empty((T, B, w), dtype) for w in (H, H, 4 * H)]
+    shared += [np.empty((B, w), dtype) for w in (4 * H, H)]
+    outs = [(h[i % 2], *shared) for i in range(L)]
+
+    def run(net: str, x: np.ndarray):
+        xs = np.empty((T, B, x.shape[-1]), dtype)  # x, time-major, in dtype
+        mean, lv, _ = _stack(params, net, x, False, (xs, outs), consts)
+        return mean, lv
+
+    return run
 
 
 def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads, da=None):
@@ -303,7 +343,8 @@ class _Workspace:
     One flat buffer per array: each network's time-major input, each LSTM
     layer's h, c, tanh(c) and gates, and one gate-gradient buffer that every
     layer's backward pass shares; then the gradient vector and its layer
-    views. The buffers hold `batch` windows, the largest batch `train` draws.
+    views. One step-scratch pair per batch size serves every layer's forward
+    pass. The buffers hold `batch` windows, the largest batch `train` draws.
     A batch of b windows takes C-contiguous (T, b, .) views from the front of
     each buffer, built once per b, so every GEMM sees the layout a fresh
     array has. The buffers are allocated at the first step, like its input
@@ -346,8 +387,9 @@ class _Workspace:
         def view(a, width):
             return a[: T * b * width].reshape(T, b, width)
 
+        scratch = [np.empty_like(x, shape=(b, w)) for w in (4 * H, H)]
         enc, dec = (
-            (view(xs, dim), [tuple(map(view, layer, widths)) for layer in layers])
+            (view(xs, dim), [(*map(view, layer, widths), *scratch) for layer in layers])
             for (xs, layers), (dim, widths) in zip(flats, nets)
         )
         return grad, grads, enc, dec, view(da, 4 * H)
@@ -360,10 +402,12 @@ def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.
     x = windows.values
     # outputs are joined after the last chunk, not preallocated, so they do
     # not add to the peak memory of the forward passes
-    parts = [
-        _encoder_forward(params, x[s : s + BATCH_WINDOWS].astype(COMPUTE_DTYPE))
-        for s in range(0, len(x), BATCH_WINDOWS)
-    ]
+    parts = []
+    for s in range(0, len(x), BATCH_WINDOWS):
+        chunk = x[s : s + BATCH_WINDOWS]
+        mu, lv = _nograd(params, ("enc",), *chunk.shape[:2])("enc", chunk)
+        _check_finite("encoder", mu, lv)
+        parts.append((mu, lv))
     return tuple(np.concatenate([p[i] for p in parts], dtype=np.float64) for i in (0, 1))
 
 
@@ -381,8 +425,18 @@ def _kl_ts(mu, logvar, prior_means, prior_std):
 
 
 def _loglik_ts(x, mu_x, logvar_x):
-    # diagonal Gaussian log density per (batch, timestep), summed over KPIs
-    per_dim = -0.5 * (LOG_2PI + logvar_x + (x - mu_x) ** 2 * np.exp(-logvar_x))
+    # diagonal Gaussian log density per (batch, timestep), summed over KPIs:
+    # -0.5 * (log 2pi + logvar_x + (x - mu_x)^2 * exp(-logvar_x)) in float64,
+    # evaluated in place in two arrays of logvar_x's shape, which x and mu_x
+    # broadcast to
+    sq = np.subtract(x, mu_x, dtype=np.float64)
+    np.square(sq, out=sq)
+    per_dim = np.negative(logvar_x, dtype=np.float64)
+    np.exp(per_dim, out=per_dim)
+    sq *= per_dim
+    np.add(LOG_2PI, logvar_x, out=per_dim, dtype=np.float64)
+    per_dim += sq
+    per_dim *= -0.5
     return per_dim.sum(axis=-1)
 
 
@@ -398,18 +452,27 @@ def batch_components(
     x is (B, T, 5), prior_means (B, total), eps (S, B, T, total) or, the same
     S draws for every window, (S, T, total). Returns (mu, logvar, kl_ts,
     loglik_ts) with the *_ts arrays shaped (B, T). The networks run in the
-    dtype of `params`; the *_ts sums are float64.
+    dtype of `params`, as one `_nograd` pass; the *_ts sums are float64.
     """
-    mu, lv, _ = _encoder_forward(params, x.astype(params.flat.dtype, copy=False))
+    (B, T, _), S, dtype = x.shape, eps.shape[0], params.flat.dtype
+    run = _nograd(params, ("enc", "dec"), B, T)
+    mu, lv = run("enc", x)
+    _check_finite("encoder", mu, lv)
+    std = np.exp(lv / 2.0)
+    eps = eps.astype(dtype, copy=False)
+    # each sample's decoder mean before the sigmoid, and its clipped logvar
+    pre, lx = (np.empty((S, B, T, N_KPIS), dtype) for _ in range(2))
+    for s in range(S):
+        pre[s], lx[s] = run("dec", mu + std * eps[s])
+    del run, std  # frees the layer buffers before the float64 terms are made
+    mu_x = sigmoid(pre)
+    _check_finite("decoder", mu_x, lx)
     kl_ts = _kl_ts(np.asarray(mu, np.float64), np.asarray(lv, np.float64),
                    prior_means[:, None, :], prior_std)
-    std = np.exp(lv / 2.0)
-    ll = np.zeros(x.shape[:2])
-    for s in range(eps.shape[0]):
-        z = mu + std * eps[s].astype(mu.dtype, copy=False)
-        mu_x, lx, _ = _decoder_forward(params, z)
-        ll += _loglik_ts(x, np.asarray(mu_x, np.float64), np.asarray(lx, np.float64))
-    return mu, lv, kl_ts, ll / eps.shape[0]
+    ll = _loglik_ts(x, mu_x, lx)
+    # summed in sample order: sum(axis=0) would add pairwise when the sample
+    # axis is the only one longer than 1 (B = T = 1)
+    return mu, lv, kl_ts, np.add.accumulate(ll, axis=0)[-1] / S
 
 
 def objective_and_grads(
@@ -441,10 +504,10 @@ def objective_and_grads(
     else:
         grad, grads, enc_bufs, dec_bufs, da = ws.get(params, x)
 
-    mu, lv, enc_cache = _encoder_forward(params, x, want_cache=True, bufs=enc_bufs)
+    mu, lv, enc_cache = _encoder_forward(params, x, enc_bufs)
     std = np.exp(lv / 2.0)
     z = mu + std * eps
-    mu_x, lx, dec_cache = _decoder_forward(params, z, want_cache=True, bufs=dec_bufs)
+    mu_x, lx, dec_cache = _decoder_forward(params, z, dec_bufs)
 
     resid = x - mu_x
     inv_var_x = np.exp(-lx)
@@ -452,6 +515,7 @@ def objective_and_grads(
     f64 = [np.asarray(a, np.float64) for a in (x, mu_x, lx, mu, lv, prior_means[:, None, :])]
     loglik = float(_loglik_ts(*f64[:3]).mean())
     kl = float(_kl_ts(*f64[3:], prior_std).mean())
+    del f64  # else the float64 copies live through both backward passes
     objective = kl - recon_weight * loglik
 
     # reconstruction term: d(-w * loglik) through the decoder

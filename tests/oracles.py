@@ -3,7 +3,8 @@
 The package works on whole window sets: `encode_windows`, `batch_components`
 and `prior_table`. These helpers give a test a single window, a single prior
 or a single loss term of that same code, so it can be checked against a value
-worked out by hand.
+worked out by hand. `batch_components` is the package's function of that name
+with the decoder samples taken one at a time through the training pass.
 
 `lstm_forward`, `lstm_backward` and `sigmoid` are the reference kernels: one
 timestep at a time, the gate sigmoids masked into two branches, and the weight
@@ -21,7 +22,8 @@ such rows with `csv.writer`. The streamed `data.write_csv` must give the
 same bytes.
 
 `lloyd` is k-means' Lloyd iteration with one mean per cluster, taken in a
-loop; `concepts.lloyd` must match it bit for bit.
+loop; `concepts.lloyd` must match its centroids and labels bit for bit. It
+also keeps the inertia of every round.
 
 `Adam` is the per-name optimizer `nn.Adam` must match bit for bit: one
 moment pair per tensor, each updated by the textbook expression. `zscores`
@@ -234,6 +236,22 @@ def decode(params, z) -> tuple[np.ndarray, np.ndarray]:
     return mu_x[0], lx[0]
 
 
+def batch_components(params, x, prior_means, prior_std, eps):
+    """`vae.batch_components` one decoder sample at a time, through the
+    training pass's `_stack`: each sample's log-likelihood, the textbook
+    expression, is added to a running float64 sum that starts at zero."""
+    mu, lv, _ = vae._stack(params, "enc", x.astype(params.flat.dtype), True)
+    f64 = [a.astype(np.float64) for a in (mu, lv)]
+    kl_ts = vae._kl_ts(*f64, prior_means[:, None, :], prior_std)
+    std = np.exp(lv / 2.0)
+    ll = np.zeros(x.shape[:2])
+    for s in range(eps.shape[0]):
+        pre, lx, _ = vae._stack(params, "dec", mu + std * eps[s].astype(mu.dtype), True)
+        mu_x, lx = nn.sigmoid(pre).astype(np.float64), lx.astype(np.float64)
+        ll += (-0.5 * (vae.LOG_2PI + lx + (x - mu_x) ** 2 * np.exp(-lx))).sum(axis=-1)
+    return mu, lv, kl_ts, ll / eps.shape[0]
+
+
 def sample_latent(mu, logvar, rng: np.random.Generator) -> np.ndarray:
     """Reparameterized draw z = mu + exp(logvar/2) * eps, as in batch_components."""
     eps = rng.standard_normal(np.shape(mu))
@@ -279,7 +297,9 @@ def build_prior(model, latent, cluster: int) -> PriorSpec:
 
 
 def lloyd(points: np.ndarray, centroids: np.ndarray):
-    """Lloyd iteration as `concepts.lloyd` documents it, one cluster at a time."""
+    """Lloyd iteration as `concepts.lloyd` documents it, one cluster at a time.
+    Returns (centroids, labels, inertia, inertia history): the inertia after
+    the seeding and after each round, which `concepts.lloyd` does not keep."""
     k = centroids.shape[0]
     centroids = centroids.copy()
     labels = concepts._assign(points, centroids)

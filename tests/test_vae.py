@@ -322,19 +322,18 @@ class TestBatching:
     def test_chunks_in_input_order(self, monkeypatch):
         monkeypatch.setattr(vae, "BATCH_WINDOWS", 2)
         chunks = []
-        forward = vae._encoder_forward
+        stack = vae._stack
 
-        def spy(params, x, want_cache=False):
-            chunks.append(x[:, 0, 0].tolist())
-            return forward(params, x, want_cache)
+        def spy(params, net, x, *args):
+            chunks.append((net, x[:, 0, 0].tolist()))
+            return stack(params, net, x, *args)
 
-        monkeypatch.setattr(vae, "_encoder_forward", spy)
+        monkeypatch.setattr(vae, "_stack", spy)
         windows = oracles.windows_of(
             [valued_window(f"e{i}", v) for i, v in enumerate([0.5, 0.1, 0.4, 0.2, 0.3])]
         )
         mu, lv = vae.encode_windows(small_params(hidden=4), windows)
-        # the spy sees the float32 windows the encoder runs on
-        assert chunks == [np.float32(c).tolist() for c in ([0.5, 0.1], [0.4, 0.2], [0.3])]
+        assert chunks == [("enc", c) for c in ([0.5, 0.1], [0.4, 0.2], [0.3])]
         assert mu.shape == lv.shape == (5, 3, 30)
 
     def test_encode_windows_keeps_input_order(self):
@@ -353,6 +352,58 @@ class TestBatching:
         assert vae.window_clusters(windows, {"a": 1, "b": 0, "c": 2}).tolist() == [0, 1, 2, 1]
         with pytest.raises(ValidationError, match="a, c"):
             vae.window_clusters(windows, {"b": 0})
+
+
+class TestNoGradPass:
+    """The no-grad pass, on its shared buffers and gate constants, gives the
+    training pass's bytes; a buffer one layer or one run leaves behind would
+    show at more than one layer, at T > 1 or in the second decoder run."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("T", [1, 2, 25])
+    @pytest.mark.parametrize("B", [1, 3, 256])
+    def test_matches_the_cached_stack(self, layers, T, B):
+        params = vae.init_params(ArchConfig(hidden=6, layers=layers), LatentConfig(), seed=layers)
+        params.flat += np.random.default_rng(0).normal(0.0, 0.2, params.flat.size)
+        params = params.in_compute_dtype()
+        rng = np.random.default_rng(T * B)
+        run = vae._nograd(params, ("enc", "dec"), B, T)
+        x = rng.uniform(size=(B, T, data.N_KPIS)).astype(np.float32)
+        zs = [rng.standard_normal((B, T, params.latent.total)).astype(np.float32) for _ in range(2)]
+        for net, inp in [("enc", x), ("dec", zs[0]), ("dec", zs[1]), ("enc", x)]:
+            got = run(net, inp)
+            want = vae._stack(params, net, inp, True)[:2]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], net
+
+    @pytest.mark.parametrize("S", [1, 2, 10])
+    @pytest.mark.parametrize("B, T", [(1, 1), (3, 2), (4, 25)])
+    @pytest.mark.parametrize("per_window", [False, True])
+    def test_batch_components_match_the_running_sum(self, S, B, T, per_window):
+        # at B = T = 1 the sample axis is the only one longer than 1, where a
+        # plain sum over it adds pairwise
+        params = small_params(hidden=6)
+        params.flat += np.random.default_rng(1).normal(0.0, 0.2, params.flat.size)
+        params = params.in_compute_dtype()
+        total = params.latent.total
+        rng = np.random.default_rng(S * 100 + B * 10 + T)
+        x = rng.uniform(size=(B, T, data.N_KPIS))
+        prior_means = rng.uniform(-1.0, 1.0, (B, total))
+        eps = rng.standard_normal((S, B, T, total) if per_window else (S, T, total))
+        got = vae.batch_components(params, x, prior_means, 0.5, eps)
+        want = oracles.batch_components(params, x, prior_means, 0.5, eps)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_one_window_one_step_sums_in_sample_order(self):
+        # a pairwise sum of 10 samples matches the running one only by chance,
+        # so many draws
+        params = small_params(hidden=6).in_compute_dtype()
+        rng = np.random.default_rng(2)
+        x, prior_means = rng.uniform(size=(1, 1, data.N_KPIS)), np.zeros((1, params.latent.total))
+        for _ in range(100):
+            eps = rng.standard_normal((10, 1, params.latent.total)) * 3.0
+            got = vae.batch_components(params, x, prior_means, 0.5, eps)[3]
+            want = oracles.batch_components(params, x, prior_means, 0.5, eps)[3]
+            assert got.tobytes() == want.tobytes()
 
 
 class TestInitParams:
