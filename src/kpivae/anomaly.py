@@ -8,8 +8,6 @@ names the KPI that moved.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +18,10 @@ from .data import (
 )
 from .errors import ConfigError, ParseError, ValidationError
 from .vae import (
-    BATCH_WINDOWS,
     VaeParams,
     batch_components,
     encode_windows,
+    map_chunks,
     prior_table,
     window_clusters,
 )
@@ -35,8 +33,8 @@ MIN_CLUSTER_TIMESTEPS = 30
 STD_FLOOR = 1e-6
 Z_THRESHOLD = 15.0
 
-# most threads that score detect's BATCH_WINDOWS chunks; each more adds a
-# chunk's activations, a BLAS buffer and a malloc arena to the peak memory
+# most threads that score detect's `vae.BATCH_WINDOWS` chunks; each more adds
+# a chunk's activations, a BLAS buffer and a malloc arena to the peak memory
 _MAX_WORKERS = 4
 
 REPORT_HEADER = (
@@ -131,34 +129,6 @@ def resolve_clusters(windows: Windows, model: ConceptModel) -> dict[str, int]:
     return out
 
 
-def _worker_count() -> int:
-    """Usable CPUs, at most _MAX_WORKERS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, _MAX_WORKERS)
-
-
-def _score_chunks(score, n: int) -> None:
-    """Call score(chunk) on each BATCH_WINDOWS chunk of n windows.
-
-    Up to _worker_count() threads take the chunks; numpy releases the GIL in
-    their GEMMs and ufuncs. Each chunk writes only its own rows, so the result
-    does not depend on the thread count. One worker starts no thread. The
-    first failed chunk's error in chunk order is raised once no chunk runs,
-    and the chunks not yet started are cancelled.
-    """
-    chunks = [slice(s, min(s + BATCH_WINDOWS, n)) for s in range(0, n, BATCH_WINDOWS)]
-    workers = min(_worker_count(), len(chunks))
-    if workers <= 1:
-        for b in chunks:
-            score(b)
-        return
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(score, chunks))  # raises the first failed chunk's error
-
-
 def detect(
     params: VaeParams,
     windows: Windows,
@@ -212,7 +182,8 @@ def detect(
         )
         mu_c[b] = mu[..., :N_KPIS]
 
-    _score_chunks(score, n)
+    # each chunk writes only its own rows, so no byte depends on the threads
+    map_chunks(score, n, _MAX_WORKERS)
     kl, ll, mu_c = kl.ravel(), ll.ravel(), mu_c.reshape(n * length, N_KPIS)
     loss = kl - ll
     cell = windows.cell.ravel()

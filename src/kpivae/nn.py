@@ -30,11 +30,16 @@ rec, fc)`, where `rec` and `fc` are one step's scratch, which no caller
 reads back; `lstm_backward(dh_out, cache, p, out, da)` fills the gradient
 arrays `out` {"Wx", "Wh", "b"} and uses `da` for its gate gradients, which
 no caller reads back either. So one `da`, and one scratch pair, can serve
-every layer in turn. A pass that keeps no cache can go further: `vae`'s
-no-grad pass gives every layer of both networks one buffer set: two h
-buffers taken in turn, so that no layer writes the buffer it reads, and one
-c, tanh(c), gates and scratch pair. The GEMMs, sums and ufuncs are the same
-whoever owns the buffers, so all give the same bytes.
+every layer in turn. A `BackwardHelper` owns, for its whole pass, the `da`
+it is given and, from the end of its first layer's loop, that layer's
+gates: the layers' gate gradients take turns in the two, because its
+thread prepares each layer's while the layer before it still uses the
+other, so that cache holds gate gradients, not gates, once the pass is
+done. A pass that keeps no cache can go further: `vae`'s no-grad pass gives
+every layer of both networks one buffer set: two h buffers taken in turn,
+so that no layer writes the buffer it reads, and one c, tanh(c), gates and
+scratch pair. The GEMMs, sums and ufuncs are the same whoever owns the
+buffers, so all give the same bytes.
 
 A sigmoid is 0.5 + 0.5 * tanh(x / 2), branch-free; the LSTM activates all
 four gates with one tanh per step this way, from `gate_constants`: the
@@ -53,6 +58,13 @@ import numpy as np
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# the gate-gradient elements, T * B * 4H, of each LSTM layer from which a
+# training step's backward passes take a `BackwardHelper`: near and below it
+# the thread hand-offs cost as much as the overlap saves. 2**17 is T * B =
+# 512 rows at hidden 64; on a 2-core VM the helper broke even at 320 rows,
+# and the margin is for machines where waking a thread costs more
+HELPER_MIN_WORK = 2**17
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -138,13 +150,30 @@ def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out=None, consts=None)
     return h.transpose(1, 0, 2), (xs, h, c, tanh_c, gates)
 
 
-def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out=None, da=None):
+def _gate_derivatives(gates: np.ndarray, da: np.ndarray) -> None:
+    """Each gate's derivative wrt its pre-activation, into `da`: g(1 - g) for
+    the sigmoid gates i, f and o, 1 - g^2 for the tanh gate g."""
+    H = gates.shape[-1] // 4
+    np.subtract(1.0, gates, out=da)
+    da *= gates
+    dg = da[..., 2 * H : 3 * H]
+    np.square(gates[..., 2 * H : 3 * H], out=dg)
+    np.subtract(1.0, dg, out=dg)
+
+
+def lstm_backward(
+    dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out=None, da=None, ready=False, defer=None
+):
     """Backprop through time for one layer.
 
     dh_out is the gradient wrt every hidden state (B, T, H). Returns the
     gradient wrt the layer input (B, T, D) plus parameter gradients, written
     into `out` ({"Wx", "Wh", "b"} arrays shaped like p) if given. `da`, if
-    given, is a C-contiguous (T, B, 4H) buffer for the gate gradients.
+    given, is a C-contiguous (T, B, 4H) buffer for the gate gradients; with
+    `ready` it already holds the layer's `_gate_derivatives`. `defer`, if
+    given, receives the weight-gradient GEMMs as a function of no arguments
+    once the time loop is done, and runs them, or has them run, before `out`
+    is read; what it returns is returned in place of the gradients.
     """
     xs, h, c, tanh_c, gates = cache
     T, B, H = h.shape
@@ -153,11 +182,8 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out=None,
     # the gradient reaching the gate
     if da is None:
         da = np.empty_like(gates)
-    np.subtract(1.0, gates, out=da)
-    da *= gates
-    dg = da[:, :, 2 * H : 3 * H]
-    np.square(gates[:, :, 2 * H : 3 * H], out=dg)
-    np.subtract(1.0, dg, out=dg)
+    if not ready:
+        _gate_derivatives(gates, da)
     dh_next = np.zeros((B, H), dtype=h.dtype)
     dc_next = np.zeros((B, H), dtype=h.dtype)
     for t in range(T - 1, -1, -1):
@@ -178,13 +204,71 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out=None,
             dh_next = d @ WhT
     flat = da.reshape(T * B, 4 * H)
     out = out or {}
-    grads = {
-        "Wx": np.matmul(xs.reshape(T * B, -1).T, flat, out=out.get("Wx")),
-        "Wh": np.matmul(h[:-1].reshape((T - 1) * B, H).T, flat[B:], out=out.get("Wh")),
-        "b": np.sum(flat, axis=0, out=out.get("b")),
-    }
+
+    def weights():
+        return {
+            "Wx": np.matmul(xs.reshape(T * B, -1).T, flat, out=out.get("Wx")),
+            "Wh": np.matmul(h[:-1].reshape((T - 1) * B, H).T, flat[B:], out=out.get("Wh")),
+            "b": np.sum(flat, axis=0, out=out.get("b")),
+        }
+
+    grads = weights() if defer is None else defer(weights)
     dx = (flat @ p["Wx"].T).reshape(T, B, -1).transpose(1, 0, 2)
     return dx, grads
+
+
+class BackwardHelper:
+    """Runs, on `pool`, a one-worker executor, the half of consecutive
+    `lstm_backward` passes that the next layer does not wait for.
+
+    A layer's pass is its gate derivatives, its time loop, its weight-gradient
+    GEMMs and dx, and only the loop and dx feed the next layer. So the pool
+    prepares each layer's derivatives while the layer before it runs its
+    loop, and runs each layer's GEMMs while the caller computes dx and goes on
+    to the next layer. `caches` are the layer caches in the order of their
+    passes, and `backward` runs the next one.
+
+    The layers' gate gradients take turns in two buffers: `da`, and the first
+    layer's gates, which no task reads once that layer's loop is done. The
+    second layer's derivatives are queued then; every later layer's are
+    queued when the layer before it starts, into the buffer that the layer
+    before that one is done with. The pool runs its tasks in the order they
+    were queued, so no task writes a buffer that an earlier one still reads.
+    `join` waits for every task and raises the first failed one's error. The
+    GEMMs and ufuncs are the ones `lstm_backward` runs inline, so every byte
+    is the same.
+    """
+
+    def __init__(self, pool, caches, da):
+        self._pool = pool
+        self._caches = caches
+        self._da = (da, caches[0][4])
+        self._ready = []
+        self._tasks = []
+        self._prepare(0)
+
+    def _prepare(self, k: int) -> None:
+        if k < len(self._caches):
+            gates = self._caches[k][4]
+            self._ready.append(self._pool.submit(_gate_derivatives, gates, self._da[k % 2]))
+
+    def backward(self, dh_out: np.ndarray, p: dict[str, np.ndarray], out) -> np.ndarray:
+        """The next layer's `lstm_backward` into `out`; returns its dx."""
+        k = len(self._tasks)  # one task per layer run so far
+        self._ready[k].result()
+        if k:
+            self._prepare(k + 1)
+
+        def defer(weights):
+            if not k:  # the first layer's gates are free now
+                self._prepare(1)
+            self._tasks.append(self._pool.submit(weights))
+
+        return lstm_backward(dh_out, self._caches[k], p, out, self._da[k % 2], True, defer)[0]
+
+    def join(self) -> None:
+        for task in self._tasks:
+            task.result()
 
 
 def linear_forward(x: np.ndarray, p: dict[str, np.ndarray]):

@@ -28,11 +28,18 @@ once, and every layer of both networks writes one shared buffer set, where
 training keeps one cache per layer in its `_Workspace`. The S decoder
 samples of a batch go into one (S, B, T, 5) array, which takes one sigmoid
 and one finite check. Both give the bytes of the training pass's `_stack`.
+`map_chunks` runs every no-grad pass BATCH_WINDOWS windows at a time: on up
+to four threads in `detect`, on one in `encode_windows` and the validation
+loss. A training step with enough work per LSTM layer hands half of each
+layer's backward pass to one helper thread (`nn.BackwardHelper`).
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -48,6 +55,8 @@ from .errors import (
 )
 from .nn import (
     Adam,
+    HELPER_MIN_WORK,
+    BackwardHelper,
     gate_constants,
     linear_backward,
     linear_forward,
@@ -159,25 +168,18 @@ class VaeParams:
         return replace(self, flat=self.flat.astype(COMPUTE_DTYPE))
 
 
-def validate_prior(mean: np.ndarray, std: float, concept_dims: int) -> None:
-    """Check a latent prior: concept dims at a scaled centroid in [-1, 1],
-    free dims standard normal. `mean` is one (total,) row or a (k, total) table."""
-    if not std > 0:
-        raise ConfigError("prior std must be positive")
-    if not np.isfinite(mean).all():
-        raise ValidationError("prior means must be finite")
-    head, tail = mean[..., :concept_dims], mean[..., concept_dims:]
-    if head.size and (head.min() < -1.0 - 1e-12 or head.max() > 1.0 + 1e-12):
-        raise ValidationError("concept-dim prior means must lie in [-1, 1]")
-    if tail.size and np.any(tail != 0.0):
-        raise ValidationError("free-dim prior means must be exactly 0")
-
-
 def prior_table(model: ConceptModel, latent: LatentConfig) -> np.ndarray:
-    """(k, total) prior means, one validated row per cluster."""
+    """(k, total) prior means: each cluster's concept-dim means, then zeros.
+    A `ConceptModel` a caller builds can hold a centroid outside [0, 1], so
+    the concept-dim means are checked to be finite and in [-1, 1]."""
+    means = model.prior_means
+    # nan slips past the range check: nan < -1 and nan > 1 are both False
+    if not np.isfinite(means).all():
+        raise ValidationError("prior means must be finite")
+    if means.size and (means.min() < -1.0 - 1e-12 or means.max() > 1.0 + 1e-12):
+        raise ValidationError("concept-dim prior means must lie in [-1, 1]")
     table = np.zeros((model.k, latent.total))
-    table[:, :N_KPIS] = model.prior_means
-    validate_prior(table, latent.prior_std, N_KPIS)
+    table[:, :N_KPIS] = means
     return table
 
 
@@ -320,11 +322,14 @@ def _nograd(params: VaeParams, nets: tuple[str, ...], B: int, T: int):
     return run
 
 
-def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads, da=None):
+def _stack_backward(
+    params: VaeParams, net: str, dmean, dlogvar, caches, grads, da=None, helper=None
+):
     """Backward through one network from the gradients of its mean and clipped
     logvar; writes the tensor gradients into the layer views `grads`, returns
     the input gradient. `da` is the gate-gradient buffer every layer shares,
-    or None for one per layer."""
+    or None for one per layer; a `BackwardHelper`, given the network's layers
+    top down, runs their passes instead, in its own buffers."""
     layer_caches, head_cache, mask = caches
     draw = np.concatenate([dmean, dlogvar * mask], axis=-1)
     dh, head_grads = linear_backward(draw, head_cache, params.layers[f"{net}_head"])
@@ -332,7 +337,10 @@ def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads, 
         grads[f"{net}_head"][k][...] = v
     for i in range(params.arch.layers - 1, -1, -1):
         layer = f"{net}{i}"
-        dh, _ = lstm_backward(dh, layer_caches[i], params.layers[layer], grads[layer], da)
+        if helper is None:
+            dh, _ = lstm_backward(dh, layer_caches[i], params.layers[layer], grads[layer], da)
+        else:
+            dh = helper.backward(dh, params.layers[layer], grads[layer])
     return dh
 
 
@@ -352,10 +360,14 @@ class _Workspace:
     dtype. They are one allocation: freed as one block, it stays with the C
     allocator for the next `train` in the process, where one allocation per
     buffer would be handed back to the kernel and faulted in again.
+
+    `pool`, a one-worker executor or None, is where a step's
+    `BackwardHelper` runs its tasks.
     """
 
-    def __init__(self, batch: int):
+    def __init__(self, batch: int, pool=None):
         self.batch = batch
+        self.pool = pool
         self._views = {}  # (b, T) -> (grad, grad layer views, enc bufs, dec bufs, da)
         self._flat = None
 
@@ -395,19 +407,45 @@ class _Workspace:
         return grad, grads, enc, dec, view(da, 4 * H)
 
 
+def _worker_count() -> int:
+    """Usable CPUs."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def map_chunks(fn, n: int, workers: int = 1) -> list:
+    """fn(chunk) of each BATCH_WINDOWS slice of n windows, in chunk order.
+
+    Up to min(workers, usable CPUs) threads take the chunks; numpy releases
+    the GIL in their GEMMs and ufuncs. One worker starts no thread. The first
+    failed chunk's error in chunk order is raised once no chunk runs, and the
+    chunks not yet started are cancelled.
+    """
+    chunks = [slice(s, min(s + BATCH_WINDOWS, n)) for s in range(0, n, BATCH_WINDOWS)]
+    workers = min(workers, _worker_count(), len(chunks))
+    if workers <= 1:
+        return [fn(b) for b in chunks]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, chunks))  # raises the first failed chunk's error
+
+
 def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
     """float64 (mu, logvar), each (N, T, total), encoded in COMPUTE_DTYPE
-    BATCH_WINDOWS windows at a time in input order."""
+    BATCH_WINDOWS windows at a time in input order, on one thread."""
     params = params.in_compute_dtype()
     x = windows.values
-    # outputs are joined after the last chunk, not preallocated, so they do
-    # not add to the peak memory of the forward passes
-    parts = []
-    for s in range(0, len(x), BATCH_WINDOWS):
-        chunk = x[s : s + BATCH_WINDOWS]
+
+    def encode(b):
+        chunk = x[b]
         mu, lv = _nograd(params, ("enc",), *chunk.shape[:2])("enc", chunk)
         _check_finite("encoder", mu, lv)
-        parts.append((mu, lv))
+        return mu, lv
+
+    # outputs are joined after the last chunk, not preallocated, so they do
+    # not add to the peak memory of the forward passes
+    parts = map_chunks(encode, len(x))
     return tuple(np.concatenate([p[i] for p in parts], dtype=np.float64) for i in (0, 1))
 
 
@@ -493,6 +531,9 @@ def objective_and_grads(
     With a workspace `ws`, of at least B windows, the layer caches and the
     gradient vector are its buffers: the returned vector is overwritten by
     the next call with the same workspace. Without one, every array is new.
+    With a workspace that has a pool, a batch whose layers have at least
+    `nn.HELPER_MIN_WORK` gate-gradient elements each hands half of every LSTM
+    backward pass to a `BackwardHelper`, joined before the gradient returns.
     """
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
@@ -500,14 +541,20 @@ def objective_and_grads(
     if ws is None:
         grad = np.empty_like(params.flat)
         grads = replace(params, flat=grad).layers  # views of grad
-        enc_bufs = dec_bufs = da = None
+        enc_bufs = dec_bufs = da = pool = None
     else:
         grad, grads, enc_bufs, dec_bufs, da = ws.get(params, x)
+        pool = ws.pool
 
     mu, lv, enc_cache = _encoder_forward(params, x, enc_bufs)
     std = np.exp(lv / 2.0)
     z = mu + std * eps
     mu_x, lx, dec_cache = _decoder_forward(params, z, dec_bufs)
+    helper = None
+    if pool is not None and da.size >= HELPER_MIN_WORK:
+        # the LSTM layers in the order of their backward passes; the helper
+        # starts on the first one's gate derivatives while the objective is summed
+        helper = BackwardHelper(pool, dec_cache[0][::-1] + enc_cache[0][::-1], da)
 
     resid = x - mu_x
     inv_var_x = np.exp(-lx)
@@ -522,15 +569,31 @@ def objective_and_grads(
     coef = -recon_weight * scale
     dmu_x = coef * (resid * inv_var_x)
     dlx = coef * (-0.5 + 0.5 * resid**2 * inv_var_x)
-    dz = _stack_backward(params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads, da)
+    dz = _stack_backward(
+        params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads, da, helper
+    )
 
     # KL term plus the pathwise gradient through z = mu + std * eps
     dmu = scale * (mu - prior_means[:, None, :]) / var_p + dz
     dlv = scale * (0.5 * np.exp(lv) / var_p - 0.5) + dz * eps * 0.5 * std
-    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads, da)
+    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads, da, helper)
+    if helper is not None:
+        helper.join()
 
     components = {"objective": objective, "kl": kl, "loglik": loglik}
     return objective, components, grad
+
+
+def _val_loss(params: VaeParams, x, prior_means, prior_std: float, eps) -> float:
+    """Unweighted loss kl - loglik of x under one noise draw eps (1, N, T,
+    total), `batch_components` BATCH_WINDOWS windows at a time on one thread,
+    so that the pass's memory does not grow with the validation set."""
+
+    def score(b):
+        return batch_components(params, x[b], prior_means[b], prior_std, eps[:, b])[2:]
+
+    kl_ts, ll_ts = (np.concatenate(part) for part in zip(*map_chunks(score, len(x))))
+    return float(kl_ts.mean() - ll_ts.mean())
 
 
 def train_step(
@@ -578,7 +641,11 @@ def train(
 
     The steps share one `_Workspace`, sized for the largest batch drawn,
     min(batch_size, len(train_windows)). It lives for this call only, so its
-    buffers are freed before the caller encodes or scores anything.
+    buffers are freed before the caller encodes or scores anything. At 2 or
+    more usable CPUs the call starts one helper thread, which runs the
+    off-critical-path half of the LSTM backward passes of every step with
+    enough work (see `nn.BackwardHelper`); it ends with the call, whether
+    the call returns or raises, and no byte depends on it.
     """
     config.validate()
     if not len(train_windows):
@@ -608,40 +675,39 @@ def train(
     best = params.flat.copy()
     since_best = 0
     n = len(train_windows)
-    ws = _Workspace(min(config.batch_size, n))
 
-    for epoch in range(config.max_epochs):
-        order = rng_shuffle.permutation(n)
-        kl_sum = ll_sum = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            comps = train_step(params, opt, x_train[idx], p_train[idx], config, rng_noise, ws)
-            kl_sum += comps["kl"] * len(idx)
-            ll_sum += comps["loglik"] * len(idx)
-        train_kl = kl_sum / n
-        train_ll = ll_sum / n
+    # the steps' backward passes get one helper thread at 2 or more usable CPUs
+    with ThreadPoolExecutor(1) if _worker_count() > 1 else contextlib.nullcontext() as pool:
+        ws = _Workspace(min(config.batch_size, n), pool)
+        for epoch in range(config.max_epochs):
+            order = rng_shuffle.permutation(n)
+            kl_sum = ll_sum = 0.0
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                comps = train_step(params, opt, x_train[idx], p_train[idx], config, rng_noise, ws)
+                kl_sum += comps["kl"] * len(idx)
+                ll_sum += comps["loglik"] * len(idx)
+            train_kl = kl_sum / n
+            train_ll = ll_sum / n
 
-        _, _, kl_ts, ll_ts = batch_components(
-            params, x_val, p_val, latent.prior_std, val_eps
-        )
-        val_loss = float(kl_ts.mean() - ll_ts.mean())
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": train_kl - train_ll,
-                "train_kl": train_kl,
-                "train_loglik": train_ll,
-                "val_loss": val_loss,
-            }
-        )
-        if val_loss < best_val:
-            best_val = val_loss
-            best = params.flat.copy()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
+            val_loss = _val_loss(params, x_val, p_val, latent.prior_std, val_eps)
+            history.append(
+                {
+                    "epoch": epoch,
+                    "train_loss": train_kl - train_ll,
+                    "train_kl": train_kl,
+                    "train_loglik": train_ll,
+                    "val_loss": val_loss,
+                }
+            )
+            if val_loss < best_val:
+                best_val = val_loss
+                best = params.flat.copy()
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= config.patience:
+                    break
 
     return replace(params, flat=best.astype(np.float64)), history
 

@@ -115,7 +115,15 @@ class PriorSpec:
     concept_dims: int
 
     def validate(self) -> None:
-        vae.validate_prior(self.mean, self.std, self.concept_dims)
+        if not self.std > 0:
+            raise ConfigError("prior std must be positive")
+        if not np.isfinite(self.mean).all():
+            raise ValidationError("prior means must be finite")
+        head, tail = self.mean[..., : self.concept_dims], self.mean[..., self.concept_dims :]
+        if head.size and (head.min() < -1.0 - 1e-12 or head.max() > 1.0 + 1e-12):
+            raise ValidationError("concept-dim prior means must lie in [-1, 1]")
+        if tail.size and np.any(tail != 0.0):
+            raise ValidationError("free-dim prior means must be exactly 0")
 
 
 def n_params(params) -> int:

@@ -371,8 +371,8 @@ def chunked_setup(monkeypatch, workers, chunk_windows):
     """scored_setup's 30 windows, scored chunk_windows at a time on `workers`
     threads; also returns each chunk's x, in the order detect scores them."""
     params, windows, model, lstats = scored_setup()
-    monkeypatch.setattr(anomaly, "BATCH_WINDOWS", chunk_windows)
-    monkeypatch.setattr(anomaly, "_worker_count", lambda: workers)
+    monkeypatch.setattr(vae, "BATCH_WINDOWS", chunk_windows)
+    monkeypatch.setattr(vae, "_worker_count", lambda: workers)
     x = windows[np.lexsort((windows.start, windows.element))].values
     chunks = [x[i : i + chunk_windows] for i in range(0, len(x), chunk_windows)]
     assert len({c.tobytes() for c in chunks}) == len(chunks)
@@ -520,7 +520,7 @@ class TestOwnWindowsOnly:
         params, windows, model, lstats = scored_setup()
         reports = {}
         for chunk in (2, 7, 256):
-            monkeypatch.setattr(anomaly, "BATCH_WINDOWS", chunk)
+            monkeypatch.setattr(vae, "BATCH_WINDOWS", chunk)
             reports[chunk] = anomaly.detect(
                 params, windows, model, lstats, eval_samples=2, seed=3,
                 z_threshold=1.0, symmetric=True,

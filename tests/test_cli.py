@@ -759,8 +759,8 @@ class TestMalformedInputs:
 
     def test_chunk_error_on_a_thread(self, pipeline, tmp_path, capsys, monkeypatch):
         # 18 windows in 6 chunks on 3 threads; the third pass fails
-        monkeypatch.setattr(anomaly, "BATCH_WINDOWS", 3)
-        monkeypatch.setattr(anomaly, "_worker_count", lambda: 3)
+        monkeypatch.setattr(vae, "BATCH_WINDOWS", 3)
+        monkeypatch.setattr(vae, "_worker_count", lambda: 3)
         calls, real = itertools.count(1), anomaly.batch_components
 
         def spy(*args):
@@ -1191,6 +1191,57 @@ def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
         preexec_fn=lambda: os.sched_setaffinity(0, {usable[0]}),
     )
     assert (out / "pinned_report.csv").read_bytes() == outputs[0]["fleet_report.csv"]
+
+
+def test_train_bytes_independent_of_the_helper_thread(tmp_path, monkeypatch):
+    """A window-25 `train` whose batches of 32 windows, 800 rows at hidden 64,
+    take the backward helper thread writes the same checkpoint, history and
+    latent stats as the same command pinned to one usable CPU, which starts
+    no thread. Both run at one BLAS thread, which pinning implies."""
+    fleet = tmp_path / "fleet.csv"
+    argv = SYNTH_ARGS + ["--out", str(fleet)]
+    argv[argv.index("--elements") + 1] = "40"
+    assert run(argv) == 0
+    fitted = ["--model", str(tmp_path / "model.txt"), "--stats", str(tmp_path / "stats.txt")]
+    assert run([
+        "concepts", "--data", str(fleet), "--k", "2", "--seed", "0",
+        "--out-model", fitted[1], "--out-stats", fitted[3],
+    ]) == 0
+
+    def train(out):
+        out.mkdir()
+        return [
+            "train", "--data", str(fleet), *fitted, "--window", "25",
+            "--max-epochs", "2", "--patience", "2", "--val-fraction", "0.2", "--seed", "0",
+            "--out-checkpoint", str(out / "model.bin"), "--out-history", str(out / "history.csv"),
+            "--out-latent-stats", str(out / "lstats.txt"),
+        ]
+
+    made = []
+
+    class Counted(vae.BackwardHelper):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    # the command takes the helper at two usable CPUs
+    monkeypatch.setattr(vae, "BackwardHelper", Counted)
+    monkeypatch.setattr(vae, "_worker_count", lambda: 2)
+    assert run(train(tmp_path / "here")) == 0
+    assert len(made) == 2  # one full batch in each of the two epochs
+
+    usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(usable) < 2:
+        return  # the one-CPU leg needs a run on 2 or more CPUs to compare with
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for out, pin in (("two", None), ("one", lambda: os.sched_setaffinity(0, {usable[0]}))):
+        subprocess.run(
+            [sys.executable, "-m", "kpivae.cli", *train(tmp_path / out)],
+            env=env, check=True, capture_output=True, timeout=300, preexec_fn=pin,
+        )
+    for name in ("model.bin", "history.csv", "lstats.txt"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
 class TestConfigFile:

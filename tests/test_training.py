@@ -1,10 +1,13 @@
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import oracles
-from kpivae import anomaly, concepts, data, vae
+from kpivae import anomaly, concepts, data, nn, vae
 from kpivae.errors import ValidationError
 from kpivae.vae import ArchConfig, LatentConfig, TrainConfig
 
@@ -204,6 +207,142 @@ class TestWorkspace:
         cache_bytes = 2 * layers * T * B * 7 * H * 4
         assert len(peaks) == 4
         assert max(peaks[1:]) < cache_bytes / 10, (peaks, cache_bytes)
+
+
+class TestBackwardHelper:
+    """The helper thread's share of the LSTM backward passes changes no byte,
+    engages exactly from nn.HELPER_MIN_WORK gate-gradient elements per layer,
+    and ends with `train`."""
+
+    # hidden 16 puts the threshold at T * B = 2**17 / 64 = 2048 rows
+    H = 16
+    ROWS = nn.HELPER_MIN_WORK // (4 * H)
+
+    @staticmethod
+    def count_helpers(monkeypatch) -> list:
+        made = []
+
+        class Counted(nn.BackwardHelper):
+            def __init__(self, *args):
+                made.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(vae, "BackwardHelper", Counted)
+        return made
+
+    # (workspace windows, batch windows, T): just below the threshold, at it,
+    # and a partial batch above it
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("ws_b,b,T", [(64, 64, 31), (64, 64, 32), (80, 70, 32)])
+    def test_gradient_matches_the_inline_pass(self, monkeypatch, layers, ws_b, b, T):
+        made = self.count_helpers(monkeypatch)
+        arch, latent = ArchConfig(hidden=self.H, layers=layers), LatentConfig(free_dims=2)
+        params = vae.init_params(arch, latent, seed=layers).in_compute_dtype()
+        rng = np.random.default_rng(T)
+        x = rng.uniform(size=(b, T, 5)).astype(np.float32)
+        prior_means = rng.uniform(-1, 1, (b, latent.total)).astype(np.float32)
+        eps = rng.standard_normal((b, T, latent.total)).astype(np.float32)
+        want = vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, vae._Workspace(ws_b))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the two threads hand over the GIL every microsecond
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                ws = vae._Workspace(ws_b, pool)
+                for _ in range(2):  # the second pass runs over the first one's buffers
+                    got = vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, ws)
+                    assert got[0] == want[0] and got[1] == want[1]
+                    assert got[2].tobytes() == want[2].tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(made) == (2 if T * b >= self.ROWS else 0)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("T", [31, 32])
+    def test_checkpoint_and_history_match_one_cpu(self, monkeypatch, tmp_path, layers, T):
+        """Batches of 64 windows, then a partial one of 6 that stays inline."""
+        made = self.count_helpers(monkeypatch)
+        train_w, val_w, model = toy_setup(elements=8, days=10 * T, window=T)
+        assert len(train_w) == 70
+        arch, latent = ArchConfig(hidden=self.H, layers=layers), LatentConfig(free_dims=2)
+        outs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(vae, "_worker_count", lambda: cpus)
+            params, history = vae.train(
+                train_w, val_w, model, quick_cfg(batch_size=64, max_epochs=2), arch, latent
+            )
+            vae.save_checkpoint(params, tmp_path / "ckpt.bin")
+            outs.append(((tmp_path / "ckpt.bin").read_bytes(), history))
+        assert outs[0] == outs[1]
+        # one helper per full batch of the two-CPU run, each epoch
+        assert len(made) == (2 if T * 64 >= self.ROWS else 0)
+
+    def test_helper_error_propagates_and_no_thread_outlives_train(self, monkeypatch):
+        train_w, val_w, model = toy_setup(elements=8, days=320, window=32)
+        monkeypatch.setattr(vae, "_worker_count", lambda: 2)
+        real = nn._gate_derivatives
+
+        def fail_off_main(gates, da):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("helper task failed")
+            real(gates, da)
+
+        monkeypatch.setattr(nn, "_gate_derivatives", fail_off_main)
+        before = threading.active_count()
+        arch = ArchConfig(hidden=self.H)
+        with pytest.raises(FloatingPointError, match="helper task failed"):
+            vae.train(train_w, val_w, model, quick_cfg(batch_size=64), arch)
+        assert threading.active_count() == before
+
+    def test_no_thread_at_one_cpu(self, monkeypatch):
+        train_w, val_w, model = toy_setup(elements=8, days=320, window=32)
+        monkeypatch.setattr(vae, "_worker_count", lambda: 1)
+        made = self.count_helpers(monkeypatch)
+        started = []
+        real = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), real(t)))
+        vae.train(train_w, val_w, model, quick_cfg(batch_size=64), ArchConfig(hidden=self.H))
+        assert started == [] and made == []
+
+
+class TestValidationPass:
+    def test_memory_does_not_grow_with_the_validation_set(self, monkeypatch):
+        """At T = 25, 2,048 validation windows peak within the (N, T) float64
+        KL and log-likelihood they add (the arrays and their chunk parts) of
+        256 windows: the pass runs BATCH_WINDOWS windows at a time."""
+        T = 25
+        cfg = data.SynthConfig(elements=12, days=200, clusters=2, anomaly_rate=0.0, seed=7)
+        records, _ = data.synth_generate(cfg)
+        stats = data.fit_normalization(records)
+        model = concepts.kmeans_fit(concepts.element_profiles(records, stats), 2, seed=0)
+        windows = data.window_sequences(records, T, stride=1, stats=stats)
+        real, peaks = vae._val_loss, []
+
+        def traced(*args):
+            tracemalloc.start()
+            try:
+                return real(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(vae, "_val_loss", traced)
+        for n in (256, 2048):
+            vae.train(
+                windows[:8], windows[8 : 8 + n], model, quick_cfg(batch_size=8, max_epochs=1),
+                ArchConfig(hidden=16),
+            )
+        assert peaks[1] < peaks[0] + 4 * 2048 * T * 8, peaks
+
+    def test_chunked_loss_equals_the_one_batch_loss(self):
+        """375 windows, the validation set of train-w2: chunks of 256 and 119."""
+        arch, latent = ArchConfig(hidden=8), LatentConfig(free_dims=2)
+        params = vae.init_params(arch, latent, seed=0).in_compute_dtype()
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(375, 2, 5))
+        prior_means = rng.uniform(-1, 1, (375, latent.total))
+        eps = rng.standard_normal((1, 375, 2, latent.total))
+        _, _, kl_ts, ll_ts = vae.batch_components(params, x, prior_means, 1.0, eps)
+        assert vae._val_loss(params, x, prior_means, 1.0, eps) == float(kl_ts.mean() - ll_ts.mean())
 
 
 class TestLearnedStructure:
