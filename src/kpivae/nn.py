@@ -21,31 +21,51 @@ states a layer returns are a (B, T, H) view of its time-major h, which the
 next layer reads without a copy; so does a layer whose input is the
 batch-first view of any time-major array.
 
+Per-step views. The time loops read each step's gate blocks, c, tanh(c) and
+h through views that an `LstmBuffers` builds once with its arrays
+(`gate_views` for a gate-shaped buffer alone), and activate the gates with
+a full-shape (B, 4H) scale and shift from its `step_scratch`, so that no
+step slices an array or broadcasts an operand. A caller that keeps its
+buffers keeps their views too.
+
 Buffer ownership. By default every call allocates its buffers, and what it
 returns is its own. A caller that passes buffers owns them instead: the
 cache, hidden states and gradients the call returns are views of those
 buffers, and stay valid only until the caller hands the same buffers to
-another call. `lstm_forward(x, p, out)` fills `out = (h, c, tanh_c, gates,
-rec, fc)`, where `rec` and `fc` are one step's scratch, which no caller
-reads back; `lstm_backward(dh_out, cache, p, out, da)` fills the gradient
-arrays `out` {"Wx", "Wh", "b"} and uses `da` for its gate gradients, which
-no caller reads back either. So one `da`, and one scratch pair, can serve
-every layer in turn. A `BackwardHelper` owns, for its whole pass, the `da`
-it is given and, from the end of its first layer's loop, that layer's
-gates: the layers' gate gradients take turns in the two, because its
-thread prepares each layer's while the layer before it still uses the
-other, so that cache holds gate gradients, not gates, once the pass is
-done. A pass that keeps no cache can go further: `vae`'s no-grad pass gives
-every layer of both networks one buffer set: two h buffers taken in turn,
-so that no layer writes the buffer it reads, and one c, tanh(c), gates and
-scratch pair. The GEMMs, sums and ufuncs are the same whoever owns the
-buffers, so all give the same bytes.
+another call. `lstm_forward(x, p, out)` fills the `LstmBuffers` `out`,
+whose step scratch no caller reads back; `lstm_backward(dh_out, cache, p,
+out, da, dx)` fills the gradient arrays `out` {"Wx", "Wh", "b"} and the
+input-gradient buffer `dx`, and uses `da` for its gate gradients, which no
+caller reads back either. So one `da`, and one scratch set, can serve every
+layer in turn, and two `dx` buffers taken in turn every layer's input
+gradient. A `StepHelper` owns, for its whole backward pass, the `da` it is
+given and, from the end of its first layer's loop, that layer's gates: the
+layers' gate gradients take turns in the two, because its thread prepares
+each layer's while the layer before it still uses the other, so that cache
+holds gate gradients, not gates, once the pass is done. A pass that keeps
+no cache can go further: `vae`'s no-grad pass gives every layer of both
+networks one buffer set: two h buffers taken in turn, so that no layer
+writes the buffer it reads, and one c, tanh(c), gates and step scratch. The
+GEMMs, sums and ufuncs are the same whoever owns the buffers, so all give
+the same bytes.
+
+Two threads. A training step with enough work per layer hands a
+`StepHelper` every whole-sequence GEMM of its LSTM layers, so that the
+caller's thread runs only the time loops: each layer's input projection and
+input gradient, in two time halves, and its gate derivatives and weight
+gradients. The helper takes each half when the loop before it has written
+the rows it reads, and the loop after it waits for the half just before it
+reads it (see `StepHelper` for who queues what, and when). A time-half row
+block of each of these GEMMs gives the whole GEMM's bytes on OpenBLAS at
+the sizes the helper takes, which a test pins, so no byte depends on the
+helper.
 
 A sigmoid is 0.5 + 0.5 * tanh(x / 2), branch-free; the LSTM activates all
 four gates with one tanh per step this way, from `gate_constants`: the
-weights with each gate column scaled, and the scale and shift. A call
-builds them from its layer; a caller that runs the same weights many times,
-as the no-grad pass does, builds them once and passes each layer's in.
+weights with each gate column scaled. A call builds them from its layer; a
+caller that runs the same weights many times, as the no-grad pass does, or
+that needs them before a layer's call, as a training step does, builds them
+once and passes each layer's in.
 
 Everything is deterministic given the RNG, which is what lets the pipeline
 reproduce checkpoints byte-for-byte.
@@ -60,10 +80,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # the gate-gradient elements, T * B * 4H, of each LSTM layer from which a
-# training step's backward passes take a `BackwardHelper`: near and below it
-# the thread hand-offs cost as much as the overlap saves. 2**17 is T * B =
-# 512 rows at hidden 64; on a 2-core VM the helper broke even at 320 rows,
-# and the margin is for machines where waking a thread costs more
+# training step takes a `StepHelper`: near and below it the thread hand-offs
+# cost as much as the overlap saves. 2**17 is T * B = 512 rows at hidden 64;
+# on a 2-core VM, B = 64 and one BLAS thread, a step with the helper took
+# 1.02x the inline time at 256 rows (T = 4) and 0.97x at 320 (T = 5), and the
+# margin is for machines where waking a thread costs more. The gate also
+# keeps the time-half splits to sizes where a test pins them: at a few dozen
+# rows an input-gradient GEMM's halves can differ from the whole GEMM in
+# their last bits (at T * B = 28 and hidden 64, for one)
 HELPER_MIN_WORK = 2**17
 
 
@@ -103,51 +127,118 @@ def linear_init(input_dim: int, out_dim: int, rng: np.random.Generator) -> dict[
     return {"W": orthogonal((input_dim, out_dim), rng), "b": np.zeros(out_dim)}
 
 
-def gate_constants(layers: list[dict[str, np.ndarray]], dtype) -> list[tuple]:
-    """Per layer (Wx, Wh, b, scale, shift) in `dtype`: the layer's weights with
-    every gate column scaled, and the scale and shift that activate its gates.
-    The layers share one hidden width, so they share one scale and shift."""
-    H = layers[0]["Wh"].shape[0]
+def _gate_affine(H: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     # gate order i, f, g, o: sigmoid(a) = 0.5 + 0.5 * tanh(a / 2) on i, f and
     # o, tanh(a) on g, so every gate column is shift + scale * tanh(scale * a);
     # halving a column is exact, so the scaled weights give scale * a exactly
     scale = np.repeat([0.5, 0.5, 1.0, 0.5], H).astype(dtype)
     shift = np.repeat([0.5, 0.5, 0.0, 0.5], H).astype(dtype)
-    return [(p["Wx"] * scale, p["Wh"] * scale, p["b"] * scale, scale, shift) for p in layers]
+    return scale, shift
 
 
-def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out=None, consts=None):
+def gate_constants(layers: list[dict[str, np.ndarray]], dtype, out=None) -> list[tuple]:
+    """Per layer (Wx, Wh, b) in `dtype`: the layer's weights with every gate
+    column scaled, so that one tanh per step activates all four gates;
+    written into `out`, one {"Wx", "Wh", "b"} dict of arrays per layer, if
+    given."""
+    scale, _ = _gate_affine(layers[0]["Wh"].shape[0], dtype)
+    out = out or [{} for _ in layers]
+    return [
+        tuple(np.multiply(p[k], scale, out=o.get(k)) for k in ("Wx", "Wh", "b"))
+        for p, o in zip(layers, out)
+    ]
+
+
+def gate_views(a: np.ndarray) -> list[tuple]:
+    """Per timestep of a time-major (T, B, 4H) gate array, its (B, 4H) step
+    and that step's four (B, H) gate blocks i, f, g and o."""
+    H = a.shape[-1] // 4
+    return [(s, s[:, :H], s[:, H : 2 * H], s[:, 2 * H : 3 * H], s[:, 3 * H :]) for s in a]
+
+
+def step_scratch(like: np.ndarray, B: int, H: int) -> tuple:
+    """One step's scratch, `rec` (B, 4H) and `fc` (B, H), and the full-shape
+    (B, 4H) `scale` and `shift` that activate the gates, in the array type
+    and dtype of `like`."""
+    widths = (4 * H, H, 4 * H, 4 * H)
+    rec, fc, scale, shift = (np.empty((B, w), like.dtype).view(type(like)) for w in widths)
+    scale[...], shift[...] = _gate_affine(H, like.dtype)
+    return rec, fc, scale, shift
+
+
+class LstmBuffers:
+    """The arrays one `lstm_forward` call fills, and the per-step views its
+    time loop reads, built once.
+
+    h, c and tanh(c) are C-contiguous time-major (T, B, H) arrays and the
+    gates a (T, B, 4H) one; `scratch` is a `step_scratch`. `steps[t]` is the
+    gates' `gate_views` entry t, then c[t], tanh(c)[t] and h[t]. `views`, if
+    given, is the gates' `gate_views`, for buffer sets that share their
+    gates."""
+
+    def __init__(self, h, c, tanh_c, gates, scratch, views=None):
+        self.h, self.gates = h, gates
+        self.rec, self.fc, self.scale, self.shift = scratch
+        self.gate_views = gate_views(gates) if views is None else views
+        self.steps = list(zip(self.gate_views, c, tanh_c, h))
+
+    @classmethod
+    def empty(cls, T: int, B: int, H: int, dtype) -> LstmBuffers:
+        h, c, tanh_c, gates = (np.empty((T, B, w), dtype) for w in (H, H, H, 4 * H))
+        return cls(h, c, tanh_c, gates, step_scratch(h, B, H))
+
+
+def _halves(T: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    # the two time halves a `StepHelper` splits a layer's GEMMs into
+    return (0, T // 2), (T // 2, T)
+
+
+def _project(xs, Wx, b, gates, lo: int, hi: int) -> None:
+    """Steps [lo, hi) of a layer's input projection plus bias: the time-major
+    input xs (T, B, D) times the scaled Wx, into the gates (T, B, 4H)."""
+    rows = gates[lo:hi].reshape(-1, gates.shape[-1])
+    np.matmul(xs[lo:hi].reshape(-1, xs.shape[-1]), Wx, out=rows)
+    rows += b
+
+
+def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out=None, consts=None, share=None):
     """Run one LSTM layer over (B, T, D); returns hidden states (B, T, H) and a
-    cache. `out`, if given, is the (h, c, tanh_c, gates, rec, fc) buffers to
-    fill, in the dtype of x: C-contiguous, time-major (T, B, H) and (T, B, 4H),
-    then one step's (B, 4H) and (B, H) scratch. `consts`, if given, is the
-    layer's `gate_constants` in that dtype."""
+    cache, (time-major x, the `LstmBuffers`). `out`, if given, is the
+    `LstmBuffers` to fill, in the dtype of x. `consts`, if given, is the
+    layer's `gate_constants` entry in that dtype. `share`, if given, is the
+    layer's `StepHelper.forward` hand-off: it computes the input projection,
+    in two time halves, and the loop waits for each half before it reads it
+    and tells it when it has written each half of h."""
     B, T, D = x.shape
     H = p["Wh"].shape[0]
-    Wx, Wh, b, scale, shift = consts or gate_constants([p], x.dtype)[0]
+    Wx, Wh, b = consts or gate_constants([p], x.dtype)[0]
     xs = np.ascontiguousarray(x.transpose(1, 0, 2))  # no copy for another layer's h
     if out is None:
-        widths = (H, H, H, 4 * H)
-        out = [np.empty((T, B, w), dtype=x.dtype) for w in widths]
-        out += [np.empty((B, w), dtype=x.dtype) for w in (4 * H, H)]
-    h, c, tanh_c, gates, rec, fc = out
-    np.matmul(xs.reshape(T * B, D), Wx, out=gates.reshape(T * B, 4 * H))
-    gates += b
-    for t in range(T):
-        a = gates[t]
-        if t:  # h_{-1} is zero
-            np.matmul(h[t - 1], Wh, out=rec)
-            a += rec
-        np.tanh(a, out=a)
-        a *= scale
-        a += shift
-        np.multiply(a[:, :H], a[:, 2 * H : 3 * H], out=c[t])
-        if t:
-            np.multiply(a[:, H : 2 * H], c[t - 1], out=fc)
-            c[t] += fc
-        np.tanh(c[t], out=tanh_c[t])
-        np.multiply(a[:, 3 * H :], tanh_c[t], out=h[t])
-    return h.transpose(1, 0, 2), (xs, h, c, tanh_c, gates)
+        out = LstmBuffers.empty(T, B, H, x.dtype)
+    rec, fc, scale, shift = out.rec, out.fc, out.scale, out.shift
+    if share is None:
+        _project(xs, Wx, b, out.gates, 0, T)
+    h_prev = c_prev = None  # h_{-1} and c_{-1} are zero
+    for half, (lo, hi) in enumerate(_halves(T)):
+        if share is not None:
+            share.wait(half, xs)
+        for (a, i, f, g, o), c, tanh_c, h in out.steps[lo:hi]:
+            if h_prev is not None:
+                np.matmul(h_prev, Wh, out=rec)
+                a += rec
+            np.tanh(a, out=a)
+            a *= scale
+            a += shift
+            np.multiply(i, g, out=c)
+            if c_prev is not None:
+                np.multiply(f, c_prev, out=fc)
+                c += fc
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h)
+            h_prev, c_prev = h, c
+        if share is not None:
+            share.passed(half, out.h)
+    return out.h.transpose(1, 0, 2), (xs, out)
 
 
 def _gate_derivatives(gates: np.ndarray, da: np.ndarray) -> None:
@@ -161,72 +252,140 @@ def _gate_derivatives(gates: np.ndarray, da: np.ndarray) -> None:
     np.subtract(1.0, dg, out=dg)
 
 
-def lstm_backward(
-    dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out=None, da=None, ready=False, defer=None
-):
+def _weight_grads(xs, h, da, out) -> dict[str, np.ndarray]:
+    """dWx, dWh and db from the time-major input, h and gate gradients, into
+    `out`'s arrays where it has them."""
+    T, B, H = h.shape
+    flat = da.reshape(T * B, 4 * H)
+    return {
+        "Wx": np.matmul(xs.reshape(T * B, -1).T, flat, out=out.get("Wx")),
+        "Wh": np.matmul(h[:-1].reshape((T - 1) * B, H).T, flat[B:], out=out.get("Wh")),
+        "b": np.sum(flat, axis=0, out=out.get("b")),
+    }
+
+
+def _input_grad(da, WxT, dx, lo: int, hi: int) -> None:
+    """Steps [lo, hi) of a layer's input gradient: the gate gradients
+    (T, B, 4H) times Wx^T, into the time-major dx (T, B, D)."""
+    np.matmul(da[lo:hi].reshape(-1, da.shape[-1]), WxT, out=dx[lo:hi].reshape(-1, dx.shape[-1]))
+
+
+def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out=None, da=None, dx=None,
+                  share=None):
     """Backprop through time for one layer.
 
     dh_out is the gradient wrt every hidden state (B, T, H). Returns the
-    gradient wrt the layer input (B, T, D) plus parameter gradients, written
-    into `out` ({"Wx", "Wh", "b"} arrays shaped like p) if given. `da`, if
-    given, is a C-contiguous (T, B, 4H) buffer for the gate gradients; with
-    `ready` it already holds the layer's `_gate_derivatives`. `defer`, if
-    given, receives the weight-gradient GEMMs as a function of no arguments
-    once the time loop is done, and runs them, or has them run, before `out`
-    is read; what it returns is returned in place of the gradients.
+    gradient wrt the layer input (B, T, D), a view of `dx` if given, a
+    C-contiguous time-major (T, B, D) buffer, or None if `dx` is False; and
+    the parameter gradients, written into `out` ({"Wx", "Wh", "b"} arrays
+    shaped like p) if given. `da`, if given, is a C-contiguous (T, B, 4H)
+    buffer for the gate gradients and its `gate_views`. `share`, if given, is
+    a `StepHelper` in its backward pass: the gate derivatives are in its own
+    buffer already, the loop waits for each half of dh_out before it reads it
+    and tells the helper when it has written each half of the gate
+    gradients, and the helper forms dx and the weight gradients from them.
     """
-    xs, h, c, tanh_c, gates = cache
-    T, B, H = h.shape
+    xs, buf = cache
+    T, B, H = buf.h.shape
     WhT = p["Wh"].T
     # each gate's derivative wrt its pre-activation, multiplied in the loop by
     # the gradient reaching the gate
-    if da is None:
-        da = np.empty_like(gates)
-    if not ready:
-        _gate_derivatives(gates, da)
-    dh_next = np.zeros((B, H), dtype=h.dtype)
-    dc_next = np.zeros((B, H), dtype=h.dtype)
-    for t in range(T - 1, -1, -1):
-        a = gates[t]
-        d = da[t]
-        dh_t = dh_out[:, t] + dh_next
-        dc = dh_t * a[:, 3 * H :] * (1.0 - tanh_c[t] ** 2)
-        dc += dc_next
-        d[:, :H] *= dc * a[:, 2 * H : 3 * H]
-        if t:
-            d[:, H : 2 * H] *= dc * c[t - 1]
-        else:  # c_{-1} is zero
-            d[:, H : 2 * H] = 0.0
-        d[:, 2 * H : 3 * H] *= dc * a[:, :H]
-        d[:, 3 * H :] *= dh_t * tanh_c[t]
-        dc_next = dc * a[:, H : 2 * H]
-        if t:  # h_{-1} is zero
-            dh_next = d @ WhT
-    flat = da.reshape(T * B, 4 * H)
-    out = out or {}
+    if share is not None:
+        da = share.da
+    else:
+        if da is None:
+            a = np.empty_like(buf.gates)
+            da = (a, gate_views(a))
+        _gate_derivatives(buf.gates, da[0])
+    da, da_views = da
+    steps = buf.steps
+    dhs = dh_out.transpose(1, 0, 2)
+    dh_next = np.zeros((B, H), dtype=buf.h.dtype)
+    dc_next = np.zeros((B, H), dtype=buf.h.dtype)
+    early, late = _halves(T)
+    for half, (lo, hi) in ((1, late), (0, early)):
+        if share is not None:
+            share.wait(half)
+        for t in range(hi - 1, lo - 1, -1):
+            (_, i, f, g, o), _, tanh_c, _ = steps[t]
+            d, di, df, dg, do = da_views[t]
+            dh_t = dhs[t] + dh_next
+            dc = dh_t * o * (1.0 - tanh_c**2)
+            dc += dc_next
+            di *= dc * g
+            if t:
+                df *= dc * steps[t - 1][1]
+            else:  # c_{-1} is zero
+                df[...] = 0.0
+            dg *= dc * i
+            do *= dh_t * tanh_c
+            dc_next = dc * f
+            if t:  # h_{-1} is zero
+                dh_next = d @ WhT
+        if share is not None:
+            share.passed(half)
+    if share is not None:
+        return share.dx, out
+    grads = _weight_grads(xs, buf.h, da, out or {})
+    if dx is False:
+        return None, grads
+    if dx is None:
+        dx = (da.reshape(T * B, 4 * H) @ p["Wx"].T).reshape(T, B, -1)
+    else:
+        _input_grad(da, p["Wx"].T, dx, 0, T)
+    return dx.transpose(1, 0, 2), grads
 
-    def weights():
-        return {
-            "Wx": np.matmul(xs.reshape(T * B, -1).T, flat, out=out.get("Wx")),
-            "Wh": np.matmul(h[:-1].reshape((T - 1) * B, H).T, flat[B:], out=out.get("Wh")),
-            "b": np.sum(flat, axis=0, out=out.get("b")),
-        }
 
-    grads = weights() if defer is None else defer(weights)
-    dx = (flat @ p["Wx"].T).reshape(T, B, -1).transpose(1, 0, 2)
-    return dx, grads
+class _Projection:
+    """One layer's input projection on a `StepHelper`: the tasks of its two
+    time halves, and the next layer's projection, which this layer's loop
+    queues. A network's first layer queues its own second half and computes
+    its first half itself."""
+
+    def __init__(self, helper: StepHelper, Wx, b, gates, first: bool):
+        self.helper, self.Wx, self.b, self.gates, self.first = helper, Wx, b, gates, first
+        self.halves = [None, None]
+        self.next = None
+
+    def wait(self, half: int, xs: np.ndarray) -> None:
+        """Before the loop reads this half of the gates."""
+        if self.first and not half:
+            early, late = _halves(len(xs))
+            self.halves[1] = self.helper.submit(_project, xs, self.Wx, self.b, self.gates, *late)
+            _project(xs, self.Wx, self.b, self.gates, *early)
+        if self.halves[half] is not None:
+            self.halves[half].result()
+
+    def passed(self, half: int, h: np.ndarray) -> None:
+        """Once the loop has written this half of h."""
+        nxt = self.next
+        if nxt is not None:
+            lo, hi = _halves(len(h))[half]
+            nxt.halves[half] = self.helper.submit(_project, h, nxt.Wx, nxt.b, nxt.gates, lo, hi)
 
 
-class BackwardHelper:
-    """Runs, on `pool`, a one-worker executor, the half of consecutive
-    `lstm_backward` passes that the next layer does not wait for.
+class StepHelper:
+    """Runs, on `pool`, a one-worker executor, the whole-sequence GEMMs of one
+    training step's LSTM layers in two time halves, [0, T//2) and [T//2, T),
+    while the caller's thread runs the time loops.
 
-    A layer's pass is its gate derivatives, its time loop, its weight-gradient
-    GEMMs and dx, and only the loop and dx feed the next layer. So the pool
-    prepares each layer's derivatives while the layer before it runs its
-    loop, and runs each layer's GEMMs while the caller computes dx and goes on
-    to the next layer. `caches` are the layer caches in the order of their
-    passes, and `backward` runs the next one.
+    Forward: `forward` gives one network's layers their `lstm_forward`
+    hand-offs. The helper computes each layer's input projection plus bias,
+    the first half queued when the layer below has passed T//2 in its loop,
+    the second when that loop ends; a network's first layer computes its
+    first half itself.
+
+    Backward: `start_backward` takes the layer caches in the order of their
+    passes, and `backward` runs the next one. The helper prepares each
+    layer's gate derivatives while the layer before it runs its loop, and
+    computes the layer's input gradient: the late half, which the next layer
+    reads first, once the loop has passed T//2, then the early half when the
+    loop ends, ahead of the layer's weight-gradient GEMMs. A network's first
+    layer has no input gradient to split: the encoder's is not needed, and
+    the decoder's, 5 + free dims wide, is one GEMM on the caller's thread,
+    because the row blocks of a narrow GEMM can differ from the whole one in
+    their last bits. Each layer waits for a half just before its loop reads
+    it.
 
     The layers' gate gradients take turns in two buffers: `da`, and the first
     layer's gates, which no task reads once that layer's loop is done. The
@@ -234,37 +393,78 @@ class BackwardHelper:
     queued when the layer before it starts, into the buffer that the layer
     before that one is done with. The pool runs its tasks in the order they
     were queued, so no task writes a buffer that an earlier one still reads.
-    `join` waits for every task and raises the first failed one's error. The
-    GEMMs and ufuncs are the ones `lstm_backward` runs inline, so every byte
-    is the same.
+    `join` waits for every task and raises the first failed one's error.
+    Every task is a GEMM or ufunc that the inline pass runs too: the same one,
+    or a time-half row block of it, which on OpenBLAS gives the whole GEMM's
+    bytes, so every byte is the same.
     """
 
-    def __init__(self, pool, caches, da):
+    def __init__(self, pool):
         self._pool = pool
-        self._caches = caches
-        self._da = (da, caches[0][4])
-        self._ready = []
         self._tasks = []
+
+    def submit(self, fn, *args):
+        task = self._pool.submit(fn, *args)
+        self._tasks.append(task)
+        return task
+
+    def forward(self, layers) -> list[_Projection]:
+        """The `share` of each of one network's layers, in order; `layers`
+        holds each one's scaled Wx and b, from `gate_constants`, and its
+        gate buffer."""
+        shares = [_Projection(self, Wx, b, gates, not i) for i, (Wx, b, gates) in enumerate(layers)]
+        for share, nxt in zip(shares, shares[1:]):
+            share.next = nxt
+        return shares
+
+    def start_backward(self, caches, da) -> None:
+        """`caches` are the layer caches in the order of their backward
+        passes; `da` is a (T, B, 4H) buffer and its `gate_views`."""
+        self._caches = caches
+        first = caches[0][1]
+        self._da = (da, (first.gates, first.gate_views))
+        self._ready = []
+        self._k = -1  # the layer in its pass
+        self._dx_halves = [None, None]
         self._prepare(0)
 
     def _prepare(self, k: int) -> None:
         if k < len(self._caches):
-            gates = self._caches[k][4]
-            self._ready.append(self._pool.submit(_gate_derivatives, gates, self._da[k % 2]))
+            gates = self._caches[k][1].gates
+            self._ready.append(self.submit(_gate_derivatives, gates, self._da[k % 2][0]))
 
-    def backward(self, dh_out: np.ndarray, p: dict[str, np.ndarray], out) -> np.ndarray:
-        """The next layer's `lstm_backward` into `out`; returns its dx."""
-        k = len(self._tasks)  # one task per layer run so far
+    def backward(self, dh_out: np.ndarray, p: dict[str, np.ndarray], out, dx, split: bool):
+        """The next layer's `lstm_backward` into `out`; returns its input
+        gradient, a batch-first view of the time-major buffer `dx`, whose
+        halves the helper computes if `split`, or None if `dx` is False."""
+        self._k = k = self._k + 1
         self._ready[k].result()
         if k:
             self._prepare(k + 1)
+        self._p, self._out, self._dx, self._split = p, out, dx, split
+        self._waits, self._dx_halves = self._dx_halves, [None, None]
+        self.da = self._da[k % 2]
+        self.dx = None if dx is False else dx.transpose(1, 0, 2)
+        return lstm_backward(dh_out, self._caches[k], p, out, share=self)[0]
 
-        def defer(weights):
-            if not k:  # the first layer's gates are free now
-                self._prepare(1)
-            self._tasks.append(self._pool.submit(weights))
+    def wait(self, half: int) -> None:
+        """Before the loop reads this half of dh_out."""
+        if self._waits[half] is not None:
+            self._waits[half].result()
 
-        return lstm_backward(dh_out, self._caches[k], p, out, self._da[k % 2], True, defer)[0]
+    def passed(self, half: int) -> None:
+        """Once the loop has written this half of the gate gradients."""
+        da, WxT, dx = self.da[0], self._p["Wx"].T, self._dx
+        if not half and not self._k:  # the first layer's gates are free now
+            self._prepare(1)
+        if self._split:
+            lo, hi = _halves(len(da))[half]
+            self._dx_halves[half] = self.submit(_input_grad, da, WxT, dx, lo, hi)
+        if not half:
+            xs, buf = self._caches[self._k]
+            self.submit(_weight_grads, xs, buf.h, da, self._out)
+            if dx is not False and not self._split:
+                _input_grad(da, WxT, dx, 0, len(da))
 
     def join(self) -> None:
         for task in self._tasks:

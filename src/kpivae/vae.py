@@ -30,8 +30,25 @@ samples of a batch go into one (S, B, T, 5) array, which takes one sigmoid
 and one finite check. Both give the bytes of the training pass's `_stack`.
 `map_chunks` runs every no-grad pass BATCH_WINDOWS windows at a time: on up
 to four threads in `detect`, on one in `encode_windows` and the validation
-loss. A training step with enough work per LSTM layer hands half of each
-layer's backward pass to one helper thread (`nn.BackwardHelper`).
+loss.
+
+A training step with enough work per LSTM layer takes one helper thread
+(`nn.StepHelper`), decided once, before the forward pass; the caller's
+thread then runs only the time loops and the heads and loss between them.
+In the forward pass the helper computes each layer's input projection plus
+bias in two time halves: a network's first layer computes its first half
+itself and queues the second, and every layer queues the next one's first
+half when its loop passes T//2 and the second when the loop ends. In the
+backward pass it prepares each layer's gate derivatives, computes the
+layer's input gradient, its late half queued when the loop passes T//2 and
+its early half when the loop ends, and then runs the weight-gradient
+GEMMs. Each layer waits for a half just before its loop reads it. The
+encoder's input gradient is not computed; the decoder's, the gradient wrt
+z, is one GEMM on the caller's thread. The layers' input gradients go into
+two `_Workspace` buffers taken in turn, so that no layer writes the one it
+reads. Every time loop, in training and in the no-grad passes, reads
+per-step views built once per buffer set: per batch size in `_Workspace`,
+per pass in `_nograd`.
 """
 from __future__ import annotations
 
@@ -56,8 +73,10 @@ from .errors import (
 from .nn import (
     Adam,
     HELPER_MIN_WORK,
-    BackwardHelper,
+    LstmBuffers,
+    StepHelper,
     gate_constants,
+    gate_views,
     linear_backward,
     linear_forward,
     linear_init,
@@ -65,6 +84,7 @@ from .nn import (
     lstm_forward,
     lstm_init,
     sigmoid,
+    step_scratch,
 )
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -255,23 +275,29 @@ def _check_finite(what: str, mean: np.ndarray, logvar: np.ndarray) -> None:
     raise NonFiniteError(f"{what} produced non-finite values at timestep {int(np.argmax(bad))}")
 
 
-def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=None, consts=None):
+def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=None, consts=None,
+           helper=None):
     """One network ("enc" or "dec"): LSTM layers, then a linear head split into
     a mean half and a clipped logvar half. The cache, when wanted, carries the
     layer caches, the head cache and the mask of logvars the clip left alone.
-    `bufs` is (time-major input, one `lstm_forward` out tuple per layer): a
+    `bufs` is (time-major input, one `LstmBuffers` per layer): a
     `_Workspace`'s, whose views the layer caches then are, or `_nograd`'s.
-    `consts`, from `_nograd`, maps each layer to its `gate_constants`."""
+    `consts` maps each layer to its `gate_constants`. A `StepHelper` computes
+    the layers' input projections, into `bufs`."""
     caches = []
     h = x
     if bufs is not None:
         xs, outs = bufs
         np.copyto(xs, x.transpose(1, 0, 2))  # casts x to the dtype of the buffers
         h = xs.transpose(1, 0, 2)  # the first layer reads it without a copy
-    for i in range(params.arch.layers):
-        layer = f"{net}{i}"
+    layers = [f"{net}{i}" for i in range(params.arch.layers)]
+    shares = [None] * len(layers)
+    if helper is not None:
+        # each layer's scaled Wx and b, and the gates they project into
+        shares = helper.forward([(*consts[n][::2], o.gates) for n, o in zip(layers, outs)])
+    for i, layer in enumerate(layers):
         out = None if bufs is None else outs[i]
-        h, cache = lstm_forward(h, params.layers[layer], out, consts and consts[layer])
+        h, cache = lstm_forward(h, params.layers[layer], out, consts and consts[layer], shares[i])
         if want_cache:
             caches.append(cache)
         del cache  # else the next layer's pass runs with this one's gates held
@@ -284,14 +310,23 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=No
     return mean, lv, (caches, head_cache, (lv_raw > LOGVAR_LO) & (lv_raw < LOGVAR_HI))
 
 
-def _encoder_forward(params: VaeParams, x: np.ndarray, bufs=None):
-    mu, lv, cache = _stack(params, "enc", x, True, bufs)
+def _layer_constants(params: VaeParams, nets: tuple[str, ...], out=None) -> dict[str, tuple]:
+    """Each LSTM layer of `nets` -> its `gate_constants`, in the dtype of
+    params; written into the layer views `out` of a params-shaped vector, if
+    given."""
+    names = [f"{net}{i}" for net in nets for i in range(params.arch.layers)]
+    layers, dest = [params.layers[n] for n in names], out and [out[n] for n in names]
+    return dict(zip(names, gate_constants(layers, params.flat.dtype, dest)))
+
+
+def _encoder_forward(params: VaeParams, x: np.ndarray, bufs=None, consts=None, helper=None):
+    mu, lv, cache = _stack(params, "enc", x, True, bufs, consts, helper)
     _check_finite("encoder", mu, lv)
     return mu, lv, cache
 
 
-def _decoder_forward(params: VaeParams, z: np.ndarray, bufs=None):
-    pre, lx, cache = _stack(params, "dec", z, True, bufs)
+def _decoder_forward(params: VaeParams, z: np.ndarray, bufs=None, consts=None, helper=None):
+    pre, lx, cache = _stack(params, "dec", z, True, bufs, consts, helper)
     mu_x = sigmoid(pre)
     _check_finite("decoder", mu_x, lx)
     return mu_x, lx, cache
@@ -303,16 +338,16 @@ def _nograd(params: VaeParams, nets: tuple[str, ...], B: int, T: int):
 
     The gate constants of their layers are built here, once. Every layer of
     the networks writes one buffer set made here: two h buffers in turn, and
-    one c, tanh(c), gates and step scratch. A `run` overwrites the buffers of
-    the one before, but not the arrays it returned; the buffers are freed
-    with `run`."""
+    one c, tanh(c), gates and `step_scratch`; the per-step views of each
+    h buffer's `LstmBuffers` are built here too, and share those of the rest.
+    A `run` overwrites the buffers of the one before, but not the arrays it
+    returned; the buffers are freed with `run`."""
     dtype, H, L = params.flat.dtype, params.arch.hidden, params.arch.layers
-    names = [f"{net}{i}" for net in nets for i in range(L)]
-    consts = dict(zip(names, gate_constants([params.layers[n] for n in names], dtype)))
-    h = [np.empty((T, B, H), dtype) for _ in range(2)]
-    shared = [np.empty((T, B, w), dtype) for w in (H, H, 4 * H)]
-    shared += [np.empty((B, w), dtype) for w in (4 * H, H)]
-    outs = [(h[i % 2], *shared) for i in range(L)]
+    consts = _layer_constants(params, nets)
+    c, tanh_c, gates = (np.empty((T, B, w), dtype) for w in (H, H, 4 * H))
+    shared = (c, tanh_c, gates, step_scratch(params.flat, B, H), gate_views(gates))
+    pair = [LstmBuffers(np.empty((T, B, H), dtype), *shared) for _ in range(2)]
+    outs = [pair[i % 2] for i in range(L)]
 
     def run(net: str, x: np.ndarray):
         xs = np.empty((T, B, x.shape[-1]), dtype)  # x, time-major, in dtype
@@ -323,24 +358,33 @@ def _nograd(params: VaeParams, nets: tuple[str, ...], B: int, T: int):
 
 
 def _stack_backward(
-    params: VaeParams, net: str, dmean, dlogvar, caches, grads, da=None, helper=None
+    params: VaeParams, net: str, dmean, dlogvar, caches, grads, da=None, dxs=None, helper=None
 ):
     """Backward through one network from the gradients of its mean and clipped
     logvar; writes the tensor gradients into the layer views `grads`, returns
-    the input gradient. `da` is the gate-gradient buffer every layer shares,
-    or None for one per layer; a `BackwardHelper`, given the network's layers
-    top down, runs their passes instead, in its own buffers."""
+    the input gradient, or None for the encoder, whose input gradient no one
+    reads. `da` is the gate-gradient buffer every layer shares, with its
+    `gate_views`, or None for one per layer. `dxs` are the two flat buffers
+    that the layers' input gradients take in turn, so that no layer writes
+    the one it reads, or None for new arrays. A `StepHelper`, given the
+    network's layers top down, runs their passes instead, in its own gate
+    buffers."""
     layer_caches, head_cache, mask = caches
     draw = np.concatenate([dmean, dlogvar * mask], axis=-1)
     dh, head_grads = linear_backward(draw, head_cache, params.layers[f"{net}_head"])
     for k, v in head_grads.items():
         grads[f"{net}_head"][k][...] = v
     for i in range(params.arch.layers - 1, -1, -1):
-        layer = f"{net}{i}"
-        if helper is None:
-            dh, _ = lstm_backward(dh, layer_caches[i], params.layers[layer], grads[layer], da)
+        layer, cache = f"{net}{i}", layer_caches[i]
+        if net == "enc" and not i:
+            dx = False
         else:
-            dh = helper.backward(dh, params.layers[layer], grads[layer])
+            xs = cache[0]  # the time-major input, whose shape dx takes
+            dx = None if dxs is None else dxs[i % 2][: xs.size].reshape(xs.shape)
+        if helper is None:
+            dh, _ = lstm_backward(dh, cache, params.layers[layer], grads[layer], da, dx)
+        else:
+            dh = helper.backward(dh, params.layers[layer], grads[layer], dx, split=i > 0)
     return dh
 
 
@@ -348,27 +392,32 @@ class _Workspace:
     """The arrays one `train` call reuses on every step, so that no step
     allocates, frees and faults them in again.
 
-    One flat buffer per array: each network's time-major input, each LSTM
-    layer's h, c, tanh(c) and gates, and one gate-gradient buffer that every
-    layer's backward pass shares; then the gradient vector and its layer
-    views. One step-scratch pair per batch size serves every layer's forward
-    pass. The buffers hold `batch` windows, the largest batch `train` draws.
-    A batch of b windows takes C-contiguous (T, b, .) views from the front of
-    each buffer, built once per b, so every GEMM sees the layout a fresh
-    array has. The buffers are allocated at the first step, like its input
-    and parameters, so that they share their array type as well as their
-    dtype. They are one allocation: freed as one block, it stays with the C
-    allocator for the next `train` in the process, where one allocation per
-    buffer would be handed back to the kernel and faulted in again.
+    One flat buffer per array: one gate-gradient buffer that every layer's
+    backward pass shares, two input-gradient buffers that the layers take in
+    turn, and each network's time-major input and each LSTM layer's h, c,
+    tanh(c) and gates; then the gradient vector and its layer views, and a
+    vector in the same layout for the step's gate constants. The
+    buffers hold `batch` windows, the largest batch `train` draws. A batch
+    of b windows takes C-contiguous (T, b, .) views from the front of each
+    buffer, built once per b, so every GEMM sees the layout a fresh array
+    has; with them, once per b too, each layer's `LstmBuffers` and its
+    per-step views, one `step_scratch` that every layer's forward pass
+    shares, and the gate-gradient buffer's `gate_views`. The buffers are
+    allocated at the first step, like its input and parameters, so that
+    they share their array type as well as their dtype. They are one
+    allocation: freed as one block, it stays with the C allocator for the
+    next `train` in the process, where one allocation per buffer would be
+    handed back to the kernel and faulted in again.
 
-    `pool`, a one-worker executor or None, is where a step's
-    `BackwardHelper` runs its tasks.
+    `pool`, a one-worker executor or None, is where a step's `StepHelper`
+    runs its tasks.
     """
 
     def __init__(self, batch: int, pool=None):
         self.batch = batch
         self.pool = pool
-        self._views = {}  # (b, T) -> (grad, grad layer views, enc bufs, dec bufs, da)
+        # (b, T) -> (grad, grad layer views, enc bufs, dec bufs, da, dxs, constant layer views)
+        self._views = {}
         self._flat = None
 
     def get(self, params: VaeParams, x: np.ndarray):
@@ -383,28 +432,32 @@ class _Workspace:
         # each network's input width and the widths of a layer's h, c, tanh(c), gates
         nets = [(dim, (H, H, H, 4 * H)) for _, dim, _ in _nets(params.latent)]
         if self._flat is None:
-            # da, then each network's input and its layers' buffers, in one block
-            order = [4 * H] + [w for dim, widths in nets for w in (dim, *widths * L)]
+            # da, the two input gradients, as wide as the widest, then each
+            # network's input and its layers' buffers, in one block
+            dx_width = max(H, params.latent.total)
+            order = [4 * H, dx_width, dx_width] + [w for dim, ws in nets for w in (dim, *ws * L)]
             rows = T * self.batch
             whole = np.empty_like(x, shape=(rows * sum(order),))
             bufs = iter(np.split(whole, rows * np.cumsum(order)[:-1]))
-            da = next(bufs)
+            da, dxs = next(bufs), (next(bufs), next(bufs))
             flats = [
                 (next(bufs), [[next(bufs) for _ in widths] for _ in range(L)]) for _, widths in nets
             ]
-            grad = np.empty_like(params.flat)
-            self._flat = grad, replace(params, flat=grad).layers, da, flats
-        grad, grads, da, flats = self._flat
+            grad, consts = np.empty_like(params.flat), np.empty_like(params.flat)
+            layers = (replace(params, flat=v).layers for v in (grad, consts))
+            self._flat = grad, next(layers), da, dxs, flats, next(layers)
+        grad, grads, da, dxs, flats, consts = self._flat
 
         def view(a, width):
             return a[: T * b * width].reshape(T, b, width)
 
-        scratch = [np.empty_like(x, shape=(b, w)) for w in (4 * H, H)]
+        scratch = step_scratch(x, b, H)
         enc, dec = (
-            (view(xs, dim), [(*map(view, layer, widths), *scratch) for layer in layers])
+            (view(xs, dim), [LstmBuffers(*map(view, layer, widths), scratch) for layer in layers])
             for (xs, layers), (dim, widths) in zip(flats, nets)
         )
-        return grad, grads, enc, dec, view(da, 4 * H)
+        da = view(da, 4 * H)
+        return grad, grads, enc, dec, (da, gate_views(da)), dxs, consts
 
 
 def _worker_count() -> int:
@@ -532,8 +585,9 @@ def objective_and_grads(
     gradient vector are its buffers: the returned vector is overwritten by
     the next call with the same workspace. Without one, every array is new.
     With a workspace that has a pool, a batch whose layers have at least
-    `nn.HELPER_MIN_WORK` gate-gradient elements each hands half of every LSTM
-    backward pass to a `BackwardHelper`, joined before the gradient returns.
+    `nn.HELPER_MIN_WORK` gate-gradient elements each hands the LSTM layers'
+    whole-sequence GEMMs, forward and backward, to a `StepHelper`, joined
+    before the gradient returns.
     """
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
@@ -541,20 +595,23 @@ def objective_and_grads(
     if ws is None:
         grad = np.empty_like(params.flat)
         grads = replace(params, flat=grad).layers  # views of grad
-        enc_bufs = dec_bufs = da = pool = None
+        enc_bufs = dec_bufs = da = dxs = consts = pool = None
     else:
-        grad, grads, enc_bufs, dec_bufs, da = ws.get(params, x)
+        grad, grads, enc_bufs, dec_bufs, da, dxs, const_layers = ws.get(params, x)
+        consts = _layer_constants(params, ("enc", "dec"), const_layers)
         pool = ws.pool
+    helper = None
+    if pool is not None and T * B * 4 * params.arch.hidden >= HELPER_MIN_WORK:
+        helper = StepHelper(pool)
 
-    mu, lv, enc_cache = _encoder_forward(params, x, enc_bufs)
+    mu, lv, enc_cache = _encoder_forward(params, x, enc_bufs, consts, helper)
     std = np.exp(lv / 2.0)
     z = mu + std * eps
-    mu_x, lx, dec_cache = _decoder_forward(params, z, dec_bufs)
-    helper = None
-    if pool is not None and da.size >= HELPER_MIN_WORK:
+    mu_x, lx, dec_cache = _decoder_forward(params, z, dec_bufs, consts, helper)
+    if helper is not None:
         # the LSTM layers in the order of their backward passes; the helper
         # starts on the first one's gate derivatives while the objective is summed
-        helper = BackwardHelper(pool, dec_cache[0][::-1] + enc_cache[0][::-1], da)
+        helper.start_backward(dec_cache[0][::-1] + enc_cache[0][::-1], da)
 
     resid = x - mu_x
     inv_var_x = np.exp(-lx)
@@ -570,13 +627,13 @@ def objective_and_grads(
     dmu_x = coef * (resid * inv_var_x)
     dlx = coef * (-0.5 + 0.5 * resid**2 * inv_var_x)
     dz = _stack_backward(
-        params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads, da, helper
+        params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads, da, dxs, helper
     )
 
     # KL term plus the pathwise gradient through z = mu + std * eps
     dmu = scale * (mu - prior_means[:, None, :]) / var_p + dz
     dlv = scale * (0.5 * np.exp(lv) / var_p - 0.5) + dz * eps * 0.5 * std
-    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads, da, helper)
+    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads, da, dxs, helper)
     if helper is not None:
         helper.join()
 
@@ -643,9 +700,9 @@ def train(
     min(batch_size, len(train_windows)). It lives for this call only, so its
     buffers are freed before the caller encodes or scores anything. At 2 or
     more usable CPUs the call starts one helper thread, which runs the
-    off-critical-path half of the LSTM backward passes of every step with
-    enough work (see `nn.BackwardHelper`); it ends with the call, whether
-    the call returns or raises, and no byte depends on it.
+    LSTM layers' whole-sequence GEMMs of every step with enough work (see
+    `nn.StepHelper`); it ends with the call, whether the call returns or
+    raises, and no byte depends on it.
     """
     config.validate()
     if not len(train_windows):
@@ -676,7 +733,7 @@ def train(
     since_best = 0
     n = len(train_windows)
 
-    # the steps' backward passes get one helper thread at 2 or more usable CPUs
+    # the steps get one helper thread at 2 or more usable CPUs
     with ThreadPoolExecutor(1) if _worker_count() > 1 else contextlib.nullcontext() as pool:
         ws = _Workspace(min(config.batch_size, n), pool)
         for epoch in range(config.max_epochs):

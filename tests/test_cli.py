@@ -1219,13 +1219,13 @@ def test_train_bytes_independent_of_the_helper_thread(tmp_path, monkeypatch):
 
     made = []
 
-    class Counted(vae.BackwardHelper):
+    class Counted(vae.StepHelper):
         def __init__(self, *args):
             made.append(self)
             super().__init__(*args)
 
     # the command takes the helper at two usable CPUs
-    monkeypatch.setattr(vae, "BackwardHelper", Counted)
+    monkeypatch.setattr(vae, "StepHelper", Counted)
     monkeypatch.setattr(vae, "_worker_count", lambda: 2)
     assert run(train(tmp_path / "here")) == 0
     assert len(made) == 2  # one full batch in each of the two epochs
