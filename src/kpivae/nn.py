@@ -28,44 +28,29 @@ a full-shape (B, 4H) scale and shift from its `step_scratch`, so that no
 step slices an array or broadcasts an operand. A caller that keeps its
 buffers keeps their views too.
 
-Buffer ownership. By default every call allocates its buffers, and what it
-returns is its own. A caller that passes buffers owns them instead: the
-cache, hidden states and gradients the call returns are views of those
-buffers, and stay valid only until the caller hands the same buffers to
-another call. `lstm_forward(x, p, out)` fills the `LstmBuffers` `out`,
-whose step scratch no caller reads back; `lstm_backward(dh_out, cache, p,
-out, da, dx)` fills the gradient arrays `out` {"Wx", "Wh", "b"} and the
-input-gradient buffer `dx`, and uses `da` for its gate gradients, which no
-caller reads back either. So one `da`, and one scratch set, can serve every
-layer in turn, and two `dx` buffers taken in turn every layer's input
-gradient. A `StepHelper` owns, for its whole backward pass, the `da` it is
-given and, from the end of its first layer's loop, that layer's gates: the
-layers' gate gradients take turns in the two, because its thread prepares
-each layer's while the layer before it still uses the other, so that cache
-holds gate gradients, not gates, once the pass is done. A pass that keeps
-no cache can go further: `vae`'s no-grad pass gives every layer of both
-networks one buffer set: two h buffers taken in turn, so that no layer
-writes the buffer it reads, and one c, tanh(c), gates and step scratch. The
-GEMMs, sums and ufuncs are the same whoever owns the buffers, so all give
-the same bytes.
+Buffer ownership. The caller owns every buffer a kernel writes: the
+`LstmBuffers` `out` that `lstm_forward` fills, and the gradient arrays `out`
+{"Wx", "Wh", "b"}, the gate-gradient buffer `da` and the input-gradient
+buffer `dx` that `lstm_backward` fills. What a call returns are views of
+them, valid until the caller hands the same buffers to another call. No
+caller reads back a step scratch or a `da`, so one of each serves every
+layer in turn. A layer's input gradient is the dh_out of the layer below,
+so two `dx` buffers, taken in turn, serve every layer, and no layer writes
+the one it reads. A `StepHelper` takes the gate gradients in turn in the
+`da` it is given and the first layer's gates. A pass that keeps no cache
+shares more: `vae`'s no-grad pass gives every layer of both networks one c,
+tanh(c), gates and step scratch, and two h buffers taken in turn.
 
-Two threads. A training step with enough work per layer hands a
-`StepHelper` every whole-sequence GEMM of its LSTM layers, so that the
-caller's thread runs only the time loops: each layer's input projection and
-input gradient, in two time halves, and its gate derivatives and weight
-gradients. The helper takes each half when the loop before it has written
-the rows it reads, and the loop after it waits for the half just before it
-reads it (see `StepHelper` for who queues what, and when). A time-half row
-block of each of these GEMMs gives the whole GEMM's bytes on OpenBLAS at
-the sizes the helper takes, which a test pins, so no byte depends on the
-helper.
+Two threads. A training step with enough work per layer (`HELPER_MIN_WORK`)
+gives each layer's call a `share` from a `StepHelper`, which runs the
+layer's whole-sequence GEMMs on a second thread while the caller's thread
+runs the time loops; `StepHelper` describes the schedule. No byte depends
+on the helper.
 
 A sigmoid is 0.5 + 0.5 * tanh(x / 2), branch-free; the LSTM activates all
 four gates with one tanh per step this way, from `gate_constants`: the
-weights with each gate column scaled. A call builds them from its layer; a
-caller that runs the same weights many times, as the no-grad pass does, or
-that needs them before a layer's call, as a training step does, builds them
-once and passes each layer's in.
+weights with each gate column scaled. The caller builds them once per set
+of weights and passes each layer's in.
 
 Everything is deterministic given the RNG, which is what lets the pipeline
 reproduce checkpoints byte-for-byte.
@@ -182,11 +167,6 @@ class LstmBuffers:
         self.gate_views = gate_views(gates) if views is None else views
         self.steps = list(zip(self.gate_views, c, tanh_c, h))
 
-    @classmethod
-    def empty(cls, T: int, B: int, H: int, dtype) -> LstmBuffers:
-        h, c, tanh_c, gates = (np.empty((T, B, w), dtype) for w in (H, H, H, 4 * H))
-        return cls(h, c, tanh_c, gates, step_scratch(h, B, H))
-
 
 def _halves(T: int) -> tuple[tuple[int, int], tuple[int, int]]:
     # the two time halves a `StepHelper` splits a layer's GEMMs into
@@ -201,20 +181,17 @@ def _project(xs, Wx, b, gates, lo: int, hi: int) -> None:
     rows += b
 
 
-def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out=None, consts=None, share=None):
-    """Run one LSTM layer over (B, T, D); returns hidden states (B, T, H) and a
-    cache, (time-major x, the `LstmBuffers`). `out`, if given, is the
-    `LstmBuffers` to fill, in the dtype of x. `consts`, if given, is the
-    layer's `gate_constants` entry in that dtype. `share`, if given, is the
-    layer's `StepHelper.forward` hand-off: it computes the input projection,
-    in two time halves, and the loop waits for each half before it reads it
-    and tells it when it has written each half of h."""
-    B, T, D = x.shape
-    H = p["Wh"].shape[0]
-    Wx, Wh, b = consts or gate_constants([p], x.dtype)[0]
+def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out: LstmBuffers, consts, share=None):
+    """Run the LSTM layer with weights p over (B, T, D); returns hidden states
+    (B, T, H) and a cache, (time-major x, `out`). `out` is the `LstmBuffers`
+    to fill, in the dtype of x, and `consts` p's `gate_constants` entry in
+    that dtype. `share`, if given, is the layer's `StepHelper.forward`
+    hand-off: it computes the input projection, in two time halves, and the
+    loop waits for each half before it reads it and tells it when it has
+    written each half of h."""
+    T = x.shape[1]
+    Wx, Wh, b = consts
     xs = np.ascontiguousarray(x.transpose(1, 0, 2))  # no copy for another layer's h
-    if out is None:
-        out = LstmBuffers.empty(T, B, H, x.dtype)
     rec, fc, scale, shift = out.rec, out.fc, out.scale, out.shift
     if share is None:
         _project(xs, Wx, b, out.gates, 0, T)
@@ -252,16 +229,14 @@ def _gate_derivatives(gates: np.ndarray, da: np.ndarray) -> None:
     np.subtract(1.0, dg, out=dg)
 
 
-def _weight_grads(xs, h, da, out) -> dict[str, np.ndarray]:
+def _weight_grads(xs, h, da, out) -> None:
     """dWx, dWh and db from the time-major input, h and gate gradients, into
-    `out`'s arrays where it has them."""
+    `out`'s arrays."""
     T, B, H = h.shape
     flat = da.reshape(T * B, 4 * H)
-    return {
-        "Wx": np.matmul(xs.reshape(T * B, -1).T, flat, out=out.get("Wx")),
-        "Wh": np.matmul(h[:-1].reshape((T - 1) * B, H).T, flat[B:], out=out.get("Wh")),
-        "b": np.sum(flat, axis=0, out=out.get("b")),
-    }
+    np.matmul(xs.reshape(T * B, -1).T, flat, out=out["Wx"])
+    np.matmul(h[:-1].reshape((T - 1) * B, H).T, flat[B:], out=out["Wh"])
+    np.sum(flat, axis=0, out=out["b"])
 
 
 def _input_grad(da, WxT, dx, lo: int, hi: int) -> None:
@@ -270,32 +245,27 @@ def _input_grad(da, WxT, dx, lo: int, hi: int) -> None:
     np.matmul(da[lo:hi].reshape(-1, da.shape[-1]), WxT, out=dx[lo:hi].reshape(-1, dx.shape[-1]))
 
 
-def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out=None, da=None, dx=None,
-                  share=None):
+def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out, da, dx, share=None):
     """Backprop through time for one layer.
 
-    dh_out is the gradient wrt every hidden state (B, T, H). Returns the
-    gradient wrt the layer input (B, T, D), a view of `dx` if given, a
-    C-contiguous time-major (T, B, D) buffer, or None if `dx` is False; and
-    the parameter gradients, written into `out` ({"Wx", "Wh", "b"} arrays
-    shaped like p) if given. `da`, if given, is a C-contiguous (T, B, 4H)
-    buffer for the gate gradients and its `gate_views`. `share`, if given, is
-    a `StepHelper` in its backward pass: the gate derivatives are in its own
-    buffer already, the loop waits for each half of dh_out before it reads it
-    and tells the helper when it has written each half of the gate
-    gradients, and the helper forms dx and the weight gradients from them.
+    dh_out is the gradient wrt every hidden state (B, T, H). Writes the
+    parameter gradients into `out`, {"Wx", "Wh", "b"} arrays shaped like p,
+    and the input gradient into `dx`, a C-contiguous time-major (T, B, D)
+    buffer, or skips it if `dx` is False. `da` is a C-contiguous (T, B, 4H)
+    buffer for the gate gradients and its `gate_views`. Returns the input
+    gradient, a batch-first (B, T, D) view of `dx` or None, and `out`.
+    `share`, if given, is a `StepHelper` in its backward pass: the gate
+    derivatives are in `da` already, the loop waits for each half of dh_out
+    before it reads it and tells the helper when it has written each half
+    of the gate gradients, and the helper forms dx and the weight gradients
+    from them.
     """
     xs, buf = cache
     T, B, H = buf.h.shape
     WhT = p["Wh"].T
     # each gate's derivative wrt its pre-activation, multiplied in the loop by
     # the gradient reaching the gate
-    if share is not None:
-        da = share.da
-    else:
-        if da is None:
-            a = np.empty_like(buf.gates)
-            da = (a, gate_views(a))
+    if share is None:
         _gate_derivatives(buf.gates, da[0])
     da, da_views = da
     steps = buf.steps
@@ -324,16 +294,11 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out=None,
                 dh_next = d @ WhT
         if share is not None:
             share.passed(half)
-    if share is not None:
-        return share.dx, out
-    grads = _weight_grads(xs, buf.h, da, out or {})
-    if dx is False:
-        return None, grads
-    if dx is None:
-        dx = (da.reshape(T * B, 4 * H) @ p["Wx"].T).reshape(T, B, -1)
-    else:
-        _input_grad(da, p["Wx"].T, dx, 0, T)
-    return dx.transpose(1, 0, 2), grads
+    if share is None:
+        _weight_grads(xs, buf.h, da, out)
+        if dx is not False:
+            _input_grad(da, p["Wx"].T, dx, 0, T)
+    return None if dx is False else dx.transpose(1, 0, 2), out
 
 
 class _Projection:
@@ -396,7 +361,8 @@ class StepHelper:
     `join` waits for every task and raises the first failed one's error.
     Every task is a GEMM or ufunc that the inline pass runs too: the same one,
     or a time-half row block of it, which on OpenBLAS gives the whole GEMM's
-    bytes, so every byte is the same.
+    bytes at the sizes `HELPER_MIN_WORK` lets through (a test pins them), so
+    every byte is the same.
     """
 
     def __init__(self, pool):
@@ -443,9 +409,7 @@ class StepHelper:
             self._prepare(k + 1)
         self._p, self._out, self._dx, self._split = p, out, dx, split
         self._waits, self._dx_halves = self._dx_halves, [None, None]
-        self.da = self._da[k % 2]
-        self.dx = None if dx is False else dx.transpose(1, 0, 2)
-        return lstm_backward(dh_out, self._caches[k], p, out, share=self)[0]
+        return lstm_backward(dh_out, self._caches[k], p, out, self._da[k % 2], dx, share=self)[0]
 
     def wait(self, half: int) -> None:
         """Before the loop reads this half of dh_out."""
@@ -454,7 +418,7 @@ class StepHelper:
 
     def passed(self, half: int) -> None:
         """Once the loop has written this half of the gate gradients."""
-        da, WxT, dx = self.da[0], self._p["Wx"].T, self._dx
+        da, WxT, dx = self._da[self._k % 2][0], self._p["Wx"].T, self._dx
         if not half and not self._k:  # the first layer's gates are free now
             self._prepare(1)
         if self._split:

@@ -19,7 +19,8 @@ cast the float64 checkpoint to it. The KL and log-likelihood sums, the sample
 mean and everything downstream of them are float64, and so is the checkpoint:
 training draws its initial parameters in float64 and upcasts the best ones,
 exactly, on return. The kernels follow the dtype of their parameters, so the
-gradient checks run them in float64 against central finite differences.
+gradient checks run the training pass, on a `_Workspace` of its own, in
+float64 against central finite differences.
 
 The no-grad passes (`batch_components`, behind `detect` and the validation
 loss, and `encode_windows`, behind the latent stats and `export-latent`) run
@@ -32,23 +33,13 @@ and one finite check. Both give the bytes of the training pass's `_stack`.
 to four threads in `detect`, on one in `encode_windows` and the validation
 loss.
 
-A training step with enough work per LSTM layer takes one helper thread
-(`nn.StepHelper`), decided once, before the forward pass; the caller's
-thread then runs only the time loops and the heads and loss between them.
-In the forward pass the helper computes each layer's input projection plus
-bias in two time halves: a network's first layer computes its first half
-itself and queues the second, and every layer queues the next one's first
-half when its loop passes T//2 and the second when the loop ends. In the
-backward pass it prepares each layer's gate derivatives, computes the
-layer's input gradient, its late half queued when the loop passes T//2 and
-its early half when the loop ends, and then runs the weight-gradient
-GEMMs. Each layer waits for a half just before its loop reads it. The
-encoder's input gradient is not computed; the decoder's, the gradient wrt
-z, is one GEMM on the caller's thread. The layers' input gradients go into
-two `_Workspace` buffers taken in turn, so that no layer writes the one it
-reads. Every time loop, in training and in the no-grad passes, reads
-per-step views built once per buffer set: per batch size in `_Workspace`,
-per pass in `_nograd`.
+Every time loop, in training and in the no-grad passes, reads per-step
+views built once per buffer set: per batch size in `_Workspace`, per pass
+in `_nograd`. A training step with enough work per LSTM layer takes one
+helper thread, decided once, before the forward pass, which runs the
+layers' whole-sequence GEMMs while the caller's thread runs the time loops
+and the heads and loss between them; `nn.StepHelper` describes the
+schedule.
 """
 from __future__ import annotations
 
@@ -275,8 +266,7 @@ def _check_finite(what: str, mean: np.ndarray, logvar: np.ndarray) -> None:
     raise NonFiniteError(f"{what} produced non-finite values at timestep {int(np.argmax(bad))}")
 
 
-def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=None, consts=None,
-           helper=None):
+def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs, consts, helper=None):
     """One network ("enc" or "dec"): LSTM layers, then a linear head split into
     a mean half and a clipped logvar half. The cache, when wanted, carries the
     layer caches, the head cache and the mask of logvars the clip left alone.
@@ -285,19 +275,16 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs=No
     `consts` maps each layer to its `gate_constants`. A `StepHelper` computes
     the layers' input projections, into `bufs`."""
     caches = []
-    h = x
-    if bufs is not None:
-        xs, outs = bufs
-        np.copyto(xs, x.transpose(1, 0, 2))  # casts x to the dtype of the buffers
-        h = xs.transpose(1, 0, 2)  # the first layer reads it without a copy
+    xs, outs = bufs
+    np.copyto(xs, x.transpose(1, 0, 2))  # casts x to the dtype of the buffers
+    h = xs.transpose(1, 0, 2)  # the first layer reads it without a copy
     layers = [f"{net}{i}" for i in range(params.arch.layers)]
     shares = [None] * len(layers)
     if helper is not None:
         # each layer's scaled Wx and b, and the gates they project into
         shares = helper.forward([(*consts[n][::2], o.gates) for n, o in zip(layers, outs)])
-    for i, layer in enumerate(layers):
-        out = None if bufs is None else outs[i]
-        h, cache = lstm_forward(h, params.layers[layer], out, consts and consts[layer], shares[i])
+    for layer, out, share in zip(layers, outs, shares):
+        h, cache = lstm_forward(h, params.layers[layer], out, consts[layer], share)
         if want_cache:
             caches.append(cache)
         del cache  # else the next layer's pass runs with this one's gates held
@@ -319,13 +306,13 @@ def _layer_constants(params: VaeParams, nets: tuple[str, ...], out=None) -> dict
     return dict(zip(names, gate_constants(layers, params.flat.dtype, dest)))
 
 
-def _encoder_forward(params: VaeParams, x: np.ndarray, bufs=None, consts=None, helper=None):
+def _encoder_forward(params: VaeParams, x: np.ndarray, bufs, consts, helper=None):
     mu, lv, cache = _stack(params, "enc", x, True, bufs, consts, helper)
     _check_finite("encoder", mu, lv)
     return mu, lv, cache
 
 
-def _decoder_forward(params: VaeParams, z: np.ndarray, bufs=None, consts=None, helper=None):
+def _decoder_forward(params: VaeParams, z: np.ndarray, bufs, consts, helper=None):
     pre, lx, cache = _stack(params, "dec", z, True, bufs, consts, helper)
     mu_x = sigmoid(pre)
     _check_finite("decoder", mu_x, lx)
@@ -358,17 +345,15 @@ def _nograd(params: VaeParams, nets: tuple[str, ...], B: int, T: int):
 
 
 def _stack_backward(
-    params: VaeParams, net: str, dmean, dlogvar, caches, grads, da=None, dxs=None, helper=None
+    params: VaeParams, net: str, dmean, dlogvar, caches, grads, da, dxs, helper=None
 ):
     """Backward through one network from the gradients of its mean and clipped
     logvar; writes the tensor gradients into the layer views `grads`, returns
     the input gradient, or None for the encoder, whose input gradient no one
     reads. `da` is the gate-gradient buffer every layer shares, with its
-    `gate_views`, or None for one per layer. `dxs` are the two flat buffers
-    that the layers' input gradients take in turn, so that no layer writes
-    the one it reads, or None for new arrays. A `StepHelper`, given the
-    network's layers top down, runs their passes instead, in its own gate
-    buffers."""
+    `gate_views`; `dxs` are the two flat buffers that the layers' input
+    gradients take in turn. A `StepHelper`, given the network's layers top
+    down, runs their passes instead, in its own gate buffers."""
     layer_caches, head_cache, mask = caches
     draw = np.concatenate([dmean, dlogvar * mask], axis=-1)
     dh, head_grads = linear_backward(draw, head_cache, params.layers[f"{net}_head"])
@@ -380,7 +365,7 @@ def _stack_backward(
             dx = False
         else:
             xs = cache[0]  # the time-major input, whose shape dx takes
-            dx = None if dxs is None else dxs[i % 2][: xs.size].reshape(xs.shape)
+            dx = dxs[i % 2][: xs.size].reshape(xs.shape)
         if helper is None:
             dh, _ = lstm_backward(dh, cache, params.layers[layer], grads[layer], da, dx)
         else:
@@ -581,28 +566,23 @@ def objective_and_grads(
     (objective, components dict, gradient vector laid out like params.flat).
     The networks and gradients run in the dtype of the arguments, which must
     all share it; the reported KL and log-likelihood are summed in float64.
-    With a workspace `ws`, of at least B windows, the layer caches and the
-    gradient vector are its buffers: the returned vector is overwritten by
-    the next call with the same workspace. Without one, every array is new.
+    The layer caches and the gradient vector are the buffers of the
+    workspace `ws`, of at least B windows, or of a new `_Workspace(B)`: the
+    returned vector is overwritten by the next call with the same workspace.
     With a workspace that has a pool, a batch whose layers have at least
     `nn.HELPER_MIN_WORK` gate-gradient elements each hands the LSTM layers'
-    whole-sequence GEMMs, forward and backward, to a `StepHelper`, joined
-    before the gradient returns.
+    whole-sequence GEMMs to a `StepHelper`, joined before the gradient
+    returns.
     """
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
     var_p = float(prior_std) ** 2
-    if ws is None:
-        grad = np.empty_like(params.flat)
-        grads = replace(params, flat=grad).layers  # views of grad
-        enc_bufs = dec_bufs = da = dxs = consts = pool = None
-    else:
-        grad, grads, enc_bufs, dec_bufs, da, dxs, const_layers = ws.get(params, x)
-        consts = _layer_constants(params, ("enc", "dec"), const_layers)
-        pool = ws.pool
+    ws = ws or _Workspace(B)
+    grad, grads, enc_bufs, dec_bufs, da, dxs, const_layers = ws.get(params, x)
+    consts = _layer_constants(params, ("enc", "dec"), const_layers)
     helper = None
-    if pool is not None and T * B * 4 * params.arch.hidden >= HELPER_MIN_WORK:
-        helper = StepHelper(pool)
+    if ws.pool is not None and T * B * 4 * params.arch.hidden >= HELPER_MIN_WORK:
+        helper = StepHelper(ws.pool)
 
     mu, lv, enc_cache = _encoder_forward(params, x, enc_bufs, consts, helper)
     std = np.exp(lv / 2.0)
@@ -699,10 +679,9 @@ def train(
     The steps share one `_Workspace`, sized for the largest batch drawn,
     min(batch_size, len(train_windows)). It lives for this call only, so its
     buffers are freed before the caller encodes or scores anything. At 2 or
-    more usable CPUs the call starts one helper thread, which runs the
-    LSTM layers' whole-sequence GEMMs of every step with enough work (see
-    `nn.StepHelper`); it ends with the call, whether the call returns or
-    raises, and no byte depends on it.
+    more usable CPUs the call starts one helper thread for the steps with
+    enough work (see `nn.StepHelper`); it ends with the call, whether the
+    call returns or raises, and no byte depends on it.
     """
     config.validate()
     if not len(train_windows):

@@ -9,6 +9,9 @@ with the decoder samples taken one at a time through the training pass.
 `lstm_forward`, `lstm_backward` and `sigmoid` are the reference kernels: one
 timestep at a time, the gate sigmoids masked into two branches, and the weight
 gradients summed step by step. `kpivae.nn` must agree with them.
+`nn_lstm_forward` and `nn_lstm_backward` run the `kpivae.nn` kernels of that
+name on new buffers, and `training_buffers` gives `vae._stack` the buffers
+and gate constants of a training step.
 
 `window_sequences` and `element_profiles` are the record-by-record references
 for the array versions of the same name, over a list of `KpiRecord`.
@@ -240,21 +243,31 @@ def encode(params, window) -> tuple[np.ndarray, np.ndarray]:
 
 def decode(params, z) -> tuple[np.ndarray, np.ndarray]:
     """Per-timestep reconstruction (mu_x in (0,1), logvar_x) for one z sequence."""
-    mu_x, lx, _ = vae._decoder_forward(params, np.asarray(z)[None])
+    z = np.asarray(z, params.flat.dtype)[None]
+    mu_x, lx, _ = vae._decoder_forward(params, z, *training_buffers(params, "dec", z))
     return mu_x[0], lx[0]
+
+
+def training_buffers(params, net, x):
+    """The `vae._stack` buffers of network `net` ("enc" or "dec") for the
+    windows x, from a new `vae._Workspace`, and its `_layer_constants`."""
+    _, _, enc, dec, *_ = vae._Workspace(len(x)).get(params, x)
+    return (enc if net == "enc" else dec), vae._layer_constants(params, (net,))
 
 
 def batch_components(params, x, prior_means, prior_std, eps):
     """`vae.batch_components` one decoder sample at a time, through the
     training pass's `_stack`: each sample's log-likelihood, the textbook
     expression, is added to a running float64 sum that starts at zero."""
-    mu, lv, _ = vae._stack(params, "enc", x.astype(params.flat.dtype), True)
+    xc = x.astype(params.flat.dtype)
+    mu, lv, _ = vae._stack(params, "enc", xc, True, *training_buffers(params, "enc", xc))
     f64 = [a.astype(np.float64) for a in (mu, lv)]
     kl_ts = vae._kl_ts(*f64, prior_means[:, None, :], prior_std)
     std = np.exp(lv / 2.0)
     ll = np.zeros(x.shape[:2])
     for s in range(eps.shape[0]):
-        pre, lx, _ = vae._stack(params, "dec", mu + std * eps[s].astype(mu.dtype), True)
+        z = mu + std * eps[s].astype(mu.dtype)
+        pre, lx, _ = vae._stack(params, "dec", z, True, *training_buffers(params, "dec", z))
         mu_x, lx = nn.sigmoid(pre).astype(np.float64), lx.astype(np.float64)
         ll += (-0.5 * (vae.LOG_2PI + lx + (x - mu_x) ** 2 * np.exp(-lx))).sum(axis=-1)
     return mu, lv, kl_ts, ll / eps.shape[0]
@@ -530,6 +543,27 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
         dx[:, t] = da @ p["Wx"].T
         dh_next = da @ p["Wh"].T
     return dx, {"Wx": dWx, "Wh": dWh, "b": db}
+
+
+def nn_lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
+    """`nn.lstm_forward` on new buffers and gate constants, in the dtype and
+    array type of x."""
+    B, T, _ = x.shape
+    H = p["Wh"].shape[0]
+    h, c, tanh_c, gates = (
+        np.empty_like(x, shape=(T, B, w), order="C") for w in (H, H, H, 4 * H)
+    )
+    out = nn.LstmBuffers(h, c, tanh_c, gates, nn.step_scratch(x, B, H))
+    return nn.lstm_forward(x, p, out, nn.gate_constants([p], x.dtype)[0])
+
+
+def nn_lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
+    """`nn.lstm_backward` into new gradient arrays, gate gradients and input
+    gradient."""
+    xs, buf = cache
+    da = np.empty_like(buf.gates)
+    grads = {k: np.empty_like(v) for k, v in p.items()}
+    return nn.lstm_backward(dh_out, cache, p, grads, (da, nn.gate_views(da)), np.empty_like(xs))
 
 
 @dataclass

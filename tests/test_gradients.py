@@ -15,10 +15,11 @@ def fd_check(params, x, prior_means, recon_weight, eps, step=1e-5, tol=1e-4, key
     def objective():
         return vae.objective_and_grads(params, x, prior_means, std, recon_weight, eps)[0]
 
-    # the gradient buffer starts as NaN, so an element the backward pass
-    # does not write shows up as non-finite
+    # the workspace and its gradient vector start as NaN, so a buffer read
+    # before it is written, or a gradient element the backward pass does not
+    # write, shows up as non-finite
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "empty_like", lambda a: np.full_like(a, np.nan))
+        mp.setattr(np, "empty_like", lambda a, **kw: np.full_like(a, np.nan, **kw))
         _, _, grad = vae.objective_and_grads(params, x, prior_means, std, recon_weight, eps)
     assert np.isfinite(grad).all()
     grads = oracles.tensors_of(params, grad)

@@ -164,7 +164,7 @@ class TestWorkspace:
 
     # at T = 1 the recurrent weight gradient is an empty sum, written as zeros
     @pytest.mark.parametrize("T", [1, 2, 10])
-    def test_shared_workspace_matches_calls_without_one(self, T):
+    def test_reused_workspace_matches_a_fresh_one(self, T):
         arch, latent = ArchConfig(hidden=6, layers=2), LatentConfig(free_dims=2)
         params = vae.init_params(arch, latent, seed=1).in_compute_dtype()
         rng = np.random.default_rng(T)

@@ -372,7 +372,8 @@ class TestNoGradPass:
         zs = [rng.standard_normal((B, T, params.latent.total)).astype(np.float32) for _ in range(2)]
         for net, inp in [("enc", x), ("dec", zs[0]), ("dec", zs[1]), ("enc", x)]:
             got = run(net, inp)
-            want = vae._stack(params, net, inp, True)[:2]
+            bufs, consts = oracles.training_buffers(params, net, inp)
+            want = vae._stack(params, net, inp, True, bufs, consts)[:2]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], net
 
     @pytest.mark.parametrize("S", [1, 2, 10])
