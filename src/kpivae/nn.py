@@ -29,23 +29,24 @@ step slices an array or broadcasts an operand. A caller that keeps its
 buffers keeps their views too.
 
 Buffer ownership. The caller owns every buffer a kernel writes: the
-`LstmBuffers` `out` that `lstm_forward` fills, and the gradient arrays `out`
+`LstmBuffers` `out` that `lstm_forward` fills, the gradient arrays `out`
 {"Wx", "Wh", "b"}, the gate-gradient buffer `da` and the input-gradient
-buffer `dx` that `lstm_backward` fills. What a call returns are views of
+buffer `dx` that `lstm_backward` fills, and the gradient arrays `out`
+{"W", "b"} that `linear_backward` fills. What a call returns are views of
 them, valid until the caller hands the same buffers to another call. No
 caller reads back a step scratch or a `da`, so one of each serves every
 layer in turn. A layer's input gradient is the dh_out of the layer below,
 so two `dx` buffers, taken in turn, serve every layer, and no layer writes
 the one it reads. A `StepHelper` takes the gate gradients in turn in the
-`da` it is given and the first layer's gates. A pass that keeps no cache
-shares more: `vae`'s no-grad pass gives every layer of both networks one c,
-tanh(c), gates and step scratch, and two h buffers taken in turn.
+`da` it is given and the first layer's gates. A pass whose caches no one
+reads shares more: `vae`'s no-grad pass gives every layer of both networks
+one c, tanh(c), gates and step scratch, and two h buffers taken in turn.
 
 Two threads. A training step with enough work per layer (`HELPER_MIN_WORK`)
-gives each layer's call a `share` from a `StepHelper`, which runs the
+gives each layer's call a `StepHelper` as its `share`, which runs the
 layer's whole-sequence GEMMs on a second thread while the caller's thread
-runs the time loops; `StepHelper` describes the schedule. No byte depends
-on the helper.
+runs the time loops; `StepHelper` describes the schedule and the protocol.
+No byte depends on the helper.
 
 A sigmoid is 0.5 + 0.5 * tanh(x / 2), branch-free; the LSTM activates all
 four gates with one tanh per step this way, from `gate_constants`: the
@@ -121,12 +122,13 @@ def _gate_affine(H: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def gate_constants(layers: list[dict[str, np.ndarray]], dtype, out=None) -> list[tuple]:
-    """Per layer (Wx, Wh, b) in `dtype`: the layer's weights with every gate
-    column scaled, so that one tanh per step activates all four gates;
-    written into `out`, one {"Wx", "Wh", "b"} dict of arrays per layer, if
-    given."""
-    scale, _ = _gate_affine(layers[0]["Wh"].shape[0], dtype)
+def gate_constants(layers: list[dict[str, np.ndarray]], out=None) -> list[tuple]:
+    """Per layer (Wx, Wh, b) in the layers' dtype: the layer's weights with
+    every gate column scaled, so that one tanh per step activates all four
+    gates; written into `out`, one {"Wx", "Wh", "b"} dict of arrays per
+    layer, if given."""
+    Wh = layers[0]["Wh"]
+    scale, _ = _gate_affine(Wh.shape[0], Wh.dtype)
     out = out or [{} for _ in layers]
     return [
         tuple(np.multiply(p[k], scale, out=o.get(k)) for k in ("Wx", "Wh", "b"))
@@ -157,14 +159,12 @@ class LstmBuffers:
 
     h, c and tanh(c) are C-contiguous time-major (T, B, H) arrays and the
     gates a (T, B, 4H) one; `scratch` is a `step_scratch`. `steps[t]` is the
-    gates' `gate_views` entry t, then c[t], tanh(c)[t] and h[t]. `views`, if
-    given, is the gates' `gate_views`, for buffer sets that share their
-    gates."""
+    gates' `gate_views` entry t, then c[t], tanh(c)[t] and h[t]."""
 
-    def __init__(self, h, c, tanh_c, gates, scratch, views=None):
+    def __init__(self, h, c, tanh_c, gates, scratch):
         self.h, self.gates = h, gates
         self.rec, self.fc, self.scale, self.shift = scratch
-        self.gate_views = gate_views(gates) if views is None else views
+        self.gate_views = gate_views(gates)
         self.steps = list(zip(self.gate_views, c, tanh_c, h))
 
 
@@ -185,10 +185,11 @@ def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out: LstmBuffers, cons
     """Run the LSTM layer with weights p over (B, T, D); returns hidden states
     (B, T, H) and a cache, (time-major x, `out`). `out` is the `LstmBuffers`
     to fill, in the dtype of x, and `consts` p's `gate_constants` entry in
-    that dtype. `share`, if given, is the layer's `StepHelper.forward`
-    hand-off: it computes the input projection, in two time halves, and the
-    loop waits for each half before it reads it and tells it when it has
-    written each half of h."""
+    that dtype. The pass reads the weights from `consts` only: `p` is read
+    by perfbench's flop counter, which takes H from it. `share`, if given,
+    is a `StepHelper` in its forward pass: it computes the input projection,
+    in two time halves, and the loop waits for each half before it reads it
+    and tells the helper when it has written each half of h."""
     T = x.shape[1]
     Wx, Wh, b = consts
     xs = np.ascontiguousarray(x.transpose(1, 0, 2))  # no copy for another layer's h
@@ -198,7 +199,7 @@ def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out: LstmBuffers, cons
     h_prev = c_prev = None  # h_{-1} and c_{-1} are zero
     for half, (lo, hi) in enumerate(_halves(T)):
         if share is not None:
-            share.wait(half, xs)
+            share.wait(half)
         for (a, i, f, g, o), c, tanh_c, h in out.steps[lo:hi]:
             if h_prev is not None:
                 np.matmul(h_prev, Wh, out=rec)
@@ -214,7 +215,7 @@ def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out: LstmBuffers, cons
             np.multiply(o, tanh_c, out=h)
             h_prev, c_prev = h, c
         if share is not None:
-            share.passed(half, out.h)
+            share.passed(half)
     return out.h.transpose(1, 0, 2), (xs, out)
 
 
@@ -301,44 +302,22 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out, da, 
     return None if dx is False else dx.transpose(1, 0, 2), out
 
 
-class _Projection:
-    """One layer's input projection on a `StepHelper`: the tasks of its two
-    time halves, and the next layer's projection, which this layer's loop
-    queues. A network's first layer queues its own second half and computes
-    its first half itself."""
-
-    def __init__(self, helper: StepHelper, Wx, b, gates, first: bool):
-        self.helper, self.Wx, self.b, self.gates, self.first = helper, Wx, b, gates, first
-        self.halves = [None, None]
-        self.next = None
-
-    def wait(self, half: int, xs: np.ndarray) -> None:
-        """Before the loop reads this half of the gates."""
-        if self.first and not half:
-            early, late = _halves(len(xs))
-            self.halves[1] = self.helper.submit(_project, xs, self.Wx, self.b, self.gates, *late)
-            _project(xs, self.Wx, self.b, self.gates, *early)
-        if self.halves[half] is not None:
-            self.halves[half].result()
-
-    def passed(self, half: int, h: np.ndarray) -> None:
-        """Once the loop has written this half of h."""
-        nxt = self.next
-        if nxt is not None:
-            lo, hi = _halves(len(h))[half]
-            nxt.halves[half] = self.helper.submit(_project, h, nxt.Wx, nxt.b, nxt.gates, lo, hi)
-
-
 class StepHelper:
     """Runs, on `pool`, a one-worker executor, the whole-sequence GEMMs of one
     training step's LSTM layers in two time halves, [0, T//2) and [T//2, T),
     while the caller's thread runs the time loops.
 
-    Forward: `forward` gives one network's layers their `lstm_forward`
-    hand-offs. The helper computes each layer's input projection plus bias,
-    the first half queued when the layer below has passed T//2 in its loop,
-    the second when that loop ends; a network's first layer computes its
-    first half itself.
+    One protocol serves both passes. Each layer's kernel call takes the
+    helper as its `share`, in the order of the passes; its loop calls
+    `wait(half)` just before it reads a half of its input, the gates forward
+    and dh_out backward, and `passed(half)` once it has written that half of
+    its output, h forward and the gate gradients backward. `passed` queues
+    the tasks that half lets start, and the next layer waits for them.
+
+    Forward: `forward` starts one network's pass. The helper computes each
+    layer's input projection plus bias: `forward` queues the first layer's
+    late half and computes its early half itself, and every later layer's
+    halves are queued once the layer below has written that half of h.
 
     Backward: `start_backward` takes the layer caches in the order of their
     passes, and `backward` runs the next one. The helper prepares each
@@ -349,8 +328,7 @@ class StepHelper:
     layer has no input gradient to split: the encoder's is not needed, and
     the decoder's, 5 + free dims wide, is one GEMM on the caller's thread,
     because the row blocks of a narrow GEMM can differ from the whole one in
-    their last bits. Each layer waits for a half just before its loop reads
-    it.
+    their last bits.
 
     The layers' gate gradients take turns in two buffers: `da`, and the first
     layer's gates, which no task reads once that layer's loop is done. The
@@ -368,20 +346,22 @@ class StepHelper:
     def __init__(self, pool):
         self._pool = pool
         self._tasks = []
+        self._caches = None  # the layer caches, from `start_backward` on
 
     def submit(self, fn, *args):
         task = self._pool.submit(fn, *args)
         self._tasks.append(task)
         return task
 
-    def forward(self, layers) -> list[_Projection]:
-        """The `share` of each of one network's layers, in order; `layers`
-        holds each one's scaled Wx and b, from `gate_constants`, and its
-        gate buffer."""
-        shares = [_Projection(self, Wx, b, gates, not i) for i, (Wx, b, gates) in enumerate(layers)]
-        for share, nxt in zip(shares, shares[1:]):
-            share.next = nxt
-        return shares
+    def forward(self, xs: np.ndarray, layers) -> None:
+        """Starts one network's forward pass on its time-major input `xs`;
+        `layers` holds each layer's scaled Wx and b, from `gate_constants`,
+        and its `LstmBuffers`."""
+        Wx, b, out = layers[0]
+        early, late = _halves(len(xs))
+        self._layers, self._k, self._next = layers, 0, [None, None]
+        self._waits = [None, self.submit(_project, xs, Wx, b, out.gates, *late)]
+        _project(xs, Wx, b, out.gates, *early)
 
     def start_backward(self, caches, da) -> None:
         """`caches` are the layer caches in the order of their backward
@@ -391,7 +371,7 @@ class StepHelper:
         self._da = (da, (first.gates, first.gate_views))
         self._ready = []
         self._k = -1  # the layer in its pass
-        self._dx_halves = [None, None]
+        self._next = [None, None]
         self._prepare(0)
 
     def _prepare(self, k: int) -> None:
@@ -408,24 +388,34 @@ class StepHelper:
         if k:
             self._prepare(k + 1)
         self._p, self._out, self._dx, self._split = p, out, dx, split
-        self._waits, self._dx_halves = self._dx_halves, [None, None]
+        self._waits, self._next = self._next, [None, None]
         return lstm_backward(dh_out, self._caches[k], p, out, self._da[k % 2], dx, share=self)[0]
 
     def wait(self, half: int) -> None:
-        """Before the loop reads this half of dh_out."""
+        """Before the loop reads this half of its input."""
         if self._waits[half] is not None:
             self._waits[half].result()
 
     def passed(self, half: int) -> None:
-        """Once the loop has written this half of the gate gradients."""
-        da, WxT, dx = self._da[self._k % 2][0], self._p["Wx"].T, self._dx
-        if not half and not self._k:  # the first layer's gates are free now
+        """Once the loop has written this half of its output."""
+        k = self._k
+        if self._caches is None:
+            layers = self._layers
+            if k + 1 < len(layers):
+                Wx, b, out = layers[k + 1]
+                lo, hi = _halves(len(out.h))[half]
+                self._next[half] = self.submit(_project, layers[k][2].h, Wx, b, out.gates, lo, hi)
+            if half:  # the loop is done: the next layer waits for what it queued
+                self._k, self._waits, self._next = k + 1, self._next, [None, None]
+            return
+        da, WxT, dx = self._da[k % 2][0], self._p["Wx"].T, self._dx
+        if not half and not k:  # the first layer's gates are free now
             self._prepare(1)
         if self._split:
             lo, hi = _halves(len(da))[half]
-            self._dx_halves[half] = self.submit(_input_grad, da, WxT, dx, lo, hi)
+            self._next[half] = self.submit(_input_grad, da, WxT, dx, lo, hi)
         if not half:
-            xs, buf = self._caches[self._k]
+            xs, buf = self._caches[k]
             self.submit(_weight_grads, xs, buf.h, da, self._out)
             if dx is not False and not self._split:
                 _input_grad(da, WxT, dx, 0, len(da))
@@ -439,14 +429,15 @@ def linear_forward(x: np.ndarray, p: dict[str, np.ndarray]):
     return x @ p["W"] + p["b"], x
 
 
-def linear_backward(dy: np.ndarray, cache, p: dict[str, np.ndarray]):
+def linear_backward(dy: np.ndarray, cache, p: dict[str, np.ndarray], out):
+    """Writes dW and db into `out`, {"W", "b"} arrays shaped like p, and
+    returns the input gradient."""
     x = cache
     flat_x = x.reshape(-1, x.shape[-1])
     flat_dy = dy.reshape(-1, dy.shape[-1])
-    dW = flat_x.T @ flat_dy
-    db = flat_dy.sum(axis=0)
-    dx = dy @ p["W"].T
-    return dx, {"W": dW, "b": db}
+    np.matmul(flat_x.T, flat_dy, out=out["W"])
+    np.sum(flat_dy, axis=0, out=out["b"])
+    return dy @ p["W"].T
 
 
 class Adam:

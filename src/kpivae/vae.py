@@ -266,35 +266,29 @@ def _check_finite(what: str, mean: np.ndarray, logvar: np.ndarray) -> None:
     raise NonFiniteError(f"{what} produced non-finite values at timestep {int(np.argmax(bad))}")
 
 
-def _stack(params: VaeParams, net: str, x: np.ndarray, want_cache: bool, bufs, consts, helper=None):
+def _stack(params: VaeParams, net: str, x: np.ndarray, bufs, consts, helper=None):
     """One network ("enc" or "dec"): LSTM layers, then a linear head split into
-    a mean half and a clipped logvar half. The cache, when wanted, carries the
-    layer caches, the head cache and the mask of logvars the clip left alone.
+    a mean half and a clipped logvar half. Returns (mean, logvar, cache); the
+    cache carries the layer caches, the head cache and the clipped logvar.
     `bufs` is (time-major input, one `LstmBuffers` per layer): a
-    `_Workspace`'s, whose views the layer caches then are, or `_nograd`'s.
+    `_Workspace`'s or `_nograd`'s, whose views the layer caches are.
     `consts` maps each layer to its `gate_constants`. A `StepHelper` computes
     the layers' input projections, into `bufs`."""
-    caches = []
     xs, outs = bufs
     np.copyto(xs, x.transpose(1, 0, 2))  # casts x to the dtype of the buffers
     h = xs.transpose(1, 0, 2)  # the first layer reads it without a copy
     layers = [f"{net}{i}" for i in range(params.arch.layers)]
-    shares = [None] * len(layers)
     if helper is not None:
-        # each layer's scaled Wx and b, and the gates they project into
-        shares = helper.forward([(*consts[n][::2], o.gates) for n, o in zip(layers, outs)])
-    for layer, out, share in zip(layers, outs, shares):
-        h, cache = lstm_forward(h, params.layers[layer], out, consts[layer], share)
-        if want_cache:
-            caches.append(cache)
-        del cache  # else the next layer's pass runs with this one's gates held
+        # each layer's scaled Wx and b, and its buffers
+        helper.forward(xs, [(*consts[n][::2], o) for n, o in zip(layers, outs)])
+    caches = []
+    for layer, out in zip(layers, outs):
+        h, cache = lstm_forward(h, params.layers[layer], out, consts[layer], helper)
+        caches.append(cache)
     raw, head_cache = linear_forward(h, params.layers[f"{net}_head"])
     half = raw.shape[-1] // 2
-    mean, lv_raw = raw[..., :half], raw[..., half:]
-    lv = np.clip(lv_raw, LOGVAR_LO, LOGVAR_HI)
-    if not want_cache:
-        return mean, lv, None
-    return mean, lv, (caches, head_cache, (lv_raw > LOGVAR_LO) & (lv_raw < LOGVAR_HI))
+    lv = np.clip(raw[..., half:], LOGVAR_LO, LOGVAR_HI)
+    return raw[..., :half], lv, (caches, head_cache, lv)
 
 
 def _layer_constants(params: VaeParams, nets: tuple[str, ...], out=None) -> dict[str, tuple]:
@@ -303,42 +297,29 @@ def _layer_constants(params: VaeParams, nets: tuple[str, ...], out=None) -> dict
     given."""
     names = [f"{net}{i}" for net in nets for i in range(params.arch.layers)]
     layers, dest = [params.layers[n] for n in names], out and [out[n] for n in names]
-    return dict(zip(names, gate_constants(layers, params.flat.dtype, dest)))
-
-
-def _encoder_forward(params: VaeParams, x: np.ndarray, bufs, consts, helper=None):
-    mu, lv, cache = _stack(params, "enc", x, True, bufs, consts, helper)
-    _check_finite("encoder", mu, lv)
-    return mu, lv, cache
-
-
-def _decoder_forward(params: VaeParams, z: np.ndarray, bufs, consts, helper=None):
-    pre, lx, cache = _stack(params, "dec", z, True, bufs, consts, helper)
-    mu_x = sigmoid(pre)
-    _check_finite("decoder", mu_x, lx)
-    return mu_x, lx, cache
+    return dict(zip(names, gate_constants(layers, dest)))
 
 
 def _nograd(params: VaeParams, nets: tuple[str, ...], B: int, T: int):
     """The no-grad forward of B windows of T steps: `run(net, x)` returns
-    `_stack`'s mean and clipped logvar of one of `nets` and keeps no cache.
+    `_stack`'s mean and clipped logvar of one of `nets`.
 
     The gate constants of their layers are built here, once. Every layer of
     the networks writes one buffer set made here: two h buffers in turn, and
-    one c, tanh(c), gates and `step_scratch`; the per-step views of each
-    h buffer's `LstmBuffers` are built here too, and share those of the rest.
-    A `run` overwrites the buffers of the one before, but not the arrays it
-    returned; the buffers are freed with `run`."""
+    one c, tanh(c), gates and `step_scratch`; the `LstmBuffers` of each h
+    buffer, and its per-step views, are built here too. A `run` overwrites
+    the buffers of the one before, but not the arrays it returned; the
+    buffers are freed with `run`."""
     dtype, H, L = params.flat.dtype, params.arch.hidden, params.arch.layers
     consts = _layer_constants(params, nets)
     c, tanh_c, gates = (np.empty((T, B, w), dtype) for w in (H, H, 4 * H))
-    shared = (c, tanh_c, gates, step_scratch(params.flat, B, H), gate_views(gates))
+    shared = (c, tanh_c, gates, step_scratch(params.flat, B, H))
     pair = [LstmBuffers(np.empty((T, B, H), dtype), *shared) for _ in range(2)]
     outs = [pair[i % 2] for i in range(L)]
 
     def run(net: str, x: np.ndarray):
         xs = np.empty((T, B, x.shape[-1]), dtype)  # x, time-major, in dtype
-        mean, lv, _ = _stack(params, net, x, False, (xs, outs), consts)
+        mean, lv, _ = _stack(params, net, x, (xs, outs), consts)
         return mean, lv
 
     return run
@@ -354,11 +335,10 @@ def _stack_backward(
     `gate_views`; `dxs` are the two flat buffers that the layers' input
     gradients take in turn. A `StepHelper`, given the network's layers top
     down, runs their passes instead, in its own gate buffers."""
-    layer_caches, head_cache, mask = caches
-    draw = np.concatenate([dmean, dlogvar * mask], axis=-1)
-    dh, head_grads = linear_backward(draw, head_cache, params.layers[f"{net}_head"])
-    for k, v in head_grads.items():
-        grads[f"{net}_head"][k][...] = v
+    layer_caches, head_cache, lv = caches
+    # the clip passes the gradient of the logvars strictly inside its bounds
+    draw = np.concatenate([dmean, dlogvar * ((lv > LOGVAR_LO) & (lv < LOGVAR_HI))], axis=-1)
+    dh = linear_backward(draw, head_cache, params.layers[f"{net}_head"], grads[f"{net}_head"])
     for i in range(params.arch.layers - 1, -1, -1):
         layer, cache = f"{net}{i}", layer_caches[i]
         if net == "enc" and not i:
@@ -471,7 +451,8 @@ def map_chunks(fn, n: int, workers: int = 1) -> list:
 
 def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
     """float64 (mu, logvar), each (N, T, total), encoded in COMPUTE_DTYPE
-    BATCH_WINDOWS windows at a time in input order, on one thread."""
+    BATCH_WINDOWS windows at a time in input order, on one thread; N may be
+    zero."""
     params = params.in_compute_dtype()
     x = windows.values
 
@@ -482,8 +463,8 @@ def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.
         return mu, lv
 
     # outputs are joined after the last chunk, not preallocated, so they do
-    # not add to the peak memory of the forward passes
-    parts = map_chunks(encode, len(x))
+    # not add to the peak memory of the forward passes; zero windows join none
+    parts = map_chunks(encode, len(x)) or [(np.empty((0, x.shape[1], params.latent.total)),) * 2]
     return tuple(np.concatenate([p[i] for p in parts], dtype=np.float64) for i in (0, 1))
 
 
@@ -558,7 +539,7 @@ def objective_and_grads(
     prior_std: float,
     recon_weight: float,
     eps: np.ndarray,
-    ws: _Workspace | None = None,
+    ws: _Workspace,
 ):
     """Training objective kl + recon_weight * (-loglik) and its exact gradients.
 
@@ -567,8 +548,8 @@ def objective_and_grads(
     The networks and gradients run in the dtype of the arguments, which must
     all share it; the reported KL and log-likelihood are summed in float64.
     The layer caches and the gradient vector are the buffers of the
-    workspace `ws`, of at least B windows, or of a new `_Workspace(B)`: the
-    returned vector is overwritten by the next call with the same workspace.
+    workspace `ws`, of at least B windows: the returned vector is
+    overwritten by the next call with the same workspace.
     With a workspace that has a pool, a batch whose layers have at least
     `nn.HELPER_MIN_WORK` gate-gradient elements each hands the LSTM layers'
     whole-sequence GEMMs to a `StepHelper`, joined before the gradient
@@ -577,17 +558,19 @@ def objective_and_grads(
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
     var_p = float(prior_std) ** 2
-    ws = ws or _Workspace(B)
     grad, grads, enc_bufs, dec_bufs, da, dxs, const_layers = ws.get(params, x)
     consts = _layer_constants(params, ("enc", "dec"), const_layers)
     helper = None
     if ws.pool is not None and T * B * 4 * params.arch.hidden >= HELPER_MIN_WORK:
         helper = StepHelper(ws.pool)
 
-    mu, lv, enc_cache = _encoder_forward(params, x, enc_bufs, consts, helper)
+    mu, lv, enc_cache = _stack(params, "enc", x, enc_bufs, consts, helper)
+    _check_finite("encoder", mu, lv)
     std = np.exp(lv / 2.0)
     z = mu + std * eps
-    mu_x, lx, dec_cache = _decoder_forward(params, z, dec_bufs, consts, helper)
+    pre, lx, dec_cache = _stack(params, "dec", z, dec_bufs, consts, helper)
+    mu_x = sigmoid(pre)
+    _check_finite("decoder", mu_x, lx)
     if helper is not None:
         # the LSTM layers in the order of their backward passes; the helper
         # starts on the first one's gate derivatives while the objective is summed
@@ -640,7 +623,7 @@ def train_step(
     prior_means: np.ndarray,
     config: TrainConfig,
     rng: np.random.Generator,
-    ws: _Workspace | None = None,
+    ws: _Workspace,
 ) -> dict[str, float]:
     """One Adam update on a batch; mutates params in place via the optimizer.
     The noise is drawn in float64 and cast to the dtype of `x`; `ws` is

@@ -244,8 +244,8 @@ def encode(params, window) -> tuple[np.ndarray, np.ndarray]:
 def decode(params, z) -> tuple[np.ndarray, np.ndarray]:
     """Per-timestep reconstruction (mu_x in (0,1), logvar_x) for one z sequence."""
     z = np.asarray(z, params.flat.dtype)[None]
-    mu_x, lx, _ = vae._decoder_forward(params, z, *training_buffers(params, "dec", z))
-    return mu_x[0], lx[0]
+    pre, lx, _ = vae._stack(params, "dec", z, *training_buffers(params, "dec", z))
+    return nn.sigmoid(pre)[0], lx[0]
 
 
 def training_buffers(params, net, x):
@@ -260,14 +260,14 @@ def batch_components(params, x, prior_means, prior_std, eps):
     training pass's `_stack`: each sample's log-likelihood, the textbook
     expression, is added to a running float64 sum that starts at zero."""
     xc = x.astype(params.flat.dtype)
-    mu, lv, _ = vae._stack(params, "enc", xc, True, *training_buffers(params, "enc", xc))
+    mu, lv, _ = vae._stack(params, "enc", xc, *training_buffers(params, "enc", xc))
     f64 = [a.astype(np.float64) for a in (mu, lv)]
     kl_ts = vae._kl_ts(*f64, prior_means[:, None, :], prior_std)
     std = np.exp(lv / 2.0)
     ll = np.zeros(x.shape[:2])
     for s in range(eps.shape[0]):
         z = mu + std * eps[s].astype(mu.dtype)
-        pre, lx, _ = vae._stack(params, "dec", z, True, *training_buffers(params, "dec", z))
+        pre, lx, _ = vae._stack(params, "dec", z, *training_buffers(params, "dec", z))
         mu_x, lx = nn.sigmoid(pre).astype(np.float64), lx.astype(np.float64)
         ll += (-0.5 * (vae.LOG_2PI + lx + (x - mu_x) ** 2 * np.exp(-lx))).sum(axis=-1)
     return mu, lv, kl_ts, ll / eps.shape[0]
@@ -554,7 +554,7 @@ def nn_lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
         np.empty_like(x, shape=(T, B, w), order="C") for w in (H, H, H, 4 * H)
     )
     out = nn.LstmBuffers(h, c, tanh_c, gates, nn.step_scratch(x, B, H))
-    return nn.lstm_forward(x, p, out, nn.gate_constants([p], x.dtype)[0])
+    return nn.lstm_forward(x, p, out, nn.gate_constants([p])[0])
 
 
 def nn_lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):

@@ -83,7 +83,8 @@ class TestGradientCheck:
         x = rng.uniform(size=(2, 3, 5))
         prior_means = rng.uniform(-1, 1, (2, 30))
         eps = rng.standard_normal((2, 3, 30))
-        obj, _, grads = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
+        ws = vae._Workspace(len(x))
+        obj, _, grads = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps, ws)
 
         def objective():
             _, _, kl_ts, ll_ts = vae.batch_components(params, x, prior_means, 1.0, eps[None])

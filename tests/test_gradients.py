@@ -13,14 +13,16 @@ def fd_check(params, x, prior_means, recon_weight, eps, step=1e-5, tol=1e-4, key
     std = 1.0
 
     def objective():
-        return vae.objective_and_grads(params, x, prior_means, std, recon_weight, eps)[0]
+        ws = vae._Workspace(len(x))
+        return vae.objective_and_grads(params, x, prior_means, std, recon_weight, eps, ws)[0]
 
     # the workspace and its gradient vector start as NaN, so a buffer read
     # before it is written, or a gradient element the backward pass does not
     # write, shows up as non-finite
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "empty_like", lambda a, **kw: np.full_like(a, np.nan, **kw))
-        _, _, grad = vae.objective_and_grads(params, x, prior_means, std, recon_weight, eps)
+        ws = vae._Workspace(len(x))
+        _, _, grad = vae.objective_and_grads(params, x, prior_means, std, recon_weight, eps, ws)
     assert np.isfinite(grad).all()
     grads = oracles.tensors_of(params, grad)
     worst = 0.0
@@ -74,18 +76,41 @@ class TestObjectiveGradients:
             keys=["enc0.Wx", "enc_head.W", "enc_head.b"],
         )
 
-    def test_clamped_logvar_has_zero_gradient(self):
-        params, latent = micro_model(seed=3)
-        total = latent.total
-        # push encoder logvar deep into the clamp; its bias must get no signal
-        params.tensors["enc_head.b"][total:] = -12.0
+    @staticmethod
+    def logvar_bias_gradient(params, net):
+        """The gradient of the logvar half of `net`'s head bias, and the
+        inputs it was taken at."""
         rng = np.random.default_rng(2)
         x = rng.uniform(size=(1, 2, 5))
-        prior_means = rng.uniform(-1, 1, (1, total))
-        eps = rng.standard_normal((1, 2, total))
-        _, _, grad = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
-        assert (oracles.tensors_of(params, grad)["enc_head.b"][total:] == 0.0).all()
-        fd_check(params, x, prior_means, 10.0, eps, keys=["enc_head.b"])
+        prior_means = rng.uniform(-1, 1, (1, params.latent.total))
+        eps = rng.standard_normal((1, 2, params.latent.total))
+        ws = vae._Workspace(len(x))
+        _, _, grad = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps, ws)
+        b = oracles.tensors_of(params, grad)[f"{net}_head.b"]
+        return b[b.size // 2 :], (x, prior_means, eps)
+
+    @pytest.mark.parametrize("net", ["enc", "dec"])
+    @pytest.mark.parametrize("bias", [-12.0, 12.0])
+    def test_clamped_logvar_has_zero_gradient(self, net, bias):
+        # push the head's logvars deep into the clamp; their bias must get no signal
+        params, _ = micro_model(seed=3)
+        b = params.tensors[f"{net}_head.b"]
+        b[b.size // 2 :] = bias
+        grad, (x, prior_means, eps) = self.logvar_bias_gradient(params, net)
+        assert (grad == 0.0).all()
+        fd_check(params, x, prior_means, 10.0, eps, keys=[f"{net}_head.b"])
+
+    @pytest.mark.parametrize("net", ["enc", "dec"])
+    def test_logvar_on_the_bound_has_zero_gradient(self, net):
+        # raw logvars of exactly LOGVAR_LO, which the clip keeps as they are;
+        # the clip passes a gradient only strictly inside its bounds. The
+        # subgradient on a bound is ambiguous, so no finite differences here
+        params, _ = micro_model(seed=3)
+        W, b = params.tensors[f"{net}_head.W"], params.tensors[f"{net}_head.b"]
+        W[:, b.size // 2 :] = 0.0
+        b[b.size // 2 :] = vae.LOGVAR_LO
+        grad, _ = self.logvar_bias_gradient(params, net)
+        assert (grad == 0.0).all()
 
     def test_objective_composes_components(self):
         params, latent = micro_model(seed=4)
@@ -93,7 +118,8 @@ class TestObjectiveGradients:
         x = rng.uniform(size=(2, 3, 5))
         prior_means = rng.uniform(-1, 1, (2, latent.total))
         eps = rng.standard_normal((2, 3, latent.total))
-        obj, comps, _ = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
+        ws = vae._Workspace(len(x))
+        obj, comps, _ = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps, ws)
         assert obj == pytest.approx(comps["kl"] - 10.0 * comps["loglik"], abs=1e-12)
         assert comps["objective"] == obj
 
@@ -103,9 +129,10 @@ class TestObjectiveGradients:
         x = rng.uniform(size=(1, 2, 5))
         prior_means = rng.uniform(-1, 1, (1, latent.total))
         eps = rng.standard_normal((1, 2, latent.total))
-        _, _, a = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
-        _, _, b = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
-        assert not np.shares_memory(a, b)  # without a workspace, each call's own vector
+        args = (params, x, prior_means, 1.0, 10.0, eps)
+        _, _, a = vae.objective_and_grads(*args, vae._Workspace(len(x)))
+        _, _, b = vae.objective_and_grads(*args, vae._Workspace(len(x)))
+        assert not np.shares_memory(a, b)  # each workspace's own vector
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -116,7 +143,8 @@ class TestObjectiveGradients:
         x = rng.uniform(size=(2, 2, 5)).astype(dtype)
         prior_means = rng.uniform(-1, 1, (2, latent.total)).astype(dtype)
         eps = rng.standard_normal((2, 2, latent.total)).astype(dtype)
-        _, components, grad = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps)
+        ws = vae._Workspace(len(x))
+        _, components, grad = vae.objective_and_grads(params, x, prior_means, 1.0, 10.0, eps, ws)
         assert grad.dtype == dtype
         assert all(type(v) is float for v in components.values())
 
@@ -129,4 +157,4 @@ class TestObjectiveGradients:
         x = f32(rng.uniform(size=(2, 2, 5)))
         prior_means = f32(rng.uniform(-1, 1, (2, latent.total)))
         eps = f32(rng.standard_normal((2, 2, latent.total)))
-        vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps)
+        vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, vae._Workspace(len(x)))

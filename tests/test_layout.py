@@ -1,6 +1,6 @@
-"""Every public module-level function and class of the package has a caller
-in the package itself. Code that only tests use belongs in `tests/oracles.py`.
-Only data.py opens files."""
+"""Every module-level definition and constant of the package has a caller in
+the package itself, and every import of the package is used. Code that only
+tests use belongs in `tests/oracles.py`. Only data.py opens files."""
 import ast
 from pathlib import Path
 
@@ -20,24 +20,55 @@ def _names(node) -> set[str]:
     return out
 
 
-def test_every_public_definition_has_a_caller_in_src():
+def _defines(stmt) -> list[str]:
+    """The module-level names a top-level statement defines: a function, a
+    class or the targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_definition_has_a_caller_in_src():
+    """Private names and constants too; dunders such as `__version__` are
+    read from outside the package."""
     defined = []  # (module, name)
-    used = []  # (module, enclosing top-level definition or None, identifiers)
+    used = []  # (module, names the top-level statement defines, identifiers)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for stmt in tree.body:
-            owner = None
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                owner = stmt.name
-                if not owner.startswith("_"):
-                    defined.append((path.stem, owner))
-            used.append((path.stem, owner, _names(stmt)))
-    assert defined
+            owners = _defines(stmt)
+            defined += [(path.stem, name) for name in owners if not name.startswith("__")]
+            used.append((path.stem, owners, _names(stmt)))
+    assert len(defined) > 100
     unused = [
         f"{module}.{name}"
         for module, name in defined
-        if not any(name in ids and (m, o) != (module, name) for m, o, ids in used)
+        if not any(name in ids and not (m == module and name in o) for m, o, ids in used)
     ]
+    assert unused == []
+
+
+def test_every_import_is_used():
+    imported, unused = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        names = [
+            (alias.asname or alias.name).split(".")[0]
+            for n in imports
+            if getattr(n, "module", None) != "__future__"
+            for alias in n.names
+        ]
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        imported += len(names)
+        unused += [f"{path.stem}.{name}" for name in names if name not in read]
+    assert imported > 50
     assert unused == []
 
 

@@ -100,7 +100,8 @@ class TestBackward:
             return float((y * proj).sum())
 
         y, cache = nn.linear_forward(x, p)
-        dx, grads = nn.linear_backward(proj, cache, p)
+        grads = {k: np.empty_like(v) for k, v in p.items()}
+        dx = nn.linear_backward(proj, cache, p, grads)
         assert relerr(grads["W"], numgrad(loss, p["W"])) < 1e-7
         assert relerr(grads["b"], numgrad(loss, p["b"])) < 1e-7
         assert relerr(dx, numgrad(loss, x)) < 1e-7

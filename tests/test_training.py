@@ -106,7 +106,7 @@ class TestTrainLoop:
         # every training step and Adam update runs on checked float32 views
         step = vae.objective_and_grads
 
-        def checked(params, x, prior_means, prior_std, recon_weight, eps, ws=None):
+        def checked(params, x, prior_means, prior_std, recon_weight, eps, ws):
             view = lambda a: a.view(oracles.NoFloat64)  # noqa: E731
             params = vae.VaeParams(params.arch, params.latent, view(params.flat))
             return step(params, view(x), view(prior_means), prior_std, recon_weight, view(eps), ws)
@@ -175,8 +175,9 @@ class TestWorkspace:
             x = rng.uniform(size=(b, T, 5)).astype(np.float32)
             prior_means = rng.uniform(-1, 1, (b, latent.total)).astype(np.float32)
             eps = rng.standard_normal((b, T, latent.total)).astype(np.float32)
-            want = vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps)
-            got = vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, ws)
+            args = (params, x, prior_means, 0.5, 10.0, eps)
+            want = vae.objective_and_grads(*args, vae._Workspace(b))
+            got = vae.objective_and_grads(*args, ws)
             assert got[0] == want[0] and got[1] == want[1]
             assert got[2].tobytes() == want[2].tobytes()
             grads.append(got[2])

@@ -347,6 +347,12 @@ class TestBatching:
             assert m.shape == (w.length, 30)
             assert np.allclose(m, one_mu) and np.allclose(v, one_lv)
 
+    def test_encode_windows_of_no_windows(self):
+        windows = oracles.windows_of([valued_window("a", 0.2)])[:0]
+        mu, lv = vae.encode_windows(small_params(hidden=4), windows)
+        for a in (mu, lv):
+            assert a.dtype == np.float64 and a.shape == (0, 3, 30)
+
     def test_window_clusters_names_every_missing_element(self):
         windows = oracles.windows_of([length_window(e, 2) for e in ("b", "a", "c", "a")])
         assert vae.window_clusters(windows, {"a": 1, "b": 0, "c": 2}).tolist() == [0, 1, 2, 1]
@@ -373,7 +379,7 @@ class TestNoGradPass:
         for net, inp in [("enc", x), ("dec", zs[0]), ("dec", zs[1]), ("enc", x)]:
             got = run(net, inp)
             bufs, consts = oracles.training_buffers(params, net, inp)
-            want = vae._stack(params, net, inp, True, bufs, consts)[:2]
+            want = vae._stack(params, net, inp, bufs, consts)[:2]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in want], net
 
     @pytest.mark.parametrize("S", [1, 2, 10])
