@@ -193,6 +193,15 @@ def split_elements(element_ids, val_fraction: float) -> tuple[set[str], set[str]
     return set(ids) - val, val
 
 
+def _check_outputs(o: Opts, *keys: str) -> None:
+    """`data.check_output` on every output path a command writes: each
+    required one, and each optional one that is set and not empty."""
+    for key in keys:
+        path = o.get(key)
+        if path or o.table[key][0] is REQUIRED:
+            data.check_output(path, _flag(key))
+
+
 def _config(config, o: Opts):
     """The config dataclass `config` with each field set from its option."""
     return config(**{f.name: o.get(f.name) for f in fields(config)})
@@ -200,8 +209,10 @@ def _config(config, o: Opts):
 
 def cmd_synth(args: argparse.Namespace) -> int:
     o = Opts(args, SYNTH_KEYS)
+    _check_outputs(o, "out")
     out = Path(o.get("out"))
     labels_out = o.get("labels_out") or out.with_suffix(".labels.csv")
+    data.check_output(labels_out, "--labels-out")
     records, labels = data.synth_generate(_config(data.SynthConfig, o))
     data.save_records(records, out)
     data.save_labels(labels, labels_out)
@@ -211,6 +222,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_concepts(args: argparse.Namespace) -> int:
     o = Opts(args, CONCEPTS_KEYS)
+    _check_outputs(o, "out_model", "out_stats", "out_quality")
     records = data.load_records(o.get("data"))
     stats = data.fit_normalization(records)
     profiles = concepts.element_profiles(records, stats)
@@ -240,6 +252,7 @@ def _load_windows(o: Opts) -> data.Windows:
 
 def cmd_train(args: argparse.Namespace) -> int:
     o = Opts(args, TRAIN_KEYS)
+    _check_outputs(o, "out_checkpoint", "out_history", "out_latent_stats")
     windows = _load_windows(o)
     model = concepts.load_concept_model(o.get("model"))
     train_ids, _ = split_elements(windows.elements, o.get("val_fraction"))
@@ -270,6 +283,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     o = Opts(args, SCORE_KEYS)
+    _check_outputs(o, "out")
     windows = _load_windows(o)
     params = vae.load_checkpoint(o.get("checkpoint"))
     model = concepts.load_concept_model(o.get("model"))
@@ -319,6 +333,7 @@ def _svg_scatter(values: np.ndarray, mu: np.ndarray, path) -> None:
 
 def cmd_export_latent(args: argparse.Namespace) -> int:
     o = Opts(args, EXPORT_KEYS)
+    _check_outputs(o, "out", "svg")
     dims_mode = o.get("dims")
     if dims_mode not in ("concept", "all"):
         raise ConfigError("--dims must be 'concept' or 'all'")

@@ -13,6 +13,7 @@ import io
 import re
 from dataclasses import dataclass
 from itertools import chain, islice
+from pathlib import Path
 
 import numpy as np
 
@@ -320,6 +321,17 @@ def write_csv(path, header: list[str], columns) -> None:
             block = slice(start, start + WRITE_BLOCK_ROWS)
             fields = [fmt([c[block] for c in cols]) for fmt, cols in groups]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
+def check_output(path, flag: str) -> None:
+    """Raises ConfigError naming `flag` unless `path` can be a file: its
+    parent is a directory and it is not one. A command checks every output
+    path before it starts, so that a bad one leaves no output written."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ConfigError(f"{flag}: {path.parent} is not a directory")
+    if path.is_dir():
+        raise ConfigError(f"{flag}: {path} is a directory")
 
 
 def save_text(path, text: str) -> None:

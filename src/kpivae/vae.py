@@ -31,19 +31,14 @@ samples of a batch go into one (S, B, T, 5) array, which takes one sigmoid
 and one finite check. Both give the bytes of the training pass's `_stack`.
 `map_chunks` runs every no-grad pass BATCH_WINDOWS windows at a time: on up
 to four threads in `detect`, on one in `encode_windows` and the validation
-loss.
+loss. Training runs on the caller's thread alone.
 
 Every time loop, in training and in the no-grad passes, reads per-step
 views built once per buffer set: per batch size in `_Workspace`, per pass
-in `_nograd`. A training step with enough work per LSTM layer takes one
-helper thread, decided once, before the forward pass, which runs the
-layers' whole-sequence GEMMs while the caller's thread runs the time loops
-and the heads and loss between them; `nn.StepHelper` describes the
-schedule.
+in `_nograd`.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import os
@@ -63,9 +58,7 @@ from .errors import (
 )
 from .nn import (
     Adam,
-    HELPER_MIN_WORK,
     LstmBuffers,
-    StepHelper,
     gate_constants,
     gate_views,
     linear_backward,
@@ -266,24 +259,20 @@ def _check_finite(what: str, mean: np.ndarray, logvar: np.ndarray) -> None:
     raise NonFiniteError(f"{what} produced non-finite values at timestep {int(np.argmax(bad))}")
 
 
-def _stack(params: VaeParams, net: str, x: np.ndarray, bufs, consts, helper=None):
+def _stack(params: VaeParams, net: str, x: np.ndarray, bufs, consts):
     """One network ("enc" or "dec"): LSTM layers, then a linear head split into
     a mean half and a clipped logvar half. Returns (mean, logvar, cache); the
     cache carries the layer caches, the head cache and the clipped logvar.
     `bufs` is (time-major input, one `LstmBuffers` per layer): a
     `_Workspace`'s or `_nograd`'s, whose views the layer caches are.
-    `consts` maps each layer to its `gate_constants`. A `StepHelper` computes
-    the layers' input projections, into `bufs`."""
+    `consts` maps each layer to its `gate_constants`."""
     xs, outs = bufs
     np.copyto(xs, x.transpose(1, 0, 2))  # casts x to the dtype of the buffers
     h = xs.transpose(1, 0, 2)  # the first layer reads it without a copy
-    layers = [f"{net}{i}" for i in range(params.arch.layers)]
-    if helper is not None:
-        # each layer's scaled Wx and b, and its buffers
-        helper.forward(xs, [(*consts[n][::2], o) for n, o in zip(layers, outs)])
     caches = []
-    for layer, out in zip(layers, outs):
-        h, cache = lstm_forward(h, params.layers[layer], out, consts[layer], helper)
+    for i, out in enumerate(outs):
+        layer = f"{net}{i}"
+        h, cache = lstm_forward(h, params.layers[layer], out, consts[layer])
         caches.append(cache)
     raw, head_cache = linear_forward(h, params.layers[f"{net}_head"])
     half = raw.shape[-1] // 2
@@ -325,16 +314,13 @@ def _nograd(params: VaeParams, nets: tuple[str, ...], B: int, T: int):
     return run
 
 
-def _stack_backward(
-    params: VaeParams, net: str, dmean, dlogvar, caches, grads, da, dxs, helper=None
-):
+def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads, da, dxs):
     """Backward through one network from the gradients of its mean and clipped
     logvar; writes the tensor gradients into the layer views `grads`, returns
     the input gradient, or None for the encoder, whose input gradient no one
     reads. `da` is the gate-gradient buffer every layer shares, with its
     `gate_views`; `dxs` are the two flat buffers that the layers' input
-    gradients take in turn. A `StepHelper`, given the network's layers top
-    down, runs their passes instead, in its own gate buffers."""
+    gradients take in turn."""
     layer_caches, head_cache, lv = caches
     # the clip passes the gradient of the logvars strictly inside its bounds
     draw = np.concatenate([dmean, dlogvar * ((lv > LOGVAR_LO) & (lv < LOGVAR_HI))], axis=-1)
@@ -346,10 +332,7 @@ def _stack_backward(
         else:
             xs = cache[0]  # the time-major input, whose shape dx takes
             dx = dxs[i % 2][: xs.size].reshape(xs.shape)
-        if helper is None:
-            dh, _ = lstm_backward(dh, cache, params.layers[layer], grads[layer], da, dx)
-        else:
-            dh = helper.backward(dh, params.layers[layer], grads[layer], dx, split=i > 0)
+        dh = lstm_backward(dh, cache, params.layers[layer], grads[layer], da, dx)
     return dh
 
 
@@ -373,14 +356,10 @@ class _Workspace:
     allocation: freed as one block, it stays with the C allocator for the
     next `train` in the process, where one allocation per buffer would be
     handed back to the kernel and faulted in again.
-
-    `pool`, a one-worker executor or None, is where a step's `StepHelper`
-    runs its tasks.
     """
 
-    def __init__(self, batch: int, pool=None):
+    def __init__(self, batch: int):
         self.batch = batch
-        self.pool = pool
         # (b, T) -> (grad, grad layer views, enc bufs, dec bufs, da, dxs, constant layer views)
         self._views = {}
         self._flat = None
@@ -550,31 +529,20 @@ def objective_and_grads(
     The layer caches and the gradient vector are the buffers of the
     workspace `ws`, of at least B windows: the returned vector is
     overwritten by the next call with the same workspace.
-    With a workspace that has a pool, a batch whose layers have at least
-    `nn.HELPER_MIN_WORK` gate-gradient elements each hands the LSTM layers'
-    whole-sequence GEMMs to a `StepHelper`, joined before the gradient
-    returns.
     """
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
     var_p = float(prior_std) ** 2
     grad, grads, enc_bufs, dec_bufs, da, dxs, const_layers = ws.get(params, x)
     consts = _layer_constants(params, ("enc", "dec"), const_layers)
-    helper = None
-    if ws.pool is not None and T * B * 4 * params.arch.hidden >= HELPER_MIN_WORK:
-        helper = StepHelper(ws.pool)
 
-    mu, lv, enc_cache = _stack(params, "enc", x, enc_bufs, consts, helper)
+    mu, lv, enc_cache = _stack(params, "enc", x, enc_bufs, consts)
     _check_finite("encoder", mu, lv)
     std = np.exp(lv / 2.0)
     z = mu + std * eps
-    pre, lx, dec_cache = _stack(params, "dec", z, dec_bufs, consts, helper)
+    pre, lx, dec_cache = _stack(params, "dec", z, dec_bufs, consts)
     mu_x = sigmoid(pre)
     _check_finite("decoder", mu_x, lx)
-    if helper is not None:
-        # the LSTM layers in the order of their backward passes; the helper
-        # starts on the first one's gate derivatives while the objective is summed
-        helper.start_backward(dec_cache[0][::-1] + enc_cache[0][::-1], da)
 
     resid = x - mu_x
     inv_var_x = np.exp(-lx)
@@ -590,15 +558,13 @@ def objective_and_grads(
     dmu_x = coef * (resid * inv_var_x)
     dlx = coef * (-0.5 + 0.5 * resid**2 * inv_var_x)
     dz = _stack_backward(
-        params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads, da, dxs, helper
+        params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads, da, dxs
     )
 
     # KL term plus the pathwise gradient through z = mu + std * eps
     dmu = scale * (mu - prior_means[:, None, :]) / var_p + dz
     dlv = scale * (0.5 * np.exp(lv) / var_p - 0.5) + dz * eps * 0.5 * std
-    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads, da, dxs, helper)
-    if helper is not None:
-        helper.join()
+    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads, da, dxs)
 
     components = {"objective": objective, "kl": kl, "loglik": loglik}
     return objective, components, grad
@@ -661,10 +627,8 @@ def train(
 
     The steps share one `_Workspace`, sized for the largest batch drawn,
     min(batch_size, len(train_windows)). It lives for this call only, so its
-    buffers are freed before the caller encodes or scores anything. At 2 or
-    more usable CPUs the call starts one helper thread for the steps with
-    enough work (see `nn.StepHelper`); it ends with the call, whether the
-    call returns or raises, and no byte depends on it.
+    buffers are freed before the caller encodes or scores anything. The
+    call starts no thread.
     """
     config.validate()
     if not len(train_windows):
@@ -695,38 +659,36 @@ def train(
     since_best = 0
     n = len(train_windows)
 
-    # the steps get one helper thread at 2 or more usable CPUs
-    with ThreadPoolExecutor(1) if _worker_count() > 1 else contextlib.nullcontext() as pool:
-        ws = _Workspace(min(config.batch_size, n), pool)
-        for epoch in range(config.max_epochs):
-            order = rng_shuffle.permutation(n)
-            kl_sum = ll_sum = 0.0
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                comps = train_step(params, opt, x_train[idx], p_train[idx], config, rng_noise, ws)
-                kl_sum += comps["kl"] * len(idx)
-                ll_sum += comps["loglik"] * len(idx)
-            train_kl = kl_sum / n
-            train_ll = ll_sum / n
+    ws = _Workspace(min(config.batch_size, n))
+    for epoch in range(config.max_epochs):
+        order = rng_shuffle.permutation(n)
+        kl_sum = ll_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            comps = train_step(params, opt, x_train[idx], p_train[idx], config, rng_noise, ws)
+            kl_sum += comps["kl"] * len(idx)
+            ll_sum += comps["loglik"] * len(idx)
+        train_kl = kl_sum / n
+        train_ll = ll_sum / n
 
-            val_loss = _val_loss(params, x_val, p_val, latent.prior_std, val_eps)
-            history.append(
-                {
-                    "epoch": epoch,
-                    "train_loss": train_kl - train_ll,
-                    "train_kl": train_kl,
-                    "train_loglik": train_ll,
-                    "val_loss": val_loss,
-                }
-            )
-            if val_loss < best_val:
-                best_val = val_loss
-                best = params.flat.copy()
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    break
+        val_loss = _val_loss(params, x_val, p_val, latent.prior_std, val_eps)
+        history.append(
+            {
+                "epoch": epoch,
+                "train_loss": train_kl - train_ll,
+                "train_kl": train_kl,
+                "train_loglik": train_ll,
+                "val_loss": val_loss,
+            }
+        )
+        if val_loss < best_val:
+            best_val = val_loss
+            best = params.flat.copy()
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= config.patience:
+                break
 
     return replace(params, flat=best.astype(np.float64)), history
 

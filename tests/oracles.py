@@ -563,7 +563,8 @@ def nn_lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
     xs, buf = cache
     da = np.empty_like(buf.gates)
     grads = {k: np.empty_like(v) for k, v in p.items()}
-    return nn.lstm_backward(dh_out, cache, p, grads, (da, nn.gate_views(da)), np.empty_like(xs))
+    dx = nn.lstm_backward(dh_out, cache, p, grads, (da, nn.gate_views(da)), np.empty_like(xs))
+    return dx, grads
 
 
 @dataclass

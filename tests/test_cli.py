@@ -1193,55 +1193,58 @@ def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
     assert (out / "pinned_report.csv").read_bytes() == outputs[0]["fleet_report.csv"]
 
 
-def test_train_bytes_independent_of_the_helper_thread(tmp_path, monkeypatch):
-    """A window-25 `train` whose batches of 32 windows, 800 rows at hidden 64,
-    take the backward helper thread writes the same checkpoint, history and
-    latent stats as the same command pinned to one usable CPU, which starts
-    no thread. Both run at one BLAS thread, which pinning implies."""
-    fleet = tmp_path / "fleet.csv"
-    argv = SYNTH_ARGS + ["--out", str(fleet)]
-    argv[argv.index("--elements") + 1] = "40"
-    assert run(argv) == 0
-    fitted = ["--model", str(tmp_path / "model.txt"), "--stats", str(tmp_path / "stats.txt")]
-    assert run([
-        "concepts", "--data", str(fleet), "--k", "2", "--seed", "0",
-        "--out-model", fitted[1], "--out-stats", fitted[3],
-    ]) == 0
+# every output option of each command
+OUTPUTS = {
+    "synth": ["out", "labels_out"],
+    "concepts": ["out_model", "out_stats", "out_quality"],
+    "train": ["out_checkpoint", "out_history", "out_latent_stats"],
+    "score": ["out"],
+    "export-latent": ["out", "svg"],
+}
 
-    def train(out):
-        out.mkdir()
-        return [
-            "train", "--data", str(fleet), *fitted, "--window", "25",
-            "--max-epochs", "2", "--patience", "2", "--val-fraction", "0.2", "--seed", "0",
-            "--out-checkpoint", str(out / "model.bin"), "--out-history", str(out / "history.csv"),
-            "--out-latent-stats", str(out / "lstats.txt"),
-        ]
 
-    made = []
+def inputs_of(p, command):
+    """The input flags of a quick run of `command` on the shared artifacts."""
+    shared = [
+        "--data", str(p["data"]), "--model", str(p["model"]), "--stats", str(p["stats"]),
+        "--window", "10",
+    ]
+    return {
+        "synth": SYNTH_ARGS[1:],
+        "concepts": ["--data", str(p["data"])],
+        "train": [*shared, "--hidden", "4", "--max-epochs", "1"],
+        "score": [
+            *shared, "--checkpoint", str(p["ckpt"]), "--latent-stats", str(p["lstats"]),
+            "--eval-samples", "2",
+        ],
+        "export-latent": [*shared, "--checkpoint", str(p["ckpt"])],
+    }[command]
 
-    class Counted(vae.StepHelper):
-        def __init__(self, *args):
-            made.append(self)
-            super().__init__(*args)
 
-    # the command takes the helper at two usable CPUs
-    monkeypatch.setattr(vae, "StepHelper", Counted)
-    monkeypatch.setattr(vae, "_worker_count", lambda: 2)
-    assert run(train(tmp_path / "here")) == 0
-    assert len(made) == 2  # one full batch in each of the two epochs
-
-    usable = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    if len(usable) < 2:
-        return  # the one-CPU leg needs a run on 2 or more CPUs to compare with
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    for out, pin in (("two", None), ("one", lambda: os.sched_setaffinity(0, {usable[0]}))):
-        subprocess.run(
-            [sys.executable, "-m", "kpivae.cli", *train(tmp_path / out)],
-            env=env, check=True, capture_output=True, timeout=300, preexec_fn=pin,
-        )
-    for name in ("model.bin", "history.csv", "lstats.txt"):
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+@pytest.mark.parametrize("bad", ["absent parent", "file as parent", "directory"])
+@pytest.mark.parametrize("command, key", [(c, k) for c, keys in OUTPUTS.items() for k in keys])
+def test_bad_output_path_fails_before_any_work(pipeline, tmp_path, capsys, command, key, bad):
+    """One `error:` line naming the flag, exit 2, no file written, and a file
+    already at another output path keeps its bytes."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_bytes(b"a file\n")
+    paths = {k: tmp_path / f"{k}.out" for k in OUTPUTS[command]}
+    for path in paths.values():
+        path.write_bytes(b"already here\n")
+    paths[key] = {
+        "absent parent": tmp_path / "absent" / "x.out",
+        "file as parent": tmp_path / "file" / "x.out",
+        "directory": tmp_path / "dir",
+    }[bad]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv = [command, *inputs_of(pipeline, command)]
+    argv += [a for k, path in paths.items() for a in (cli._flag(k), str(path))]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cli._flag(key)}: "), lines
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestConfigFile:

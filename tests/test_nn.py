@@ -263,50 +263,3 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak < theta.nbytes
-
-
-# (H, T, B) of every LSTM layer a training step hands to a StepHelper, that
-# is with T * B * 4H at least nn.HELPER_MIN_WORK: T from windows of 1, 2 and
-# 25 steps and halves of 15 + 16 and 16 + 16 steps, B from small to large
-# batches. Below the gate a half can differ from the whole GEMM in its last
-# bits (a width-30 input gradient did at T = 2, B = 14, hidden 64), so the
-# gate keeps the split to sizes pinned here.
-SPLIT_SIZES = [
-    (H, T, B)
-    for H in (16, 64)
-    for T in (1, 2, 25, 31, 32)
-    for B in (2, 14, 64, 512, 2048)
-    if nn.HELPER_MIN_WORK <= T * B * 4 * H and T * B <= 16384
-]
-
-
-class TestTimeHalfSplits:
-    """A StepHelper computes each layer's input projection and, above a
-    network's first layer, its input gradient in two time halves. In
-    float32, the halves' row blocks give the bytes of the whole GEMM, which
-    the inline pass runs."""
-
-    @pytest.mark.parametrize("H, T, B", SPLIT_SIZES)
-    def test_halves_equal_the_whole_gemm(self, H, T, B):
-        rng = np.random.default_rng([H, T, B])
-
-        def f32(*shape):
-            return rng.standard_normal(shape).astype(np.float32)
-
-        def whole_and_halves(fn, shape, *args):
-            whole, halves = np.empty(shape, np.float32), np.empty(shape, np.float32)
-            fn(*args, whole, 0, T)
-            for lo, hi in nn._halves(T):
-                fn(*args, halves, lo, hi)
-            return whole.tobytes(), halves.tobytes()
-
-        # the encoder's input, the decoder's at 2 and 25 free dims, an LSTM layer's
-        for D in (5, 7, 30, H):
-            whole, halves = whole_and_halves(
-                nn._project, (T, B, 4 * H), f32(T, B, D), f32(D, 4 * H), f32(4 * H)
-            )
-            assert whole == halves, D
-        whole, halves = whole_and_halves(
-            nn._input_grad, (T, B, H), f32(T, B, 4 * H), f32(H, 4 * H).T
-        )
-        assert whole == halves

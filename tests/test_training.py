@@ -1,8 +1,5 @@
-import contextlib
-import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -159,6 +156,42 @@ class TestTrainLoop:
             vae.train(train_w, val_w, model, quick_cfg(learning_rate=0.0))
 
 
+
+class TestBackwardHelper:
+    """The backward pass runs on the caller's thread alone: `train` starts
+    no helper thread at any usable CPU count, and an error raised inside
+    the pass reaches the caller and leaves no thread behind. Batches of 64
+    windows of 32 steps."""
+
+    def threads_started(self, monkeypatch, cpus):
+        train_w, val_w, model = toy_setup(elements=8, days=320, window=32)
+        monkeypatch.setattr(vae, "_worker_count", lambda: cpus)
+        started = []
+        real = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), real(t)))
+        vae.train(train_w, val_w, model, quick_cfg(batch_size=64), ArchConfig(hidden=16))
+        return started
+
+    def test_train_starts_no_thread(self, monkeypatch):
+        assert self.threads_started(monkeypatch, 2) == []
+
+    def test_no_thread_at_one_cpu(self, monkeypatch):
+        assert self.threads_started(monkeypatch, 1) == []
+
+    def test_helper_error_propagates_and_no_thread_outlives_train(self, monkeypatch):
+        train_w, val_w, model = toy_setup(elements=8, days=320, window=32)
+        monkeypatch.setattr(vae, "_worker_count", lambda: 2)
+
+        def fail(*args, **kwargs):
+            raise FloatingPointError("backward pass failed")
+
+        monkeypatch.setattr(vae, "lstm_backward", fail)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="backward pass failed"):
+            vae.train(train_w, val_w, model, quick_cfg(batch_size=64), ArchConfig(hidden=16))
+        assert threading.active_count() == before
+
+
 class TestWorkspace:
     """The buffers `train` reuses on every step change no byte of a step."""
 
@@ -210,11 +243,10 @@ class TestWorkspace:
         assert len(peaks) == 4
         assert max(peaks[1:]) < cache_bytes / 10, (peaks, cache_bytes)
 
-    @pytest.mark.parametrize("threads", [0, 1])
-    def test_layers_write_their_input_gradients_into_the_workspace(self, monkeypatch, threads):
+    def test_layers_write_their_input_gradients_into_the_workspace(self, monkeypatch):
         """In a warm step, no LSTM layer's backward pass allocates its
-        (T, B, H) input gradient, inline or with the helper thread: each
-        allocates under half of one, its time loop's (B, .) temporaries."""
+        (T, B, H) input gradient: each allocates under half of one, its time
+        loop's (B, .) temporaries."""
         T, B, H = 25, 32, 128
         arch, latent = ArchConfig(hidden=H, layers=3), LatentConfig(free_dims=2)
         params = vae.init_params(arch, latent, seed=0).in_compute_dtype()
@@ -232,180 +264,13 @@ class TestWorkspace:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
 
-        made = TestBackwardHelper.count_helpers(monkeypatch)
-        with ThreadPoolExecutor(1) if threads else contextlib.nullcontext() as pool:
-            ws = vae._Workspace(B, pool)
-            for step in range(2):  # the first step carves the workspace
-                if step:  # the helper's passes look it up in nn, the inline ones in vae
-                    monkeypatch.setattr(nn, "lstm_backward", traced)
-                    monkeypatch.setattr(vae, "lstm_backward", traced)
-                vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, ws)
-        assert len(made) == 2 * threads
+        ws = vae._Workspace(B)
+        for step in range(2):  # the first step carves the workspace
+            if step:
+                monkeypatch.setattr(vae, "lstm_backward", traced)
+            vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, ws)
         one = T * B * H * 4  # float32
         assert len(peaks) == 2 * arch.layers and max(peaks) < one / 2, (peaks, one)
-
-
-class TestBackwardHelper:
-    """The helper thread's share of a training step, the LSTM layers'
-    whole-sequence GEMMs in the forward and backward passes, changes no
-    byte, engages exactly from nn.HELPER_MIN_WORK gate-gradient elements per
-    layer, and ends with `train`."""
-
-    # hidden 16 puts the threshold at T * B = 2**17 / 64 = 2048 rows
-    H = 16
-    ROWS = nn.HELPER_MIN_WORK // (4 * H)
-
-    @staticmethod
-    def count_helpers(monkeypatch) -> list:
-        made = []
-
-        class Counted(nn.StepHelper):
-            def __init__(self, *args):
-                made.append(self)
-                super().__init__(*args)
-
-        monkeypatch.setattr(vae, "StepHelper", Counted)
-        return made
-
-    # (workspace windows, batch windows, T): just below the threshold, at it,
-    # a partial batch above it, an odd T above it, and T = 2 and T = 1, whose
-    # first time half is empty, at it and in a partial batch above it
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("ws_b,b,T", [
-        (64, 64, 31), (64, 64, 32), (80, 70, 32), (64, 64, 33),
-        (1024, 1024, 2), (2048, 2048, 1), (2100, 2050, 1),
-    ])
-    def test_gradient_matches_the_inline_pass(self, monkeypatch, layers, ws_b, b, T):
-        made = self.count_helpers(monkeypatch)
-        arch, latent = ArchConfig(hidden=self.H, layers=layers), LatentConfig(free_dims=2)
-        params = vae.init_params(arch, latent, seed=layers).in_compute_dtype()
-        rng = np.random.default_rng(T)
-        x = rng.uniform(size=(b, T, 5)).astype(np.float32)
-        prior_means = rng.uniform(-1, 1, (b, latent.total)).astype(np.float32)
-        eps = rng.standard_normal((b, T, latent.total)).astype(np.float32)
-        want = vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, vae._Workspace(ws_b))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # the two threads hand over the GIL every microsecond
-        try:
-            with ThreadPoolExecutor(1) as pool:
-                ws = vae._Workspace(ws_b, pool)
-                for _ in range(2):  # the second pass runs over the first one's buffers
-                    got = vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, ws)
-                    assert got[0] == want[0] and got[1] == want[1]
-                    assert got[2].tobytes() == want[2].tobytes()
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(made) == (2 if T * b >= self.ROWS else 0)
-
-    def outputs_at_one_and_two_cpus(self, monkeypatch, tmp_path, T, days, layers, batch):
-        """The checkpoint, history and latent stats of one `train` at one
-        usable CPU and one at two, on 8 elements of `days` days."""
-        train_w, val_w, model = toy_setup(elements=8, days=days, window=T)
-        arch, latent = ArchConfig(hidden=self.H, layers=layers), LatentConfig(free_dims=2)
-        outs = []
-        for cpus in (1, 2):
-            monkeypatch.setattr(vae, "_worker_count", lambda: cpus)
-            params, history = vae.train(
-                train_w, val_w, model, quick_cfg(batch_size=batch, max_epochs=2), arch, latent
-            )
-            vae.save_checkpoint(params, tmp_path / "ckpt.bin")
-            stats = anomaly.fit_latent_stats(params, train_w, model.assignment)
-            anomaly.save_latent_stats(stats, tmp_path / "lstats.txt")
-            files = [(tmp_path / name).read_bytes() for name in ("ckpt.bin", "lstats.txt")]
-            outs.append((files, history))
-        return len(train_w), outs
-
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("T", [31, 32, 33])
-    def test_checkpoint_and_history_match_one_cpu(self, monkeypatch, tmp_path, layers, T):
-        """Batches of 64 windows, then a partial one of 6 that stays inline."""
-        made = self.count_helpers(monkeypatch)
-        n, outs = self.outputs_at_one_and_two_cpus(monkeypatch, tmp_path, T, 10 * T, layers, 64)
-        assert n == 70
-        assert outs[0] == outs[1]
-        # one helper per full batch of the two-CPU run, each epoch
-        assert len(made) == (2 if T * 64 >= self.ROWS else 0)
-
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_one_step_windows_match_one_cpu(self, monkeypatch, tmp_path, layers):
-        """At T = 1, batches of ROWS windows, whose first time half is empty,
-        then a partial one of 52 that stays inline."""
-        made = self.count_helpers(monkeypatch)
-        n, outs = self.outputs_at_one_and_two_cpus(monkeypatch, tmp_path, 1, 300, layers, self.ROWS)
-        assert n == self.ROWS + 52
-        assert outs[0] == outs[1]
-        assert len(made) == 2
-
-    def test_tasks_are_queued_in_the_order_the_loops_read_them(self, monkeypatch):
-        """Two layers per network at T = 32: each forward half is queued as
-        soon as the loop below has written its rows, each backward input
-        gradient half before the weight GEMMs, and each layer's gate
-        derivatives as soon as their buffer is free."""
-        queued = []
-        real = nn.StepHelper.submit
-
-        def record(helper, fn, *args):
-            halves = fn in (nn._project, nn._input_grad)  # their last two arguments are the rows
-            queued.append((fn.__name__, *args[-2:]) if halves else fn.__name__)
-            return real(helper, fn, *args)
-
-        monkeypatch.setattr(nn.StepHelper, "submit", record)
-        arch, latent = ArchConfig(hidden=self.H, layers=2), LatentConfig(free_dims=2)
-        params = vae.init_params(arch, latent, seed=0).in_compute_dtype()
-        rng = np.random.default_rng(0)
-        T, b = 32, self.ROWS // 32
-        x = rng.uniform(size=(b, T, 5)).astype(np.float32)
-        prior_means = rng.uniform(-1, 1, (b, latent.total)).astype(np.float32)
-        eps = rng.standard_normal((b, T, latent.total)).astype(np.float32)
-        with ThreadPoolExecutor(1) as pool:
-            vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, vae._Workspace(b, pool))
-        early, late = (0, 16), (16, 32)
-        forward = [
-            ("_project", *late),  # a network's first layer computes its early half itself
-            ("_project", *early),  # the second layer's, once the first's loop is half done
-            ("_project", *late),  # and once it is done
-        ]
-        assert queued == forward + forward + [
-            "_gate_derivatives",  # dec1, while the objective is summed
-            ("_input_grad", *late),  # dec1's, once its loop is half done
-            "_gate_derivatives",  # dec0, into dec1's gates, free once its loop is done
-            ("_input_grad", *early),
-            "_weight_grads",  # dec1
-            "_gate_derivatives",  # enc1, as dec0 starts
-            "_weight_grads",  # dec0, whose input gradient is one GEMM on the caller's thread
-            "_gate_derivatives",  # enc0, as enc1 starts
-            ("_input_grad", *late),  # enc1's
-            ("_input_grad", *early),
-            "_weight_grads",  # enc1
-            "_weight_grads",  # enc0, whose input gradient no one reads
-        ]
-
-    def test_helper_error_propagates_and_no_thread_outlives_train(self, monkeypatch):
-        train_w, val_w, model = toy_setup(elements=8, days=320, window=32)
-        monkeypatch.setattr(vae, "_worker_count", lambda: 2)
-        real = nn._gate_derivatives
-
-        def fail_off_main(gates, da):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("helper task failed")
-            real(gates, da)
-
-        monkeypatch.setattr(nn, "_gate_derivatives", fail_off_main)
-        before = threading.active_count()
-        arch = ArchConfig(hidden=self.H)
-        with pytest.raises(FloatingPointError, match="helper task failed"):
-            vae.train(train_w, val_w, model, quick_cfg(batch_size=64), arch)
-        assert threading.active_count() == before
-
-    def test_no_thread_at_one_cpu(self, monkeypatch):
-        train_w, val_w, model = toy_setup(elements=8, days=320, window=32)
-        monkeypatch.setattr(vae, "_worker_count", lambda: 1)
-        made = self.count_helpers(monkeypatch)
-        started = []
-        real = threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t), real(t)))
-        vae.train(train_w, val_w, model, quick_cfg(batch_size=64), ArchConfig(hidden=self.H))
-        assert started == [] and made == []
 
 
 class TestValidationPass:
