@@ -193,13 +193,18 @@ def split_elements(element_ids, val_fraction: float) -> tuple[set[str], set[str]
     return set(ids) - val, val
 
 
-def _check_outputs(o: Opts, *keys: str) -> None:
+def _check_outputs(o: Opts, *keys: str, **derived) -> None:
     """`data.check_output` on every output path a command writes: each
-    required one, and each optional one that is set and not empty."""
-    for key in keys:
-        path = o.get(key)
-        if path or o.table[key][0] is REQUIRED:
-            data.check_output(path, _flag(key))
+    required one, each optional one that is set and not empty, and each
+    path the command derived itself, `derived` key=path; no two of them may
+    resolve to the same file."""
+    paths = {key: o.get(key) for key in keys if o.get(key) or o.table[key][0] is REQUIRED}
+    first = {}
+    for key, path in {**paths, **derived}.items():
+        data.check_output(path, _flag(key))
+        other = first.setdefault(Path(path).resolve(), key)
+        if other != key:
+            raise ConfigError(f"{_flag(other)} and {_flag(key)} name the same file {path}")
 
 
 def _config(config, o: Opts):
@@ -209,10 +214,9 @@ def _config(config, o: Opts):
 
 def cmd_synth(args: argparse.Namespace) -> int:
     o = Opts(args, SYNTH_KEYS)
-    _check_outputs(o, "out")
     out = Path(o.get("out"))
     labels_out = o.get("labels_out") or out.with_suffix(".labels.csv")
-    data.check_output(labels_out, "--labels-out")
+    _check_outputs(o, "out", labels_out=labels_out)
     records, labels = data.synth_generate(_config(data.SynthConfig, o))
     data.save_records(records, out)
     data.save_labels(labels, labels_out)

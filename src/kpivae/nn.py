@@ -8,18 +8,17 @@ upcast. Training and the no-grad passes of encoding and scoring run in
 float32 (see `vae.COMPUTE_DTYPE`), and `vae` sums their losses in float64;
 the gradient checks run the same kernels in float64.
 
-Layer inputs and outputs are batch-first (B, T, D). Inside an LSTM layer the
-work is time-major, so that each timestep is one contiguous (B, .) block:
-the input projections of all T steps are one GEMM into a (T, B, 4H) gate
-buffer, and the time loop adds only the recurrent GEMM and the elementwise
-cell update. The buffer is activated in place, step by step, and is what the
-layer caches as its gates. The cache also holds the time-major input and the
-time-major h, c and tanh(c), so backward recomputes none of them; backward
-writes each step's gate gradient into one (T, B, 4H) buffer and forms the
-weight and input gradients from it after the loop, one GEMM each. The hidden
-states a layer returns are a (B, T, H) view of its time-major h, which the
-next layer reads without a copy; so does a layer whose input is the
-batch-first view of any time-major array.
+The LSTM kernels are time-major in and out: forward reads a C-contiguous
+(T, B, D) input and returns its (T, B, H) h, which the next layer reads as
+it is, and backward reads a (T, B, H) dh_out and writes a (T, B, D) dx, so
+that each timestep is one contiguous (B, .) block. The input projections of
+all T steps are one GEMM into a (T, B, 4H) gate buffer, and the time loop
+adds only the recurrent GEMM and the elementwise cell update. The buffer is
+activated in place, step by step, and is what the layer caches as its
+gates. The cache also holds the input and h, c and tanh(c), so backward
+recomputes none of them; backward writes each step's gate gradient into
+one (T, B, 4H) buffer and forms the weight and input gradients from it
+after the loop, one GEMM each. The linear heads are batch-first (B, T, D).
 
 Per-step views. The time loops read each step's gate blocks, c, tanh(c) and
 h through views that an `LstmBuffers` builds once with its arrays
@@ -35,11 +34,12 @@ buffer `dx` that `lstm_backward` fills, and the gradient arrays `out`
 {"W", "b"} that `linear_backward` fills. What a call returns are views of
 them, valid until the caller hands the same buffers to another call. No
 caller reads back a step scratch or a `da`, so one of each serves every
-layer in turn. A layer's input gradient is the dh_out of the layer below,
-so two `dx` buffers, taken in turn, serve every layer, and no layer writes
-the one it reads. A pass whose caches no one reads shares more: `vae`'s
-no-grad pass gives every layer of both networks one c, tanh(c), gates and
-step scratch, and two h buffers taken in turn.
+layer in turn. A layer may also read and write one buffer: forward reads
+its input only in its projection GEMM, before its time loop writes h, and
+backward reads its dh_out only inside its time loop, before it writes dx.
+So one `dx` buffer serves every layer of `vae`'s training pass, and `vae`'s
+no-grad pass, whose caches no one reads, gives every layer of both networks
+one h, c, tanh(c), gates and step scratch.
 
 A sigmoid is 0.5 + 0.5 * tanh(x / 2), branch-free; the LSTM activates all
 four gates with one tanh per step this way, from `gate_constants`: the
@@ -146,22 +146,21 @@ class LstmBuffers:
     def __init__(self, h, c, tanh_c, gates, scratch):
         self.h, self.gates = h, gates
         self.rec, self.fc, self.scale, self.shift = scratch
-        self.gate_views = gate_views(gates)
-        self.steps = list(zip(self.gate_views, c, tanh_c, h))
+        self.steps = list(zip(gate_views(gates), c, tanh_c, h))
 
 
 def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out: LstmBuffers, consts):
-    """Run the LSTM layer with weights p over (B, T, D); returns hidden states
-    (B, T, H) and a cache, (time-major x, `out`). `out` is the `LstmBuffers`
-    to fill, in the dtype of x, and `consts` p's `gate_constants` entry in
-    that dtype. The pass reads the weights from `consts` only: `p` is read
-    by perfbench's flop counter, which takes H from it."""
+    """Run the LSTM layer with weights p over a C-contiguous time-major
+    (T, B, D) x; returns its hidden states, `out.h` (T, B, H), and a cache,
+    (x, `out`). `out` is the `LstmBuffers` to fill, in the dtype of x, and
+    `consts` p's `gate_constants` entry in that dtype. The pass reads the
+    weights from `consts` only: `p` is read by perfbench's flop counter,
+    which takes H from it."""
     Wx, Wh, b = consts
-    xs = np.ascontiguousarray(x.transpose(1, 0, 2))  # no copy for another layer's h
     rec, fc, scale, shift = out.rec, out.fc, out.scale, out.shift
     # the input projections of all T steps plus the bias, one GEMM
     gates = out.gates.reshape(-1, out.gates.shape[-1])
-    np.matmul(xs.reshape(-1, xs.shape[-1]), Wx, out=gates)
+    np.matmul(x.reshape(-1, x.shape[-1]), Wx, out=gates)
     gates += b
     h_prev = c_prev = None  # h_{-1} and c_{-1} are zero
     for (a, i, f, g, o), c, tanh_c, h in out.steps:
@@ -178,18 +177,18 @@ def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out: LstmBuffers, cons
         np.tanh(c, out=tanh_c)
         np.multiply(o, tanh_c, out=h)
         h_prev, c_prev = h, c
-    return out.h.transpose(1, 0, 2), (xs, out)
+    return out.h, (x, out)
 
 
 def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out, da, dx):
     """Backprop through time for one layer.
 
-    dh_out is the gradient wrt every hidden state (B, T, H). Writes the
-    parameter gradients into `out`, {"Wx", "Wh", "b"} arrays shaped like p,
-    and the input gradient into `dx`, a C-contiguous time-major (T, B, D)
-    buffer, or skips it if `dx` is False. `da` is a C-contiguous (T, B, 4H)
-    buffer for the gate gradients and its `gate_views`. Returns the input
-    gradient, a batch-first (B, T, D) view of `dx`, or None.
+    dh_out is the gradient wrt every hidden state, time-major (T, B, H).
+    Writes the parameter gradients into `out`, {"Wx", "Wh", "b"} arrays
+    shaped like p, and the input gradient into `dx`, a C-contiguous
+    time-major (T, B, D) buffer, or skips it if `dx` is False. `da` is a
+    C-contiguous (T, B, 4H) buffer for the gate gradients and its
+    `gate_views`. Returns `dx`, or None.
     """
     xs, buf = cache
     T, B, H = buf.h.shape
@@ -204,13 +203,12 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out, da, 
     np.square(buf.gates[..., 2 * H : 3 * H], out=tanh_gate)
     np.subtract(1.0, tanh_gate, out=tanh_gate)
     steps = buf.steps
-    dhs = dh_out.transpose(1, 0, 2)
     dh_next = np.zeros((B, H), dtype=buf.h.dtype)
     dc_next = np.zeros((B, H), dtype=buf.h.dtype)
     for t in range(T - 1, -1, -1):
         (_, i, f, g, o), _, tanh_c, _ = steps[t]
         d, di, df, dg, do = da_views[t]
-        dh_t = dhs[t] + dh_next
+        dh_t = dh_out[t] + dh_next
         dc = dh_t * o * (1.0 - tanh_c**2)
         dc += dc_next
         di *= dc * g
@@ -230,7 +228,7 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray], out, da, 
     if dx is False:
         return None
     np.matmul(flat, p["Wx"].T, out=dx.reshape(T * B, -1))
-    return dx.transpose(1, 0, 2)
+    return dx
 
 
 def linear_forward(x: np.ndarray, p: dict[str, np.ndarray]):

@@ -265,16 +265,16 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, bufs, consts):
     cache carries the layer caches, the head cache and the clipped logvar.
     `bufs` is (time-major input, one `LstmBuffers` per layer): a
     `_Workspace`'s or `_nograd`'s, whose views the layer caches are.
-    `consts` maps each layer to its `gate_constants`."""
+    `consts` maps each layer to its `gate_constants`. x and the outputs are
+    batch-first and the layers time-major: this is where the layout changes."""
     xs, outs = bufs
     np.copyto(xs, x.transpose(1, 0, 2))  # casts x to the dtype of the buffers
-    h = xs.transpose(1, 0, 2)  # the first layer reads it without a copy
-    caches = []
+    h, caches = xs, []
     for i, out in enumerate(outs):
         layer = f"{net}{i}"
         h, cache = lstm_forward(h, params.layers[layer], out, consts[layer])
         caches.append(cache)
-    raw, head_cache = linear_forward(h, params.layers[f"{net}_head"])
+    raw, head_cache = linear_forward(h.transpose(1, 0, 2), params.layers[f"{net}_head"])
     half = raw.shape[-1] // 2
     lv = np.clip(raw[..., half:], LOGVAR_LO, LOGVAR_HI)
     return raw[..., :half], lv, (caches, head_cache, lv)
@@ -294,17 +294,15 @@ def _nograd(params: VaeParams, nets: tuple[str, ...], B: int, T: int):
     `_stack`'s mean and clipped logvar of one of `nets`.
 
     The gate constants of their layers are built here, once. Every layer of
-    the networks writes one buffer set made here: two h buffers in turn, and
-    one c, tanh(c), gates and `step_scratch`; the `LstmBuffers` of each h
-    buffer, and its per-step views, are built here too. A `run` overwrites
-    the buffers of the one before, but not the arrays it returned; the
-    buffers are freed with `run`."""
+    the networks writes one `LstmBuffers` made here, with its per-step
+    views: one h, c, tanh(c), gates and `step_scratch`. A layer reads the h
+    of the layer before it only in its projection GEMM, before its time
+    loop writes h. A `run` overwrites the buffers of the one before, but not
+    the arrays it returned; the buffers are freed with `run`."""
     dtype, H, L = params.flat.dtype, params.arch.hidden, params.arch.layers
     consts = _layer_constants(params, nets)
-    c, tanh_c, gates = (np.empty((T, B, w), dtype) for w in (H, H, 4 * H))
-    shared = (c, tanh_c, gates, step_scratch(params.flat, B, H))
-    pair = [LstmBuffers(np.empty((T, B, H), dtype), *shared) for _ in range(2)]
-    outs = [pair[i % 2] for i in range(L)]
+    h, c, tanh_c, gates = (np.empty((T, B, w), dtype) for w in (H, H, H, 4 * H))
+    outs = [LstmBuffers(h, c, tanh_c, gates, step_scratch(params.flat, B, H))] * L
 
     def run(net: str, x: np.ndarray):
         xs = np.empty((T, B, x.shape[-1]), dtype)  # x, time-major, in dtype
@@ -314,53 +312,53 @@ def _nograd(params: VaeParams, nets: tuple[str, ...], B: int, T: int):
     return run
 
 
-def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads, da, dxs):
+def _stack_backward(params: VaeParams, net: str, dmean, dlogvar, caches, grads, da, dx):
     """Backward through one network from the gradients of its mean and clipped
     logvar; writes the tensor gradients into the layer views `grads`, returns
-    the input gradient, or None for the encoder, whose input gradient no one
-    reads. `da` is the gate-gradient buffer every layer shares, with its
-    `gate_views`; `dxs` are the two flat buffers that the layers' input
-    gradients take in turn."""
+    the batch-first input gradient, or None for the encoder, whose input
+    gradient no one reads. `da` is the gate-gradient buffer every layer
+    shares, with its `gate_views`; `dx` is the flat buffer that every
+    layer's input gradient takes. A layer reads its dh_out, the input
+    gradient of the layer above, only inside its time loop, before it
+    writes its own."""
     layer_caches, head_cache, lv = caches
     # the clip passes the gradient of the logvars strictly inside its bounds
     draw = np.concatenate([dmean, dlogvar * ((lv > LOGVAR_LO) & (lv < LOGVAR_HI))], axis=-1)
     dh = linear_backward(draw, head_cache, params.layers[f"{net}_head"], grads[f"{net}_head"])
+    dh = dh.transpose(1, 0, 2)
     for i in range(params.arch.layers - 1, -1, -1):
         layer, cache = f"{net}{i}", layer_caches[i]
-        if net == "enc" and not i:
-            dx = False
-        else:
-            xs = cache[0]  # the time-major input, whose shape dx takes
-            dx = dxs[i % 2][: xs.size].reshape(xs.shape)
-        dh = lstm_backward(dh, cache, params.layers[layer], grads[layer], da, dx)
-    return dh
+        xs = cache[0]  # the time-major input, whose shape its gradient takes
+        dx_i = False if net == "enc" and not i else dx[: xs.size].reshape(xs.shape)
+        dh = lstm_backward(dh, cache, params.layers[layer], grads[layer], da, dx_i)
+    return None if dh is None else dh.transpose(1, 0, 2)
 
 
 class _Workspace:
     """The arrays one `train` call reuses on every step, so that no step
     allocates, frees and faults them in again.
 
-    One flat buffer per array: one gate-gradient buffer that every layer's
-    backward pass shares, two input-gradient buffers that the layers take in
-    turn, and each network's time-major input and each LSTM layer's h, c,
-    tanh(c) and gates; then the gradient vector and its layer views, and a
-    vector in the same layout for the step's gate constants. The
-    buffers hold `batch` windows, the largest batch `train` draws. A batch
-    of b windows takes C-contiguous (T, b, .) views from the front of each
-    buffer, built once per b, so every GEMM sees the layout a fresh array
-    has; with them, once per b too, each layer's `LstmBuffers` and its
-    per-step views, one `step_scratch` that every layer's forward pass
-    shares, and the gate-gradient buffer's `gate_views`. The buffers are
-    allocated at the first step, like its input and parameters, so that
-    they share their array type as well as their dtype. They are one
-    allocation: freed as one block, it stays with the C allocator for the
-    next `train` in the process, where one allocation per buffer would be
-    handed back to the kernel and faulted in again.
+    One flat buffer per array: one gate-gradient buffer and one
+    input-gradient buffer that every layer's backward pass shares, and each
+    network's time-major input and each LSTM layer's h, c, tanh(c) and
+    gates; then the gradient vector and its layer views, and a vector in the
+    same layout for the step's gate constants. The buffers hold `batch`
+    windows, the largest batch `train` draws. A batch of b windows takes
+    C-contiguous (T, b, .) views from the front of each buffer, built once
+    per b, so every GEMM sees the layout a fresh array has; with them, once
+    per b too, each layer's `LstmBuffers` and its per-step views, one
+    `step_scratch` that every layer's forward pass shares, and the
+    gate-gradient buffer's `gate_views`. The buffers are allocated at the
+    first step, like its input and parameters, so that they share their
+    array type as well as their dtype. They are one allocation: freed as one
+    block, it stays with the C allocator for the next `train` in the
+    process, where one allocation per buffer would be handed back to the
+    kernel and faulted in again.
     """
 
     def __init__(self, batch: int):
         self.batch = batch
-        # (b, T) -> (grad, grad layer views, enc bufs, dec bufs, da, dxs, constant layer views)
+        # (b, T) -> (grad, grad layer views, enc bufs, dec bufs, da, dx, constant layer views)
         self._views = {}
         self._flat = None
 
@@ -376,21 +374,21 @@ class _Workspace:
         # each network's input width and the widths of a layer's h, c, tanh(c), gates
         nets = [(dim, (H, H, H, 4 * H)) for _, dim, _ in _nets(params.latent)]
         if self._flat is None:
-            # da, the two input gradients, as wide as the widest, then each
+            # da, the input gradient, as wide as the widest, then each
             # network's input and its layers' buffers, in one block
-            dx_width = max(H, params.latent.total)
-            order = [4 * H, dx_width, dx_width] + [w for dim, ws in nets for w in (dim, *ws * L)]
+            order = [4 * H, max(H, params.latent.total)]
+            order += [w for dim, ws in nets for w in (dim, *ws * L)]
             rows = T * self.batch
             whole = np.empty_like(x, shape=(rows * sum(order),))
             bufs = iter(np.split(whole, rows * np.cumsum(order)[:-1]))
-            da, dxs = next(bufs), (next(bufs), next(bufs))
+            da, dx = next(bufs), next(bufs)
             flats = [
                 (next(bufs), [[next(bufs) for _ in widths] for _ in range(L)]) for _, widths in nets
             ]
             grad, consts = np.empty_like(params.flat), np.empty_like(params.flat)
             layers = (replace(params, flat=v).layers for v in (grad, consts))
-            self._flat = grad, next(layers), da, dxs, flats, next(layers)
-        grad, grads, da, dxs, flats, consts = self._flat
+            self._flat = grad, next(layers), da, dx, flats, next(layers)
+        grad, grads, da, dx, flats, consts = self._flat
 
         def view(a, width):
             return a[: T * b * width].reshape(T, b, width)
@@ -401,7 +399,7 @@ class _Workspace:
             for (xs, layers), (dim, widths) in zip(flats, nets)
         )
         da = view(da, 4 * H)
-        return grad, grads, enc, dec, (da, gate_views(da)), dxs, consts
+        return grad, grads, enc, dec, (da, gate_views(da)), dx, consts
 
 
 def _worker_count() -> int:
@@ -533,7 +531,7 @@ def objective_and_grads(
     B, T, _ = x.shape
     scale = 1.0 / (B * T)
     var_p = float(prior_std) ** 2
-    grad, grads, enc_bufs, dec_bufs, da, dxs, const_layers = ws.get(params, x)
+    grad, grads, enc_bufs, dec_bufs, da, dx, const_layers = ws.get(params, x)
     consts = _layer_constants(params, ("enc", "dec"), const_layers)
 
     mu, lv, enc_cache = _stack(params, "enc", x, enc_bufs, consts)
@@ -558,13 +556,13 @@ def objective_and_grads(
     dmu_x = coef * (resid * inv_var_x)
     dlx = coef * (-0.5 + 0.5 * resid**2 * inv_var_x)
     dz = _stack_backward(
-        params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads, da, dxs
+        params, "dec", dmu_x * mu_x * (1.0 - mu_x), dlx, dec_cache, grads, da, dx
     )
 
     # KL term plus the pathwise gradient through z = mu + std * eps
     dmu = scale * (mu - prior_means[:, None, :]) / var_p + dz
     dlv = scale * (0.5 * np.exp(lv) / var_p - 0.5) + dz * eps * 0.5 * std
-    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads, da, dxs)
+    _stack_backward(params, "enc", dmu, dlv, enc_cache, grads, da, dx)
 
     components = {"objective": objective, "kl": kl, "loglik": loglik}
     return objective, components, grad

@@ -546,25 +546,30 @@ def lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
 
 
 def nn_lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
-    """`nn.lstm_forward` on new buffers and gate constants, in the dtype and
-    array type of x."""
+    """`nn.lstm_forward` over a batch-first (B, T, D) x, on a time-major copy
+    of it and new buffers and gate constants, in the dtype and array type of
+    x; returns the batch-first view of h and the cache."""
     B, T, _ = x.shape
     H = p["Wh"].shape[0]
     h, c, tanh_c, gates = (
         np.empty_like(x, shape=(T, B, w), order="C") for w in (H, H, H, 4 * H)
     )
     out = nn.LstmBuffers(h, c, tanh_c, gates, nn.step_scratch(x, B, H))
-    return nn.lstm_forward(x, p, out, nn.gate_constants([p])[0])
+    xs = x.transpose(1, 0, 2).copy(order="C")
+    h, cache = nn.lstm_forward(xs, p, out, nn.gate_constants([p])[0])
+    return h.transpose(1, 0, 2), cache
 
 
 def nn_lstm_backward(dh_out: np.ndarray, cache, p: dict[str, np.ndarray]):
-    """`nn.lstm_backward` into new gradient arrays, gate gradients and input
-    gradient."""
+    """`nn.lstm_backward` of a batch-first (B, T, H) dh_out into new gradient
+    arrays, gate gradients and input gradient; returns the batch-first view
+    of the input gradient and the gradients."""
     xs, buf = cache
     da = np.empty_like(buf.gates)
     grads = {k: np.empty_like(v) for k, v in p.items()}
-    dx = nn.lstm_backward(dh_out, cache, p, grads, (da, nn.gate_views(da)), np.empty_like(xs))
-    return dx, grads
+    dh = dh_out.transpose(1, 0, 2)
+    dx = nn.lstm_backward(dh, cache, p, grads, (da, nn.gate_views(da)), np.empty_like(xs))
+    return dx.transpose(1, 0, 2), grads
 
 
 @dataclass

@@ -1247,6 +1247,34 @@ def test_bad_output_path_fails_before_any_work(pipeline, tmp_path, capsys, comma
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize(
+    "command, keys, names",
+    [
+        pytest.param(c, pair, ("same.out", "same.out"), id="-".join((c, *pair)))
+        for c, keys in OUTPUTS.items()
+        for pair in itertools.combinations(keys, 2)
+    ]
+    + [pytest.param("synth", ("out", "labels_out"), ("a.csv", "./a.csv"), id="synth-spelled")],
+)
+def test_two_outputs_naming_one_file_fail_before_any_work(
+    pipeline, tmp_path, capsys, monkeypatch, command, keys, names
+):
+    """One `error:` line naming both flags, exit 2 and no file written, also
+    when the two paths are spelled differently."""
+    monkeypatch.chdir(tmp_path)
+    paths = {k: f"{k}.out" for k in OUTPUTS[command]}
+    paths.update(zip(keys, names))
+    argv = [command, *inputs_of(pipeline, command)]
+    argv += [a for k, path in paths.items() for a in (cli._flag(k), path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert all(cli._flag(k) in lines[0] for k in keys), lines
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigFile:
     def test_config_only_run(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -157,11 +157,11 @@ class TestTrainLoop:
 
 
 
-class TestBackwardHelper:
+class TestOneTrainingThread:
     """The backward pass runs on the caller's thread alone: `train` starts
-    no helper thread at any usable CPU count, and an error raised inside
-    the pass reaches the caller and leaves no thread behind. Batches of 64
-    windows of 32 steps."""
+    no thread at any usable CPU count, and an error raised inside the pass
+    reaches the caller and leaves no thread behind. Batches of 64 windows of
+    32 steps."""
 
     def threads_started(self, monkeypatch, cpus):
         train_w, val_w, model = toy_setup(elements=8, days=320, window=32)
@@ -178,7 +178,7 @@ class TestBackwardHelper:
     def test_no_thread_at_one_cpu(self, monkeypatch):
         assert self.threads_started(monkeypatch, 1) == []
 
-    def test_helper_error_propagates_and_no_thread_outlives_train(self, monkeypatch):
+    def test_backward_error_propagates_and_no_thread_outlives_train(self, monkeypatch):
         train_w, val_w, model = toy_setup(elements=8, days=320, window=32)
         monkeypatch.setattr(vae, "_worker_count", lambda: 2)
 
@@ -246,7 +246,8 @@ class TestWorkspace:
     def test_layers_write_their_input_gradients_into_the_workspace(self, monkeypatch):
         """In a warm step, no LSTM layer's backward pass allocates its
         (T, B, H) input gradient: each allocates under half of one, its time
-        loop's (B, .) temporaries."""
+        loop's (B, .) temporaries. Every layer that forms its input gradient
+        writes it into the workspace's one input-gradient buffer."""
         T, B, H = 25, 32, 128
         arch, latent = ArchConfig(hidden=H, layers=3), LatentConfig(free_dims=2)
         params = vae.init_params(arch, latent, seed=0).in_compute_dtype()
@@ -254,9 +255,10 @@ class TestWorkspace:
         x = rng.uniform(size=(B, T, 5)).astype(np.float32)
         prior_means = rng.uniform(-1, 1, (B, latent.total)).astype(np.float32)
         eps = rng.standard_normal((B, T, latent.total)).astype(np.float32)
-        real, peaks = nn.lstm_backward, []
+        real, peaks, dxs = nn.lstm_backward, [], []
 
         def traced(*args, **kwargs):
+            dxs.append(args[5])
             tracemalloc.start()
             try:
                 return real(*args, **kwargs)
@@ -271,6 +273,10 @@ class TestWorkspace:
             vae.objective_and_grads(params, x, prior_means, 0.5, 10.0, eps, ws)
         one = T * B * H * 4  # float32
         assert len(peaks) == 2 * arch.layers and max(peaks) < one / 2, (peaks, one)
+        # the encoder's first layer forms no input gradient
+        assert [d is False for d in dxs] == [False] * (2 * arch.layers - 1) + [True]
+        flat = ws.get(params, x)[5]
+        assert all(np.shares_memory(d, flat) for d in dxs[:-1])
 
 
 class TestValidationPass:
