@@ -21,7 +21,6 @@ from .errors import ConfigError, KpivaeError, ValidationError
 
 REQUIRED = object()
 
-HISTORY_HEADER = ["epoch", "train_loss", "train_kl", "train_loglik", "val_loss"]
 LATENT_HEADER = ["element_id", "date", "cluster", "dim", "mu", "logvar", "kpi_value"]
 
 # the keys that several commands take, each with its one default and type
@@ -33,6 +32,8 @@ SHARED_KEYS = {
     "window": (25, int),
     "stride": (None, int),
 }
+# the options that name a file a command reads, besides --config
+INPUT_KEYS = ("data", "model", "stats", "checkpoint", "latent_stats")
 
 
 def _shared(*keys: str) -> dict:
@@ -149,6 +150,7 @@ class Opts:
 
     def __init__(self, args: argparse.Namespace, table: dict):
         self.table = table
+        self.config_path = args.config
         config = load_config(args.config) if args.config else {}
         flags = {k: v for k, v in vars(args).items() if v is not None}
         self.values = {}
@@ -197,9 +199,13 @@ def _check_outputs(o: Opts, *keys: str, **derived) -> None:
     """`data.check_output` on every output path a command writes: each
     required one, each optional one that is set and not empty, and each
     path the command derived itself, `derived` key=path; no two of them may
-    resolve to the same file."""
+    resolve to the same file, and none to the file of an input option that
+    is set, --config included."""
     paths = {key: o.get(key) for key in keys if o.get(key) or o.table[key][0] is REQUIRED}
-    first = {}
+    inputs = {key: o.values[key] for key in INPUT_KEYS if key in o.values}
+    if o.config_path:
+        inputs["config"] = o.config_path
+    first = {Path(path).resolve(): key for key, path in inputs.items()}
     for key, path in {**paths, **derived}.items():
         data.check_output(path, _flag(key))
         other = first.setdefault(Path(path).resolve(), key)
@@ -230,12 +236,16 @@ def cmd_concepts(args: argparse.Namespace) -> int:
     records = data.load_records(o.get("data"))
     stats = data.fit_normalization(records)
     profiles = concepts.element_profiles(records, stats)
+    # the model stores each element id as one token; fail before any work
+    bad = [e for e in profiles[0] if not data.is_token(e)]
+    if bad:
+        raise ValidationError(f"a concept model cannot store the element id {bad[0]!r}")
     model = concepts.kmeans_fit(profiles, o.get("k"), seed=o.get("seed"))
     data.save_norm_stats(stats, o.get("out_stats"))
     concepts.save_concept_model(model, o.get("out_model"))
     quality_path = o.get("out_quality")
     if quality_path:
-        concepts.save_quality(concepts.cluster_quality(model, profiles), quality_path)
+        concepts.save_quality(*concepts.cluster_quality(model, profiles), quality_path)
     inertia = fmt_float(concepts.inertia(model, profiles))
     print(f"fitted k={model.k} on {len(profiles[0])} elements, inertia {inertia}")
     return 0
@@ -270,8 +280,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     history_path = o.get("out_history")
     if history_path:
-        columns = [np.array([h[key] for h in history]) for key in HISTORY_HEADER]
-        data.write_csv(history_path, HISTORY_HEADER, columns)
+        columns = [np.array([h[key] for h in history]) for key in vae.HISTORY_HEADER]
+        data.write_csv(history_path, vae.HISTORY_HEADER, columns)
     stats_path = o.get("out_latent_stats")
     if stats_path:
         lstats = anomaly.fit_latent_stats(params, train_w, model.assignment)

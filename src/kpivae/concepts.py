@@ -130,27 +130,19 @@ def assign_concept(profiles: np.ndarray, model: ConceptModel) -> np.ndarray:
     return _assign(np.asarray(profiles, dtype=np.float64), model.centroids)
 
 
-@dataclass
-class QualityReport:
-    sizes: dict[int, int]
-    variances: dict[int, float]  # mean squared distance to centroid
-
-
-def cluster_quality(model: ConceptModel, profiles: tuple[list[str], np.ndarray]) -> QualityReport:
-    """Per-cluster size and variance, for elbow-style k picks."""
+def cluster_quality(
+    model: ConceptModel, profiles: tuple[list[str], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Size and variance (mean squared distance to the centroid, 0.0 when
+    empty) of each cluster, indexed by cluster id, for elbow-style k picks."""
     points = np.asarray(profiles[1], dtype=np.float64)
     labels = _assign(points, model.centroids)
-    sizes = {}
-    variances = {}
-    for j in range(model.k):
-        members = points[labels == j]
-        sizes[j] = int(len(members))
-        if len(members):
-            sq = ((members - model.centroids[j]) ** 2).sum(axis=1)
-            variances[j] = float(sq.mean())
-        else:
-            variances[j] = 0.0
-    return QualityReport(sizes=sizes, variances=variances)
+    sizes = np.bincount(labels, minlength=model.k)
+    variances = np.zeros(model.k)
+    for j in np.flatnonzero(sizes):
+        # one mean per cluster; np.bincount's sums would move the last bits
+        variances[j] = ((points[labels == j] - model.centroids[j]) ** 2).sum(axis=1).mean()
+    return sizes, variances
 
 
 def save_concept_model(model: ConceptModel, path) -> None:
@@ -181,11 +173,5 @@ def load_concept_model(path) -> ConceptModel:
     return ConceptModel(centroids, {eid: j for eid, (_, (j,)) in rows["assign"].items()})
 
 
-def save_quality(report: QualityReport, path) -> None:
-    clusters = sorted(report.sizes)
-    columns = (
-        np.array(clusters, dtype=np.int64),
-        np.array([report.sizes[j] for j in clusters], dtype=np.int64),
-        np.array([report.variances[j] for j in clusters], dtype=np.float64),
-    )
-    write_csv(path, QUALITY_HEADER, columns)
+def save_quality(sizes: np.ndarray, variances: np.ndarray, path) -> None:
+    write_csv(path, QUALITY_HEADER, (np.arange(len(sizes)), sizes, variances))

@@ -121,13 +121,17 @@ class Windows:
         return map(self.__getitem__, range(len(self)))
 
 
-@dataclass(frozen=True)
-class AnomalyLabel:
-    """Ground truth for one injected cell: which KPI was perturbed."""
+@dataclass(eq=False)
+class Labels:
+    """Ground truth of synthetic data, one row per injected cell: the KPI
+    that was perturbed."""
 
-    element_id: str
-    date: int
-    kpi_index: int
+    element_ids: np.ndarray  # (N,) str
+    dates: np.ndarray  # (N,) calendar day ordinal
+    kpi_index: np.ndarray  # (N,)
+
+    def __len__(self) -> int:
+        return len(self.dates)
 
 
 @dataclass
@@ -344,13 +348,8 @@ def save_records(records: Records, path) -> None:
     write_csv(path, CSV_HEADER, (records.element_ids, records.dates, records.kpis))
 
 
-def save_labels(labels: list[AnomalyLabel], path) -> None:
-    columns = (
-        np.array([lab.element_id for lab in labels], dtype=object),
-        np.array([lab.date for lab in labels], dtype=np.int64),
-        np.array([lab.kpi_index for lab in labels], dtype=np.int64),
-    )
-    write_csv(path, LABEL_HEADER, columns)
+def save_labels(labels: Labels, path) -> None:
+    write_csv(path, LABEL_HEADER, (labels.element_ids, labels.dates, labels.kpi_index))
 
 
 def fit_normalization(train: Records) -> NormStats:
@@ -381,19 +380,24 @@ def group_means(group: np.ndarray, rows: np.ndarray, n_groups: int) -> np.ndarra
     return sums / np.bincount(group, minlength=n_groups)[:, None]
 
 
+def is_token(text: str) -> bool:
+    """Whether read_artifact reads `text` back as one token: it is not
+    empty and holds no whitespace (a space, a line break, a \\x1c)."""
+    return text.split() == [text]
+
+
 def write_artifact(path, tag: str, rows, body: bytes = b"") -> None:
     """Write an artifact: the tag line, one line of tokens per row, a `sha256`
     row, then `body`. The hash covers the text before the `sha256` row and
     the body after it.
 
     Floats are written by fmt_float, every other token by str. Raises
-    ValidationError, before the file is opened, for a str token that
-    read_artifact would not read back as one token: an empty one, or one that
-    holds whitespace (a space, a line break, a \\x1c).
+    ValidationError, before the file is opened, for a str token that is not
+    `is_token`.
     """
     rows = [list(row) for row in rows]
     for t in (t for row in rows for t in row if isinstance(t, str)):
-        if t.split() != [t]:
+        if not is_token(t):
             raise ValidationError(f"cannot write {t!r} as one token of {tag}")
     lines = [tag] + [
         " ".join(fmt_float(t) if isinstance(t, (float, np.floating)) else str(t) for t in row)
@@ -581,7 +585,7 @@ def _profiles(clusters: int) -> tuple[np.ndarray, np.ndarray]:
     return means, np.maximum(1.0, 0.04 * means)
 
 
-def synth_generate(config: SynthConfig) -> tuple[Records, list[AnomalyLabel]]:
+def synth_generate(config: SynthConfig) -> tuple[Records, Labels]:
     """Draw a synthetic KPI dataset plus ground-truth anomaly labels.
 
     Element e follows cluster e mod `clusters`. Drops and attempts are drawn
@@ -627,11 +631,10 @@ def synth_generate(config: SynthConfig) -> tuple[Records, list[AnomalyLabel]]:
         if not np.isfinite(injected).all():
             raise ConfigError(f"anomaly_magnitude {m!r} takes an injected KPI past the float range")
         kpis[cells] = injected
-    ids = [f"el{e:04d}" for e in range(n)]
+    ids = np.array([f"el{e:04d}" for e in range(n)], dtype=object)
     records = Records(
-        element_ids=np.repeat(np.array(ids, dtype=object), days),
+        element_ids=np.repeat(ids, days),
         dates=np.tile(np.arange(1, days + 1), n),
         kpis=kpis,
     )
-    cells_at = zip((cells // days).tolist(), (cells % days + 1).tolist(), kpi.tolist())
-    return records, [AnomalyLabel(ids[e], date, k) for e, date, k in cells_at]
+    return records, Labels(ids[cells // days], cells % days + 1, kpi)

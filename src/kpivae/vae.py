@@ -82,6 +82,8 @@ BATCH_WINDOWS = 256
 COMPUTE_DTYPE = np.float32
 
 CHECKPOINT_TAG = "kpivae-ckpt-v4"
+# the keys of each epoch's history entry, in the column order of `train --out-history`
+HISTORY_HEADER = ["epoch", "train_loss", "train_kl", "train_loglik", "val_loss"]
 
 # prior_std**2 must be a normal, finite float32, where the training and
 # scoring passes divide by it
@@ -614,8 +616,8 @@ def train(
 ) -> tuple[VaeParams, list[dict[str, float]]]:
     """Mini-batch training with early stopping on validation loss.
 
-    Returns the best-validation parameters and the per-epoch history
-    (epoch, train_loss, train_kl, train_loglik, val_loss), where losses are
+    Returns the best-validation parameters and the per-epoch history, one
+    dict per epoch keyed by HISTORY_HEADER, where losses are
     unweighted kl - loglik. Validation reuses one fixed noise draw across
     epochs so successive epochs are compared on common random numbers.
 
@@ -670,15 +672,8 @@ def train(
         train_ll = ll_sum / n
 
         val_loss = _val_loss(params, x_val, p_val, latent.prior_std, val_eps)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_loss": train_kl - train_ll,
-                "train_kl": train_kl,
-                "train_loglik": train_ll,
-                "val_loss": val_loss,
-            }
-        )
+        row = (epoch, train_kl - train_ll, train_kl, train_ll, val_loss)
+        history.append(dict(zip(HISTORY_HEADER, row)))
         if val_loss < best_val:
             best_val = val_loss
             best = params.flat.copy()

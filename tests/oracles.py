@@ -36,6 +36,8 @@ at once.
 `synth_generate` draws each element and injects each anomaly in a loop,
 with `inject` as the per-cell formula; `data.synth_generate`, which does
 both for all elements and cells at once, must give the same bytes.
+`labels_equal` compares two `Labels` column by column, and `label_cells`
+lists the (element_id, date) of each injected cell.
 
 `NoFloat64` wraps the float32 inputs of a kernel so that any float64 array or
 numpy scalar that meets them fails the test.
@@ -224,15 +226,37 @@ def attribute(report, threshold: float = anomaly.Z_THRESHOLD, symmetric: bool = 
     return [data.KPI_NAMES[i] for i in ranked if score[i] > threshold]
 
 
-def load_labels(path) -> list[data.AnomalyLabel]:
-    labels: list[data.AnomalyLabel] = []
+def load_labels(path) -> data.Labels:
+    ids, dates, kpi_index = [], [], []
     for line_no, row in data.csv_rows(path, data.LABEL_HEADER):
         try:
-            kpi_index = int(row[2])
+            kpi_index.append(int(row[2]))
         except ValueError:
             raise ParseError(f"non-integer kpi_index {row[2]!r}", line_no)
-        labels.append(data.AnomalyLabel(row[0], data._parse_date(row[1], line_no), kpi_index))
-    return labels
+        ids.append(row[0])
+        dates.append(data._parse_date(row[1], line_no))
+    return labels_of(ids, dates, kpi_index)
+
+
+def labels_of(ids, dates, kpi_index) -> data.Labels:
+    """The `Labels` of three equal-length lists."""
+    return data.Labels(
+        np.array(ids, dtype=object), np.array(dates, dtype=np.int64),
+        np.array(kpi_index, dtype=np.int64),
+    )
+
+
+def labels_equal(a: data.Labels, b: data.Labels) -> bool:
+    return (
+        a.element_ids.tolist() == b.element_ids.tolist()
+        and np.array_equal(a.dates, b.dates)
+        and np.array_equal(a.kpi_index, b.kpi_index)
+    )
+
+
+def label_cells(labels: data.Labels) -> list[tuple[str, int]]:
+    """The (element_id, date) of every injected cell, in label order."""
+    return list(zip(labels.element_ids.tolist(), labels.dates.tolist()))
 
 
 def encode(params, window) -> tuple[np.ndarray, np.ndarray]:
@@ -430,7 +454,7 @@ def inject(kpis: tuple, kpi_index: int, magnitude: float) -> tuple:
     return (cdr, td, enb, mme, att)
 
 
-def synth_generate(config: data.SynthConfig) -> tuple[data.Records, list[data.AnomalyLabel]]:
+def synth_generate(config: data.SynthConfig) -> tuple[data.Records, data.Labels]:
     """`data.synth_generate` one element and one injected cell at a time: per
     element three draws of `days` values (eNodeB drops, MME drops, attempts),
     then per injected cell one draw of its KPI and `inject`."""
@@ -453,7 +477,7 @@ def synth_generate(config: data.SynthConfig) -> tuple[data.Records, list[data.An
         kpis=np.array(columns).transpose(0, 2, 1).reshape(-1, data.N_KPIS),
     )
 
-    labels = []
+    label_ids, label_dates, label_kpis = [], [], []
     n_cells = config.elements * config.days
     n_anom = int(round(config.anomaly_rate * n_cells))
     if n_anom > 0:
@@ -464,10 +488,10 @@ def synth_generate(config: data.SynthConfig) -> tuple[data.Records, list[data.An
             kpi_index = int(positive[rng_inject.integers(len(positive))])
             kpis = tuple(records.kpis[idx])
             records.kpis[idx] = inject(kpis, kpi_index, config.anomaly_magnitude)
-            labels.append(
-                data.AnomalyLabel(ids[idx // config.days], idx % config.days + 1, kpi_index)
-            )
-    return records, labels
+            label_ids.append(ids[idx // config.days])
+            label_dates.append(idx % config.days + 1)
+            label_kpis.append(kpi_index)
+    return records, labels_of(label_ids, label_dates, label_kpis)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

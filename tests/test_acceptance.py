@@ -222,11 +222,10 @@ class TestSyntheticDetection:
         by_cell = {(r.element_id, r.date): r for r in p.reports}
         cutoff = int(round(0.02 * len(p.reports)))
         top = {(r.element_id, r.date) for r in p.reports[:cutoff]}
-        detected = [l for l in p.labels if (l.element_id, l.date) in top]
+        cells = zip(oracles.label_cells(p.labels), p.labels.kpi_index.tolist())
+        detected = [(cell, k) for cell, k in cells if cell in top]
         frac = len(detected) / len(p.labels)
-        hit = float(
-            np.mean([by_cell[(l.element_id, l.date)].flagged[l.kpi_index] for l in detected])
-        )
+        hit = float(np.mean([by_cell[cell].flagged[k] for cell, k in detected]))
         ok = frac >= 0.80 and hit >= 0.80
         scoreline(
             capsys,

@@ -644,10 +644,9 @@ class TestDetectionRanking:
         for rc, rh in zip(oracles.record_list(clean_recs), oracles.record_list(hot_recs)):
             delta = data.normalize(rh.kpis, tp.stats) - data.normalize(rc.kpis, tp.stats)
             norm_by_key[(rc.element_id, rc.date)] = np.abs(delta).max()
-        displaced = [l for l in labels if norm_by_key[(l.element_id, l.date)] >= 0.2]
+        displaced = [key for key in oracles.label_cells(labels) if norm_by_key[key] >= 0.2]
         assert len(displaced) >= 3
-        for l in displaced:
-            key = (l.element_id, l.date)
+        for key in displaced:
             assert hot_pos[key] < clean_pos[key]
 
     def test_same_seed_same_cells_across_magnitudes(self):
@@ -662,8 +661,9 @@ class TestDetectionRanking:
                 seed=12,
             )
             _, labels = data.synth_generate(cfg)
-            picked.append([(l.element_id, l.date, l.kpi_index) for l in labels])
-        assert picked[0] == picked[1] == picked[2]
+            picked.append(labels)
+        assert oracles.labels_equal(picked[0], picked[1])
+        assert oracles.labels_equal(picked[0], picked[2])
 
 
 class TestReportSerialization:

@@ -135,7 +135,7 @@ class TestConcepts:
 class TestTrain:
     def test_history_schema(self, pipeline):
         rows = read_csv(pipeline["history"])
-        assert rows[0] == cli.HISTORY_HEADER
+        assert rows[0] == vae.HISTORY_HEADER
         assert len(rows) == 3
         for i, row in enumerate(rows[1:]):
             assert int(row[0]) == i
@@ -375,7 +375,7 @@ class TestCsvBytes:
         argv[argv.index("--anomaly-rate") + 1] = "0.05"
         assert run(argv) == 0
         labels = oracles.load_labels(tmp_path / "x.labels.csv")
-        rows = [[lab.element_id, lab.date, lab.kpi_index] for lab in labels]
+        rows = list(zip(labels.element_ids.tolist(), labels.dates.tolist(), labels.kpi_index.tolist()))
         assert len(rows) == 9
         assert (tmp_path / "x.labels.csv").read_bytes() == oracles.csv_bytes(
             [data.LABEL_HEADER] + rows
@@ -383,8 +383,9 @@ class TestCsvBytes:
 
         stats = data.load_norm_stats(pipeline["stats"])
         model = concepts.load_concept_model(pipeline["model"])
-        quality = concepts.cluster_quality(model, concepts.element_profiles(records, stats))
-        rows = [[j, quality.sizes[j], repr(quality.variances[j])] for j in sorted(quality.sizes)]
+        profiles = concepts.element_profiles(records, stats)
+        sizes, variances = concepts.cluster_quality(model, profiles)
+        rows = list(zip(range(len(sizes)), sizes.tolist(), map(repr, variances.tolist())))
         assert pipeline["quality"].read_bytes() == oracles.csv_bytes(
             [concepts.QUALITY_HEADER] + rows
         )
@@ -1273,6 +1274,74 @@ def test_two_outputs_naming_one_file_fail_before_any_work(
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert all(cli._flag(k) in lines[0] for k in keys), lines
     assert list(tmp_path.iterdir()) == []
+
+
+# every input option of each command, --config included, and the artifact
+# of the shared chain each one reads
+INPUTS = {
+    "synth": ["config"],
+    "concepts": ["data", "config"],
+    "train": ["data", "model", "stats", "config"],
+    "score": ["data", "checkpoint", "model", "stats", "latent_stats", "config"],
+    "export-latent": ["data", "checkpoint", "model", "stats", "config"],
+}
+ARTIFACTS = {
+    "data": "data", "model": "model", "stats": "stats", "checkpoint": "ckpt",
+    "latent_stats": "lstats",
+}
+
+
+@pytest.mark.parametrize(
+    "command, out_key, in_key",
+    [
+        pytest.param(c, o, i, id=f"{c}-{o}-{i}")
+        for c, keys in OUTPUTS.items()
+        for o in keys
+        for i in INPUTS[c]
+    ],
+)
+def test_output_naming_an_input_fails_before_any_work(
+    pipeline, tmp_path, capsys, command, out_key, in_key
+):
+    """One `error:` line naming both flags, exit 2, the input keeps its bytes
+    and no output is written."""
+    copies = {k: tmp_path / pipeline[k].name for k in ARTIFACTS.values()}
+    for k, path in copies.items():
+        path.write_bytes(pipeline[k].read_bytes())
+    config = tmp_path / "run.cfg"
+    config.write_text("# every option is given as a flag\n")
+    inputs = {key: copies[k] for key, k in ARTIFACTS.items()}
+    paths = {k: tmp_path / f"{k}.out" for k in OUTPUTS[command]}
+    paths[out_key] = config if in_key == "config" else inputs[in_key]
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [command, *inputs_of(copies, command), "--config", str(config)]
+    argv += [a for k, path in paths.items() for a in (cli._flag(k), str(path))]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert cli._flag(out_key) in lines[0] and cli._flag(in_key) in lines[0], lines
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("element_id", ["el 01", ""], ids=["space", "empty"])
+def test_concepts_rejects_an_element_id_its_model_cannot_store(
+    pipeline, tmp_path, capsys, element_id
+):
+    """One `error:` line naming the id, exit 2 and no file written."""
+    records = data.load_records(pipeline["data"])
+    records.element_ids[records.element_ids == records.element_ids[0]] = element_id
+    data.save_records(records, tmp_path / "kpis.csv")
+    argv = [
+        "concepts", "--data", str(tmp_path / "kpis.csv"), "--k", "2",
+        "--out-model", str(tmp_path / "model.txt"), "--out-stats", str(tmp_path / "stats.txt"),
+        "--out-quality", str(tmp_path / "quality.csv"),
+    ]
+    assert run(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and repr(element_id) in lines[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["kpis.csv"]
 
 
 class TestConfigFile:

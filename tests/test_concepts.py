@@ -213,16 +213,16 @@ class TestQualityAndPersistence:
         pts = np.zeros((2, 5))
         pts[1, 0] = 1.0
         model = concepts.kmeans_fit(profiles_from(pts), 1)
-        report = concepts.cluster_quality(model, profiles_from(pts))
-        assert report.sizes == {0: 2}
-        assert report.variances[0] == pytest.approx(0.25)
+        sizes, variances = concepts.cluster_quality(model, profiles_from(pts))
+        assert sizes.tolist() == [2]
+        assert variances[0] == pytest.approx(0.25)
 
     def test_k_equals_n_variances_zero(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(size=(4, 5))
         model = concepts.kmeans_fit(profiles_from(pts), 4)
-        report = concepts.cluster_quality(model, profiles_from(pts))
-        assert all(v == pytest.approx(0.0, abs=1e-12) for v in report.variances.values())
+        _, variances = concepts.cluster_quality(model, profiles_from(pts))
+        assert all(v == pytest.approx(0.0, abs=1e-12) for v in variances)
 
     def test_quality_order_invariant(self):
         rng = np.random.default_rng(6)
@@ -231,14 +231,24 @@ class TestQualityAndPersistence:
         model = concepts.kmeans_fit(profs, 2, seed=3)
         a = concepts.cluster_quality(model, profs)
         b = concepts.cluster_quality(model, (profs[0][::-1], profs[1][::-1]))
-        assert a.sizes == b.sizes
-        assert a.variances == pytest.approx(b.variances)
+        assert a[0].tolist() == b[0].tolist()
+        assert a[1] == pytest.approx(b[1])
 
     def test_quality_csv_rows_schema(self, tmp_path):
-        report = concepts.QualityReport(sizes={1: 3, 0: 2}, variances={0: 0.1, 1: 0.2})
         path = tmp_path / "quality.csv"
-        concepts.save_quality(report, path)
+        concepts.save_quality(np.array([2, 3]), np.array([0.1, 0.2]), path)
         assert path.read_text() == "cluster,size,variance\n0,2,0.1\n1,3,0.2\n"
+
+    def test_empty_cluster_has_size_zero_and_variance_zero(self, tmp_path):
+        centroids = np.array([[0.1] * data.N_KPIS, [0.9] * data.N_KPIS])
+        model = concepts.ConceptModel(centroids, assignment={})
+        pts = np.random.default_rng(8).uniform(0.0, 0.3, size=(4, data.N_KPIS))
+        sizes, variances = concepts.cluster_quality(model, profiles_from(pts))
+        assert sizes.tolist() == [4, 0]
+        assert variances[0] > 0.0 and variances[1] == 0.0
+        path = tmp_path / "quality.csv"
+        concepts.save_quality(sizes, variances, path)
+        assert path.read_text().splitlines()[2] == "1,0,0.0"
 
     def test_model_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
