@@ -23,17 +23,24 @@ REQUIRED = object()
 
 LATENT_HEADER = ["element_id", "date", "cluster", "dim", "mu", "logvar", "kpi_value"]
 
+
+class InPath(str):
+    """The type of an option that names a file the command reads."""
+
+
+class OutPath(str):
+    """The type of an option that names a file the command writes."""
+
+
 # the keys that several commands take, each with its one default and type
 SHARED_KEYS = {
-    "data": (REQUIRED, str),
-    "model": (REQUIRED, str),
-    "stats": (REQUIRED, str),
-    "checkpoint": (REQUIRED, str),
+    "data": (REQUIRED, InPath),
+    "model": (REQUIRED, InPath),
+    "stats": (REQUIRED, InPath),
+    "checkpoint": (REQUIRED, InPath),
     "window": (25, int),
     "stride": (None, int),
 }
-# the options that name a file a command reads, besides --config
-INPUT_KEYS = ("data", "model", "stats", "checkpoint", "latent_stats")
 
 
 def _shared(*keys: str) -> dict:
@@ -45,32 +52,37 @@ def _fields(*configs) -> dict:
     return {f.name: (f.default, type(f.default)) for c in configs for f in fields(c)}
 
 
+def _labels_path(o: Opts) -> Path:
+    """default: derived from --out, its suffix replaced by .labels.csv"""
+    return Path(o.get("out")).with_suffix(".labels.csv")
+
+
 SYNTH_KEYS = {
-    "out": (REQUIRED, str),
-    "labels_out": (None, str),
+    "out": (REQUIRED, OutPath),
+    "labels_out": (_labels_path, OutPath),
     **_fields(data.SynthConfig),
 }
 CONCEPTS_KEYS = {
     **_shared("data"),
     "k": (10, int),
     "seed": (0, int),
-    "out_model": (REQUIRED, str),
-    "out_stats": (REQUIRED, str),
-    "out_quality": (None, str),
+    "out_model": (REQUIRED, OutPath),
+    "out_stats": (REQUIRED, OutPath),
+    "out_quality": (None, OutPath),
 }
 TRAIN_KEYS = {
     **_shared("data", "model", "stats"),
-    "out_checkpoint": (REQUIRED, str),
-    "out_history": (None, str),
-    "out_latent_stats": (None, str),
+    "out_checkpoint": (REQUIRED, OutPath),
+    "out_history": (None, OutPath),
+    "out_latent_stats": (None, OutPath),
     **_shared("window", "stride"),
     **_fields(vae.ArchConfig, vae.LatentConfig, vae.TrainConfig),
     "val_fraction": (0.05, float),
 }
 SCORE_KEYS = {
     **_shared("data", "checkpoint", "model", "stats"),
-    "latent_stats": (REQUIRED, str),
-    "out": (REQUIRED, str),
+    "latent_stats": (REQUIRED, InPath),
+    "out": (REQUIRED, OutPath),
     **_shared("window", "stride"),
     "eval_samples": (10, int),
     "seed": (0, int),
@@ -81,11 +93,11 @@ SCORE_KEYS = {
 }
 EXPORT_KEYS = {
     **_shared("data", "checkpoint", "model", "stats"),
-    "out": (REQUIRED, str),
+    "out": (REQUIRED, OutPath),
     **_shared("window", "stride"),
     "cluster": (None, int),
     "dims": ("concept", str),
-    "svg": (None, str),
+    "svg": (None, OutPath),
 }
 # every key has the same type in every command that takes it
 KEY_TYPES = {
@@ -105,6 +117,8 @@ def _parse_bool(s: str) -> bool:
 
 
 def _cast(raw: str, cast):
+    if issubclass(cast, str) and "\0" in raw:  # no file name or value holds one
+        raise ConfigError(f"value {raw!r} holds a NUL byte")
     if cast is bool:
         return _parse_bool(raw)
     try:
@@ -145,22 +159,26 @@ class Opts:
     """Effective option values: CLI flag, else config entry, else default.
 
     Flags and config entries are both strings cast by `_cast`, all at once,
-    so a bad value fails before any work starts.
+    and then every output path is checked, so that a bad value fails before
+    any work starts. A default may be a function of the other options.
     """
 
     def __init__(self, args: argparse.Namespace, table: dict):
-        self.table = table
-        self.config_path = args.config
-        config = load_config(args.config) if args.config else {}
+        self.table, self.values, config = table, {}, {}
         flags = {k: v for k, v in vars(args).items() if v is not None}
-        self.values = {}
-        for key, (_, cast) in table.items():
+        # --config first, since the other options may come from its file
+        for key, (default, cast) in {"config": (None, InPath), **table}.items():
             raw = flags.get(key, config.get(key))
-            if raw is not None:
-                try:
-                    self.values[key] = _cast(raw, cast)
-                except ConfigError as e:
-                    raise ConfigError(f"{_flag(key)}: {e}")
+            # an empty optional path leaves the option at its default
+            if raw is None or raw == "" and default is not REQUIRED and cast in (InPath, OutPath):
+                continue
+            try:
+                self.values[key] = _cast(raw, cast)
+            except ConfigError as e:
+                raise ConfigError(f"{_flag(key)}: {e}")
+            if key == "config":
+                config = load_config(self.values[key])
+        self._check_paths()
 
     def get(self, key: str):
         if key in self.values:
@@ -168,7 +186,24 @@ class Opts:
         default = self.table[key][0]
         if default is REQUIRED:
             raise ConfigError(f"missing required option {_flag(key)}")
-        return default
+        return default(self) if callable(default) else default
+
+    def _check_paths(self) -> None:
+        """Every output path, in table order so that a default derived from an
+        output is formed after that output passed: its directory exists, it
+        is not one, and it names no other output's file nor a set input's."""
+        first = {Path(v).resolve(): k for k, v in self.values.items() if type(v) is InPath}
+        for key in [k for k, (_, cast) in self.table.items() if cast is OutPath]:
+            if self.get(key) is None:
+                continue
+            path = Path(self.get(key))
+            if not path.parent.is_dir():
+                raise ConfigError(f"{_flag(key)}: {path.parent} is not a directory")
+            if path.is_dir():
+                raise ConfigError(f"{_flag(key)}: {path} is a directory")
+            other = first.setdefault(path.resolve(), key)
+            if other != key:
+                raise ConfigError(f"{_flag(other)} and {_flag(key)} name the same file {path}")
 
 
 def split_elements(element_ids, val_fraction: float) -> tuple[set[str], set[str]]:
@@ -195,44 +230,21 @@ def split_elements(element_ids, val_fraction: float) -> tuple[set[str], set[str]
     return set(ids) - val, val
 
 
-def _check_outputs(o: Opts, *keys: str, **derived) -> None:
-    """`data.check_output` on every output path a command writes: each
-    required one, each optional one that is set and not empty, and each
-    path the command derived itself, `derived` key=path; no two of them may
-    resolve to the same file, and none to the file of an input option that
-    is set, --config included."""
-    paths = {key: o.get(key) for key in keys if o.get(key) or o.table[key][0] is REQUIRED}
-    inputs = {key: o.values[key] for key in INPUT_KEYS if key in o.values}
-    if o.config_path:
-        inputs["config"] = o.config_path
-    first = {Path(path).resolve(): key for key, path in inputs.items()}
-    for key, path in {**paths, **derived}.items():
-        data.check_output(path, _flag(key))
-        other = first.setdefault(Path(path).resolve(), key)
-        if other != key:
-            raise ConfigError(f"{_flag(other)} and {_flag(key)} name the same file {path}")
-
-
 def _config(config, o: Opts):
     """The config dataclass `config` with each field set from its option."""
     return config(**{f.name: o.get(f.name) for f in fields(config)})
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    o = Opts(args, SYNTH_KEYS)
+def cmd_synth(o: Opts) -> int:
     out = Path(o.get("out"))
-    labels_out = o.get("labels_out") or out.with_suffix(".labels.csv")
-    _check_outputs(o, "out", labels_out=labels_out)
     records, labels = data.synth_generate(_config(data.SynthConfig, o))
     data.save_records(records, out)
-    data.save_labels(labels, labels_out)
+    data.save_labels(labels, o.get("labels_out"))
     print(f"wrote {len(records)} records ({len(labels)} injected) to {out}")
     return 0
 
 
-def cmd_concepts(args: argparse.Namespace) -> int:
-    o = Opts(args, CONCEPTS_KEYS)
-    _check_outputs(o, "out_model", "out_stats", "out_quality")
+def cmd_concepts(o: Opts) -> int:
     records = data.load_records(o.get("data"))
     stats = data.fit_normalization(records)
     profiles = concepts.element_profiles(records, stats)
@@ -264,9 +276,7 @@ def _load_windows(o: Opts) -> data.Windows:
     return windows
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    o = Opts(args, TRAIN_KEYS)
-    _check_outputs(o, "out_checkpoint", "out_history", "out_latent_stats")
+def cmd_train(o: Opts) -> int:
     windows = _load_windows(o)
     model = concepts.load_concept_model(o.get("model"))
     train_ids, _ = split_elements(windows.elements, o.get("val_fraction"))
@@ -295,9 +305,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    o = Opts(args, SCORE_KEYS)
-    _check_outputs(o, "out")
+def cmd_score(o: Opts) -> int:
     windows = _load_windows(o)
     params = vae.load_checkpoint(o.get("checkpoint"))
     model = concepts.load_concept_model(o.get("model"))
@@ -345,9 +353,7 @@ def _svg_scatter(values: np.ndarray, mu: np.ndarray, path) -> None:
     data.save_text(path, "\n".join(parts) + "\n")
 
 
-def cmd_export_latent(args: argparse.Namespace) -> int:
-    o = Opts(args, EXPORT_KEYS)
-    _check_outputs(o, "out", "svg")
+def cmd_export_latent(o: Opts) -> int:
     dims_mode = o.get("dims")
     if dims_mode not in ("concept", "all"):
         raise ConfigError("--dims must be 'concept' or 'all'")
@@ -414,16 +420,17 @@ def build_parser() -> argparse.ArgumentParser:
             if cast is bool:
                 p.add_argument(_flag(key), action="store_const", const="true")
             else:
-                shown = "required" if default is REQUIRED else f"default: {default}"
+                shown = default.__doc__ if callable(default) else f"default: {default}"
+                shown = "required" if default is REQUIRED else shown
                 p.add_argument(_flag(key), help=f"({shown})")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, table=table)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(Opts(args, args.table))
     except (KpivaeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -13,7 +13,6 @@ import io
 import re
 from dataclasses import dataclass
 from itertools import chain, islice
-from pathlib import Path
 
 import numpy as np
 
@@ -327,17 +326,6 @@ def write_csv(path, header: list[str], columns) -> None:
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
-def check_output(path, flag: str) -> None:
-    """Raises ConfigError naming `flag` unless `path` can be a file: its
-    parent is a directory and it is not one. A command checks every output
-    path before it starts, so that a bad one leaves no output written."""
-    path = Path(path)
-    if not path.parent.is_dir():
-        raise ConfigError(f"{flag}: {path.parent} is not a directory")
-    if path.is_dir():
-        raise ConfigError(f"{flag}: {path} is a directory")
-
-
 def save_text(path, text: str) -> None:
     """Write `text` as UTF-8, its line ends as they are."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -602,9 +590,12 @@ def synth_generate(config: SynthConfig) -> tuple[Records, Labels]:
     n, days, m = config.elements, config.days, config.anomaly_magnitude
     draw_ss, inject_ss = np.random.SeedSequence(config.seed).spawn(2)
     means, scales = _profiles(config.clusters)
-    c = np.arange(n) % config.clusters
     rng = np.random.default_rng(draw_ss)
-    draws = np.round(rng.normal(means[c, :, None], scales[c, :, None], (n, 3, days)))
+    try:
+        c = np.arange(n) % config.clusters
+        draws = np.round(rng.normal(means[c, :, None], scales[c, :, None], (n, 3, days)))
+    except ValueError:  # numpy's error for a size beyond the address space
+        raise MemoryError(f"{n:,} elements x {days:,} days exceed the address space") from None
     enb, mme = np.maximum(0.0, draws[:, :2]).transpose(1, 0, 2)
     att = np.maximum(1.0, draws[:, 2])
     td = enb + mme

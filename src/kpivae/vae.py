@@ -89,6 +89,8 @@ HISTORY_HEADER = ["epoch", "train_loss", "train_kl", "train_loglik", "val_loss"]
 # scoring passes divide by it
 PRIOR_STD_MIN = math.sqrt(float(np.finfo(np.float32).tiny))
 PRIOR_STD_MAX = math.sqrt(float(np.finfo(np.float32).max))
+# Adam scales its float32 step by the learning rate
+LEARNING_RATE_MAX = float(np.finfo(np.float32).max)
 # the clip of every logvar the encoder and decoder emit
 LOGVAR_LO = -8.0
 LOGVAR_HI = 8.0
@@ -140,8 +142,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate <= LEARNING_RATE_MAX:
+            raise ConfigError(f"learning_rate must be in (0, {LEARNING_RATE_MAX:.4g}], a float32")
         if not self.recon_weight >= 0:
             raise ConfigError(f"recon_weight must be >= 0, got {self.recon_weight}")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:

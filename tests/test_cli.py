@@ -1105,6 +1105,27 @@ class TestUnallocatableSizes:
         assert len(lines) == 1 and lines[0].startswith("error: out of memory:")
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--elements", "--days"])
+    def test_synth_size(self, tmp_path, capsys, flag):
+        # 10^20 does not fit in an array size, so numpy fails before it allocates
+        argv = ["synth", "--elements", "2", "--days", "3", flag, str(10**20)]
+        assert run([*argv, "--out", str(tmp_path / "s.csv")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory:")
+        assert f"{10**20:,} {flag[2:]}" in lines[0]
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_learning_rate_past_float32_fails_with_one_line(pipeline, tmp_path, capsys):
+    """Adam casts the rate to float32: one `error:` line, exit 2, nothing else
+    on stderr and no file written."""
+    assert train_with(pipeline, tmp_path, "--learning-rate", "1e308") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: learning_rate must be in (0, "), lines
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):
     """`concepts`, `score`, `train` and `export-latent` write the same bytes at
@@ -1325,6 +1346,65 @@ def test_output_naming_an_input_fails_before_any_work(
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_each_table_declares_the_role_of_every_path():
+    """The output-path keys of each command's table are its outputs, and its
+    input-path keys its inputs besides --config, each in table order."""
+    for command in OUTPUTS:
+        table = cli.build_parser().parse_args([command]).table
+        roles = {role: [k for k, (_, cast) in table.items() if cast is role]
+                 for role in (cli.InPath, cli.OutPath)}
+        assert roles[cli.OutPath] == OUTPUTS[command]
+        assert roles[cli.InPath] == [k for k in INPUTS[command] if k != "config"]
+        assert all(cast is cli.OutPath for k, (_, cast) in table.items() if k.startswith("out"))
+
+
+@pytest.mark.parametrize(
+    "command, key, source",
+    [
+        pytest.param(c, k, source, id=f"{c}-{k}-{source}")
+        for c in OUTPUTS
+        for k in [*INPUTS[c], *OUTPUTS[c]]
+        for source in (["flag"] if k == "config" else ["flag", "config line"])
+    ],
+)
+def test_nul_byte_in_a_path_fails_before_any_work(pipeline, tmp_path, capsys, command, key, source):
+    """One `error:` line naming the flag or the config line, exit 2 and no
+    file written."""
+    given = [command, *inputs_of(pipeline, command)]
+    given += [a for k in OUTPUTS[command] for a in (cli._flag(k), str(tmp_path / f"{k}.out"))]
+    # every option but `key` as a flag, then `key` from the source
+    argv = [a for f, v in zip(given[1::2], given[2::2]) if f != cli._flag(key) for a in (f, v)]
+    bad = str(tmp_path / "a\0b")
+    if source == "flag":
+        argv += [cli._flag(key), bad]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = {bad}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    before = sorted(tmp_path.iterdir())
+    assert run([command, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    where = cli._flag(key) if source == "flag" else f"config line 1: {key}"
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: "), lines
+    assert "NUL byte" in lines[0]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("out", ["", "/", "."])
+def test_synth_out_naming_a_directory_fails_before_any_work(tmp_path, capsys, monkeypatch, out):
+    """One `error:` line naming --out, exit 2 and no file written: the labels
+    path derived from --out is formed only after --out passed its check."""
+    monkeypatch.chdir(tmp_path)
+    assert run([*SYNTH_ARGS, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --out: "), lines
+    assert lines[0].endswith(" is a directory")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("element_id", ["el 01", ""], ids=["space", "empty"])
 def test_concepts_rejects_an_element_id_its_model_cannot_store(
     pipeline, tmp_path, capsys, element_id
@@ -1420,6 +1500,10 @@ class TestOpts:
         o = cli.Opts(self.ns(), self.table())
         with pytest.raises(ConfigError, match="--need"):
             o.get("need")
+
+    def test_nul_byte_in_a_str_value(self):
+        with pytest.raises(ConfigError, match="NUL byte"):
+            cli._cast("con\0cept", str)
 
     def test_bool_parsing(self):
         assert cli._parse_bool("TRUE") is True

@@ -568,3 +568,9 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(patience=0).validate()
         TrainConfig().validate()
+
+    def test_learning_rate_is_a_finite_float32(self):
+        # Adam scales its float32 step by the rate
+        TrainConfig(learning_rate=vae.LEARNING_RATE_MAX).validate()
+        with pytest.raises(ConfigError, match="a float32"):
+            TrainConfig(learning_rate=np.nextafter(vae.LEARNING_RATE_MAX, np.inf)).validate()
