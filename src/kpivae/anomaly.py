@@ -48,17 +48,18 @@ REPORT_HEADER = (
 
 @dataclass
 class LatentStats:
-    """Mean/std of per-timestep encoder means on healthy data, per concept dim.
+    """Mean/std of per-timestep encoder means on healthy data, per concept dim,
+    one row per set of timesteps: row 0 over all of them, row r over those
+    of cluster `clusters[r - 1]`.
 
     Clusters observed with fewer than MIN_CLUSTER_TIMESTEPS timesteps are not
-    given their own entry; lookups for them (and for unknown clusters) use the
-    global statistics. Stds are population stds floored at STD_FLOOR.
+    given their own row; lookups for them (and for unknown clusters) use the
+    global row. Stds are population stds floored at STD_FLOOR.
     """
 
-    global_mean: np.ndarray  # (N_KPIS,), one per concept dim
-    global_std: np.ndarray
-    cluster_mean: dict[int, np.ndarray]
-    cluster_std: dict[int, np.ndarray]
+    clusters: np.ndarray  # (m,) ascending ids of the clusters with their own row
+    mean: np.ndarray  # (m + 1, N_KPIS), one column per concept dim
+    std: np.ndarray
 
 
 @dataclass(eq=False)
@@ -82,10 +83,6 @@ class Report:
         return len(self.loss)
 
 
-def _floored_std(rows: np.ndarray) -> np.ndarray:
-    return np.maximum(rows.std(axis=0), STD_FLOOR)
-
-
 def fit_latent_stats(
     params: VaeParams, windows: Windows, assignment: dict[str, int]
 ) -> LatentStats:
@@ -99,18 +96,13 @@ def fit_latent_stats(
     by_cluster = {
         cl: mu[clusters == cl].reshape(-1, N_KPIS) for cl in dict.fromkeys(clusters.tolist())
     }
-    all_rows = np.concatenate(list(by_cluster.values()))
-    stats = LatentStats(
-        global_mean=all_rows.mean(axis=0),
-        global_std=_floored_std(all_rows),
-        cluster_mean={},
-        cluster_std={},
+    own = sorted(cl for cl, m in by_cluster.items() if len(m) >= MIN_CLUSTER_TIMESTEPS)
+    rows = [np.concatenate(list(by_cluster.values())), *(by_cluster[cl] for cl in own)]
+    return LatentStats(
+        clusters=np.array(own, dtype=np.int64),
+        mean=np.array([m.mean(axis=0) for m in rows]),
+        std=np.maximum([m.std(axis=0) for m in rows], STD_FLOOR),
     )
-    for j, m in by_cluster.items():
-        if m.shape[0] >= MIN_CLUSTER_TIMESTEPS:
-            stats.cluster_mean[j] = m.mean(axis=0)
-            stats.cluster_std[j] = _floored_std(m)
-    return stats
 
 
 def resolve_clusters(windows: Windows, model: ConceptModel) -> dict[str, int]:
@@ -156,7 +148,7 @@ def detect(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if top_k is not None and top_k < 1:
         raise ConfigError("top_k must be >= 1")
-    if any(not 0 <= j < model.k for j in stats.cluster_mean):
+    if ((stats.clusters < 0) | (stats.clusters >= model.k)).any():
         raise ConfigError(f"latent stats name a cluster outside 0..{model.k - 1}")
     windows = windows[np.lexsort((windows.start, windows.element))]
     clusters = window_clusters(windows, resolve_clusters(windows, model))
@@ -200,14 +192,14 @@ def detect(
 
     win, step = np.divmod(keep, length)
     cell_cluster = clusters[win]
-    # z against each cell's cluster stats, or the global ones where it has none
-    mean = np.tile(stats.global_mean, (model.k, 1))
-    std = np.tile(stats.global_std, (model.k, 1))
-    for j in stats.cluster_mean:
-        mean[j], std[j] = stats.cluster_mean[j], stats.cluster_std[j]
+    # each cell's stats row: its cluster's, or row 0, the global one, where
+    # the cluster has none
+    row = np.zeros(model.k, dtype=np.intp)
+    row[stats.clusters] = np.arange(1, len(stats.clusters) + 1)
+    row = row[cell_cluster]
     z = mu_c[keep]
-    z -= mean[cell_cluster]
-    z /= std[cell_cluster]
+    z -= stats.mean[row]
+    z /= stats.std[row]
     score = np.abs(z) if symmetric else z
     flagged = score > z_threshold
     # names only for the rows that carry a flag, strongest first
@@ -226,7 +218,7 @@ def detect(
         z=z,
         flagged=flagged,
         attribution=attribution,
-        stats_fallback=~np.isin(cell_cluster, list(stats.cluster_mean)),
+        stats_fallback=row == 0,
     )
 
 
@@ -240,9 +232,8 @@ def save_report(report: Report, path) -> None:
 
 
 def save_latent_stats(stats: LatentStats, path) -> None:
-    rows = [["global", *stats.global_mean, *stats.global_std]]
-    for j in sorted(stats.cluster_mean):
-        rows.append(["cluster", j, *stats.cluster_mean[j], *stats.cluster_std[j]])
+    keys = [["global"], *(["cluster", j] for j in stats.clusters.tolist())]
+    rows = [[*key, *m, *s] for key, m, s in zip(keys, stats.mean, stats.std)]
     write_artifact(path, LATENTSTATS_TAG, rows)
 
 
@@ -252,9 +243,9 @@ def load_latent_stats(path) -> LatentStats:
     rows = read_artifact(path, LATENTSTATS_TAG, {"global": (None, *row), "cluster": (int, *row)})
     if not rows["global"]:
         raise ParseError("missing global stats row")
-    by_key = {**rows["global"], **rows["cluster"]}
-    split = {j: np.split(np.array(v), 2) for j, (_, v) in by_key.items()}
-    mean, std = split.pop(None)
-    cluster_mean = {j: m for j, (m, _) in split.items()}
-    cluster_std = {j: s for j, (_, s) in split.items()}
-    return LatentStats(mean, std, cluster_mean, cluster_std)
+    for j, (line_no, _) in rows["cluster"].items():
+        if not 0 <= j < 2**63:
+            raise ParseError(f"cluster id {j} is outside 0..2**63 - 1", line_no)
+    clusters = sorted(rows["cluster"])
+    table = np.array([rows["global"][None][1], *(rows["cluster"][j][1] for j in clusters)])
+    return LatentStats(np.array(clusters, dtype=np.int64), *np.split(table, 2, axis=1))

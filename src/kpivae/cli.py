@@ -431,7 +431,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(Opts(args, args.table))
-    except (KpivaeError, OSError) as e:
+    except (KpivaeError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:  # a size too large to allocate; numpy names it

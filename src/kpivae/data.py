@@ -38,6 +38,9 @@ LOAD_CHUNK_ROWS = 1024
 WRITE_BLOCK_ROWS = 1024
 # a text field holding one of these is encoded by csv.writer
 CSV_SPECIAL = ',"\r\n'
+# most synthetic clusters; their profiles are built in Python lists, so a
+# count far beyond this never finishes
+MAX_SYNTH_CLUSTERS = 10**6
 
 NORMSTATS_TAG = "kpivae-normstats-v2"
 # the one date form read besides an integer ordinal
@@ -145,8 +148,8 @@ class SynthConfig:
     def validate(self) -> None:
         if self.elements < 1 or self.days < 1:
             raise ConfigError("elements and days must be >= 1")
-        if self.clusters < 1:
-            raise ConfigError("clusters must be >= 1")
+        if not 1 <= self.clusters <= MAX_SYNTH_CLUSTERS:
+            raise ConfigError(f"clusters must be in 1..{MAX_SYNTH_CLUSTERS:,}, got {self.clusters}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.anomaly_rate <= 1.0:

@@ -104,16 +104,16 @@ def _gate_affine(H: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     return scale, shift
 
 
-def gate_constants(layers: list[dict[str, np.ndarray]], out=None) -> list[tuple]:
-    """Per layer (Wx, Wh, b) in the layers' dtype: the layer's weights with
-    every gate column scaled, so that one tanh per step activates all four
-    gates; written into `out`, one {"Wx", "Wh", "b"} dict of arrays per
-    layer, if given."""
+def gate_constants(layers: list[dict[str, np.ndarray]], out=None) -> list[dict]:
+    """Per layer {"Wx", "Wh", "b"} in the layers' dtype: the layer's weights
+    with every gate column scaled, so that one tanh per step activates all
+    four gates; written into `out`, one such dict of arrays per layer, if
+    given."""
     Wh = layers[0]["Wh"]
     scale, _ = _gate_affine(Wh.shape[0], Wh.dtype)
     out = out or [{} for _ in layers]
     return [
-        tuple(np.multiply(p[k], scale, out=o.get(k)) for k in ("Wx", "Wh", "b"))
+        {k: np.multiply(p[k], scale, out=o.get(k)) for k in ("Wx", "Wh", "b")}
         for p, o in zip(layers, out)
     ]
 
@@ -149,14 +149,12 @@ class LstmBuffers:
         self.steps = list(zip(gate_views(gates), c, tanh_c, h))
 
 
-def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out: LstmBuffers, consts):
-    """Run the LSTM layer with weights p over a C-contiguous time-major
-    (T, B, D) x; returns its hidden states, `out.h` (T, B, H), and a cache,
-    (x, `out`). `out` is the `LstmBuffers` to fill, in the dtype of x, and
-    `consts` p's `gate_constants` entry in that dtype. The pass reads the
-    weights from `consts` only: `p` is read by perfbench's flop counter,
-    which takes H from it."""
-    Wx, Wh, b = consts
+def lstm_forward(x: np.ndarray, p: dict[str, np.ndarray], out: LstmBuffers):
+    """Run an LSTM layer over a C-contiguous time-major (T, B, D) x; returns
+    its hidden states, `out.h` (T, B, H), and a cache, (x, `out`). `p` is
+    the layer's `gate_constants` entry and `out` the `LstmBuffers` to fill,
+    both in the dtype of x."""
+    Wx, Wh, b = p["Wx"], p["Wh"], p["b"]
     rec, fc, scale, shift = out.rec, out.fc, out.scale, out.shift
     # the input projections of all T steps plus the bias, one GEMM
     gates = out.gates.reshape(-1, out.gates.shape[-1])

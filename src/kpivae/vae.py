@@ -275,8 +275,7 @@ def _stack(params: VaeParams, net: str, x: np.ndarray, bufs, consts):
     np.copyto(xs, x.transpose(1, 0, 2))  # casts x to the dtype of the buffers
     h, caches = xs, []
     for i, out in enumerate(outs):
-        layer = f"{net}{i}"
-        h, cache = lstm_forward(h, params.layers[layer], out, consts[layer])
+        h, cache = lstm_forward(h, consts[f"{net}{i}"], out)
         caches.append(cache)
     raw, head_cache = linear_forward(h.transpose(1, 0, 2), params.layers[f"{net}_head"])
     half = raw.shape[-1] // 2
@@ -418,16 +417,22 @@ def map_chunks(fn, n: int, workers: int = 1) -> list:
     """fn(chunk) of each BATCH_WINDOWS slice of n windows, in chunk order.
 
     Up to min(workers, usable CPUs) threads take the chunks; numpy releases
-    the GIL in their GEMMs and ufuncs. One worker starts no thread. The first
+    the GIL in their GEMMs and ufuncs. One worker starts no thread. A chunk
+    raises FloatingPointError on an overflow or an invalid value. The first
     failed chunk's error in chunk order is raised once no chunk runs, and the
     chunks not yet started are cancelled.
     """
     chunks = [slice(s, min(s + BATCH_WINDOWS, n)) for s in range(0, n, BATCH_WINDOWS)]
     workers = min(workers, _worker_count(), len(chunks))
+
+    def run(b):  # numpy's error state is per thread, so each chunk sets it
+        with np.errstate(over="raise", invalid="raise"):
+            return fn(b)
+
     if workers <= 1:
-        return [fn(b) for b in chunks]
+        return [run(b) for b in chunks]
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, chunks))  # raises the first failed chunk's error
+        return list(pool.map(run, chunks))  # raises the first failed chunk's error
 
 
 def encode_windows(params: VaeParams, windows: Windows) -> tuple[np.ndarray, np.ndarray]:
@@ -595,16 +600,18 @@ def train_step(
 ) -> dict[str, float]:
     """One Adam update on a batch; mutates params in place via the optimizer.
     The noise is drawn in float64 and cast to the dtype of `x`; `ws` is
-    passed to `objective_and_grads`."""
-    eps = rng.standard_normal(x.shape[:2] + (params.latent.total,)).astype(x.dtype, copy=False)
-    objective, components, grad = objective_and_grads(
-        params, x, prior_means, params.latent.prior_std, config.recon_weight, eps, ws
-    )
-    if not np.isfinite(objective):
-        raise TrainingDivergedError(
-            f"training objective is non-finite ({objective})", diagnostics=components
+    passed to `objective_and_grads`. Raises FloatingPointError on an
+    overflow or an invalid value."""
+    with np.errstate(over="raise", invalid="raise"):
+        eps = rng.standard_normal(x.shape[:2] + (params.latent.total,)).astype(x.dtype, copy=False)
+        objective, components, grad = objective_and_grads(
+            params, x, prior_means, params.latent.prior_std, config.recon_weight, eps, ws
         )
-    opt.step(grad)
+        if not np.isfinite(objective):
+            raise TrainingDivergedError(
+                f"training objective is non-finite ({objective})", diagnostics=components
+            )
+        opt.step(grad)
     return components
 
 
@@ -631,6 +638,9 @@ def train(
     min(batch_size, len(train_windows)). It lives for this call only, so its
     buffers are freed before the caller encodes or scores anything. The
     call starts no thread.
+
+    An overflow or an invalid value raises FloatingPointError naming the
+    epoch, and the step or the validation pass that met it.
     """
     config.validate()
     if not len(train_windows):
@@ -665,15 +675,21 @@ def train(
     for epoch in range(config.max_epochs):
         order = rng_shuffle.permutation(n)
         kl_sum = ll_sum = 0.0
-        for start in range(0, n, config.batch_size):
+        for step, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            comps = train_step(params, opt, x_train[idx], p_train[idx], config, rng_noise, ws)
+            try:
+                comps = train_step(params, opt, x_train[idx], p_train[idx], config, rng_noise, ws)
+            except FloatingPointError as e:
+                raise FloatingPointError(f"training diverged at epoch {epoch}, step {step}: {e}")
             kl_sum += comps["kl"] * len(idx)
             ll_sum += comps["loglik"] * len(idx)
         train_kl = kl_sum / n
         train_ll = ll_sum / n
 
-        val_loss = _val_loss(params, x_val, p_val, latent.prior_std, val_eps)
+        try:
+            val_loss = _val_loss(params, x_val, p_val, latent.prior_std, val_eps)
+        except FloatingPointError as e:
+            raise FloatingPointError(f"training diverged at epoch {epoch}, validation: {e}")
         row = (epoch, train_kl - train_ll, train_kl, train_ll, val_loss)
         history.append(dict(zip(HISTORY_HEADER, row)))
         if val_loss < best_val:

@@ -378,11 +378,20 @@ def zscores(stats: anomaly.LatentStats, cluster: int | None, mu) -> np.ndarray:
     Unknown or under-observed clusters use the global statistics.
     """
     m = np.asarray(mu, dtype=np.float64)[..., : data.N_KPIS]
-    if cluster is not None and cluster in stats.cluster_mean:
-        mean, std = stats.cluster_mean[cluster], stats.cluster_std[cluster]
+    if cluster is not None and cluster in stats.clusters:
+        mean, std = own_stats(stats, cluster)
     else:
-        mean, std = stats.global_mean, stats.global_std
+        mean, std = stats.mean[0], stats.std[0]
     return (m - mean) / std
+
+
+def own_stats(stats: anomaly.LatentStats, cluster: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, std) of the row of `stats` that holds `cluster`'s own stats;
+    KeyError where it has none."""
+    (rows,) = np.nonzero(stats.clusters == cluster)
+    if not rows.size:
+        raise KeyError(cluster)
+    return stats.mean[rows[0] + 1], stats.std[rows[0] + 1]
 
 
 class Adam:
@@ -580,7 +589,7 @@ def nn_lstm_forward(x: np.ndarray, p: dict[str, np.ndarray]):
     )
     out = nn.LstmBuffers(h, c, tanh_c, gates, nn.step_scratch(x, B, H))
     xs = x.transpose(1, 0, 2).copy(order="C")
-    h, cache = nn.lstm_forward(xs, p, out, nn.gate_constants([p])[0])
+    h, cache = nn.lstm_forward(xs, nn.gate_constants([p])[0], out)
     return h.transpose(1, 0, 2), cache
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import sys
 import threading
 import time
@@ -42,9 +43,9 @@ class TestFitLatentStats:
         w = mk_windows(("el0000", 1, np.zeros((40, 5))))
         fake_encoder(monkeypatch, [np.full((40, 30), 0.5)])
         stats = anomaly.fit_latent_stats(params, w, {"el0000": 0})
-        assert np.array_equal(stats.global_mean, np.full(5, 0.5))
-        assert np.array_equal(stats.global_std, np.full(5, 1e-6))
-        assert np.array_equal(stats.cluster_std[0], np.full(5, 1e-6))
+        assert np.array_equal(stats.mean[0], np.full(5, 0.5))
+        assert np.array_equal(stats.std[0], np.full(5, 1e-6))
+        assert np.array_equal(oracles.own_stats(stats, 0)[1], np.full(5, 1e-6))
 
     def test_two_point_population_std(self, monkeypatch):
         params = seam_params()
@@ -54,8 +55,8 @@ class TestFitLatentStats:
         w = mk_windows(("el0000", 1, np.zeros((40, 5))))
         fake_encoder(monkeypatch, [mu])
         stats = anomaly.fit_latent_stats(params, w, {"el0000": 0})
-        assert np.allclose(stats.global_mean, 0.0)
-        assert np.array_equal(stats.global_std, np.ones(5))
+        assert np.allclose(stats.mean[0], 0.0)
+        assert np.array_equal(stats.std[0], np.ones(5))
 
     def test_small_cluster_gets_no_entry(self, monkeypatch):
         params = seam_params()
@@ -65,11 +66,11 @@ class TestFitLatentStats:
         )
         fake_encoder(monkeypatch, [np.full((10, 30), 0.2)] * 4 + [np.full((10, 30), 0.9)])
         stats = anomaly.fit_latent_stats(params, ws, {"el0000": 0, "el0001": 1})
-        assert 0 in stats.cluster_mean
-        assert 1 not in stats.cluster_mean
+        assert 0 in stats.clusters
+        assert 1 not in stats.clusters
         # the starved cluster still contributes to the global stats
         want = (40 * 0.2 + 10 * 0.9) / 50
-        assert np.allclose(stats.global_mean, want)
+        assert np.allclose(stats.mean[0], want)
 
     def test_windows_of_one_cluster_concatenate(self, monkeypatch):
         params = seam_params()
@@ -79,8 +80,8 @@ class TestFitLatentStats:
         )
         fake_encoder(monkeypatch, [np.full((20, 30), 0.0), np.full((20, 30), 1.0)])
         stats = anomaly.fit_latent_stats(params, ws, {"el0000": 0})
-        assert np.allclose(stats.cluster_mean[0], 0.5)
-        assert np.allclose(stats.cluster_std[0], 0.5)
+        assert np.allclose(oracles.own_stats(stats, 0)[0], 0.5)
+        assert np.allclose(oracles.own_stats(stats, 0)[1], 0.5)
 
     def test_empty_and_unassigned_rejected(self, monkeypatch):
         params = seam_params()
@@ -95,10 +96,9 @@ class TestFitLatentStats:
 class TestZScores:
     def stats(self):
         return LatentStats(
-            global_mean=np.zeros(5),
-            global_std=np.ones(5),
-            cluster_mean={0: np.full(5, 1.0)},
-            cluster_std={0: np.full(5, 0.5)},
+            clusters=np.array([0]),
+            mean=np.array([np.zeros(5), np.full(5, 1.0)]),
+            std=np.array([np.ones(5), np.full(5, 0.5)]),
         )
 
     def test_mean_input_scores_zero(self):
@@ -113,7 +113,7 @@ class TestZScores:
     def test_unknown_cluster_falls_back_to_global(self):
         s = self.stats()
         z = oracles.zscores(s, 7, np.full(5, 2.0))
-        assert np.array_equal(z, (np.full(5, 2.0) - s.global_mean) / s.global_std)
+        assert np.array_equal(z, (np.full(5, 2.0) - s.mean[0]) / s.std[0])
 
     def test_trailing_latent_dims_ignored(self):
         mu = np.concatenate([np.full(5, 2.0), np.full(25, 99.0)])
@@ -125,15 +125,14 @@ class TestZScores:
         s = self.stats()
         delta = 0.3
         shifted = LatentStats(
-            global_mean=s.global_mean,
-            global_std=s.global_std,
-            cluster_mean={0: s.cluster_mean[0] + delta},
-            cluster_std={0: s.cluster_std[0]},
+            clusters=s.clusters,
+            mean=np.array([s.mean[0], s.mean[1] + delta]),
+            std=s.std,
         )
         mu = np.array([0.1, 0.7, 1.3, 2.0, -0.4])
         z0 = oracles.zscores(s, 0, mu)
         z1 = oracles.zscores(shifted, 0, mu)
-        assert np.allclose(z1, z0 - delta / s.cluster_std[0], atol=1e-12)
+        assert np.allclose(z1, z0 - delta / s.std[1], atol=1e-12)
 
 
 class TestAttribution:
@@ -319,14 +318,13 @@ class TestDetect:
         params, windows, model, lstats = scored_setup()
         monkeypatch.setattr(anomaly, "MIN_CLUSTER_TIMESTEPS", 10**6)
         starved = anomaly.fit_latent_stats(params, windows, model.assignment)
-        assert not starved.cluster_mean
+        assert not starved.clusters.size
         # explicit per-cluster entries equal to the global stats must yield
         # the same z-scores the fallback path produces
         explicit = LatentStats(
-            global_mean=starved.global_mean,
-            global_std=starved.global_std,
-            cluster_mean={c: starved.global_mean for c in range(model.k)},
-            cluster_std={c: starved.global_std for c in range(model.k)},
+            clusters=np.arange(model.k),
+            mean=starved.mean[[0] * (model.k + 1)],
+            std=starved.std[[0] * (model.k + 1)],
         )
         via_fallback = detect_list(params, windows, model, starved, eval_samples=2)
         via_explicit = detect_list(params, windows, model, explicit, eval_samples=2)
@@ -338,7 +336,9 @@ class TestDetect:
         # stride 10 windows do not overlap, so each cell is scored once
         params, windows, model, lstats = scored_setup(stride=10)
         # cluster 1 keeps no stats of its own, so its rows use the global ones
-        del lstats.cluster_mean[1], lstats.cluster_std[1]
+        keep = lstats.clusters != 1
+        rows = np.r_[True, keep]
+        lstats = LatentStats(lstats.clusters[keep], lstats.mean[rows], lstats.std[rows])
         mus, real = [], anomaly.batch_components
 
         def spy(*args):
@@ -717,21 +717,36 @@ class TestReportSerialization:
 
     def test_latent_stats_round_trip(self, tmp_path):
         stats = LatentStats(
-            global_mean=np.array([0.1, -0.2, 0.3, 1e-9, 5.0]),
-            global_std=np.array([1.0, 0.5, 1e-6, 2.0, 3.0]),
-            cluster_mean={0: np.arange(5.0), 3: np.full(5, -1.25)},
-            cluster_std={0: np.ones(5), 3: np.full(5, 0.125)},
+            clusters=np.array([0, 3]),
+            mean=np.array([[0.1, -0.2, 0.3, 1e-9, 5.0], np.arange(5.0), np.full(5, -1.25)]),
+            std=np.array([[1.0, 0.5, 1e-6, 2.0, 3.0], np.ones(5), np.full(5, 0.125)]),
         )
         path = tmp_path / "stats.txt"
         anomaly.save_latent_stats(stats, path)
         back = anomaly.load_latent_stats(path)
-        assert back.global_mean.shape == (5,)
-        assert np.array_equal(back.global_mean, stats.global_mean)
-        assert np.array_equal(back.global_std, stats.global_std)
-        assert sorted(back.cluster_mean) == [0, 3]
+        assert back.mean[0].shape == (5,)
+        assert np.array_equal(back.mean[0], stats.mean[0])
+        assert np.array_equal(back.std[0], stats.std[0])
+        assert back.clusters.tolist() == [0, 3]
         for j in (0, 3):
-            assert np.array_equal(back.cluster_mean[j], stats.cluster_mean[j])
-            assert np.array_equal(back.cluster_std[j], stats.cluster_std[j])
+            assert np.array_equal(oracles.own_stats(back, j)[0], oracles.own_stats(stats, j)[0])
+            assert np.array_equal(oracles.own_stats(back, j)[1], oracles.own_stats(stats, j)[1])
+
+    def test_cluster_rows_out_of_order_load_ascending(self, tmp_path):
+        params, windows, model, lstats = scored_setup()
+        assert lstats.clusters.tolist() == [0, 1]
+        anomaly.save_latent_stats(lstats, tmp_path / "ordered.txt")
+        lines = (tmp_path / "ordered.txt").read_text().splitlines(keepends=True)
+        assert [ln.split()[0] for ln in lines[1:]] == ["global", "cluster", "cluster", "sha256"]
+        # the two cluster rows swapped, under the sha256 row of the new text
+        text = "".join([lines[0], lines[1], lines[3], lines[2]])
+        swapped = tmp_path / "swapped.txt"
+        swapped.write_text(text + f"sha256 {hashlib.sha256(text.encode()).hexdigest()}\n")
+        back = anomaly.load_latent_stats(swapped)
+        assert back.clusters.tolist() == [0, 1]
+        ordered = anomaly.load_latent_stats(tmp_path / "ordered.txt")
+        z = [anomaly.detect(params, windows, model, s, eval_samples=2).z for s in (ordered, back)]
+        assert np.array_equal(z[0], z[1])
 
     def test_bad_tag_rejected(self, tmp_path):
         path = tmp_path / "stats.txt"

@@ -149,7 +149,7 @@ class TestTrain:
 
     def test_latent_stats_reload(self, pipeline):
         ls = anomaly.load_latent_stats(pipeline["lstats"])
-        assert ls.global_mean.shape == ls.global_std.shape == (5,)
+        assert ls.mean[0].shape == ls.std[0].shape == (5,)
 
 
 class TestScore:
@@ -561,15 +561,16 @@ class TestMalformedInputs:
 
     def test_latent_stats_concept_dims_mismatch(self, pipeline, tmp_path, capsys):
         c = 3
-        lstats = anomaly.LatentStats(np.zeros(c), np.ones(c), {}, {})
+        lstats = anomaly.LatentStats(np.zeros(0, int), np.zeros((1, c)), np.ones((1, c)))
         anomaly.save_latent_stats(lstats, tmp_path / "lat.txt")
         assert score_with(pipeline, tmp_path, latent_stats=tmp_path / "lat.txt") == 2
         assert "line 2: global row needs 10 values, got 6" in capsys.readouterr().err
 
     def test_latent_stats_unknown_cluster(self, pipeline, tmp_path, capsys):
         lstats = anomaly.load_latent_stats(pipeline["lstats"])
-        lstats.cluster_mean[7] = lstats.global_mean
-        lstats.cluster_std[7] = lstats.global_std
+        lstats.clusters = np.append(lstats.clusters, 7)
+        lstats.mean = np.vstack([lstats.mean, lstats.mean[0]])
+        lstats.std = np.vstack([lstats.std, lstats.std[0]])
         anomaly.save_latent_stats(lstats, tmp_path / "lat.txt")
         assert score_with(pipeline, tmp_path, latent_stats=tmp_path / "lat.txt") == 2
         assert "outside 0..1" in capsys.readouterr().err
@@ -589,6 +590,9 @@ class TestMalformedInputs:
             ("cluster", 11, "-1.0"),
             ("global", 2, "nan"),
             ("cluster", 3, "inf"),
+            # a cluster row's key is a cluster id, which an int64 holds
+            ("cluster", 1, "-1"),
+            ("cluster", 1, str(10**20)),
         ],
     )
     def test_latent_stats_bad_value(self, pipeline, tmp_path, capsys, prefix, index, token):
@@ -703,6 +707,16 @@ class TestMalformedInputs:
         assert lines == ["error: recon_weight must be >= 0, got -1.0"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_synth_clusters_beyond_the_bound(self, tmp_path, capsys):
+        code = run([
+            "synth", "--out", str(tmp_path / "x.csv"), "--elements", "2", "--days", "3",
+            "--clusters", str(10**20),
+        ])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: clusters must be in 1..1,000,000, got {10**20}"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_synth_magnitude_that_overflows(self, tmp_path, capsys):
         code = run([
             "synth", "--out", str(tmp_path / "x.csv"), "--elements", "4", "--days", "5",
@@ -800,7 +814,7 @@ class TestMalformedInputs:
         windows = data.window_sequences(records, 10, stride=10, stats=stats)
         params = vae.load_checkpoint(pipeline["ckpt"])
         lstats = anomaly.fit_latent_stats(params, windows, model.assignment)
-        assert len(lstats.cluster_mean) == 4
+        assert len(lstats.clusters) == 4
         anomaly.save_latent_stats(lstats, tmp_path / "full.txt")
         assert score_with(
             pipeline, tmp_path, model=tmp_path / "model.txt", latent_stats=tmp_path / "full.txt"
@@ -955,9 +969,8 @@ def assert_sound(artifact, loaded):
         assert (loaded.centroids >= 0).all() and (loaded.centroids <= 1).all()
         assert all(0 <= j < loaded.k for j in loaded.assignment.values())
     else:
-        means = [loaded.global_mean, *loaded.cluster_mean.values()]
-        stds = [loaded.global_std, *loaded.cluster_std.values()]
-        assert loaded.cluster_mean.keys() == loaded.cluster_std.keys()
+        means, stds = loaded.mean, loaded.std
+        assert len(means) == len(stds) == len(loaded.clusters) + 1
         for mean, std in zip(means, stds):
             assert mean.shape == std.shape == (data.N_KPIS,)
             assert np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()
@@ -1125,6 +1138,28 @@ def test_learning_rate_past_float32_fails_with_one_line(pipeline, tmp_path, caps
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: learning_rate must be in (0, "), lines
     assert list(tmp_path.iterdir()) == []
+
+
+def test_diverging_train_fails_with_one_line(pipeline, tmp_path, capsys):
+    """An overflow in a training step is one `error:` line naming the step,
+    with no numpy warning before it."""
+    assert train_with(pipeline, tmp_path, "--learning-rate", "1e30") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("error: training diverged at epoch 0, "), lines
+    assert "overflow" in lines[0]
+
+
+def test_overflowing_score_fails_with_one_line(pipeline, tmp_path, capsys):
+    """An overflow in a scoring chunk is one `error:` line, with no numpy
+    warning before it, and no report."""
+    params = vae.load_checkpoint(pipeline["ckpt"])
+    params.flat *= 1e30
+    vae.save_checkpoint(params, tmp_path / "big.bin")
+    assert score_with(pipeline, tmp_path, checkpoint=tmp_path / "big.bin") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflow" in lines[0], lines
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_report_bytes_independent_of_blas_threads(pipeline, tmp_path):

@@ -399,6 +399,9 @@ class TestSynth:
             data.SynthConfig(elements=0).validate()
         with pytest.raises(ConfigError, match="clusters"):
             data.SynthConfig(clusters=0).validate()
+        # the profiles of 10**20 clusters would never be built
+        with pytest.raises(ConfigError, match="1..1,000,000"):
+            data.SynthConfig(clusters=10**20).validate()
         with pytest.raises(ConfigError):
             data.SynthConfig(anomaly_rate=1.5).validate()
         with pytest.raises(ConfigError):
